@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import CoverageError, format_missing
 from .transforms import (
     MAX_QUBITS,
     fwht,
@@ -258,7 +258,7 @@ def mitigation_matrix(
     if missing:
         raise CoverageError(
             f"mitigation matrix needs all {size} input states; missing "
-            + _format_indices(missing, model.n)
+            + format_missing(missing, lambda i: format(i, f"0{model.n}b"))
         )
     shared = eigenvalues_from_rates(average_error_rates(model)) if use_average_rates else None
     columns = np.empty((size, size))
@@ -284,17 +284,10 @@ def average_error_rates(model: NoiseModel) -> np.ndarray:
     if missing:
         raise CoverageError(
             f"average over input states needs all {size}; missing "
-            + _format_indices(missing, model.n)
+            + format_missing(missing, lambda i: format(i, f"0{model.n}b"))
         )
     stacked = np.stack([model.channels[i].rates for i in range(size)])
     return stacked.mean(axis=0)
-
-
-def _format_indices(indices: list[int], n: int) -> str:
-    shown = ", ".join(format(i, f"0{n}b") for i in indices[:8])
-    if len(indices) > 8:
-        shown += f", ... ({len(indices)} total)"
-    return shown
 
 
 def model_to_json(model: NoiseModel) -> dict:

@@ -394,6 +394,8 @@ def _rb_into(dataset, outdir, train, input_index, seed, digest) -> None:
 
 def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> None:
     labels = [index_to_bits(i, model.n) for i in range(model.size)]
+    if dataset is not None:
+        dataset.require(depths, inputs)
     with open(path, "w", newline="") as handle:
         if meta:
             handle.write(f"# {meta}\n")

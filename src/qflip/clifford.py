@@ -9,9 +9,7 @@ gates followed by one inverse layer that undoes each qubit's sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -26,10 +24,6 @@ __all__ = [
     "sample_identity_circuit",
     "empty_circuit",
     "IdentityCircuit",
-    "circuit_to_json",
-    "circuit_from_json",
-    "write_circuits",
-    "read_circuits",
 ]
 
 GROUP_ORDER = 24
@@ -175,37 +169,3 @@ def empty_circuit(n: int) -> IdentityCircuit:
     if n < 1:
         raise ValueError("need at least one qubit")
     return IdentityCircuit(n=n, depth=0, layers=(), inverse_layer=(IDENTITY_ID,) * n)
-
-
-def circuit_to_json(circuit: IdentityCircuit) -> str:
-    record = {
-        "n": circuit.n,
-        "depth": circuit.depth,
-        "layers": [list(layer) for layer in circuit.layers],
-        "inverse": list(circuit.inverse_layer),
-        "seed": circuit.seed,
-    }
-    return json.dumps(record, separators=(",", ":"))
-
-
-def circuit_from_json(line: str) -> IdentityCircuit:
-    record = json.loads(line)
-    return IdentityCircuit(
-        n=record["n"],
-        depth=record["depth"],
-        layers=tuple(tuple(layer) for layer in record["layers"]),
-        inverse_layer=tuple(record["inverse"]),
-        seed=record.get("seed"),
-    )
-
-
-def write_circuits(circuits: Iterable[IdentityCircuit], stream: IO[str]) -> None:
-    for circuit in circuits:
-        stream.write(circuit_to_json(circuit) + "\n")
-
-
-def read_circuits(stream: IO[str]) -> Iterator[IdentityCircuit]:
-    for line in stream:
-        line = line.strip()
-        if line:
-            yield circuit_from_json(line)

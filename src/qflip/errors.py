@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus the formatter its
+messages use to list missing entries.
 
 The CLI maps these onto process exit codes; library callers can catch
 QflipError to handle anything raised by this package.
@@ -20,3 +21,11 @@ class CoverageError(QflipError):
 
 class NumericError(QflipError):
     """A numerical step failed or produced an unusable result."""
+
+
+def format_missing(items, label=str) -> str:
+    """Comma list of the first 8 missing items, plus the total when cut."""
+    shown = ", ".join(label(item) for item in items[:8])
+    if len(items) > 8:
+        shown += f", ... ({len(items)} total)"
+    return shown

@@ -23,7 +23,7 @@ from .channel import (
     rates_from_eigenvalues,
 )
 from .errors import CoverageError
-from .records import Dataset, index_to_bits
+from .records import Dataset
 from .transforms import fwht, xor_permute
 
 __all__ = [
@@ -64,29 +64,16 @@ class DepthAverage:
         object.__setattr__(self, "distribution", arr)
 
 
-def _mean_distribution(records, size: int) -> np.ndarray:
-    total = np.zeros(size)
-    for record in records:
-        empirical = np.zeros(size)
-        for outcome, count in record.counts.items():
-            empirical[outcome] = count
-        total += empirical / record.shots
-    return total / len(records)
-
-
 def aggregate(dataset: Dataset, depth: int, input_index: int) -> DepthAverage:
     """Average the normalized counts of every record at (depth, input)."""
-    records = dataset.group(depth, input_index)
-    if not records:
-        raise CoverageError(
-            f"no records at depth {depth} for input "
-            f"{index_to_bits(input_index, dataset.n)}"
-        )
+    rows = dataset.distributions(depth, input_index)
+    # an axis-0 sum adds the rows one at a time in sequence order; the golden
+    # artifact hashes depend on that order
     return DepthAverage(
         depth=depth,
         input_index=input_index,
-        distribution=_mean_distribution(records, dataset.size),
-        circuits_used=len(records),
+        distribution=rows.sum(axis=0) / len(rows),
+        circuits_used=len(rows),
     )
 
 
@@ -215,33 +202,8 @@ def estimate_model(
     depths = dataset.depths() if train_depths is None else sorted(set(train_depths))
     if not inputs:
         raise CoverageError("dataset has no records")
-    grouped = {}
-    for record in dataset.records:
-        grouped.setdefault((record.depth, record.input_index), []).append(record)
-    missing = [
-        (depth, index)
-        for index in inputs
-        for depth in depths
-        if (depth, index) not in grouped
-    ]
-    if missing:
-        shown = ", ".join(
-            f"(m={depth}, in={index_to_bits(index, dataset.n)})"
-            for depth, index in missing[:8]
-        )
-        if len(missing) > 8:
-            shown += f", ... ({len(missing)} total)"
-        raise CoverageError(f"dataset is missing records for {shown}")
-    averages = [
-        DepthAverage(
-            depth=depth,
-            input_index=index,
-            distribution=_mean_distribution(grouped[(depth, index)], dataset.size),
-            circuits_used=len(grouped[(depth, index)]),
-        )
-        for index in inputs
-        for depth in depths
-    ]
+    dataset.require(depths, inputs)
+    averages = [aggregate(dataset, depth, index) for index in inputs for depth in depths]
     return estimate_model_from_averages(
         dataset.n, averages, train_depths=depths, use_average_rates=use_average_rates
     )

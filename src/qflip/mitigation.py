@@ -18,6 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .channel import MitigationMatrix, NoiseModel, mitigation_matrix
 from .errors import CoverageError, NumericError
+from .estimation import aggregate
 from .records import Dataset, index_to_bits
 from .transforms import require_prob_dist, simplex_project
 
@@ -99,25 +100,10 @@ def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
     needs every basis input at depth 0.
     """
     size = dataset.size
-    columns = np.empty((size, size))
-    missing = []
-    for index in range(size):
-        records = dataset.group(0, index)
-        if not records:
-            missing.append(index)
-            continue
-        total = np.zeros(size)
-        for record in records:
-            empirical = np.zeros(size)
-            for outcome, count in record.counts.items():
-                empirical[outcome] = count
-            total += empirical / record.shots
-        columns[:, index] = total / len(records)
-    if missing:
-        shown = ", ".join(index_to_bits(i, dataset.n) for i in missing[:8])
-        if len(missing) > 8:
-            shown += f", ... ({len(missing)} total)"
-        raise CoverageError(f"no depth-0 records for inputs {shown}")
+    dataset.require([0], range(size))
+    columns = np.column_stack(
+        [aggregate(dataset, 0, index).distribution for index in range(size)]
+    )
     try:
         condition = float(np.linalg.cond(columns, 1))
     except np.linalg.LinAlgError:
@@ -168,21 +154,12 @@ class MitigationReport:
                 )
 
 
-def _empirical_matrix(records, size: int) -> np.ndarray:
-    columns = np.zeros((size, len(records)))
-    for j, record in enumerate(sorted(records, key=lambda r: r.sequence_id)):
-        for outcome, count in record.counts.items():
-            columns[outcome, j] = count / record.shots
-    return columns
-
-
 def evaluate_mitigation(
     dataset: Dataset,
     model: NoiseModel | None = None,
     test_depths=None,
     inputs=None,
     methods=DEFAULT_METHODS,
-    mem_dataset: Dataset | None = None,
 ) -> MitigationReport:
     """Score each method per circuit and aggregate.
 
@@ -206,27 +183,8 @@ def evaluate_mitigation(
     if not depths:
         raise CoverageError("no test depths")
     inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
-    grouped = {}
-    for record in dataset.records:
-        grouped.setdefault((record.depth, record.input_index), []).append(record)
-    missing = [
-        (depth, index)
-        for index in inputs
-        for depth in depths
-        if (depth, index) not in grouped
-    ]
-    if missing:
-        shown = ", ".join(
-            f"(m={depth}, in={index_to_bits(index, dataset.n)})"
-            for depth, index in missing[:8]
-        )
-        if len(missing) > 8:
-            shown += f", ... ({len(missing)} total)"
-        raise CoverageError(f"dataset is missing records for {shown}")
-
-    mem_matrix = None
-    if MEM in methods:
-        mem_matrix = build_mem_matrix(mem_dataset if mem_dataset is not None else dataset)
+    dataset.require(depths, inputs)
+    mem_matrix = build_mem_matrix(dataset) if MEM in methods else None
 
     size = dataset.size
     identity = np.eye(size)
@@ -242,7 +200,7 @@ def evaluate_mitigation(
         scores = {method: {} for method in methods}
         flagged = {method: False for method in methods}
         for index in inputs:
-            raw = _empirical_matrix(grouped[(depth, index)], size)
+            raw = dataset.distributions(depth, index).T
             ideal = identity[:, index]
             for method in methods:
                 if method == UNMITIGATED:

@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import CoverageError, format_missing
 from .transforms import MAX_QUBITS
 
 __all__ = [
@@ -108,15 +111,21 @@ def record_from_json(line: str) -> tuple[CountsRecord, int]:
 
 @dataclass(eq=False)
 class Dataset:
-    """A list of CountsRecords over a fixed qubit count."""
+    """CountsRecords over a fixed qubit count, indexed by (depth, input).
+
+    Each (depth, input) cell holds its records sorted by sequence id; a
+    repeated (depth, input, seq) triple is rejected.
+    """
 
     n: int
-    records: list[CountsRecord]
+    records: tuple[CountsRecord, ...]
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        self.records = tuple(self.records)
         size = 1 << self.n
+        cells: dict[tuple[int, int], list[CountsRecord]] = {}
         for record in self.records:
             if record.input_index >= size:
                 raise ValueError(
@@ -124,6 +133,16 @@ class Dataset:
                 )
             if any(outcome >= size for outcome in record.counts):
                 raise ValueError(f"record outcome out of range for n={self.n}")
+            cells.setdefault((record.depth, record.input_index), []).append(record)
+        for (depth, index), cell in cells.items():
+            cell.sort(key=lambda record: record.sequence_id)
+            for first, second in zip(cell, cell[1:]):
+                if first.sequence_id == second.sequence_id:
+                    raise ValueError(
+                        f"duplicate record (depth={depth}, "
+                        f"input={index_to_bits(index, self.n)}, seq={first.sequence_id})"
+                    )
+        self._cells = cells
 
     @property
     def size(self) -> int:
@@ -133,17 +152,45 @@ class Dataset:
         return len(self.records)
 
     def depths(self) -> list[int]:
-        return sorted({record.depth for record in self.records})
+        return sorted({depth for depth, _ in self._cells})
 
     def input_indices(self) -> list[int]:
-        return sorted({record.input_index for record in self.records})
+        return sorted({index for _, index in self._cells})
 
     def group(self, depth: int, input_index: int) -> list[CountsRecord]:
-        return [
-            record
-            for record in self.records
-            if record.depth == depth and record.input_index == input_index
+        """Records at (depth, input) in sequence-id order; [] when absent."""
+        return list(self._cells.get((depth, input_index), ()))
+
+    def require(self, depths, inputs) -> None:
+        """Raise CoverageError naming every (depth, input) cell with no records."""
+        missing = [
+            (depth, index)
+            for index in inputs
+            for depth in depths
+            if (depth, index) not in self._cells
         ]
+        if missing:
+            shown = format_missing(
+                missing, lambda cell: f"(m={cell[0]}, in={index_to_bits(cell[1], self.n)})"
+            )
+            raise CoverageError(f"dataset is missing records for {shown}")
+
+    def distributions(self, depth: int, input_index: int) -> np.ndarray:
+        """Normalized counts of the cell's circuits, one row per record."""
+        self.require([depth], [input_index])
+        cell = self._cells[(depth, input_index)]
+        lengths = [len(record.counts) for record in cell]
+        total = sum(lengths)
+        rows = np.zeros((len(cell), self.size))
+        outcomes = np.fromiter(
+            (outcome for record in cell for outcome in record.counts), np.intp, total
+        )
+        counts = np.fromiter(
+            (count for record in cell for count in record.counts.values()), float, total
+        )
+        rows[np.repeat(np.arange(len(cell)), lengths), outcomes] = counts
+        rows /= np.array([record.shots for record in cell], dtype=float)[:, None]
+        return rows
 
     def sorted_records(self) -> list[CountsRecord]:
         return sorted(self.records, key=CountsRecord.sort_key)
@@ -178,4 +225,7 @@ class Dataset:
                 records.append(record)
         if n is None:
             raise ValueError(f"{path}: dataset file is empty")
-        return cls(n=n, records=records)
+        try:
+            return cls(n=n, records=records)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -25,7 +25,6 @@ from .transforms import MAX_QUBITS, require_prob_dist
 __all__ = [
     "GroundTruth",
     "exact_distribution",
-    "execute",
     "generate_dataset",
     "generate_circuits",
     "true_noise_model",
@@ -175,35 +174,6 @@ def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndar
     return state / state.sum()
 
 
-def execute(
-    gt: GroundTruth,
-    circuit: clifford.IdentityCircuit,
-    input_index: int,
-    shots: int,
-    rng: np.random.Generator,
-    sequence_id: int = 0,
-) -> CountsRecord:
-    """Run one circuit: sample shot counts from the exact distribution.
-
-    The gate ids themselves do not alter the distribution; the planted
-    noise depends only on depth, matching the average-channel model.
-    """
-    if circuit.n != gt.n:
-        raise ValueError(f"circuit has {circuit.n} qubits, device has {gt.n}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    dist = exact_distribution(gt, circuit.depth, input_index)
-    sample = rng.multinomial(shots, dist)
-    counts = {i: int(c) for i, c in enumerate(sample) if c}
-    return CountsRecord(
-        depth=circuit.depth,
-        input_index=input_index,
-        sequence_id=sequence_id,
-        shots=shots,
-        counts=counts,
-    )
-
-
 def _shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
     # one stream per (depth, circuit); independent of list order and workers
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth, sequence_id)))
@@ -237,11 +207,9 @@ def _records_for_depth(gt, depth, circuits_per_depth, inputs, shots, seed):
     out = []
     for k in range(circuits_per_depth):
         rng = _shard_rng(seed, depth, k)
-        # the circuit draw comes first so generate_circuits reproduces it
-        if depth == 0:
-            clifford.empty_circuit(gt.n)
-        else:
-            clifford.sample_identity_circuit(gt.n, depth, rng)
+        # draw the circuit's gate ids first, as sample_identity_circuit does,
+        # so generate_circuits reproduces it; depth 0 draws nothing
+        rng.integers(0, clifford.GROUP_ORDER, size=(depth, gt.n))
         for index in inputs:
             sample = rng.multinomial(shots, dists[index])
             out.append(

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,16 +7,11 @@ from qflip.clifford import (
     HADAMARD_ID,
     IDENTITY_ID,
     PHASE_ID,
-    IdentityCircuit,
-    circuit_from_json,
-    circuit_to_json,
     compose,
     empty_circuit,
     inverse,
-    read_circuits,
     sample_identity_circuit,
     unitary,
-    write_circuits,
 )
 
 from oracles import IDENTITY_2x2, equal_up_to_phase
@@ -135,32 +128,6 @@ class TestIdentityCircuits:
         assert circuit.depth == 0
         assert circuit.layers == ()
         assert circuit.inverse_layer == (IDENTITY_ID,) * 3
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        circuit = sample_identity_circuit(5, 3, np.random.default_rng(123), seed=123)
-        again = circuit_from_json(circuit_to_json(circuit))
-        assert again == circuit
-        assert again.seed == 123
-
-    def test_jsonl_stream(self):
-        rng = np.random.default_rng(7)
-        circuits = [sample_identity_circuit(2, d, rng) for d in (1, 2, 3)]
-        buf = io.StringIO()
-        write_circuits(circuits, buf)
-        buf.seek(0)
-        assert list(read_circuits(buf)) == circuits
-
-    def test_schema_fields(self):
-        circuit = IdentityCircuit(
-            n=2, depth=1, layers=((3, 4),), inverse_layer=(5, 6), seed=9
-        )
-        record = circuit_to_json(circuit)
-        assert (
-            record
-            == '{"n":2,"depth":1,"layers":[[3,4]],"inverse":[5,6],"seed":9}'
-        )
 
 
 def test_module_regenerates_same_ids():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qflip import records
+from qflip.errors import CoverageError
 
 
 class TestBitstrings:
@@ -97,6 +98,22 @@ class TestDataset:
         assert len(ds.group(1, 0)) == 2
         assert len(ds.group(2, 1)) == 1
         assert ds.group(9, 0) == []
+        assert [r.sequence_id for r in ds.group(1, 0)] == [0, 1]
+        rows = ds.distributions(1, 0)
+        np.testing.assert_array_equal(rows, [[1, 0, 0, 0], [0.75, 0, 0, 0.25]])
+        ds.require([1], [0])
+        with pytest.raises(CoverageError, match=r"\(m=2, in=00\), \(m=1, in=01\)"):
+            ds.require([1, 2], [0, 1])
+        with pytest.raises(CoverageError, match="m=9"):
+            ds.distributions(9, 0)
+
+    def test_rejects_duplicate_records(self):
+        recs = list(self.make_dataset().records)
+        recs.append(
+            records.CountsRecord(depth=1, input_index=0, sequence_id=1, shots=2, counts={0: 2})
+        )
+        with pytest.raises(ValueError, match=r"duplicate record \(depth=1, input=00, seq=1\)"):
+            records.Dataset(n=2, records=recs)
 
     def test_sorted_order(self):
         ds = self.make_dataset()
@@ -142,6 +159,13 @@ class TestDataset:
             '{"depth":1,"input":"0","seq":1,"shots":2,"counts":{"0":2}}\n'
         )
         with pytest.raises(ValueError, match="qubit count"):
+            records.Dataset.read_jsonl(path)
+
+    def test_read_rejects_duplicate_records(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        line = '{"depth":1,"input":"01","seq":4,"shots":2,"counts":{"00":2}}\n'
+        path.write_text(line + line.replace('"seq":4', '"seq":5') + line)
+        with pytest.raises(ValueError, match=r"data\.jsonl: duplicate record .*seq=4"):
             records.Dataset.read_jsonl(path)
 
     def test_read_rejects_empty_file(self, tmp_path):

@@ -219,38 +219,6 @@ class TestExactDistribution:
             simulator.exact_distribution(gt, 1, 2)
 
 
-class TestExecute:
-    def test_counts_sum_to_shots(self):
-        gt = simulator.iid_bitflip(2, 0.1, readout=0.02)
-        circuit = clifford.sample_identity_circuit(2, 5, np.random.default_rng(0))
-        record = simulator.execute(gt, circuit, 1, 500, np.random.default_rng(1), sequence_id=3)
-        assert sum(record.counts.values()) == 500
-        assert record.depth == 5
-        assert record.input_index == 1
-        assert record.sequence_id == 3
-
-    def test_noiseless_device_is_deterministic(self):
-        gt = simulator.iid_bitflip(2, 0.0)
-        circuit = clifford.sample_identity_circuit(2, 3, np.random.default_rng(0))
-        record = simulator.execute(gt, circuit, 2, 100, np.random.default_rng(1))
-        assert record.counts == {2: 100}
-
-    def test_empirical_frequencies_match_exact(self):
-        gt = simulator.iid_bitflip(1, 0.1)
-        circuit = clifford.sample_identity_circuit(1, 1, np.random.default_rng(0))
-        shots = 1_000_000
-        record = simulator.execute(gt, circuit, 0, shots, np.random.default_rng(42))
-        freq = np.array([record.counts.get(i, 0) for i in range(2)]) / shots
-        sigma = np.sqrt(0.9 * 0.1 / shots)
-        assert abs(freq[0] - 0.9) < 4 * sigma
-
-    def test_dimension_mismatch(self):
-        gt = simulator.iid_bitflip(2, 0.1)
-        circuit = clifford.sample_identity_circuit(1, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulator.execute(gt, circuit, 0, 10, np.random.default_rng(1))
-
-
 class TestGenerateDataset:
     def test_single_record(self):
         gt = simulator.iid_bitflip(1, 0.1)
@@ -340,3 +308,17 @@ class TestGenerateDataset:
                 for gate in circuit.qubit_sequence(q):
                     net = clifford.compose(gate, net)
                 assert net == clifford.IDENTITY_ID
+        # each record's stream draws its circuit's gate ids before the shots
+        gt = simulator.iid_bitflip(2, 0.05, readout=0.02)
+        ds = simulator.generate_dataset(
+            gt, depths=[0, 3], circuits_per_depth=2, inputs=[0, 1], shots=32, seed=4
+        )
+        for record in ds.records:
+            rng = simulator._shard_rng(4, record.depth, record.sequence_id)
+            circuit = circuits[2 * (record.depth > 0) + record.sequence_id]
+            if record.depth:
+                assert circuit == clifford.sample_identity_circuit(2, record.depth, rng)
+            for index in range(record.input_index + 1):
+                dist = simulator.exact_distribution(gt, record.depth, index)
+                sample = rng.multinomial(32, dist)
+            assert record.counts == {i: int(c) for i, c in enumerate(sample) if c}
