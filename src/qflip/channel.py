@@ -78,7 +78,7 @@ def gate_error_matrix(rates: np.ndarray) -> np.ndarray:
     ``apply_transition_power``; this dense form is for inspection.
     """
     arr = require_prob_dist(rates)
-    idx = np.arange(arr.size)
+    idx = np.arange(1 << num_qubits(arr))
     return arr[idx[:, None] ^ idx[None, :]]
 
 

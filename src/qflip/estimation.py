@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .channel import (
     InputChannel,
@@ -45,6 +44,13 @@ __all__ = [
 # below this value a spectral sample is treated as decayed to noise; also
 # the lower clamp for fitted eigenvalues
 FIT_FLOOR = 1e-6
+
+# rb_fit bounds and alpha search: grid size and golden-section stopping width
+RB_AMPLITUDE_MAX = 1.5
+RB_ALPHA_MIN = 1e-6
+RB_ALPHA_GRID = 1001
+RB_ALPHA_TOL = 1e-12
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +238,12 @@ def rb_series_from_dataset(dataset: Dataset, input_index: int = 0, depths=None) 
 def rb_fit(series: dict, n: int) -> RbResult:
     """Fit the scalar decay and convert to average gate error.
 
-    gate_error r = (2**n - 1) (1 - alpha) / 2**n. A constant series is
-    degenerate: alpha = 1, r = 0, flag set.
+    Bounded least squares over amplitude in [0, 1.5], offset in [0, 1] and
+    alpha in [RB_ALPHA_MIN, 1], by variable projection: for a fixed alpha
+    the best (amplitude, offset) has a closed form, so only alpha is
+    searched, on a grid and then by golden section around the best grid
+    point. gate_error r = (2**n - 1) (1 - alpha) / 2**n. degenerate means
+    a constant series: alpha = 1, r = 0, amplitude 0.
     """
     if len(series) < 3:
         raise ValueError(f"need at least 3 depths for the scalar fit, got {len(series)}")
@@ -248,37 +258,75 @@ def rb_fit(series: dict, n: int) -> RbResult:
             gate_error=0.0,
             degenerate=True,
         )
-    # initialize from a log-linear fit above the asymptote 1/2**n
-    baseline = 1.0 / size
-    excess = values - baseline
-    usable = excess > FIT_FLOOR
-    if usable.sum() >= 2:
-        slope, intercept = np.polyfit(depths[usable], np.log(excess[usable]), 1)
-        alpha0 = min(max(np.exp(slope), 1e-3), 1.0)
-        amp0 = min(max(np.exp(intercept), 1e-3), 1.0)
-    else:
-        alpha0, amp0 = 0.9, max(float(excess.max()), 1e-3)
-    try:
-        params, _ = curve_fit(
-            lambda m, amp, off, alpha: amp * alpha**m + off,
-            depths,
-            values,
-            p0=[amp0, baseline, alpha0],
-            bounds=([0.0, 0.0, 1e-6], [1.5, 1.0, 1.0]),
-            maxfev=10000,
-        )
-        amplitude, offset, alpha = (float(x) for x in params)
-        degenerate = False
-    except RuntimeError:
-        amplitude, offset, alpha = amp0, baseline, alpha0
-        degenerate = True
+    def rss_at(alpha):
+        return _rb_profile(np.array([alpha]), depths, values)[0][0]
+
+    grid = np.linspace(RB_ALPHA_MIN, 1.0, RB_ALPHA_GRID)
+    best = int(np.argmin(_rb_profile(grid, depths, values)[0]))
+    low, high = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    inner_low = high - _INV_GOLDEN * (high - low)
+    inner_high = low + _INV_GOLDEN * (high - low)
+    rss_low, rss_high = rss_at(inner_low), rss_at(inner_high)
+    while high - low > RB_ALPHA_TOL:
+        if rss_low < rss_high:
+            high, inner_high, rss_high = inner_high, inner_low, rss_low
+            inner_low = high - _INV_GOLDEN * (high - low)
+            rss_low = rss_at(inner_low)
+        else:
+            low, inner_low, rss_low = inner_low, inner_high, rss_high
+            inner_high = low + _INV_GOLDEN * (high - low)
+            rss_high = rss_at(inner_high)
+    finalists = np.array([grid[best], inner_low, inner_high])
+    rss, amplitudes, offsets = _rb_profile(finalists, depths, values)
+    pick = int(np.argmin(rss))
+    alpha = float(finalists[pick])
     gate_error = (size - 1) * (1.0 - alpha) / size
     return RbResult(
-        amplitude=amplitude,
-        offset=offset,
+        amplitude=float(amplitudes[pick]),
+        offset=float(offsets[pick]),
         alpha=alpha,
         gate_error=gate_error,
-        degenerate=degenerate,
+    )
+
+
+def _rb_profile(alphas: np.ndarray, depths: np.ndarray, values: np.ndarray):
+    """Best bounded (amplitude, offset) for each alpha; returns (rss, amplitude, offset).
+
+    The fit is linear in (amplitude, offset), so the box-constrained
+    optimum is the unconstrained one when it lies inside the box, else the
+    best of the four edges, each a clipped one-variable fit.
+    """
+    decay = alphas[:, None] ** depths
+    centered = decay - decay.mean(axis=1, keepdims=True)
+    spread = np.einsum("ij,ij->i", centered, centered)
+    # alpha**m underflows to 0 for tiny alpha and deep depths; the amplitude
+    # of an all-zero (or constant) decay is then left at 0
+    free_amp = _divide(centered @ (values - values.mean()), spread)
+    free_off = values.mean() - free_amp * decay.mean(axis=1)
+    inside = (spread > 0) & (free_amp >= 0) & (free_amp <= RB_AMPLITUDE_MAX)
+    inside &= (free_off >= 0) & (free_off <= 1)
+    candidates = [(np.where(inside, free_amp, 0.0), np.where(inside, free_off, 0.0))]
+    for amp in (0.0, RB_AMPLITUDE_MAX):
+        off = np.clip((values - amp * decay).mean(axis=1), 0.0, 1.0)
+        candidates.append((np.full_like(off, amp), off))
+    power = np.einsum("ij,ij->i", decay, decay)
+    for off in (0.0, 1.0):
+        amp = np.clip(_divide(decay @ (values - off), power), 0.0, RB_AMPLITUDE_MAX)
+        candidates.append((amp, np.full_like(amp, off)))
+    amps = np.stack([amp for amp, _ in candidates])
+    offs = np.stack([off for _, off in candidates])
+    residual = amps[:, :, None] * decay + offs[:, :, None] - values
+    rss = np.einsum("cij,cij->ci", residual, residual)
+    rss[0, ~inside] = np.inf
+    choice = np.argmin(rss, axis=0)
+    columns = np.arange(alphas.size)
+    return rss[choice, columns], amps[choice, columns], offs[choice, columns]
+
+
+def _divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator where the denominator is positive, else 0."""
+    return np.divide(
+        numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0
     )
 
 

@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .channel import MitigationMatrix, NoiseModel, mitigation_matrix
 from .errors import CoverageError, NumericError
@@ -52,8 +51,13 @@ COND_LIMIT = 1e8
 ILL_CONDITIONED_FLAG = "ill_conditioned"
 
 
-def jsd(p, q) -> float:
-    """Jensen-Shannon divergence in bits; 0 for equal, 1 for disjoint."""
+def jsd(p, q):
+    """Jensen-Shannon divergence in bits; 0 for equal, 1 for disjoint.
+
+    1-d distributions give a float. ``(..., 2**n)`` arrays are scored row
+    by row along the last axis and give an array of the leading shape, each
+    entry equal to the 1-d score of its row.
+    """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
     if p_arr.shape != q_arr.shape:
@@ -61,22 +65,36 @@ def jsd(p, q) -> float:
     p_arr = np.maximum(require_prob_dist(p_arr), 0.0)
     q_arr = np.maximum(require_prob_dist(q_arr), 0.0)
     mid = 0.5 * (p_arr + q_arr)
-    return 0.5 * (_kl_bits(p_arr, mid) + _kl_bits(q_arr, mid))
+    scores = 0.5 * (_kl_bits(p_arr, mid) + _kl_bits(q_arr, mid))
+    return float(scores) if p_arr.ndim == 1 else scores
 
 
-def _kl_bits(a: np.ndarray, mid: np.ndarray) -> float:
-    mask = a > 0.0
-    return float(np.sum(a[mask] * np.log2(a[mask] / mid[mask])))
+def _kl_bits(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """sum(a * log2(a / mid)) over the support of a, per last-axis row."""
+    rows = a.reshape(-1, a.shape[-1])
+    mask = rows > 0.0
+    terms = rows[mask] * np.log2(rows[mask] / mid.reshape(rows.shape)[mask])
+    # pack each row's support terms to its front and add up the first
+    # `support` of them: np.sum's pairwise order depends on the length, so
+    # this adds each row exactly as a 1-d sum over its support would
+    support = np.count_nonzero(mask, axis=1)
+    packed = np.zeros(rows.shape)
+    packed[np.nonzero(mask)[0], np.cumsum(mask, axis=1)[mask] - 1] = terms
+    totals = np.empty(len(rows))
+    for count in np.unique(support):
+        chosen = support == count
+        totals[chosen] = packed[chosen, :count].sum(axis=1)
+    return totals.reshape(a.shape[:-1])
 
 
 def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
     """Solve matrix @ x = rhs column-wise; returns (solutions, fallback_used)."""
     if np.isfinite(condition) and condition <= COND_LIMIT:
         try:
-            solutions = lu_solve(lu_factor(matrix), rhs)
+            solutions = np.linalg.solve(matrix, rhs)
             if np.all(np.isfinite(solutions)):
                 return solutions, False
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             pass
     solutions = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
     if not np.all(np.isfinite(solutions)):
@@ -164,7 +182,9 @@ def evaluate_mitigation(
     """Score each method per circuit and aggregate.
 
     Per record: mitigate its empirical distribution (method-dependent) and
-    take the JSD against the input basis state. Rows report mean/std over
+    take the JSD against the input basis state. Each depth and method
+    solves every record in one multi-right-hand-side call and scores them
+    in one batched projection and JSD. Rows report mean/std over
     circuits per (depth, input, method), plus pooled "all" rows per
     (depth, method). Ill-conditioned or fallback solves set the flag.
     """
@@ -188,40 +208,29 @@ def evaluate_mitigation(
 
     size = dataset.size
     identity = np.eye(size)
+    ordered = sorted(methods, key=METHOD_ORDER.index)
     rows = []
     for depth in depths:
-        systems = {}
-        if MEM in methods:
-            systems[MEM] = mem_matrix
-        if PROPOSED in methods:
-            systems[PROPOSED] = mitigation_matrix(model, depth)
-        if PROPOSED_PAVG in methods:
-            systems[PROPOSED_PAVG] = mitigation_matrix(model, depth, use_average_rates=True)
-        scores = {method: {} for method in methods}
-        flagged = {method: False for method in methods}
-        for index in inputs:
-            raw = dataset.distributions(depth, index).T
-            ideal = identity[:, index]
-            for method in methods:
-                if method == UNMITIGATED:
-                    outputs = raw
-                else:
-                    system = systems[method]
-                    solved, fallback = _solve_columns(system.matrix, raw, system.condition)
-                    if fallback or system.condition > COND_LIMIT:
-                        flagged[method] = True
-                    outputs = np.stack(
-                        [simplex_project(solved[:, j]) for j in range(solved.shape[1])],
-                        axis=1,
-                    )
-                scores[method][index] = np.array(
-                    [jsd(ideal, outputs[:, j]) for j in range(outputs.shape[1])]
+        cells = [dataset.distributions(depth, index) for index in inputs]
+        sizes = [len(cell) for cell in cells]
+        raw = np.concatenate(cells)
+        ideal = np.repeat(identity[inputs], sizes, axis=0)
+        scores, flags = {}, {}
+        for method in ordered:
+            outputs, flags[method] = raw, ""
+            if method != UNMITIGATED:
+                system = mem_matrix if method == MEM else mitigation_matrix(
+                    model, depth, use_average_rates=method == PROPOSED_PAVG
                 )
-        # rows come after the whole depth so flags cover every input
-        ordered = sorted(methods, key=METHOD_ORDER.index)
-        for index in inputs:
+                solved, fallback = _solve_columns(system.matrix, raw.T, system.condition)
+                if fallback:
+                    flags[method] = ILL_CONDITIONED_FLAG
+                outputs = simplex_project(solved.T)
+            scores[method] = jsd(ideal, outputs)
+        per_input = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) for m in ordered}
+        for position, index in enumerate(inputs):
             for method in ordered:
-                values = scores[method][index]
+                values = per_input[method][position]
                 rows.append(
                     ReportRow(
                         depth=depth,
@@ -229,19 +238,18 @@ def evaluate_mitigation(
                         method=method,
                         mean_jsd=float(values.mean()),
                         std_jsd=float(values.std()),
-                        flags=ILL_CONDITIONED_FLAG if flagged[method] else "",
+                        flags=flags[method],
                     )
                 )
         for method in ordered:
-            pooled = np.concatenate([scores[method][index] for index in inputs])
             rows.append(
                 ReportRow(
                     depth=depth,
                     input_label="all",
                     method=method,
-                    mean_jsd=float(pooled.mean()),
-                    std_jsd=float(pooled.std()),
-                    flags=ILL_CONDITIONED_FLAG if flagged[method] else "",
+                    mean_jsd=float(scores[method].mean()),
+                    std_jsd=float(scores[method].std()),
+                    flags=flags[method],
                 )
             )
     return MitigationReport(n=dataset.n, rows=rows)

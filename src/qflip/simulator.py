@@ -94,7 +94,7 @@ class GroundTruth:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         rates = require_prob_dist(self.rates).copy()
-        if rates.size != 1 << self.n:
+        if rates.shape != (1 << self.n,):
             raise ValueError(f"rates length {rates.size} does not match n={self.n}")
         rates.flags.writeable = False
         object.__setattr__(self, "rates", rates)
@@ -107,7 +107,7 @@ class GroundTruth:
                 if not 0 <= index < 1 << self.n:
                     raise ValueError(f"override input {index} out of range for n={self.n}")
                 arr = require_prob_dist(values).copy()
-                if arr.size != 1 << self.n:
+                if arr.shape != (1 << self.n,):
                     raise ValueError(f"override for input {index} has wrong length")
                 arr.flags.writeable = False
                 overrides[index] = arr

@@ -32,9 +32,14 @@ def num_qubits(values: np.ndarray) -> int:
     Raises ValueError if the length is not a power of two in [2, 2**MAX_QUBITS]
     or the entries are not finite.
     """
-    size = values.shape[-1] if values.ndim else 0
     if values.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {values.shape}")
+    return _outcome_qubits(values)
+
+
+def _outcome_qubits(values: np.ndarray) -> int:
+    """num_qubits for the last axis of a vector or a batch of vectors."""
+    size = values.shape[-1]
     if size < 2 or size & (size - 1) != 0:
         raise ValueError(f"vector length {size} is not a power of two >= 2")
     n = size.bit_length() - 1
@@ -49,15 +54,21 @@ def require_prob_dist(values: np.ndarray) -> np.ndarray:
     """Validate a probability distribution over bit patterns.
 
     Entries must be >= -PROB_NEG_TOL and sum to 1 within PROB_SUM_TOL.
+    A ``(..., 2**n)`` array is a batch of distributions along its last
+    axis; a batch with one invalid row raises the error that row raises
+    alone.
     Returns the input as a float array (copy only if conversion is needed).
     """
     arr = np.asarray(values, dtype=float)
-    num_qubits(arr)
+    if arr.ndim == 0:
+        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
+    _outcome_qubits(arr)
     if arr.min() < -PROB_NEG_TOL:
         raise ValueError(f"distribution has negative entry {arr.min():g}")
-    total = arr.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"distribution sums to {total!r}, expected 1")
+    totals = arr.sum(axis=-1)
+    bad = np.abs(totals - 1.0) > PROB_SUM_TOL
+    if np.any(bad):
+        raise ValueError(f"distribution sums to {totals[bad].flat[0]!r}, expected 1")
     return arr
 
 
@@ -108,17 +119,23 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
 
     Sort-and-threshold algorithm (Held/Wolfe/Crowder; see also Wang &
     Carreira-Perpinan 2013), O(N log N). Total on finite vectors of any
-    length >= 1; idempotent; exact on inputs already on the simplex.
+    length >= 1; idempotent; exact on inputs already on the simplex. A
+    ``(..., N)`` array projects each vector along its last axis, with the
+    same floating-point result as projecting it alone.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
-    desc = np.sort(arr)[::-1]
-    cumulative = np.cumsum(desc)
-    counts = np.arange(1, arr.size + 1)
-    support = np.nonzero(desc + (1.0 - cumulative) / counts > 0.0)[0]
-    rho = support[-1]
-    shift = (1.0 - cumulative[rho]) / (rho + 1.0)
+    desc = np.flip(np.sort(arr, axis=-1), axis=-1)
+    cumulative = np.cumsum(desc, axis=-1)
+    counts = np.arange(1, arr.shape[-1] + 1)
+    support = desc + (1.0 - cumulative) / counts > 0.0
+    # in exact arithmetic the largest entry is always in the support;
+    # entries near 2**53 round it away
+    if not np.all(np.any(support, axis=-1)):
+        raise ValueError("vector entries too large to project onto the simplex")
+    rho = arr.shape[-1] - 1 - np.argmax(np.flip(support, axis=-1), axis=-1, keepdims=True)
+    shift = (1.0 - np.take_along_axis(cumulative, rho, axis=-1)) / (rho + 1.0)
     return np.maximum(arr + shift, 0.0)

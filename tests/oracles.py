@@ -68,6 +68,18 @@ def grid_simplex_minimizer(target: np.ndarray, steps: int) -> np.ndarray:
     return best
 
 
+def threshold_simplex_project(values) -> np.ndarray:
+    """Simplex projection of one vector by sort and threshold, taking the
+    last index of the support found with np.nonzero."""
+    arr = np.asarray(values, dtype=float)
+    desc = np.sort(arr)[::-1]
+    cumulative = np.cumsum(desc)
+    counts = np.arange(1, arr.size + 1)
+    rho = np.nonzero(desc + (1.0 - cumulative) / counts > 0.0)[0][-1]
+    shift = (1.0 - cumulative[rho]) / (rho + 1.0)
+    return np.maximum(arr + shift, 0.0)
+
+
 def xor_permutation_matrix(n: int, basis_index: int) -> np.ndarray:
     """Pi[i, j] = 1 iff i ^ j == basis_index."""
     size = 2**n
@@ -77,6 +89,108 @@ def xor_permutation_matrix(n: int, basis_index: int) -> np.ndarray:
             if i ^ j == basis_index:
                 pi[i, j] = 1.0
     return pi
+
+
+def masked_jsd(p, q) -> float:
+    """Jensen-Shannon divergence in bits of two 1-d distributions, summing
+    each KL term over the boolean-masked support (the per-record form)."""
+    p = np.maximum(np.asarray(p, dtype=float), 0.0)
+    q = np.maximum(np.asarray(q, dtype=float), 0.0)
+    mid = 0.5 * (p + q)
+
+    def kl_bits(a):
+        mask = a > 0.0
+        return float(np.sum(a[mask] * np.log2(a[mask] / mid[mask])))
+
+    return 0.5 * (kl_bits(p) + kl_bits(q))
+
+
+def per_record_mitigation_rows(dataset, depths, inputs, systems, cond_limit):
+    """Mitigation report rows by the per-input, per-record loop.
+
+    systems maps (depth, method) -> MitigationMatrix, or None for the
+    unmitigated method; methods are scored in the order given. Each input's
+    records are solved together, then projected with
+    ``threshold_simplex_project`` and scored with ``masked_jsd`` one record
+    at a time. Returns (depth, label,
+    method, mean, std, flagged) tuples in report order.
+    """
+    from qflip.records import index_to_bits
+
+    methods = list(dict.fromkeys(method for _, method in systems))
+    size = dataset.size
+    rows = []
+    for depth in depths:
+        scores = {method: {} for method in methods}
+        flagged = dict.fromkeys(methods, False)
+        for index in inputs:
+            raw = dataset.distributions(depth, index).T
+            ideal = np.eye(size)[:, index]
+            for method in methods:
+                system = systems[(depth, method)]
+                outputs = raw
+                if system is not None:
+                    solved = None
+                    if np.isfinite(system.condition) and system.condition <= cond_limit:
+                        try:
+                            solved = np.linalg.solve(system.matrix, raw)
+                        except np.linalg.LinAlgError:
+                            pass
+                    if solved is None or not np.all(np.isfinite(solved)):
+                        solved = np.linalg.lstsq(system.matrix, raw, rcond=None)[0]
+                        flagged[method] = True
+                    flagged[method] |= system.condition > cond_limit
+                    outputs = np.stack(
+                        [threshold_simplex_project(solved[:, j])
+                         for j in range(solved.shape[1])],
+                        axis=1,
+                    )
+                scores[method][index] = np.array(
+                    [masked_jsd(ideal, outputs[:, j]) for j in range(outputs.shape[1])]
+                )
+        for index in inputs:
+            for method in methods:
+                values = scores[method][index]
+                rows.append((depth, index_to_bits(index, dataset.n), method,
+                             float(values.mean()), float(values.std()), flagged[method]))
+        for method in methods:
+            pooled = np.concatenate([scores[method][index] for index in inputs])
+            rows.append((depth, "all", method, float(pooled.mean()), float(pooled.std()),
+                         flagged[method]))
+    return rows
+
+
+def curve_fit_rb(series: dict, n: int):
+    """(amplitude, offset, alpha) of A * alpha**m + B by scipy's bounded
+    curve_fit, started from a log-linear fit above the 1/2**n asymptote."""
+    from scipy.optimize import curve_fit
+
+    depths = np.array(sorted(series), dtype=float)
+    values = np.array([series[m] for m in sorted(series)], dtype=float)
+    baseline = 1.0 / 2**n
+    excess = values - baseline
+    usable = excess > 1e-6
+    if usable.sum() >= 2:
+        slope, intercept = np.polyfit(depths[usable], np.log(excess[usable]), 1)
+        alpha0 = min(max(np.exp(slope), 1e-3), 1.0)
+        amp0 = min(max(np.exp(intercept), 1e-3), 1.0)
+    else:
+        alpha0, amp0 = 0.9, max(float(excess.max()), 1e-3)
+    params, _ = curve_fit(
+        lambda m, amp, off, alpha: amp * alpha**m + off,
+        depths,
+        values,
+        p0=[amp0, baseline, alpha0],
+        bounds=([0.0, 0.0, 1e-6], [1.5, 1.0, 1.0]),
+        maxfev=10000,
+    )
+    return tuple(float(x) for x in params)
+
+
+def rb_rss(series: dict, amplitude: float, offset: float, alpha: float) -> float:
+    depths = np.array(sorted(series), dtype=float)
+    values = np.array([series[m] for m in sorted(series)], dtype=float)
+    return float(np.sum((amplitude * alpha**depths + offset - values) ** 2))
 
 
 # --- 2x2 unitary algebra for the Clifford checks ---------------------------

@@ -409,6 +409,17 @@ class TestConsoleEntry:
         assert result.returncode == 0
         assert (tmp_path / "dataset.jsonl").exists()
 
+    def test_import_loads_no_scipy(self):
+        # importing scipy.linalg and scipy.optimize cost every CLI process
+        # about 0.6 s and 40 MiB; the runtime must not pull it back in
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qflip, qflip.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_no_subcommand_exits_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "qflip"], capture_output=True, text=True

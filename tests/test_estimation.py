@@ -8,7 +8,7 @@ zero-noise pseudo-data and demand near machine-precision round trips.
 import numpy as np
 import pytest
 
-from oracles import dense_wht_matrix, xor_permutation_matrix
+from oracles import curve_fit_rb, dense_wht_matrix, rb_rss, xor_permutation_matrix
 from qflip import channel, estimation, simulator
 from qflip.errors import CoverageError
 from qflip.records import CountsRecord, Dataset
@@ -294,6 +294,12 @@ class TestEstimateModel:
         assert mean_errors[0] >= mean_errors[1] >= mean_errors[2]
 
 
+def noisy_rb_series(seed, alpha, amplitude, offset, noise, depths):
+    """amplitude * alpha**m + offset plus Gaussian noise, drawn as c10 draws it."""
+    rng = np.random.default_rng(seed)
+    return {m: amplitude * alpha**m + offset + rng.normal(0.0, noise) for m in depths}
+
+
 class TestRb:
     def test_constant_series_is_degenerate(self):
         series = {m: 0.5 for m in range(1, 6)}
@@ -320,6 +326,41 @@ class TestRb:
         assert result.alpha == pytest.approx(0.98, abs=1e-3)
         assert result.amplitude == pytest.approx(0.5, abs=0.01)
         assert result.offset == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "series, n",
+        [
+            (noisy_rb_series(1010, 0.98, 0.5, 0.5, 0.001, range(1, 101, 3)), 1),
+            (noisy_rb_series(31, 0.95, 0.7, 0.25, 0.005, range(1, 41)), 2),
+            (noisy_rb_series(32, 0.99, 0.8, 0.13, 0.01, range(0, 200, 7)), 3),
+            (noisy_rb_series(33, 0.6, 0.4, 0.5, 0.02, range(1, 16)), 1),
+            # alpha**m underflows to 0 on the low end of the alpha grid
+            (noisy_rb_series(34, 0.99, 0.6, 0.3, 0.002, range(100, 300, 5)), 2),
+        ],
+        ids=["c10", "n2", "n3-slow", "n1-fast", "n2-deep"],
+    )
+    def test_fit_is_no_worse_than_curve_fit(self, series, n):
+        pytest.importorskip("scipy")
+        result = estimation.rb_fit(series, n)
+        reference = rb_rss(series, *curve_fit_rb(series, n))
+        fitted = rb_rss(series, result.amplitude, result.offset, result.alpha)
+        assert fitted <= reference + 1e-12
+        assert not result.degenerate
+        assert 0.0 <= result.amplitude <= 1.5
+        assert 0.0 <= result.offset <= 1.0
+        assert 1e-6 <= result.alpha <= 1.0
+
+    def test_parameters_stay_in_bounds(self):
+        # the unbounded optimum has offset < 0 and amplitude > 1.5
+        series = {m: 2.0 * 0.9**m - 0.3 for m in range(1, 21)}
+        result = estimation.rb_fit(series, n=1)
+        assert 0.0 <= result.amplitude <= 1.5
+        assert 0.0 <= result.offset <= 1.0
+        assert 1e-6 <= result.alpha <= 1.0
+        pytest.importorskip("scipy")
+        reference = rb_rss(series, *curve_fit_rb(series, 1))
+        fitted = rb_rss(series, result.amplitude, result.offset, result.alpha)
+        assert fitted <= reference + 1e-12
 
     def test_needs_three_depths(self):
         with pytest.raises(ValueError):

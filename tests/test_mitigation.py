@@ -2,18 +2,22 @@
 
 JSD is cross-checked against scipy's jensenshannon (squared, base 2) and a
 frozen hand value; mitigation solves are checked by inverting planted
-channels; the report structure is pinned down to the CSV bytes.
+channels; the report structure is pinned down to the CSV bytes. Batched
+scoring must equal the per-record loop in oracles.py bit for bit.
 """
 
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
 from qflip.records import CountsRecord, Dataset
+from oracles import masked_jsd, per_record_mitigation_rows
 
 
 def random_simplex(rng, size):
@@ -60,6 +64,51 @@ class TestJsd:
             mitigation.jsd([0.5, 0.5], [0.25, 0.25, 0.25, 0.25])
         with pytest.raises(ValueError):
             mitigation.jsd([0.5, 0.5], [0.9, 0.2])
+
+
+def distribution_batch(rng, rows, size):
+    """Distributions with zero entries, point masses and dense rows mixed."""
+    weights = rng.uniform(0.0, 1.0, (rows, size))
+    weights[rng.uniform(size=(rows, size)) < rng.uniform()] = 0.0
+    weights[:, 0] += weights.sum(axis=1) == 0.0
+    weights[rng.integers(0, rows)] = np.eye(size)[rng.integers(0, size)]
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestBatchedJsd:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_dimensional_scores(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        p = distribution_batch(rng, rows, 2**n)
+        q = distribution_batch(rng, rows, 2**n)
+        batch = mitigation.jsd(p, q)
+        assert batch.shape == (rows,)
+        for i in range(rows):
+            single = mitigation.jsd(p[i], q[i])
+            assert type(single) is float
+            assert batch[i] == single == masked_jsd(p[i], q[i])
+        stacked = mitigation.jsd(p.reshape(1, rows, -1), q.reshape(1, rows, -1))
+        assert np.array_equal(stacked, batch[None, :])
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[1.1, -0.1, 0.0, 0.0], [0.7, 0.4, 0.0, 0.0], [0.5, np.nan, 0.5, 0.0]],
+        ids=["negative", "sum", "nan"],
+    )
+    def test_bad_row_raises_the_one_dimensional_error(self, bad_row):
+        rng = np.random.default_rng(8)
+        p = distribution_batch(rng, 5, 4)
+        q = distribution_batch(rng, 5, 4)
+        q[3] = bad_row
+        with pytest.raises(ValueError) as single:
+            mitigation.jsd(p[3], q[3])
+        with pytest.raises(ValueError) as batch:
+            mitigation.jsd(p, q)
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(ValueError) as swapped:
+            mitigation.jsd(q, p)
+        assert str(swapped.value) == str(single.value)
 
 
 class TestMitigate:
@@ -258,6 +307,80 @@ class TestEvaluate:
         )
         unmit_rows = [r for r in report.rows if r.method == "unmitigated"]
         assert all(r.flags == "" for r in unmit_rows)
+
+    def test_matches_per_record_loop(self, monkeypatch):
+        gt = simulator.iid_bitflip(3, 0.01, readout=0.03, prep=0.01)
+        train = list(range(1, 9))
+        ds = simulator.generate_dataset(
+            gt, depths=[0] + train + [12], circuits_per_depth=12,
+            inputs=range(8), shots=256, seed=21,
+        )
+        model, _ = estimation.estimate_model(ds, train_depths=train)
+        depths, inputs = [4, 12], list(range(8))
+        mem = mitigation.build_mem_matrix(ds)
+        systems = {}
+        for depth in depths:
+            systems[(depth, mitigation.UNMITIGATED)] = None
+            systems[(depth, mitigation.MEM)] = mem
+            systems[(depth, mitigation.PROPOSED)] = channel.mitigation_matrix(model, depth)
+            systems[(depth, mitigation.PROPOSED_PAVG)] = channel.mitigation_matrix(
+                model, depth, use_average_rates=True
+            )
+        expected = per_record_mitigation_rows(
+            ds, depths, inputs, systems, mitigation.COND_LIMIT
+        )
+
+        solve = np.linalg.solve
+        rhs_shapes = []
+
+        def counting_solve(matrix, rhs):
+            rhs_shapes.append(np.shape(rhs))
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        report = mitigation.evaluate_mitigation(
+            ds, model=model, test_depths=depths, methods=mitigation.METHOD_ORDER
+        )
+        got = [
+            (r.depth, r.input_label, r.method, r.mean_jsd, r.std_jsd, bool(r.flags))
+            for r in report.rows
+        ]
+        assert got == expected
+        # one factorization per depth and model-based method, all records at once
+        assert rhs_shapes == [(8, 8 * 12)] * 6
+
+    def test_ill_conditioned_depth_takes_least_squares(self, monkeypatch):
+        # lambda = 0.5 per layer: depth 1 is well conditioned, depth 30 has
+        # condition ~2**30 > COND_LIMIT
+        chan = channel.InputChannel(rates=[0.75, 0.25], spam=[1.0, 1.0])
+        model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
+        assert channel.mitigation_matrix(model, 1).condition < 10
+        assert channel.mitigation_matrix(model, 30).condition > mitigation.COND_LIMIT
+        records = [
+            CountsRecord(depth=d, input_index=i, sequence_id=s, shots=8,
+                         counts={i: 5, 1 - i: 3})
+            for d in (1, 30)
+            for i in range(2)
+            for s in range(3)
+        ]
+        ds = Dataset(n=1, records=records)
+        lstsq = np.linalg.lstsq
+        rhs_shapes = []
+
+        def counting_lstsq(matrix, rhs, rcond=None):
+            rhs_shapes.append(np.shape(rhs))
+            return lstsq(matrix, rhs, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        report = mitigation.evaluate_mitigation(
+            ds, model=model, methods=(mitigation.UNMITIGATED, mitigation.PROPOSED)
+        )
+        assert rhs_shapes == [(2, 6)]
+        for row in report.rows:
+            flagged = row.method == mitigation.PROPOSED and row.depth == 30
+            assert row.flags == (mitigation.ILL_CONDITIONED_FLAG if flagged else "")
+            assert np.isfinite(row.mean_jsd)
+        assert len([r for r in report.rows if r.flags]) == 3
 
     def test_argument_and_coverage_errors(self):
         gt = simulator.iid_bitflip(1, 0.05)

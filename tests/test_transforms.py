@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflip.transforms import (
     fwht,
@@ -10,7 +12,12 @@ from qflip.transforms import (
     xor_permute,
 )
 
-from oracles import dense_wht_matrix, grid_simplex_minimizer, xor_permutation_matrix
+from oracles import (
+    dense_wht_matrix,
+    grid_simplex_minimizer,
+    threshold_simplex_project,
+    xor_permutation_matrix,
+)
 
 
 class TestFwht:
@@ -143,6 +150,49 @@ class TestSimplexProject:
         with pytest.raises(ValueError):
             simplex_project(np.array([np.inf, 0.0]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_one_dimensional_projection(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        size = 2**n
+        batch = rng.normal(scale=rng.uniform(0.01, 3.0), size=(rows, size))
+        batch[rng.uniform(size=(rows, size)) < rng.uniform()] = 0.0
+        on_simplex = rng.dirichlet(np.ones(size), size=rows)
+        on_simplex[:, rng.integers(0, size)] = 0.0
+        on_simplex /= on_simplex.sum(axis=1, keepdims=True)
+        batch = np.vstack([batch, on_simplex, np.eye(size)[:1]])
+        projected = simplex_project(batch)
+        assert projected.shape == batch.shape
+        for row, out in zip(batch, projected):
+            assert np.array_equal(out, simplex_project(row))
+            assert np.array_equal(out, threshold_simplex_project(row))
+        # a transposed (non-contiguous) view projects to the same bits
+        assert np.array_equal(simplex_project(batch.T.copy().T), projected)
+        assert np.array_equal(
+            simplex_project(batch.reshape(1, *batch.shape)), projected[None]
+        )
+
+    def test_batch_with_non_finite_row_raises_the_one_dimensional_error(self):
+        batch = np.full((3, 4), 0.25)
+        batch[1, 2] = np.nan
+        with pytest.raises(ValueError) as single:
+            simplex_project(batch[1])
+        with pytest.raises(ValueError) as batched:
+            simplex_project(batch)
+        assert str(batched.value) == str(single.value)
+
+    def test_rejects_entries_too_large_to_project(self):
+        with pytest.raises(ValueError):
+            simplex_project(np.array([1e17, 0.0]))
+        with pytest.raises(ValueError):
+            simplex_project(np.array([[0.5, 0.5], [1e17, 0.0]]))
+
+    def test_rejects_empty_and_scalar(self):
+        with pytest.raises(ValueError):
+            simplex_project(np.array([]))
+        with pytest.raises(ValueError):
+            simplex_project(np.array(0.5))
+
 
 class TestValidators:
     def test_num_qubits(self):
@@ -159,3 +209,20 @@ class TestValidators:
             require_prob_dist(np.array([0.7, 0.4]))
         with pytest.raises(ValueError):
             require_prob_dist(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[1.1, -0.1, 0.0, 0.0], [0.7, 0.4, 0.0, 0.0], [0.5, np.inf, 0.5, 0.0]],
+        ids=["negative", "sum", "inf"],
+    )
+    def test_require_prob_dist_batch_reports_the_bad_row(self, bad_row):
+        batch = np.tile([0.1, 0.2, 0.3, 0.4], (4, 1))
+        assert require_prob_dist(batch) is batch
+        batch[2] = bad_row
+        with pytest.raises(ValueError) as single:
+            require_prob_dist(batch[2])
+        with pytest.raises(ValueError) as batched:
+            require_prob_dist(batch)
+        assert str(batched.value) == str(single.value)
+        with pytest.raises(ValueError):
+            require_prob_dist(np.ones((2, 3)) / 3)
