@@ -55,9 +55,12 @@ SPAM_HEAD_TOL = 1e-9
 
 
 def eigenvalues_from_rates(rates: np.ndarray) -> np.ndarray:
-    """WHT spectrum of a flip-pattern distribution; entry 0 is exactly 1."""
+    """WHT spectrum of a flip-pattern distribution; entry 0 is exactly 1.
+
+    A ``(..., 2**n)`` array gives one spectrum per distribution.
+    """
     spectrum = fwht(require_prob_dist(rates))
-    spectrum[0] = 1.0
+    spectrum[..., 0] = 1.0
     return spectrum
 
 
@@ -112,13 +115,16 @@ def apply_transition_power(rates: np.ndarray, depth: int, vec: np.ndarray) -> np
     """Apply the depth-th power of the gate transition matrix to vec.
 
     Spectral route: WHT, elementwise eigenvalue power, inverse WHT; never
-    forms the dense matrix. depth == 0 returns vec unchanged.
+    forms the dense matrix. depth == 0 returns vec unchanged. vec may be a
+    ``(..., 2**n)`` batch of vectors; rates is then one distribution for
+    all of them or one per vector, and every vector gets the
+    floating-point result it gets alone.
     """
     arr = require_prob_dist(rates)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     target = np.asarray(vec, dtype=float)
-    if target.shape != arr.shape:
+    if arr.ndim > target.ndim or target.shape[target.ndim - arr.ndim:] != arr.shape:
         raise ValueError(f"vector shape {target.shape} does not match rates {arr.shape}")
     if depth == 0:
         return target.copy()

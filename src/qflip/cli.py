@@ -322,7 +322,7 @@ def _simulate_to_dir(gt, plan, depths, outdir, digest, extra_profile=None):
     profile.update(extra_profile or {})
     profile_path = os.path.join(outdir, "profile.json")
     _write_json(profile_path, profile)
-    print(f"wrote {len(dataset.records)} records to {dataset_path}")
+    print(f"wrote {len(dataset)} records to {dataset_path}")
     print(f"wrote ground-truth profile to {profile_path}")
     return dataset, dataset_path
 

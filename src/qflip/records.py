@@ -3,12 +3,13 @@
 One record holds the outcome counts of a single circuit submission:
 (depth, input state, sequence id, shots, counts). Outcomes and inputs are
 n-bit basis indices; on the wire they appear as bitstrings whose rightmost
-character is qubit 0.
+character is qubit 0. A Dataset holds its records as flat columns.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ __all__ = [
     "record_from_json",
 ]
 
+# one dataset line; the counts are '"<bits>":<count>' entries in outcome order
+_LINE = '{"depth":%d,"input":"%s","seq":%d,"shots":%d,"counts":{%s}}'
+
 
 def index_to_bits(index: int, n: int) -> str:
     """Basis index -> n-character bitstring, qubit 0 rightmost."""
@@ -39,6 +43,35 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
+def _check_fields(depth, input_index, seq, shots, record, outcome, count) -> None:
+    """Raise ValueError for the first record that breaks a CountsRecord rule.
+
+    Takes per-record arrays plus COO count entries, each entry's ``record``
+    being its record's position. A record breaking several rules gets the
+    message of the first one listed.
+    """
+    size = len(depth)
+    negative_outcome = np.zeros(size, dtype=bool)
+    negative_outcome[record[outcome < 0]] = True
+    negative_count = np.zeros(size, dtype=bool)
+    negative_count[record[count < 0]] = True
+    totals = np.zeros(size, dtype=np.int64)
+    np.add.at(totals, record, count)
+    rules = [
+        (depth < 0, lambda i: f"depth must be >= 0, got {depth[i]}"),
+        (input_index < 0, lambda i: f"input index must be >= 0, got {input_index[i]}"),
+        (seq < 0, lambda i: f"sequence id must be >= 0, got {seq[i]}"),
+        (shots < 1, lambda i: f"shots must be >= 1, got {shots[i]}"),
+        (negative_outcome, lambda i: "negative outcome index in counts"),
+        (negative_count, lambda i: "negative count value"),
+        (totals != shots, lambda i: f"counts sum to {totals[i]}, expected shots={shots[i]}"),
+    ]
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if broken.any():
+        position = int(np.argmax(broken))
+        raise ValueError(next(message(position) for mask, message in rules if mask[position]))
+
+
 @dataclass(frozen=True, eq=False)
 class CountsRecord:
     """Outcome counts for one circuit run at one depth and input state."""
@@ -50,22 +83,16 @@ class CountsRecord:
     counts: dict[int, int]
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.input_index < 0:
-            raise ValueError(f"input index must be >= 0, got {self.input_index}")
-        if self.sequence_id < 0:
-            raise ValueError(f"sequence id must be >= 0, got {self.sequence_id}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
         counts = {int(k): int(v) for k, v in self.counts.items()}
-        if any(k < 0 for k in counts):
-            raise ValueError("negative outcome index in counts")
-        if any(v < 0 for v in counts.values()):
-            raise ValueError("negative count value")
-        total = sum(counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
+        _check_fields(
+            np.array([self.depth]),
+            np.array([self.input_index]),
+            np.array([self.sequence_id]),
+            np.array([self.shots]),
+            np.zeros(len(counts), dtype=np.intp),
+            np.array(list(counts), dtype=np.int64),
+            np.array(list(counts.values()), dtype=np.int64),
+        )
         object.__setattr__(self, "counts", counts)
 
     def sort_key(self):
@@ -73,17 +100,18 @@ class CountsRecord:
 
 
 def record_to_json(record: CountsRecord, n: int) -> str:
-    payload = {
-        "depth": record.depth,
-        "input": index_to_bits(record.input_index, n),
-        "seq": record.sequence_id,
-        "shots": record.shots,
-        "counts": {
-            index_to_bits(outcome, n): count
-            for outcome, count in sorted(record.counts.items())
-        },
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """One dataset line, counts in outcome order (as Dataset.write_jsonl)."""
+    counts = ",".join(
+        f'"{index_to_bits(outcome, n)}":{count}'
+        for outcome, count in sorted(record.counts.items())
+    )
+    return _LINE % (
+        record.depth,
+        index_to_bits(record.input_index, n),
+        record.sequence_id,
+        record.shots,
+        counts,
+    )
 
 
 def record_from_json(line: str) -> tuple[CountsRecord, int]:
@@ -109,57 +137,135 @@ def record_from_json(line: str) -> tuple[CountsRecord, int]:
     return record, n
 
 
-@dataclass(eq=False)
-class Dataset:
-    """CountsRecords over a fixed qubit count, indexed by (depth, input).
+def _cell_index(n, depth, input_index, seq) -> dict:
+    """(depth, input) -> positions of the cell's records in sequence-id
+    order; raises ValueError on a repeated (depth, input, seq) triple."""
+    if not len(depth):
+        return {}
+    by_cell = np.lexsort((seq, input_index, depth))
+    d, i, s = depth[by_cell], input_index[by_cell], seq[by_cell]
+    same_cell = (d[1:] == d[:-1]) & (i[1:] == i[:-1])
+    repeated = np.flatnonzero(same_cell & (s[1:] == s[:-1]))
+    if repeated.size:
+        j = repeated[0]
+        raise ValueError(
+            f"duplicate record (depth={d[j]}, "
+            f"input={index_to_bits(int(i[j]), n)}, seq={s[j]})"
+        )
+    firsts = np.concatenate([[0], np.flatnonzero(~same_cell) + 1])
+    return {
+        (int(d[first]), int(i[first])): positions
+        for first, positions in zip(firsts, np.split(by_cell, firsts[1:]))
+    }
 
-    Each (depth, input) cell holds its records sorted by sequence id; a
+
+class Dataset:
+    """Counts over a fixed qubit count, held as flat read-only columns.
+
+    Records are in canonical (depth, seq, input) order, the order of the
+    JSON-lines file. Per record: ``depth``, ``input``, ``seq`` and
+    ``shots``. The counts are COO entries (``record``, ``outcome``,
+    ``count``) sorted by record, then outcome; ``record`` is the record's
+    position, and an entry read from a file may hold a zero count.
+
+    ``Dataset(n, records)`` builds one from CountsRecords and
+    ``Dataset.from_columns`` from arrays; both go through the same checks.
+    Each (depth, input) cell indexes its records in sequence-id order; a
     repeated (depth, input, seq) triple is rejected.
     """
 
-    n: int
-    records: tuple[CountsRecord, ...]
+    def __init__(self, n: int, records=()):
+        records = list(records)
+        self._store(
+            n,
+            [record.depth for record in records],
+            [record.input_index for record in records],
+            [record.sequence_id for record in records],
+            [record.shots for record in records],
+            np.repeat(np.arange(len(records)), [len(record.counts) for record in records]),
+            [outcome for record in records for outcome in record.counts],
+            [count for record in records for count in record.counts.values()],
+        )
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        self.records = tuple(self.records)
-        size = 1 << self.n
-        cells: dict[tuple[int, int], list[CountsRecord]] = {}
-        for record in self.records:
-            if record.input_index >= size:
-                raise ValueError(
-                    f"record input {record.input_index} out of range for n={self.n}"
-                )
-            if any(outcome >= size for outcome in record.counts):
-                raise ValueError(f"record outcome out of range for n={self.n}")
-            cells.setdefault((record.depth, record.input_index), []).append(record)
-        for (depth, index), cell in cells.items():
-            cell.sort(key=lambda record: record.sequence_id)
-            for first, second in zip(cell, cell[1:]):
-                if first.sequence_id == second.sequence_id:
-                    raise ValueError(
-                        f"duplicate record (depth={depth}, "
-                        f"input={index_to_bits(index, self.n)}, seq={first.sequence_id})"
-                    )
-        self._cells = cells
+    @classmethod
+    def from_columns(cls, n, depth, input, seq, shots, record, outcome, count) -> "Dataset":
+        """A dataset from per-record columns and COO count entries.
+
+        Records and entries may come in any order; each entry's ``record``
+        is the position of its record in the per-record columns. Arrays of
+        the stored dtypes (int64; intp for ``record``) are kept without a
+        copy, so the caller must not modify them afterwards.
+        """
+        dataset = cls.__new__(cls)
+        dataset._store(n, depth, input, seq, shots, record, outcome, count)
+        return dataset
+
+    def _store(self, n, depth, input, seq, shots, record, outcome, count) -> None:
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        depth, input, seq, shots, outcome, count = (
+            np.asarray(column, dtype=np.int64).reshape(-1)
+            for column in (depth, input, seq, shots, outcome, count)
+        )
+        record = np.asarray(record, dtype=np.intp).reshape(-1)
+        if not len(depth) == len(input) == len(seq) == len(shots):
+            raise ValueError("per-record columns differ in length")
+        if not len(record) == len(outcome) == len(count):
+            raise ValueError("count entry columns differ in length")
+        if record.size and not 0 <= record.min() <= record.max() < len(depth):
+            raise ValueError("count entry names a record that does not exist")
+        _check_fields(depth, input, seq, shots, record, outcome, count)
+        size = 1 << n
+        outside = input >= size
+        outside[record[outcome >= size]] = True
+        if outside.any():
+            position = int(np.argmax(outside))
+            if input[position] >= size:
+                raise ValueError(f"record input {input[position]} out of range for n={n}")
+            raise ValueError(f"record outcome out of range for n={n}")
+
+        # columns from the simulator or a written file are already in
+        # canonical order; sort only when they are not
+        order = np.lexsort((input, seq, depth))
+        if np.any(order != np.arange(len(order))):
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            depth, input, seq, shots = depth[order], input[order], seq[order], shots[order]
+            record = rank[record]
+        same_record = record[1:] == record[:-1]
+        if not np.all((record[1:] > record[:-1]) | (same_record & (outcome[1:] > outcome[:-1]))):
+            entries = np.lexsort((outcome, record))
+            record, outcome, count = record[entries], outcome[entries], count[entries]
+            if np.any((record[1:] == record[:-1]) & (outcome[1:] == outcome[:-1])):
+                raise ValueError("a record lists one outcome twice")
+
+        self.n = n
+        self.depth, self.input, self.seq, self.shots = depth, input, seq, shots
+        self.record, self.outcome, self.count = record, outcome, count
+        # entries of record r are [_starts[r], _starts[r + 1])
+        self._starts = np.searchsorted(record, np.arange(len(depth) + 1))
+        for column in (depth, input, seq, shots, record, outcome, count, self._starts):
+            column.flags.writeable = False
+        self._cells = _cell_index(n, depth, input, seq)
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.depth)
+
+    @property
+    def records(self) -> Sequence:
+        """Read-only sequence of the records in canonical order; each
+        CountsRecord is built when indexed."""
+        return _RecordView(self)
 
     def depths(self) -> list[int]:
         return sorted({depth for depth, _ in self._cells})
 
     def input_indices(self) -> list[int]:
         return sorted({index for _, index in self._cells})
-
-    def group(self, depth: int, input_index: int) -> list[CountsRecord]:
-        """Records at (depth, input) in sequence-id order; [] when absent."""
-        return list(self._cells.get((depth, input_index), ()))
 
     def require(self, depths, inputs) -> None:
         """Raise CoverageError naming every (depth, input) cell with no records."""
@@ -179,53 +285,121 @@ class Dataset:
         """Normalized counts of the cell's circuits, one row per record."""
         self.require([depth], [input_index])
         cell = self._cells[(depth, input_index)]
-        lengths = [len(record.counts) for record in cell]
-        total = sum(lengths)
+        first = self._starts[cell]
+        lengths = self._starts[cell + 1] - first
+        entries = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+        entries += np.arange(len(entries))
         rows = np.zeros((len(cell), self.size))
-        outcomes = np.fromiter(
-            (outcome for record in cell for outcome in record.counts), np.intp, total
-        )
-        counts = np.fromiter(
-            (count for record in cell for count in record.counts.values()), float, total
-        )
-        rows[np.repeat(np.arange(len(cell)), lengths), outcomes] = counts
-        rows /= np.array([record.shots for record in cell], dtype=float)[:, None]
+        rows[np.repeat(np.arange(len(cell)), lengths), self.outcome[entries]] = self.count[entries]
+        rows /= self.shots[cell].astype(float)[:, None]
         return rows
-
-    def sorted_records(self) -> list[CountsRecord]:
-        return sorted(self.records, key=CountsRecord.sort_key)
 
     def write_jsonl(self, path, header: str | None = None) -> None:
         """Write records in canonical order; header becomes a '#' comment."""
+        bits = [index_to_bits(index, self.n) for index in range(self.size)]
+        keys = [f'"{text}":' for text in bits]
+        starts = self._starts.tolist()
+        line = _LINE + "\n"
         with open(path, "w") as handle:
             if header:
                 handle.write(f"# {header}\n")
-            for record in self.sorted_records():
-                handle.write(record_to_json(record, self.n) + "\n")
+            for depth, index, seq, shots, lo, hi in zip(
+                self.depth.tolist(),
+                self.input.tolist(),
+                self.seq.tolist(),
+                self.shots.tolist(),
+                starts,
+                starts[1:],
+            ):
+                entries = map(
+                    str.__add__,
+                    map(keys.__getitem__, self.outcome[lo:hi].tolist()),
+                    map(str, self.count[lo:hi].tolist()),
+                )
+                handle.write(line % (depth, bits[index], seq, shots, ",".join(entries)))
 
     @classmethod
     def read_jsonl(cls, path) -> "Dataset":
-        records = []
+        # imported here so that commands which read no dataset never load it
+        from array import array
+
         n = None
+        index = {}  # bitstring -> basis index for n bits, once n is known
+        # (depth, input, seq, shots) per record, then the count entries
+        fields, lengths, outcomes, counts = array("q"), [], array("q"), array("q")
         with open(path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    record, record_n = record_from_json(line)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                if n is None:
-                    n = record_n
-                elif record_n != n:
+                    payload = json.loads(line)
+                    bits = payload["input"]
+                    if n is None and 1 <= len(bits) <= MAX_QUBITS:
+                        n = len(bits)
+                        index = {index_to_bits(i, n): i for i in range(1 << n)}
+                    entries = payload["counts"]
+                    row = (
+                        int(payload["depth"]),
+                        index[bits],
+                        int(payload["seq"]),
+                        int(payload["shots"]),
+                    )
+                    keys = list(map(index.__getitem__, entries))
+                    values = list(map(int, entries.values()))
+                    regular = (
+                        row[0] >= 0 and row[2] >= 0 and row[3] >= 1
+                        and min(values) >= 0 and sum(values) == row[3]
+                    )
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    regular = False
+                if not regular:
+                    # the line breaks a record rule or has another width;
+                    # the one-record parser names the rule it breaks
+                    try:
+                        _, record_n = record_from_json(line)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{line_no}: {exc}") from exc
                     raise ValueError(
                         f"{path}:{line_no}: qubit count {record_n} != {n} seen earlier"
                     )
-                records.append(record)
+                fields.extend(row)
+                lengths.append(len(keys))
+                outcomes.extend(keys)
+                counts.extend(values)
         if n is None:
             raise ValueError(f"{path}: dataset file is empty")
+        rows = np.frombuffer(fields, dtype=np.int64).reshape(-1, 4)
         try:
-            return cls(n=n, records=records)
+            return cls.from_columns(
+                n, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
+                np.repeat(np.arange(len(rows)), lengths),
+                np.frombuffer(outcomes, dtype=np.int64),
+                np.frombuffer(counts, dtype=np.int64),
+            )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+class _RecordView(Sequence):
+    """The records of a Dataset, in its order; a CountsRecord per index."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[i] for i in range(len(self))[position]]
+        ds = self._dataset
+        position = range(len(ds))[position]
+        lo, hi = ds._starts[position], ds._starts[position + 1]
+        return CountsRecord(
+            depth=int(ds.depth[position]),
+            input_index=int(ds.input[position]),
+            sequence_id=int(ds.seq[position]),
+            shots=int(ds.shots[position]),
+            counts=dict(zip(ds.outcome[lo:hi].tolist(), ds.count[lo:hi].tolist())),
+        )

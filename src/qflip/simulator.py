@@ -19,12 +19,13 @@ import numpy as np
 from . import clifford
 from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError
-from .records import CountsRecord, Dataset
+from .records import Dataset
 from .transforms import MAX_QUBITS, require_prob_dist
 
 __all__ = [
     "GroundTruth",
     "exact_distribution",
+    "exact_distributions",
     "generate_dataset",
     "generate_circuits",
     "true_noise_model",
@@ -149,29 +150,53 @@ class GroundTruth:
 
 
 def _apply_per_qubit(matrices, vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply one 2x2 matrix per qubit to a length-2**n vector, O(n 2**n)."""
-    out = vec.reshape((2,) * n)
+    """Apply one 2x2 matrix per qubit to each row of a (rows, 2**n) array,
+    O(n 2**n) per row.
+
+    Each row takes one (2, 2) @ (2, 2**(n-1)) product per qubit, whatever
+    the number of rows, so a row's bits do not depend on the other rows.
+    """
+    rows = vec.shape[0]
+    out = vec
     for qubit, mat in enumerate(matrices):
-        axis = n - 1 - qubit
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
+        low, high = 1 << qubit, 1 << (n - 1 - qubit)
+        pairs = out.reshape(rows, high, 2, low).transpose(0, 2, 1, 3)
+        mixed = np.matmul(mat, pairs.reshape(rows, 2, high * low))
+        out = mixed.reshape(rows, 2, high, low).transpose(0, 2, 1, 3).reshape(rows, -1)
+    return out
+
+
+def exact_distributions(gt: GroundTruth, depth: int, inputs) -> np.ndarray:
+    """True outcome distributions, one row per input state:
+    readout . gate-chain^depth . prep . e_in.
+
+    Each row uses its input's own rates when ``rates_by_input`` overrides
+    them.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    inputs = [int(index) for index in inputs]
+    for index in inputs:
+        if not 0 <= index < gt.size:
+            raise ValueError(f"input index {index} out of range for n={gt.n}")
+    state = np.zeros((len(inputs), gt.size))
+    state[np.arange(len(inputs)), inputs] = 1.0
+    if any(p > 0.0 for p in gt.prep):
+        state = _apply_per_qubit(gt.prep_matrices(), state, gt.n)
+    if any(index in gt.rates_by_input for index in inputs):
+        rates = np.stack([gt.rates_for(index) for index in inputs])
+    else:
+        rates = gt.rates
+    state = apply_transition_power(rates, depth, state)
+    if any(e01 > 0.0 or e10 > 0.0 for e01, e10 in gt.readout):
+        state = _apply_per_qubit(gt.readout_matrices(), state, gt.n)
+    state = np.ascontiguousarray(np.maximum(state, 0.0))
+    return state / state.sum(axis=-1, keepdims=True)
 
 
 def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndarray:
-    """True outcome distribution: readout . gate-chain^depth . prep . e_in."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if not 0 <= input_index < gt.size:
-        raise ValueError(f"input index {input_index} out of range for n={gt.n}")
-    state = np.zeros(gt.size)
-    state[input_index] = 1.0
-    if any(p > 0.0 for p in gt.prep):
-        state = _apply_per_qubit(gt.prep_matrices(), state, gt.n)
-    state = apply_transition_power(gt.rates_for(input_index), depth, state)
-    if any(e01 > 0.0 or e10 > 0.0 for e01, e10 in gt.readout):
-        state = _apply_per_qubit(gt.readout_matrices(), state, gt.n)
-    state = np.maximum(state, 0.0)
-    return state / state.sum()
+    """True outcome distribution of one input state; see exact_distributions."""
+    return exact_distributions(gt, depth, [input_index])[0]
 
 
 def _shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
@@ -202,30 +227,31 @@ def _check_generation_args(gt, depths, circuits_per_depth, inputs, shots):
     return depths, sorted(inputs)
 
 
-def _records_for_depth(gt, depth, circuits_per_depth, inputs, shots, seed):
-    dists = {index: exact_distribution(gt, depth, index) for index in inputs}
-    out = []
+def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed, first_record):
+    """One depth's records as columns: (seq, input, record, outcome, count),
+    the count entries in record, then outcome order.
+
+    Records run through the circuits, each over every input, and are
+    numbered from first_record.
+    """
+    dists = exact_distributions(gt, depth, inputs)
+    entries = []
     for k in range(circuits_per_depth):
         rng = _shard_rng(seed, depth, k)
         # draw the circuit's gate ids first, as sample_identity_circuit does,
         # so generate_circuits reproduces it; depth 0 draws nothing
         rng.integers(0, clifford.GROUP_ORDER, size=(depth, gt.n))
-        for index in inputs:
-            sample = rng.multinomial(shots, dists[index])
-            out.append(
-                CountsRecord(
-                    depth=depth,
-                    input_index=index,
-                    sequence_id=k,
-                    shots=shots,
-                    counts={i: int(c) for i, c in enumerate(sample) if c},
-                )
-            )
-    return out
+        # one row per input, drawn in input order from the circuit's stream
+        sample = rng.multinomial(shots, dists)
+        rows, outcomes = np.nonzero(sample)
+        entries.append((rows + (first_record + k * len(inputs)), outcomes, sample[rows, outcomes]))
+    seq = np.repeat(np.arange(circuits_per_depth), len(inputs))
+    input_column = np.tile(inputs, circuits_per_depth)
+    return (seq, input_column, *(np.concatenate(parts) for parts in zip(*entries)))
 
 
 def _depth_shard(args):
-    return _records_for_depth(*args)
+    return _depth_columns(*args)
 
 
 def generate_dataset(
@@ -244,16 +270,28 @@ def generate_dataset(
     serially or sharded across worker processes.
     """
     depths, inputs = _check_generation_args(gt, depths, circuits_per_depth, inputs, shots)
+    per_depth = circuits_per_depth * len(inputs)
     shard_args = [
-        (gt, depth, circuits_per_depth, inputs, shots, seed) for depth in depths
+        (gt, depth, circuits_per_depth, inputs, shots, seed, position * per_depth)
+        for position, depth in enumerate(depths)
     ]
     if workers is not None and workers > 1 and len(shard_args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_depth_shard, shard_args))
     else:
-        shards = [_records_for_depth(*args) for args in shard_args]
-    records = [record for shard in shards for record in shard]
-    return Dataset(n=gt.n, records=records)
+        shards = [_depth_columns(*args) for args in shard_args]
+    seq, input_column, record, outcome, count = (np.concatenate(parts) for parts in zip(*shards))
+    del shards  # free the per-depth copies before the dataset's checks
+    return Dataset.from_columns(
+        gt.n,
+        np.repeat(depths, per_depth),
+        input_column,
+        seq,
+        np.full(len(seq), shots),
+        record,
+        outcome,
+        count,
+    )
 
 
 def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):

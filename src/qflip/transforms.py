@@ -76,28 +76,33 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform, natural ordering.
 
     Computes W @ values with W[i, j] = (-1)**popcount(i & j) using the
-    in-place radix-2 butterfly, O(n * 2**n). The inverse is
+    in-place radix-2 butterfly, O(n * 2**n). A ``(..., 2**n)`` array
+    transforms each vector along its last axis, with the same
+    floating-point result as transforming it alone. The inverse is
     ``fwht_inverse`` (which carries the full 1/2**n factor).
     """
     arr = np.array(values, dtype=float)
-    size = 1 << num_qubits(arr)
+    if arr.ndim == 0:
+        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
+    shape = arr.shape
+    size = 1 << _outcome_qubits(arr)
     half = 1
     while half < size:
+        # blocks of 2 * half never straddle two vectors of the batch
         arr = arr.reshape(-1, 2, half)
         even = arr[:, 0, :] + arr[:, 1, :]
         odd = arr[:, 0, :] - arr[:, 1, :]
         arr[:, 0, :] = even
         arr[:, 1, :] = odd
-        arr = arr.reshape(size)
         half *= 2
-    return arr
+    return arr.reshape(shape)
 
 
 def fwht_inverse(values: np.ndarray) -> np.ndarray:
-    """Inverse Walsh-Hadamard transform: (1/2**n) * W @ values."""
-    arr = np.asarray(values, dtype=float)
-    size = 1 << num_qubits(arr)
-    return fwht(arr) / size
+    """Inverse Walsh-Hadamard transform: (1/2**n) * W @ values, per last-axis
+    vector of a ``(..., 2**n)`` array."""
+    out = fwht(values)
+    return out / out.shape[-1]
 
 
 def xor_permute(values: np.ndarray, basis_index: int) -> np.ndarray:

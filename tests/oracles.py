@@ -218,3 +218,27 @@ def depolarized_measurement(state: np.ndarray, alpha: float) -> np.ndarray:
     rho = np.outer(state, state.conj())
     rho = (1 - alpha) * rho + alpha * np.eye(2) / 2
     return np.real(np.diag(rho)).copy()
+
+
+def per_input_exact_distribution(gt, depth: int, input_index: int) -> np.ndarray:
+    """Device distribution of one input by the per-input formula: a basis
+    vector through per-qubit prep (tensordot), the input's transition power,
+    per-qubit readout, then clipping and normalization."""
+    from qflip.channel import apply_transition_power
+
+    def per_qubit(matrices, vec):
+        out = vec.reshape((2,) * gt.n)
+        for qubit, mat in enumerate(matrices):
+            axis = gt.n - 1 - qubit
+            out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
+        return out.reshape(-1)
+
+    state = np.zeros(gt.size)
+    state[input_index] = 1.0
+    if any(p > 0.0 for p in gt.prep):
+        state = per_qubit(gt.prep_matrices(), state)
+    state = apply_transition_power(gt.rates_for(input_index), depth, state)
+    if any(e01 > 0.0 or e10 > 0.0 for e01, e10 in gt.readout):
+        state = per_qubit(gt.readout_matrices(), state)
+    state = np.maximum(state, 0.0)
+    return state / state.sum()

@@ -1,4 +1,4 @@
-"""Golden sha256 pins for the artifacts of one small fixed run-all config.
+"""Golden sha256 pins for the artifacts of two small fixed run-all configs.
 
 The bytes of these artifacts are part of the package's contract: a
 refactor of grouping, sampling or scoring must leave them unchanged. When
@@ -34,15 +34,58 @@ PINS = {
     "predictions.csv": "80b6acfaa2c16fb76d59e35050e50d650ee5d358d81a2e12d82ee72db2088acb",
 }
 
+# every input of n=4, correlated flips, asymmetric readout pairs per qubit
+ARGV_N4 = [
+    "run-all",
+    "--preset", "correlated_pair:0.01:0.005:0:2",
+    "--n", "4",
+    "--K", "3",
+    "--shots", "128",
+    "--seed", "13",
+    "--inputs", "all",
+    "--readout", "0.02/0.04,0.01/0.03,0.03/0.01,0.015/0.025",
+    "--prep", "0.01",
+    "--train", "1..8",
+    "--test", "10,14",
+    "--rb",
+    "--pavg",
+]
+
+PINS_N4 = {
+    "dataset.jsonl": "736555503485439608505443524d3f2152300dce0d3b570f3d26ade215a81c8f",
+    "model.json": "5e7c8e183ac440d86f43f5e81cbbfeb14d8ad60387516102d5c45ccc5e1ad39e",
+    "report.csv": "c8eb7ba9d2c9ceacd1d59db8ae8655e4790dde4ee6392fcba219ae2297d05a4a",
+    "predictions.csv": "c9f743cf229db86d32273c95f3db5c0251dc80ce3b79181924b2bacea5ed6201",
+    "rb.json": "b55399761a46e024c553c19fce5e13cccb87e139c57c8fdd5bcd675e578a889f",
+    "diagnostics_1011.csv": "e9442dd8f3274b26df22b26977d7596ea10ff788a04895bd92ea5255b2d0c743",
+}
+
+
+def run_all(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("golden")
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    assert main([*ARGV, "--out", str(out)]) == 0
-    return out
+    return run_all(tmp_path_factory, ARGV)
+
+
+@pytest.fixture(scope="module")
+def run_dir_n4(tmp_path_factory):
+    return run_all(tmp_path_factory, ARGV_N4)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_artifact_bytes_are_pinned(run_dir, name):
-    digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-    assert digest == PINS[name]
+    assert sha256(run_dir / name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS_N4))
+def test_n4_artifact_bytes_are_pinned(run_dir_n4, name):
+    assert sha256(run_dir_n4 / name) == PINS_N4[name]

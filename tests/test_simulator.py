@@ -10,7 +10,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from oracles import dense_gate_matrix, dense_power_apply, dense_wht_matrix, depolarized_measurement
+from oracles import (
+    dense_gate_matrix,
+    dense_power_apply,
+    dense_wht_matrix,
+    depolarized_measurement,
+    per_input_exact_distribution,
+)
 from qflip import channel, clifford, simulator
 from qflip.errors import ConfigError
 
@@ -219,6 +225,51 @@ class TestExactDistribution:
             simulator.exact_distribution(gt, 1, 2)
 
 
+class TestExactDistributions:
+    READOUT = [(0.02, 0.05), (0.04, 0.01), (0.0, 0.03), (0.01, 0.0)]
+    PREP = [0.01, 0.0, 0.02, 0.005]
+    PARAMS = {
+        "iid_bitflip": dict(q=0.03),
+        "depolarizing": dict(alpha=0.05),
+        "correlated_pair": dict(q=0.02, q_corr=0.01),
+        "spam_only": dict(),
+    }
+
+    def ground_truth(self, preset, n):
+        readout, prep = self.READOUT[:n], self.PREP[:n]
+        if preset == "spam_only":
+            return simulator.spam_only(n, readout, prep=prep)
+        return simulator.build_preset(preset, n, readout=readout, prep=prep, **self.PARAMS[preset])
+
+    @pytest.mark.parametrize(
+        "preset,n",
+        [(preset, n) for preset in sorted(PARAMS) for n in (1, 2, 4)
+         if (preset, n) != ("correlated_pair", 1)],
+    )
+    def test_rows_equal_per_input_oracle(self, preset, n):
+        base = self.ground_truth(preset, n)
+        rng = np.random.default_rng(n)
+        overridden = simulator.GroundTruth(
+            n=n, rates=base.rates, readout=base.readout, prep=base.prep,
+            rates_by_input={(1 << n) - 1: rng.dirichlet(np.ones(1 << n))},
+        )
+        inputs = list(range(1 << n))[::-1]
+        for gt in (base, overridden):
+            for depth in range(31):
+                rows = simulator.exact_distributions(gt, depth, inputs)
+                assert rows.shape == (len(inputs), 1 << n)
+                for index, row in zip(inputs, rows):
+                    assert np.array_equal(row, per_input_exact_distribution(gt, depth, index))
+                    assert np.array_equal(simulator.exact_distribution(gt, depth, index), row)
+
+    def test_argument_validation(self):
+        gt = simulator.iid_bitflip(2, 0.1)
+        with pytest.raises(ValueError):
+            simulator.exact_distributions(gt, -1, [0])
+        with pytest.raises(ValueError):
+            simulator.exact_distributions(gt, 1, [0, 4])
+
+
 class TestGenerateDataset:
     def test_single_record(self):
         gt = simulator.iid_bitflip(1, 0.1)
@@ -235,8 +286,9 @@ class TestGenerateDataset:
         assert len(ds) == 3 * 4 * 2
         assert ds.depths() == [1, 3, 7]
         assert ds.input_indices() == [0, 3]
-        group = ds.group(3, 0)
-        assert sorted(r.sequence_id for r in group) == [0, 1, 2, 3]
+        assert len(ds.distributions(3, 0)) == 4
+        cell = [r.sequence_id for r in ds.records if (r.depth, r.input_index) == (3, 0)]
+        assert cell == [0, 1, 2, 3]
         assert all(sum(r.counts.values()) == 32 for r in ds.records)
 
     def test_same_seed_is_byte_identical(self, tmp_path):
@@ -264,8 +316,8 @@ class TestGenerateDataset:
         gt = simulator.iid_bitflip(1, 0.1)
         joint = simulator.generate_dataset(gt, depths=[2, 6], circuits_per_depth=2, inputs=[0], shots=32, seed=3)
         alone = simulator.generate_dataset(gt, depths=[6], circuits_per_depth=2, inputs=[0], shots=32, seed=3)
-        joint_counts = [r.counts for r in joint.sorted_records() if r.depth == 6]
-        alone_counts = [r.counts for r in alone.sorted_records()]
+        joint_counts = [r.counts for r in joint.records if r.depth == 6]
+        alone_counts = [r.counts for r in alone.records]
         assert joint_counts == alone_counts
 
     def test_empirical_mean_envelope(self):

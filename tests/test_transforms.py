@@ -63,6 +63,25 @@ class TestFwht:
         fwht(v)
         assert np.array_equal(v, np.arange(8.0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_one_dimensional_transform(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(scale=rng.uniform(0.01, 100.0), size=(rows, 2**n))
+        batch[rng.uniform(size=rows) < 0.3] = 0.0
+        batch = np.vstack([batch, np.zeros(2**n)])
+        forward, inverse = fwht(batch), fwht_inverse(batch)
+        assert forward.shape == inverse.shape == batch.shape
+        for row, out, back in zip(batch, forward, inverse):
+            assert fwht(row).shape == fwht_inverse(row).shape == (2**n,)
+            assert np.array_equal(out, fwht(row))
+            assert np.array_equal(back, fwht_inverse(row))
+        assert np.array_equal(fwht(batch[None]), forward[None])
+
+    def test_rejects_scalar(self):
+        with pytest.raises(ValueError):
+            fwht(np.float64(1.0))
+
 
 class TestFwhtInverse:
     def test_single_qubit_by_hand(self):
