@@ -247,17 +247,23 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _read_dataset(path) -> Dataset:
+def _read_dataset(path, model=None) -> Dataset:
     if not os.path.exists(path):
         raise ConfigError(f"dataset not found: {path}")
-    return Dataset.read_jsonl(path)
+    dataset = Dataset.read_jsonl(path)
+    if model is not None and dataset.n != model.n:
+        raise ConfigError(f"dataset has n={dataset.n} but model has n={model.n}")
+    return dataset
 
 
-def _read_model_payload(path) -> dict:
+def _read_json(path, what: str) -> dict:
     if not os.path.exists(path):
-        raise ConfigError(f"model file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -331,15 +337,10 @@ def _load_profile(s: Settings, dataset_path):
     """Planted ground truth when available: --profile or a sibling file."""
     path = s.raw("profile")
     if path is None:
-        candidate = os.path.join(os.path.dirname(os.path.abspath(dataset_path)), "profile.json")
-        path = candidate if os.path.exists(candidate) else None
-    elif not os.path.exists(path):
-        raise ConfigError(f"profile not found: {path}")
-    if path is None:
-        return None, None
-    with open(path) as handle:
-        payload = json.load(handle)
-    return ground_truth_from_profile(payload)
+        path = os.path.join(os.path.dirname(os.path.abspath(dataset_path)), "profile.json")
+        if not os.path.exists(path):
+            return None, None
+    return ground_truth_from_profile(_read_json(path, "profile"))
 
 
 def _print_truth_distance(model, fits, gt) -> None:
@@ -487,7 +488,7 @@ def cmd_characterize(s: Settings) -> int:
 
 
 def cmd_predict(s: Settings) -> int:
-    payload = _read_model_payload(s.require("model"))
+    payload = _read_json(s.require("model"), "model file")
     model = model_from_json(payload)
     depths = parse_depths(s.require("depths"))
     inputs_text = s.raw("inputs")
@@ -497,9 +498,7 @@ def cmd_predict(s: Settings) -> int:
         inputs = sorted(model.input_indices())
     dataset = None
     if s.raw("dataset") is not None:
-        dataset = _read_dataset(s.raw("dataset"))
-        if dataset.n != model.n:
-            raise ConfigError(f"dataset has n={dataset.n} but model has n={model.n}")
+        dataset = _read_dataset(s.raw("dataset"), model)
     seed = s.integer("seed", payload.get("meta", {}).get("seed"))
     cfg = {"command": "predict", "depths": depths, "inputs": inputs, "seed": seed}
     digest = _config_hash(cfg)
@@ -511,11 +510,9 @@ def cmd_predict(s: Settings) -> int:
 
 
 def cmd_mitigate(s: Settings) -> int:
-    payload = _read_model_payload(s.require("model"))
+    payload = _read_json(s.require("model"), "model file")
     model = model_from_json(payload)
-    dataset = _read_dataset(s.require("dataset"))
-    if dataset.n != model.n:
-        raise ConfigError(f"dataset has n={dataset.n} but model has n={model.n}")
+    dataset = _read_dataset(s.require("dataset"), model)
     test_text = s.raw("test")
     test = parse_depths(test_text) if test_text is not None else _positive_depths(dataset)
     inputs_text = s.raw("inputs")

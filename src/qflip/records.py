@@ -8,7 +8,9 @@ character is qubit 0. A Dataset holds its records as flat columns.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -17,17 +19,15 @@ import numpy as np
 from .errors import CoverageError, format_missing
 from .transforms import MAX_QUBITS
 
-__all__ = [
-    "CountsRecord",
-    "Dataset",
-    "index_to_bits",
-    "bits_to_index",
-    "record_to_json",
-    "record_from_json",
-]
+__all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
 
 # one dataset line; the counts are '"<bits>":<count>' entries in outcome order
 _LINE = '{"depth":%d,"input":"%s","seq":%d,"shots":%d,"counts":{%s}}'
+_INT64 = range(-(1 << 63), 1 << 63)
+
+# a JSON object decodes to a tuple of (key, value) pairs: a repeated key
+# stays visible, and an object is told apart from an array
+_DECODE = json.JSONDecoder(object_pairs_hook=tuple).raw_decode
 
 
 def index_to_bits(index: int, n: int) -> str:
@@ -37,20 +37,56 @@ def index_to_bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def bits_to_index(bits: str) -> int:
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"invalid bitstring {bits!r}")
-    return int(bits, 2)
+class RecordError(ValueError):
+    """A record breaks a rule; ``position`` is its index in the columns."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
 
 
-def _check_fields(depth, input_index, seq, shots, record, outcome, count) -> None:
-    """Raise ValueError for the first record that breaks a CountsRecord rule.
+def _integers(column):
+    """The column as int64, and {position: value} of its entries that are
+    not 64-bit integers (stored as 0)."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu" and np.can_cast(column.dtype, np.int64):
+            return column.astype(np.int64, copy=False).reshape(-1), {}
+        column = column.reshape(-1).tolist()
+    if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, column))):
+        with contextlib.suppress(OverflowError):
+            return np.array(column, dtype=np.int64), {}
+    values = [v.item() if isinstance(v, np.generic) else v for v in column]
+    wrong = {i: v for i, v in enumerate(values) if type(v) is not int or v not in _INT64}
+    return np.array([0 if i in wrong else v for i, v in enumerate(values)], dtype=np.int64), wrong
 
-    Takes per-record arrays plus COO count entries, each entry's ``record``
-    being its record's position. A record breaking several rules gets the
-    message of the first one listed.
+
+def _check_fields(depth, input_index, seq, shots, record, outcome, count):
+    """Check per-record columns and COO count entries (``record`` holding
+    each entry's record position), as lists or integer arrays, against
+    every CountsRecord rule; returns them as int64 arrays (intp for
+    ``record``). Raises RecordError for the first record that breaks a
+    rule, with the message of the first rule it breaks in the order listed.
     """
+    record, wrong = _integers(record)
+    if wrong:
+        raise ValueError("count entry record positions must be integers")
+    columns = (depth, input_index, seq, shots, outcome, count)
+    (depth, input_index, seq, shots, outcome, count), wrongs = zip(*map(_integers, columns))
     size = len(depth)
+    if not size == len(input_index) == len(seq) == len(shots):
+        raise ValueError("per-record columns differ in length")
+    if not len(record) == len(outcome) == len(count):
+        raise ValueError("count entry columns differ in length")
+    if record.size and not 0 <= record.min() <= record.max() < size:
+        raise ValueError("count entry names a record that does not exist")
+    record = record.astype(np.intp, copy=False)
+    # each record's first value that is not an integer; an entry's is its record's
+    faults = {}
+    names = ("depth", "input index", "sequence id", "shots", "outcome index", "count value")
+    for name, wrong, per_entry in zip(names, wrongs, [False] * 4 + [True] * 2):
+        for position, value in wrong.items():
+            owner = int(record[position]) if per_entry else position
+            faults.setdefault(owner, f"{name} must be a 64-bit integer, got {value!r}")
     negative_outcome = np.zeros(size, dtype=bool)
     negative_outcome[record[outcome < 0]] = True
     negative_count = np.zeros(size, dtype=bool)
@@ -67,9 +103,14 @@ def _check_fields(depth, input_index, seq, shots, record, outcome, count) -> Non
         (totals != shots, lambda i: f"counts sum to {totals[i]}, expected shots={shots[i]}"),
     ]
     broken = np.logical_or.reduce([mask for mask, _ in rules])
+    broken[list(faults)] = True
     if broken.any():
         position = int(np.argmax(broken))
-        raise ValueError(next(message(position) for mask, message in rules if mask[position]))
+        message = faults.get(position) or next(
+            message(position) for mask, message in rules if mask[position]
+        )
+        raise RecordError(message, position)
+    return depth, input_index, seq, shots, record, outcome, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,58 +124,38 @@ class CountsRecord:
     counts: dict[int, int]
 
     def __post_init__(self):
-        counts = {int(k): int(v) for k, v in self.counts.items()}
-        _check_fields(
-            np.array([self.depth]),
-            np.array([self.input_index]),
-            np.array([self.sequence_id]),
-            np.array([self.shots]),
-            np.zeros(len(counts), dtype=np.intp),
-            np.array(list(counts), dtype=np.int64),
-            np.array(list(counts.values()), dtype=np.int64),
+        *_, outcome, count = _check_fields(
+            [self.depth], [self.input_index], [self.sequence_id], [self.shots],
+            [0] * len(self.counts), list(self.counts), list(self.counts.values()),
         )
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", dict(zip(outcome.tolist(), count.tolist())))
 
     def sort_key(self):
         return (self.depth, self.sequence_id, self.input_index)
 
 
-def record_to_json(record: CountsRecord, n: int) -> str:
-    """One dataset line, counts in outcome order (as Dataset.write_jsonl)."""
-    counts = ",".join(
-        f'"{index_to_bits(outcome, n)}":{count}'
-        for outcome, count in sorted(record.counts.items())
-    )
-    return _LINE % (
-        record.depth,
-        index_to_bits(record.input_index, n),
-        record.sequence_id,
-        record.shots,
-        counts,
-    )
+def _object(pairs, name: str) -> dict:
+    """A decoded JSON object as a dict; ValueError if it is none or repeats a key."""
+    if type(pairs) is not tuple:
+        raise ValueError(f"{name} must be a JSON object")
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        key = next(key for key, seen in Counter(key for key, _ in pairs).items() if seen > 1)
+        raise ValueError(f"repeated key {key!r} in {name}")
+    return fields
 
 
-def record_from_json(line: str) -> tuple[CountsRecord, int]:
-    """Parse one dataset line; returns (record, qubit count)."""
-    try:
-        payload = json.loads(line)
-        input_bits = payload["input"]
-        record = CountsRecord(
-            depth=int(payload["depth"]),
-            input_index=bits_to_index(input_bits),
-            sequence_id=int(payload["seq"]),
-            shots=int(payload["shots"]),
-            counts={bits_to_index(k): int(v) for k, v in payload["counts"].items()},
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ValueError(f"malformed dataset record: {exc}") from exc
-    n = len(input_bits)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"input bitstring length {n} out of range")
-    bad = [k for k in payload["counts"] if len(k) != n]
-    if bad:
-        raise ValueError(f"outcome bitstring {bad[0]!r} does not have {n} bits")
-    return record, n
+def _lookup_fault(key, payload: dict, n) -> str:
+    """Why a line's lookup failed: a missing field or a bitstring of another width."""
+    if key in ("depth", "input", "seq", "shots", "counts") and key not in payload:
+        return f"malformed dataset record: missing field {key!r}"
+    if type(key) is not str or not key or key.strip("01"):
+        return f"malformed dataset record: invalid bitstring {key!r}"
+    if key != payload["input"]:
+        return f"outcome bitstring {key!r} does not have {n} bits"
+    if not 1 <= len(key) <= MAX_QUBITS:
+        return f"input bitstring length {len(key)} out of range"
+    return f"qubit count {len(key)} != {n} seen earlier"
 
 
 def _cell_index(n, depth, input_index, seq) -> dict:
@@ -200,21 +221,10 @@ class Dataset:
         dataset._store(n, depth, input, seq, shots, record, outcome, count)
         return dataset
 
-    def _store(self, n, depth, input, seq, shots, record, outcome, count) -> None:
+    def _store(self, n, *columns) -> None:
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-        depth, input, seq, shots, outcome, count = (
-            np.asarray(column, dtype=np.int64).reshape(-1)
-            for column in (depth, input, seq, shots, outcome, count)
-        )
-        record = np.asarray(record, dtype=np.intp).reshape(-1)
-        if not len(depth) == len(input) == len(seq) == len(shots):
-            raise ValueError("per-record columns differ in length")
-        if not len(record) == len(outcome) == len(count):
-            raise ValueError("count entry columns differ in length")
-        if record.size and not 0 <= record.min() <= record.max() < len(depth):
-            raise ValueError("count entry names a record that does not exist")
-        _check_fields(depth, input, seq, shots, record, outcome, count)
+        depth, input, seq, shots, record, outcome, count = _check_fields(*columns)
         size = 1 << n
         outside = input >= size
         outside[record[outcome >= size]] = True
@@ -320,65 +330,58 @@ class Dataset:
 
     @classmethod
     def read_jsonl(cls, path) -> "Dataset":
-        # imported here so that commands which read no dataset never load it
-        from array import array
-
-        n = None
-        index = {}  # bitstring -> basis index for n bits, once n is known
-        # (depth, input, seq, shots) per record, then the count entries
-        fields, lengths, outcomes, counts = array("q"), [], array("q"), array("q")
+        """Read a dataset file; the first record's input fixes n. The first
+        line that breaks the format or a record rule is named as path:line."""
+        n, index = None, {}  # index: n-bit string -> basis index, once n is known
+        # depth, input, seq and shots of each record, then its count entries
+        rows, lengths, outcomes, counts, line_of = [], [], [], [], []
+        fault = None
         with open(path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    payload = json.loads(line)
+                    pairs, end = _DECODE(line)
+                    if end < len(line):
+                        end = json.decoder.WHITESPACE.match(line, end).end()
+                        raise json.JSONDecodeError("Extra data", line, end)
+                    payload = _object(pairs, "a record")
                     bits = payload["input"]
-                    if n is None and 1 <= len(bits) <= MAX_QUBITS:
+                    if n is None and type(bits) is str and 1 <= len(bits) <= MAX_QUBITS:
                         n = len(bits)
                         index = {index_to_bits(i, n): i for i in range(1 << n)}
-                    entries = payload["counts"]
-                    row = (
-                        int(payload["depth"]),
-                        index[bits],
-                        int(payload["seq"]),
-                        int(payload["shots"]),
-                    )
+                    entries = _object(payload["counts"], "counts")
+                    row = (payload["depth"], index[bits], payload["seq"], payload["shots"])
                     keys = list(map(index.__getitem__, entries))
-                    values = list(map(int, entries.values()))
-                    regular = (
-                        row[0] >= 0 and row[2] >= 0 and row[3] >= 1
-                        and min(values) >= 0 and sum(values) == row[3]
-                    )
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    regular = False
-                if not regular:
-                    # the line breaks a record rule or has another width;
-                    # the one-record parser names the rule it breaks
-                    try:
-                        _, record_n = record_from_json(line)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                    raise ValueError(
-                        f"{path}:{line_no}: qubit count {record_n} != {n} seen earlier"
-                    )
-                fields.extend(row)
+                except KeyError as exc:
+                    fault = f"{path}:{line_no}: {_lookup_fault(exc.args[0], payload, n)}"
+                    break
+                except (TypeError, ValueError) as exc:
+                    fault = f"{path}:{line_no}: malformed dataset record: {exc}"
+                    break
+                rows += row
                 lengths.append(len(keys))
-                outcomes.extend(keys)
-                counts.extend(values)
-        if n is None:
-            raise ValueError(f"{path}: dataset file is empty")
-        rows = np.frombuffer(fields, dtype=np.int64).reshape(-1, 4)
+                outcomes += keys
+                counts += entries.values()
+                line_of.append(line_no)
+        columns = (
+            rows[0::4], rows[1::4], rows[2::4], rows[3::4],
+            np.repeat(np.arange(len(lengths)), lengths), outcomes, counts,
+        )
         try:
-            return cls.from_columns(
-                n, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3],
-                np.repeat(np.arange(len(rows)), lengths),
-                np.frombuffer(outcomes, dtype=np.int64),
-                np.frombuffer(counts, dtype=np.int64),
-            )
+            if fault is None:
+                if n is None:
+                    raise ValueError("dataset file is empty")
+                return cls.from_columns(n, *columns)
+            # a record rule broken on an earlier line comes first
+            _check_fields(*columns)
+        except RecordError as exc:
+            line_no = line_of[exc.position]
+            raise ValueError(f"{path}:{line_no}: malformed dataset record: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(fault)
 
 
 class _RecordView(Sequence):

@@ -8,6 +8,7 @@ Tests compare library output against these.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -242,3 +243,19 @@ def per_input_exact_distribution(gt, depth: int, input_index: int) -> np.ndarray
         state = per_qubit(gt.readout_matrices(), state)
     state = np.maximum(state, 0.0)
     return state / state.sum()
+
+
+def record_to_json(record, n: int) -> str:
+    """One dataset line by json.dumps: the fields in wire order, the counts
+    in outcome order, bitstrings with qubit 0 rightmost."""
+    width = f"0{n}b"
+    payload = {
+        "depth": record.depth,
+        "input": format(record.input_index, width),
+        "seq": record.sequence_id,
+        "shots": record.shots,
+        "counts": {
+            format(outcome, width): count for outcome, count in sorted(record.counts.items())
+        },
+    }
+    return json.dumps(payload, separators=(",", ":"))

@@ -267,6 +267,42 @@ class TestCharacterize:
         assert run("characterize", "--dataset", tmp_path / "nope.jsonl",
                    "--out", tmp_path) == 2
 
+    def test_counts_not_an_object_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(
+            '{"depth":1,"input":"00","seq":0,"shots":2,"counts":{"00":2}}\n'
+            '{"depth":1,"input":"00","seq":1,"shots":2,"counts":null}\n'
+        )
+        code = run("characterize", "--dataset", path, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: malformed dataset record: counts must be a JSON object\n"
+        )
+
+    def test_broken_profile_names_its_file(self, run_dir, tmp_path, capsys):
+        profile = tmp_path / "mine.json"
+        profile.write_text("nope")
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {profile}: Expecting value")
+
+    def test_missing_profile_exits_2(self, run_dir, tmp_path, capsys):
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", tmp_path / "nope.json", "--out", tmp_path)
+        assert code == 2
+        assert "profile not found" in capsys.readouterr().err
+
+    def test_broken_sibling_profile_names_its_file(self, run_dir, tmp_path, capsys):
+        # the profile next to the dataset is read without being asked for
+        (tmp_path / "dataset.jsonl").write_bytes((run_dir / "dataset.jsonl").read_bytes())
+        (tmp_path / "profile.json").write_text('{"preset": ')
+        code = run("characterize", "--dataset", tmp_path / "dataset.jsonl",
+                   "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'profile.json'}: Expecting value")
+
 
 class TestPredict:
     @pytest.fixture()
@@ -303,6 +339,13 @@ class TestPredict:
         assert run("predict", "--model", tmp_path / "nope.json", "--depths", "1",
                    "--out", tmp_path) == 2
 
+    def test_broken_model_names_its_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"n": 2,')
+        code = run("predict", "--model", model, "--depths", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
+
 
 class TestMitigate:
     @pytest.fixture()
@@ -333,6 +376,14 @@ class TestMitigate:
         run("mitigate", "--model", model_path,
             "--dataset", run_dir / "dataset.jsonl", "--test", "8", "--out", tmp_path)
         assert "overlap" in capsys.readouterr().err
+
+    def test_dataset_width_must_match_model(self, model_path, tmp_path, capsys):
+        dataset = tmp_path / "one_qubit.jsonl"
+        dataset.write_text('{"depth":1,"input":"0","seq":0,"shots":1,"counts":{"0":1}}\n')
+        for command in (["mitigate", "--test", "1"], ["predict", "--depths", "1"]):
+            code = run(*command, "--model", model_path, "--dataset", dataset, "--out", tmp_path)
+            assert code == 2
+            assert "dataset has n=1 but model has n=2" in capsys.readouterr().err
 
     def test_exit_zero_even_when_underperforming(self, run_dir, tmp_path):
         # an intentionally terrible model: fit on depth 1 only is still a

@@ -3,30 +3,38 @@
 import numpy as np
 import pytest
 
+from oracles import record_to_json
 from qflip import records, simulator
 from qflip.errors import CoverageError
 
 
+def read_lines(tmp_path, *lines):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return records.Dataset.read_jsonl(path)
+
+
 class TestBitstrings:
-    def test_qubit_zero_is_rightmost(self):
+    def test_qubit_zero_is_rightmost(self, tmp_path):
         assert records.index_to_bits(1, 3) == "001"
         assert records.index_to_bits(4, 3) == "100"
-        assert records.bits_to_index("001") == 1
+        ds = read_lines(tmp_path, '{"depth":1,"input":"001","seq":0,"shots":1,"counts":{"100":1}}')
+        assert (ds.input.tolist(), ds.outcome.tolist()) == ([1], [4])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_round_trip(self, n):
         for index in range(1 << n):
-            assert records.bits_to_index(records.index_to_bits(index, n)) == index
+            assert int(records.index_to_bits(index, n), 2) == index
 
-    def test_rejects_bad_values(self):
+    def test_rejects_bad_values(self, tmp_path):
         with pytest.raises(ValueError):
             records.index_to_bits(8, 3)
         with pytest.raises(ValueError):
             records.index_to_bits(-1, 3)
-        with pytest.raises(ValueError):
-            records.bits_to_index("0a1")
-        with pytest.raises(ValueError):
-            records.bits_to_index("")
+        for bits in ("0a1", ""):
+            line = '{"depth":1,"input":"%s","seq":0,"shots":1,"counts":{"000":1}}' % bits
+            with pytest.raises(ValueError, match=f"invalid bitstring '{bits}'"):
+                read_lines(tmp_path, line)
 
 
 class TestCountsRecord:
@@ -57,20 +65,43 @@ class TestCountsRecord:
         assert record.counts == {2: 4}
         assert all(type(k) is int and type(v) is int for k, v in record.counts.items())
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("depth", 1.9, "depth must be a 64-bit integer, got 1.9"),
+            ("depth", True, "depth must be a 64-bit integer, got True"),
+            ("input_index", np.float64(0.0), "input index must be a 64-bit integer, got 0.0"),
+            ("sequence_id", "7", "sequence id must be a 64-bit integer, got '7'"),
+            ("shots", None, "shots must be a 64-bit integer, got None"),
+            ("shots", 1 << 63, f"shots must be a 64-bit integer, got {1 << 63}"),
+            ("counts", {0.0: 4}, "outcome index must be a 64-bit integer, got 0.0"),
+            ("counts", {0: 4.0}, "count value must be a 64-bit integer, got 4.0"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, field, value, message):
+        good = dict(depth=1, input_index=0, sequence_id=0, shots=4, counts={0: 4})
+        with pytest.raises(records.RecordError) as info:
+            records.CountsRecord(**dict(good, **{field: value}))
+        assert str(info.value) == message
+        assert info.value.position == 0
+
 
 class TestWireFormat:
-    def test_exact_line(self):
+    def test_exact_line(self, tmp_path):
         record = records.CountsRecord(
             depth=3, input_index=1, sequence_id=7, shots=100, counts={0: 61, 2: 39}
         )
-        line = records.record_to_json(record, 2)
-        assert line == '{"depth":3,"input":"01","seq":7,"shots":100,"counts":{"00":61,"10":39}}'
-        back, n = records.record_from_json(line)
-        assert n == 2
-        assert back.counts == record.counts
-        assert back.sort_key() == record.sort_key()
+        path = tmp_path / "data.jsonl"
+        records.Dataset(2, [record]).write_jsonl(path)
+        line = '{"depth":3,"input":"01","seq":7,"shots":100,"counts":{"00":61,"10":39}}'
+        assert path.read_text() == line + "\n"
+        back = records.Dataset.read_jsonl(path)
+        assert back.n == 2
+        (only,) = back.records
+        assert only.counts == record.counts
+        assert only.sort_key() == record.sort_key()
 
-    def test_rejects_malformed_lines(self):
+    def test_rejects_malformed_lines(self, tmp_path):
         for line in (
             "not json",
             "{}",
@@ -78,8 +109,8 @@ class TestWireFormat:
             '{"depth":1,"input":"00","seq":0,"shots":2,"counts":{"000":2}}',
             '{"depth":1,"input":"00","seq":0,"shots":2,"counts":{"01":1}}',
         ):
-            with pytest.raises(ValueError):
-                records.record_from_json(line)
+            with pytest.raises(ValueError, match="data.jsonl:1: "):
+                read_lines(tmp_path, line)
 
 
 class TestDataset:
@@ -158,6 +189,26 @@ class TestDataset:
             )
         with pytest.raises(ValueError, match="counts sum to 3, expected shots=4"):
             records.Dataset.from_columns(2, [1], [0], [0], [4], [0], [1], [3])
+
+    def test_from_columns_rejects_non_integer_columns(self):
+        with pytest.raises(ValueError, match="shots must be a 64-bit integer, got 3.9"):
+            records.Dataset.from_columns(2, [1], [0], [0], [3.9], [0], [1], [3])
+        # an integral float array is still not an integer column
+        with pytest.raises(ValueError, match="depth must be a 64-bit integer, got 1.0"):
+            records.Dataset.from_columns(
+                2, np.array([1.0]), [0], [0], [3], [0], [1], [3]
+            )
+        with pytest.raises(ValueError, match="count value must be a 64-bit integer, got True"):
+            records.Dataset.from_columns(2, [1], [0], [0], [1], [0], [1], np.array([True]))
+        with pytest.raises(ValueError, match="record positions must be integers"):
+            records.Dataset.from_columns(2, [1], [0], [0], [3], [0.0], [1], [3])
+        # the first broken record is named by its position as given
+        with pytest.raises(records.RecordError, match="got -2") as info:
+            records.Dataset.from_columns(
+                2, depth=[3, 1, 2], input=[0, 0, 0], seq=[0, -2, -1], shots=[1, 1, 1],
+                record=[0, 1, 2], outcome=[0, 0, 0], count=[1, 1, 1],
+            )
+        assert info.value.position == 1
 
     def test_rejects_out_of_range_records(self):
         bad = records.CountsRecord(depth=1, input_index=5, sequence_id=0, shots=1, counts={0: 1})
@@ -252,6 +303,84 @@ class TestCodecEdgeCases:
             records.Dataset.read_jsonl(path)
         assert str(info.value) == f"{path}:{1 if bad_first else 2}: {message}"
 
+    @pytest.mark.parametrize("bad_first", [False, True])
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ('"depth":-1,"input":"10","seq":3,"shots":5',
+             "malformed dataset record: depth must be >= 0, got -1"),
+            ('"depth":2,"input":"10","seq":-1,"shots":5',
+             "malformed dataset record: sequence id must be >= 0, got -1"),
+            ('"depth":2,"input":"10","seq":3,"shots":0',
+             "malformed dataset record: shots must be >= 1, got 0"),
+            ('"depth":2,"input":"1x","seq":3,"shots":5',
+             "malformed dataset record: invalid bitstring '1x'"),
+            ('"depth":2,"input":"0000000000000","seq":3,"shots":5',
+             "input bitstring length 13 out of range"),
+        ],
+    )
+    def test_bad_fields_name_their_line(self, tmp_path, fields, message, bad_first):
+        bad = '{%s,"counts":{"00":5}}' % fields
+        lines = [bad, GOOD_LINE] if bad_first else [GOOD_LINE, bad]
+        with pytest.raises(ValueError) as info:
+            read_lines(tmp_path, *lines)
+        assert str(info.value) == f"{tmp_path / 'data.jsonl'}:{1 if bad_first else 2}: {message}"
+
+    @pytest.mark.parametrize("counts", ["null", "[]", '[["00",5]]', "5", '"00"'])
+    def test_counts_must_be_an_object(self, tmp_path, counts):
+        with pytest.raises(ValueError) as info:
+            read_lines(tmp_path, GOOD_LINE, bad_line(counts))
+        assert str(info.value).endswith(
+            "data.jsonl:2: malformed dataset record: counts must be a JSON object"
+        )
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"depth":2,"input":"10","seq":3,"shots":2.9,"counts":{"00":5}}',
+             "shots must be a 64-bit integer, got 2.9"),
+            ('{"depth":true,"input":"10","seq":3,"shots":5,"counts":{"00":5}}',
+             "depth must be a 64-bit integer, got True"),
+            ('{"depth":2,"input":"10","seq":"7","shots":5,"counts":{"00":5}}',
+             "sequence id must be a 64-bit integer, got '7'"),
+            ('{"depth":null,"input":"10","seq":3,"shots":5,"counts":{"00":5}}',
+             "depth must be a 64-bit integer, got None"),
+            ('{"depth":2,"input":"10","seq":3,"shots":5,"counts":{"00":5.0}}',
+             "count value must be a 64-bit integer, got 5.0"),
+            ('{"depth":2,"input":"10","seq":3,"shots":5,"counts":{"00":4,"01":false}}',
+             "count value must be a 64-bit integer, got False"),
+            ('{"depth":%d,"input":"10","seq":3,"shots":5,"counts":{"00":5}}' % (1 << 63),
+             f"depth must be a 64-bit integer, got {1 << 63}"),
+        ],
+    )
+    def test_json_values_must_be_integers(self, tmp_path, line, message):
+        with pytest.raises(ValueError) as info:
+            read_lines(tmp_path, GOOD_LINE, line)
+        assert str(info.value).endswith(f"data.jsonl:2: malformed dataset record: {message}")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (bad_line('{"00":3,"00":2}'), "repeated key '00' in counts"),
+            (bad_line('{"00":5}')[:-1] + ',"seq":4}', "repeated key 'seq' in a record"),
+        ],
+    )
+    def test_repeated_keys_are_rejected(self, tmp_path, line, message):
+        with pytest.raises(ValueError) as info:
+            read_lines(tmp_path, GOOD_LINE, line)
+        assert str(info.value).endswith(f"data.jsonl:2: malformed dataset record: {message}")
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        sums_wrong = bad_line('{"00":4}')
+        later = GOOD_LINE.replace('"seq":0', '"seq":1')
+        with pytest.raises(ValueError, match=r"data\.jsonl:2: .*counts sum to 4"):
+            read_lines(tmp_path, GOOD_LINE, sums_wrong, later, "{broken")
+        with pytest.raises(ValueError, match=r"data\.jsonl:2: .*Expecting"):
+            read_lines(tmp_path, GOOD_LINE, "{broken", later, sums_wrong)
+        with pytest.raises(ValueError, match=r"data\.jsonl:3: .*negative count"):
+            read_lines(tmp_path, "# header", GOOD_LINE, bad_line('{"00":-1,"01":6}'),
+                       bad_line('{"00":3,"00":2}'))
+
     def test_lines_match_the_one_record_formatter(self, tmp_path):
         gt = simulator.iid_bitflip(3, 0.05, readout=0.03)
         ds = simulator.generate_dataset(
@@ -261,7 +390,7 @@ class TestCodecEdgeCases:
         ds.write_jsonl(path, header="h")
         lines = path.read_text().splitlines()
         assert lines[0] == "# h"
-        assert lines[1:] == [records.record_to_json(record, 3) for record in ds.records]
+        assert lines[1:] == [record_to_json(record, 3) for record in ds.records]
 
     def test_columnar_pipeline_builds_no_counts_records(self, tmp_path, monkeypatch):
         built = []
