@@ -12,14 +12,21 @@ vectors in O(n * 2**n):
     coefficient, raised to the m-th power for depth m;
   * ``spam``: the per-coefficient SPAM attenuation, entry 0 fixed at 1.
 
-Dense matrices are only materialized on demand for inspection and for the
-mitigation system; predictions always go through the spectral route.
+A NoiseModel stores these per characterized input as rows of ``(inputs,
+2**n)`` arrays, and predictions batch over inputs: one spectral
+prediction gives a row per input, each equal to its one-input result, and
+builds all 2**n columns of a mitigation matrix at once. Dense matrices are
+only materialized on demand for inspection and for the mitigation system;
+predictions always go through the spectral route.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -166,70 +173,134 @@ class InputChannel:
         return eigenvalues_from_rates(self.rates)
 
 
-@dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Per-input-state channel parameters for an n-qubit device.
+    """Per-input-state channel parameters for an n-qubit device, held as arrays.
 
-    channels maps basis input index -> InputChannel. A model need not
-    cover all 2**n inputs; operations that require full coverage
-    (averaging, mitigation matrices) raise CoverageError when it is
-    missing.
+    ``inputs`` holds the k characterized basis inputs in increasing order;
+    row r of the read-only ``(k, 2**n)`` arrays ``rates`` and ``spam``
+    belongs to ``inputs[r]``. A model need not cover all 2**n inputs;
+    operations that require full coverage (averaging, mitigation
+    matrices) raise CoverageError when it is missing.
+
+    ``NoiseModel(n, channels)`` builds one from a mapping of basis input
+    index -> InputChannel and ``NoiseModel.from_arrays`` from arrays; both
+    go through the same checks. ``channels`` reads the rows back as a
+    read-only mapping of InputChannels, built on first use.
     """
 
-    n: int
-    channels: dict[int, InputChannel]
+    def __init__(self, n: int, channels):
+        channels = dict(channels)
+        if 1 <= n <= MAX_QUBITS:
+            for index, channel in channels.items():
+                if channel.rates.size != 1 << n:
+                    raise ValueError(
+                        f"channel for input {index} has length {channel.rates.size}, "
+                        f"expected {1 << n}"
+                    )
+        order = sorted(channels)
+        self._store(
+            n,
+            order,
+            [channels[index].rates for index in order],
+            [channels[index].spam for index in order],
+        )
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        if not self.channels:
+    @classmethod
+    def from_arrays(cls, n: int, inputs, rates, spam) -> "NoiseModel":
+        """A model from increasing basis input indices and ``(k, 2**n)``
+        rates and spam arrays, row r belonging to ``inputs[r]``. The arrays
+        are copied."""
+        model = cls.__new__(cls)
+        model._store(n, inputs, rates, spam)
+        return model
+
+    def _store(self, n, inputs, rates, spam) -> None:
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        inputs = np.array(inputs, dtype=np.int64).reshape(-1)
+        if not inputs.size:
             raise ValueError("model has no input-state channels")
-        object.__setattr__(self, "channels", dict(self.channels))
-        size = 1 << self.n
-        for index, channel in self.channels.items():
-            if not 0 <= index < size:
-                raise ValueError(f"input index {index} out of range for n={self.n}")
-            if channel.rates.size != size:
+        size = 1 << n
+        outside = (inputs < 0) | (inputs >= size)
+        if outside.any():
+            raise ValueError(f"input index {inputs[outside][0]} out of range for n={n}")
+        if np.any(inputs[1:] <= inputs[:-1]):
+            raise ValueError("model inputs must be increasing")
+        rates = np.array(require_prob_dist(rates), dtype=float)
+        spam = np.array(spam, dtype=float)
+        for name, arr in (("rates", rates), ("spam", spam)):
+            if arr.shape != (inputs.size, size):
                 raise ValueError(
-                    f"channel for input {index} has length {channel.rates.size}, "
-                    f"expected {size}"
+                    f"{name} shape {arr.shape} does not match {inputs.size} inputs "
+                    f"of length {size}"
                 )
+        if not np.all(np.isfinite(spam)):
+            raise ValueError("vector entries must be finite")
+        head = np.abs(spam[:, 0] - 1.0) > SPAM_HEAD_TOL
+        if head.any():
+            raise ValueError(f"spam[0] must be 1, got {spam[head][0, 0]!r}")
+        spam[:, 0] = 1.0
+        for arr in (inputs, rates, spam):
+            arr.flags.writeable = False
+        self.n, self.inputs, self.rates, self.spam = n, inputs, rates, spam
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
-    def channel(self, input_index: int) -> InputChannel:
-        try:
-            return self.channels[input_index]
-        except KeyError:
+    @functools.cached_property
+    def channels(self) -> Mapping[int, InputChannel]:
+        return MappingProxyType(
+            {
+                index: InputChannel(rates=rates, spam=spam)
+                for index, rates, spam in zip(self.inputs.tolist(), self.rates, self.spam)
+            }
+        )
+
+    def _rows(self, input_indices) -> np.ndarray:
+        """Row positions of the given inputs; CoverageError names the first
+        one the model has no channel for."""
+        wanted = np.asarray(input_indices, dtype=np.int64).reshape(-1)
+        found = np.minimum(np.searchsorted(self.inputs, wanted), self.inputs.size - 1)
+        missing = self.inputs[found] != wanted
+        if missing.any():
+            index = int(wanted[missing][0])
             raise CoverageError(
-                f"model has no channel for input state {input_index} "
-                f"({format(input_index, f'0{self.n}b')})"
-            ) from None
+                f"model has no channel for input state {index} "
+                f"({format(index, f'0{self.n}b')})"
+            )
+        return found
+
+    def channel(self, input_index: int) -> InputChannel:
+        row = self._rows([input_index])[0]
+        return InputChannel(rates=self.rates[row], spam=self.spam[row])
 
     def input_indices(self) -> list[int]:
-        return sorted(self.channels)
+        return self.inputs.tolist()
 
 
-def predict_distribution(model: NoiseModel, depth: int, input_index: int) -> np.ndarray:
+def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarray:
     """Predicted outcome distribution after depth gate layers on one input.
 
     Spectrally: project(W^-1 (spam * eigenvalues**depth * W e_in)). The
     projection only acts when fitted SPAM values push entries slightly
-    negative; for exact models it is the identity.
+    negative; for exact models it is the identity. A sequence of input
+    indices gives one row per input, each equal to its one-input result.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    channel = model.channel(input_index)
-    return _predict(channel.spam, channel.eigenvalues, depth, input_index, model.size)
+    rows = model._rows(input_index)
+    predicted = _predict(
+        model.spam[rows], eigenvalues_from_rates(model.rates[rows]), depth, model.inputs[rows]
+    )
+    return predicted[0] if np.ndim(input_index) == 0 else predicted
 
 
-def _predict(spam, eigenvalues, depth: int, input_index: int, size: int) -> np.ndarray:
-    if not 0 <= input_index < size:
-        raise ValueError(f"input index {input_index} out of range for size {size}")
-    indicator = np.zeros(size)
-    indicator[input_index] = 1.0
+def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
+    """One predicted distribution per input: spam is ``(inputs, 2**n)``,
+    eigenvalues the same or one spectrum shared by every input."""
+    indicator = np.zeros(spam.shape)
+    indicator[np.arange(len(inputs)), inputs] = 1.0
     spectrum = spam * eigenvalues**depth * fwht(indicator)
     return simplex_project(fwht_inverse(spectrum))
 
@@ -252,26 +323,18 @@ def mitigation_matrix(
 ) -> MitigationMatrix:
     """Build the depth-m mitigation system: column in = prediction for in.
 
-    Requires a channel for every input state. With use_average_rates the
-    gate error rates are pooled across inputs (one shared spectrum) while
-    SPAM stays input-specific. The 1-norm condition number is recorded so
-    callers can flag ill-conditioned inversions.
+    Requires a channel for every input state; all columns come from one
+    batched spectral prediction. With use_average_rates the gate error
+    rates are pooled across inputs (one shared spectrum) while SPAM stays
+    input-specific. The 1-norm condition number is recorded so callers
+    can flag ill-conditioned inversions.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    size = model.size
-    missing = [i for i in range(size) if i not in model.channels]
-    if missing:
-        raise CoverageError(
-            f"mitigation matrix needs all {size} input states; missing "
-            + format_missing(missing, lambda i: format(i, f"0{model.n}b"))
-        )
-    shared = eigenvalues_from_rates(average_error_rates(model)) if use_average_rates else None
-    columns = np.empty((size, size))
-    for index in range(size):
-        channel = model.channels[index]
-        eigenvalues = shared if shared is not None else channel.eigenvalues
-        columns[:, index] = _predict(channel.spam, eigenvalues, depth, index, size)
+    _require_all_inputs(model, f"mitigation matrix needs all {model.size} input states")
+    rates = average_error_rates(model) if use_average_rates else model.rates
+    predicted = _predict(model.spam, eigenvalues_from_rates(rates), depth, model.inputs)
+    columns = np.ascontiguousarray(predicted.T)
     try:
         condition = float(np.linalg.cond(columns, 1))
     except np.linalg.LinAlgError:
@@ -285,25 +348,23 @@ def average_error_rates(model: NoiseModel) -> np.ndarray:
     Each per-input rate vector already lives in the input-0 flip frame
     (estimation aligns them), so a plain arithmetic mean is correct.
     """
-    size = model.size
-    missing = [i for i in range(size) if i not in model.channels]
+    _require_all_inputs(model, f"average over input states needs all {model.size}")
+    return model.rates.mean(axis=0)
+
+
+def _require_all_inputs(model: NoiseModel, what: str) -> None:
+    """CoverageError naming the basis inputs the model has no channel for."""
+    missing = np.setdiff1d(np.arange(model.size), model.inputs).tolist()
     if missing:
-        raise CoverageError(
-            f"average over input states needs all {size}; missing "
-            + format_missing(missing, lambda i: format(i, f"0{model.n}b"))
-        )
-    stacked = np.stack([model.channels[i].rates for i in range(size)])
-    return stacked.mean(axis=0)
+        shown = format_missing(missing, lambda i: format(i, f"0{model.n}b"))
+        raise CoverageError(f"{what}; missing {shown}")
 
 
 def model_to_json(model: NoiseModel) -> dict:
     """JSON form: {"n": n, "inputs": {"<index>": {"p": [...], "A": [...]}}}."""
     inputs = {
-        str(index): {
-            "p": [float(x) for x in channel.rates],
-            "A": [float(x) for x in channel.spam],
-        }
-        for index, channel in sorted(model.channels.items())
+        str(index): {"p": rates.tolist(), "A": spam.tolist()}
+        for index, rates, spam in zip(model.inputs.tolist(), model.rates, model.spam)
     }
     return {"n": model.n, "inputs": inputs}
 

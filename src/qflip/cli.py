@@ -21,7 +21,6 @@ import numpy as np
 from .channel import model_from_json, predict_distribution, write_model
 from .errors import ConfigError, CoverageError, NumericError
 from .estimation import (
-    aggregate,
     estimate_model,
     rb_fit,
     rb_series_from_dataset,
@@ -266,6 +265,15 @@ def _read_json(path, what: str) -> dict:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read_model(path):
+    """(payload, NoiseModel) of a model file; a bad payload names the file."""
+    payload = _read_json(path, "model file")
+    try:
+        return payload, model_from_json(payload)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as handle:
         json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
@@ -340,12 +348,16 @@ def _load_profile(s: Settings, dataset_path):
         path = os.path.join(os.path.dirname(os.path.abspath(dataset_path)), "profile.json")
         if not os.path.exists(path):
             return None, None
-    return ground_truth_from_profile(_read_json(path, "profile"))
+    payload = _read_json(path, "profile")
+    try:
+        return ground_truth_from_profile(payload)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _print_truth_distance(model, fits, gt) -> None:
-    for index in sorted(fits):
-        gap = float(np.abs(model.channel(index).rates - gt.rates_for(index)).sum())
+def _print_truth_distance(model, gt) -> None:
+    for index, rates in zip(model.input_indices(), model.rates):
+        gap = float(np.abs(rates - gt.rates_for(index)).sum())
         bits = index_to_bits(index, model.n)
         print(f"L1(p_hat, p_true) input {bits}: {gap:.6f}")
 
@@ -368,7 +380,7 @@ def _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=
         )
     print(f"wrote model to {model_path} (train depths {train[0]}..{train[-1]})")
     if gt is not None:
-        _print_truth_distance(model, fits, gt)
+        _print_truth_distance(model, gt)
     return model, fits
 
 
@@ -403,19 +415,14 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
         writer = csv.writer(handle)
         writer.writerow(["depth", "input", "jsd", *labels])
         for depth in depths:
-            for index in inputs:
-                predicted = predict_distribution(model, depth, index)
-                score = ""
-                if dataset is not None:
-                    observed = aggregate(dataset, depth, index).distribution
-                    score = f"{jsd(observed, predicted):.12g}"
+            predicted = predict_distribution(model, depth, inputs)
+            scores = [""] * len(inputs)
+            if dataset is not None:
+                observed = dataset.cell_means([depth], inputs)[:, 0]
+                scores = [f"{score:.12g}" for score in jsd(observed, predicted)]
+            for index, score, row in zip(inputs, scores, predicted):
                 writer.writerow(
-                    [
-                        depth,
-                        index_to_bits(index, model.n),
-                        score,
-                        *(f"{v:.12g}" for v in predicted),
-                    ]
+                    [depth, labels[index], score, *(f"{v:.12g}" for v in row)]
                 )
     print(f"wrote predictions to {path}")
 
@@ -488,8 +495,7 @@ def cmd_characterize(s: Settings) -> int:
 
 
 def cmd_predict(s: Settings) -> int:
-    payload = _read_json(s.require("model"), "model file")
-    model = model_from_json(payload)
+    payload, model = _read_model(s.require("model"))
     depths = parse_depths(s.require("depths"))
     inputs_text = s.raw("inputs")
     if inputs_text is not None:
@@ -510,8 +516,7 @@ def cmd_predict(s: Settings) -> int:
 
 
 def cmd_mitigate(s: Settings) -> int:
-    payload = _read_json(s.require("model"), "model file")
-    model = model_from_json(payload)
+    payload, model = _read_model(s.require("model"))
     dataset = _read_dataset(s.require("dataset"), model)
     test_text = s.raw("test")
     test = parse_depths(test_text) if test_text is not None else _positive_depths(dataset)

@@ -1,8 +1,9 @@
 """Noise-model estimation from identity-circuit shot counts.
 
-Pipeline per input state: average the per-circuit empirical distributions
-at each depth, xor-align to the input, Walsh-transform, fit each spectral
-coefficient to an exponential decay A * lambda**m by least squares in the
+Pipeline: average the per-circuit empirical distributions into one
+(inputs, depths, 2**n) table of cell means, xor-align each row to its input
+and Walsh-transform the whole table at once, fit each input's spectral
+coefficients to exponential decays A * lambda**m by least squares in the
 log domain, then map the fitted eigenvalues back to flip-pattern rates and
 project onto the simplex. A randomized-benchmarking style scalar fit of
 the survival probability is included as a baseline.
@@ -16,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    InputChannel,
     NoiseModel,
     predict_distribution,
     rates_from_eigenvalues,
 )
-from .errors import CoverageError
+from .errors import CoverageError, format_missing
 from .records import Dataset
-from .transforms import fwht, xor_permute
+from .transforms import fwht
 
 __all__ = [
     "DepthAverage",
@@ -72,14 +72,11 @@ class DepthAverage:
 
 def aggregate(dataset: Dataset, depth: int, input_index: int) -> DepthAverage:
     """Average the normalized counts of every record at (depth, input)."""
-    rows = dataset.distributions(depth, input_index)
-    # an axis-0 sum adds the rows one at a time in sequence order; the golden
-    # artifact hashes depend on that order
     return DepthAverage(
         depth=depth,
         input_index=input_index,
-        distribution=rows.sum(axis=0) / len(rows),
-        circuits_used=len(rows),
+        distribution=dataset.cell_means([depth], [input_index])[0, 0],
+        circuits_used=dataset.circuits(depth, input_index),
     )
 
 
@@ -88,9 +85,21 @@ def spectralize(avg: DepthAverage) -> np.ndarray:
 
     Entry 0 is pinned to 1 (total mass of a distribution).
     """
-    spectrum = fwht(xor_permute(avg.distribution, avg.input_index))
-    spectrum[0] = 1.0
-    return spectrum
+    return _aligned_spectra(avg.distribution[None, None], [avg.input_index])[0, 0]
+
+
+def _aligned_spectra(means: np.ndarray, inputs) -> np.ndarray:
+    """Spectra of an ``(inputs, depths, 2**n)`` table of distributions,
+    each xor-aligned to its input; entry 0 of every spectrum is 1."""
+    size = means.shape[-1]
+    inputs = np.asarray(inputs, dtype=np.int64)
+    outside = (inputs < 0) | (inputs >= size)
+    if outside.any():
+        raise ValueError(f"basis index {inputs[outside][0]} out of range for size {size}")
+    aligned = np.take_along_axis(means, (np.arange(size) ^ inputs[:, None])[:, None], axis=-1)
+    spectra = fwht(aligned)
+    spectra[..., 0] = 1.0
+    return spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,45 +112,63 @@ class FitResult:
     residual: np.ndarray
 
 
-def fit_decay(series: dict, train_depths=None) -> FitResult:
-    """Fit spam * eigenvalue**m to each spectral coefficient.
+def fit_decay(spectra, depths) -> FitResult:
+    """Fit spam * eigenvalue**m to each column of a spectrum table.
 
-    series maps depth -> spectrum vector. Per coefficient, depths whose
-    value exceeds FIT_FLOOR enter an ordinary least squares of log(value)
-    on depth; the eigenvalue is clamped to [FIT_FLOOR, 1]. Coefficients
-    with fewer than two usable points get eigenvalue FIT_FLOOR and spam
-    equal to the first usable value (0 if none); points_used flags them.
+    Row j of the ``(depths, 2**n)`` table is the spectrum at depths[j].
+    Per coefficient, depths whose value exceeds FIT_FLOOR enter an
+    ordinary least squares of log(value) on depth, solved as np.polyfit
+    solves a line: the same scaled Vandermonde matrix and rcond, built once
+    per set of usable depths, and one np.linalg.lstsq call per
+    coefficient, so each result is polyfit's bit for bit. The eigenvalue
+    is clamped to [FIT_FLOOR, 1]. Coefficients with fewer than two usable
+    points get eigenvalue FIT_FLOOR and spam equal to the first usable
+    value (0 if none); points_used flags them.
     """
-    depths = sorted(series) if train_depths is None else sorted(set(train_depths))
-    if len(depths) < 2:
-        raise ValueError(f"need at least 2 training depths, got {len(depths)}")
-    missing = [m for m in depths if m not in series]
-    if missing:
-        raise CoverageError(f"series has no spectrum at depths {missing}")
-    table = np.stack([np.asarray(series[m], dtype=float) for m in depths])
-    depth_arr = np.array(depths, dtype=float)
+    table = np.asarray(spectra, dtype=float)
+    depth_arr = np.asarray(depths, dtype=float)
+    if depth_arr.ndim != 1 or len(depth_arr) < 2:
+        raise ValueError(f"need at least 2 training depths, got {depth_arr.size}")
+    if table.ndim != 2 or len(table) != len(depth_arr):
+        raise ValueError(
+            f"spectrum table shape {table.shape} does not match {len(depth_arr)} depths"
+        )
     size = table.shape[1]
+    usable = table > FIT_FLOOR
+    used = usable.sum(axis=0)
+    logs = np.log(np.where(usable, table, 1.0))
 
     spam = np.ones(size)
     eigenvalues = np.ones(size)
-    points_used = np.full(size, len(depths))
+    points_used = used.copy()
+    points_used[0] = len(depth_arr)
     residual = np.zeros(size)
-    for i in range(1, size):
-        values = table[:, i]
-        usable = values > FIT_FLOOR
-        used = int(usable.sum())
-        points_used[i] = used
-        if used < 2:
-            eigenvalues[i] = FIT_FLOOR
-            spam[i] = float(values[usable][0]) if used else 0.0
-            residual[i] = np.nan
-            continue
-        logs = np.log(values[usable])
-        slope, intercept = np.polyfit(depth_arr[usable], logs, 1)
-        eigenvalues[i] = min(max(np.exp(slope), FIT_FLOOR), 1.0)
-        spam[i] = np.exp(intercept)
-        fitted = intercept + slope * depth_arr[usable]
-        residual[i] = float(np.sqrt(np.mean((logs - fitted) ** 2)))
+
+    few = np.flatnonzero(used[1:] < 2) + 1
+    first = table[np.argmax(usable[:, few], axis=0), few]
+    eigenvalues[few] = FIT_FLOOR
+    spam[few] = np.where(used[few] == 1, first, 0.0)
+    residual[few] = np.nan
+
+    # coefficients with the same usable depths share one design matrix
+    groups = {}
+    for column in np.flatnonzero(used[1:] >= 2) + 1:
+        groups.setdefault(usable[:, column].tobytes(), []).append(column)
+    for columns in groups.values():
+        mask = usable[:, columns[0]]
+        x = depth_arr[mask]
+        lhs = np.vander(x, 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        rcond = len(x) * np.finfo(float).eps
+        ys = np.ascontiguousarray(logs[mask][:, columns].T)
+        coefs = np.array([np.linalg.lstsq(lhs, y, rcond)[0] for y in ys]) / scale
+        slope, intercept = coefs.T
+        eigenvalues[columns] = np.clip(np.exp(slope), FIT_FLOOR, 1.0)
+        spam[columns] = np.exp(intercept)
+        # each row sums along its own contiguous axis, as np.mean does one series
+        errors = (ys - (intercept[:, None] + slope[:, None] * x)) ** 2
+        residual[columns] = np.sqrt(errors.sum(axis=1) / len(x))
     return FitResult(
         spam=spam, eigenvalues=eigenvalues, points_used=points_used, residual=residual
     )
@@ -149,15 +176,11 @@ def fit_decay(series: dict, train_depths=None) -> FitResult:
 
 def exact_averages(model: NoiseModel, depths, inputs) -> list[DepthAverage]:
     """Zero-shot-noise pseudo-data: the model's own exact predictions."""
+    inputs = list(inputs)
     return [
-        DepthAverage(
-            depth=depth,
-            input_index=index,
-            distribution=predict_distribution(model, depth, index),
-            circuits_used=1,
-        )
+        DepthAverage(depth=depth, input_index=index, distribution=row, circuits_used=1)
         for depth in depths
-        for index in inputs
+        for index, row in zip(inputs, predict_distribution(model, depth, inputs))
     ]
 
 
@@ -166,30 +189,27 @@ def estimate_model_from_averages(
 ):
     """Fit a NoiseModel from precomputed DepthAverages.
 
+    The averages are stacked into the ``(inputs, depths, 2**n)`` table that
+    estimate_model reads from a dataset and fit the same way; a later
+    average of a cell replaces an earlier one. train_depths defaults to
+    every depth supplied, and every input needs an average at each.
     Returns (model, diagnostics) where diagnostics maps input index ->
     FitResult. With use_average_rates every channel's rates are replaced
     by the mean over the fitted inputs (SPAM stays input-specific).
     """
-    by_input: dict[int, dict[int, np.ndarray]] = {}
-    for avg in averages:
-        by_input.setdefault(avg.input_index, {})[avg.depth] = spectralize(avg)
-    if not by_input:
+    cells = {(avg.input_index, avg.depth): avg.distribution for avg in averages}
+    if not cells:
         raise CoverageError("no averages supplied")
-    channels = {}
-    diagnostics = {}
-    for index, series in sorted(by_input.items()):
-        fit = fit_decay(series, train_depths)
-        diagnostics[index] = fit
-        channels[index] = InputChannel(
-            rates=rates_from_eigenvalues(fit.eigenvalues), spam=fit.spam
-        )
-    if use_average_rates:
-        pooled = np.mean([c.rates for c in channels.values()], axis=0)
-        channels = {
-            index: InputChannel(rates=pooled, spam=c.spam)
-            for index, c in channels.items()
-        }
-    return NoiseModel(n=n, channels=channels), diagnostics
+    inputs = sorted({index for index, _ in cells})
+    depths = sorted(
+        {depth for _, depth in cells} if train_depths is None else set(train_depths)
+    )
+    missing = [(m, index) for index in inputs for m in depths if (index, m) not in cells]
+    if missing:
+        shown = format_missing(missing, lambda cell: f"(m={cell[0]}, in={cell[1]:0{n}b})")
+        raise CoverageError(f"no averages for {shown}")
+    means = np.array([[cells[index, depth] for depth in depths] for index in inputs])
+    return _fit_model(n, inputs, depths, means, use_average_rates)
 
 
 def estimate_model(
@@ -198,7 +218,7 @@ def estimate_model(
     train_depths=None,
     use_average_rates: bool = False,
 ):
-    """Full pipeline: aggregate, spectralize, fit, back-transform.
+    """Full pipeline: cell means, spectra, fit, back-transform.
 
     inputs defaults to every input present in the dataset; train_depths
     to every depth present. Raises CoverageError naming each requested
@@ -208,11 +228,19 @@ def estimate_model(
     depths = dataset.depths() if train_depths is None else sorted(set(train_depths))
     if not inputs:
         raise CoverageError("dataset has no records")
-    dataset.require(depths, inputs)
-    averages = [aggregate(dataset, depth, index) for index in inputs for depth in depths]
-    return estimate_model_from_averages(
-        dataset.n, averages, train_depths=depths, use_average_rates=use_average_rates
-    )
+    means = dataset.cell_means(depths, inputs)
+    return _fit_model(dataset.n, inputs, depths, means, use_average_rates)
+
+
+def _fit_model(n, inputs, depths, means, use_average_rates):
+    """Fit every input's row of an ``(inputs, depths, 2**n)`` table of
+    averaged distributions; returns (model, diagnostics)."""
+    fits = [fit_decay(spectra, depths) for spectra in _aligned_spectra(means, inputs)]
+    rates = rates_from_eigenvalues(np.stack([fit.eigenvalues for fit in fits]))
+    if use_average_rates:
+        rates = np.broadcast_to(rates.mean(axis=0), rates.shape)
+    spam = np.stack([fit.spam for fit in fits])
+    return NoiseModel.from_arrays(n, inputs, rates, spam), dict(zip(inputs, fits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +257,8 @@ class RbResult:
 def rb_series_from_dataset(dataset: Dataset, input_index: int = 0, depths=None) -> dict:
     """Survival probability of the input bitstring at each depth."""
     depths = dataset.depths() if depths is None else sorted(set(depths))
-    return {
-        depth: float(aggregate(dataset, depth, input_index).distribution[input_index])
-        for depth in depths
-    }
+    means = dataset.cell_means(depths, [input_index])[0]
+    return {depth: float(row[input_index]) for depth, row in zip(depths, means)}
 
 
 def rb_fit(series: dict, n: int) -> RbResult:

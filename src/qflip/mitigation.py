@@ -17,7 +17,6 @@ import numpy as np
 
 from .channel import MitigationMatrix, NoiseModel, mitigation_matrix
 from .errors import CoverageError, NumericError
-from .estimation import aggregate
 from .records import Dataset, index_to_bits
 from .transforms import require_prob_dist, simplex_project
 
@@ -117,11 +116,7 @@ def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
     Column in = averaged prepare-and-measure distribution on input in;
     needs every basis input at depth 0.
     """
-    size = dataset.size
-    dataset.require([0], range(size))
-    columns = np.column_stack(
-        [aggregate(dataset, 0, index).distribution for index in range(size)]
-    )
+    columns = np.ascontiguousarray(dataset.cell_means([0], range(dataset.size))[:, 0].T)
     try:
         condition = float(np.linalg.cond(columns, 1))
     except np.linalg.LinAlgError:

@@ -291,17 +291,54 @@ class Dataset:
             )
             raise CoverageError(f"dataset is missing records for {shown}")
 
+    def circuits(self, depth: int, input_index: int) -> int:
+        """Number of records (circuits) in the (depth, input) cell."""
+        self.require([depth], [input_index])
+        return len(self._cells[(depth, input_index)])
+
     def distributions(self, depth: int, input_index: int) -> np.ndarray:
         """Normalized counts of the cell's circuits, one row per record."""
         self.require([depth], [input_index])
-        cell = self._cells[(depth, input_index)]
-        first = self._starts[cell]
-        lengths = self._starts[cell + 1] - first
+        return self._rows(self._cells[(depth, input_index)])
+
+    def cell_means(self, depths, inputs) -> np.ndarray:
+        """Mean normalized counts per cell as an ``(inputs, depths, 2**n)`` table.
+
+        Entry ``[i, j]`` adds the rows of ``distributions(depths[j],
+        inputs[i])`` one at a time in sequence-id order and divides by
+        their number. The table is filled one depth at a time from a dense
+        block of that depth's records, never from the whole dataset at once.
+        """
+        depths, inputs = [int(d) for d in depths], [int(i) for i in inputs]
+        if len(set(inputs)) < len(inputs):
+            raise ValueError("cell_means inputs repeat an index")
+        self.require(depths, inputs)
+        slot = np.full(self.size, -1)
+        slot[inputs] = np.arange(len(inputs))
+        # canonical order sorts by depth first, so a depth's records are
+        # contiguous, and within it by sequence id
+        starts = np.searchsorted(self.depth, depths, side="left")
+        ends = np.searchsorted(self.depth, depths, side="right")
+        means = np.empty((len(inputs), len(depths), self.size))
+        for j, (lo, hi) in enumerate(zip(starts, ends)):
+            cell = slot[self.input[lo:hi]]
+            kept = np.flatnonzero(cell >= 0)
+            sums = np.zeros((len(inputs), self.size))
+            np.add.at(sums, cell[kept], self._rows(kept + lo))
+            means[:, j] = sums / np.bincount(cell[kept], minlength=len(inputs))[:, None]
+        return means
+
+    def _rows(self, positions: np.ndarray) -> np.ndarray:
+        """Normalized counts of the records at positions, one dense row each."""
+        first = self._starts[positions]
+        lengths = self._starts[positions + 1] - first
         entries = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
         entries += np.arange(len(entries))
-        rows = np.zeros((len(cell), self.size))
-        rows[np.repeat(np.arange(len(cell)), lengths), self.outcome[entries]] = self.count[entries]
-        rows /= self.shots[cell].astype(float)[:, None]
+        rows = np.zeros((len(positions), self.size))
+        rows[np.repeat(np.arange(len(positions)), lengths), self.outcome[entries]] = (
+            self.count[entries]
+        )
+        rows /= self.shots[positions].astype(float)[:, None]
         return rows
 
     def write_jsonl(self, path, header: str | None = None) -> None:
@@ -336,12 +373,17 @@ class Dataset:
         # depth, input, seq and shots of each record, then its count entries
         rows, lengths, outcomes, counts, line_of = [], [], [], [], []
         fault = None
-        with open(path) as handle:
+        # bytes that are not UTF-8 are kept as surrogates, so that the line
+        # holding them can be named
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
+                    if not line.isascii():
+                        # raises the decoding error of the line's own bytes
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
                     pairs, end = _DECODE(line)
                     if end < len(line):
                         end = json.decoder.WHITESPACE.match(line, end).end()

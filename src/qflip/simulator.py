@@ -402,6 +402,8 @@ def ground_truth_from_profile(payload: dict):
         n = int(payload["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed profile: {exc}") from exc
+    if not isinstance(name, str):
+        raise ConfigError(f"malformed profile: preset must be a string, got {name!r}")
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("profile params must be an object")

@@ -259,3 +259,66 @@ def record_to_json(record, n: int) -> str:
         },
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def stacked_cell_means(dataset, depths, inputs) -> np.ndarray:
+    """(inputs, depths, 2**n) table of cell means, each an axis-0 sum of
+    the cell's rows divided by their count, one cell at a time."""
+    table = []
+    for index in inputs:
+        row = []
+        for depth in depths:
+            rows = dataset.distributions(depth, index)
+            row.append(rows.sum(axis=0) / len(rows))
+        table.append(row)
+    return np.array(table)
+
+
+def polyfit_decay(spectra, depths, floor=1e-6):
+    """Per-coefficient log-linear decay fit of a (depths, 2**n) table, one
+    np.polyfit call per coefficient; returns (spam, eigenvalues,
+    points_used, residual) with fit_decay's conventions."""
+    table = np.asarray(spectra, dtype=float)
+    depth_arr = np.asarray(depths, dtype=float)
+    size = table.shape[1]
+    spam = np.ones(size)
+    eigenvalues = np.ones(size)
+    points_used = np.full(size, len(depth_arr))
+    residual = np.zeros(size)
+    for i in range(1, size):
+        values = table[:, i]
+        usable = values > floor
+        used = int(usable.sum())
+        points_used[i] = used
+        if used < 2:
+            eigenvalues[i] = floor
+            spam[i] = float(values[usable][0]) if used else 0.0
+            residual[i] = np.nan
+            continue
+        logs = np.log(values[usable])
+        slope, intercept = np.polyfit(depth_arr[usable], logs, 1)
+        eigenvalues[i] = min(max(np.exp(slope), floor), 1.0)
+        spam[i] = np.exp(intercept)
+        fitted = intercept + slope * depth_arr[usable]
+        residual[i] = float(np.sqrt(np.mean((logs - fitted) ** 2)))
+    return spam, eigenvalues, points_used, residual
+
+
+def per_column_mitigation_matrix(model, depth, use_average_rates=False) -> np.ndarray:
+    """Mitigation matrix built one column (one input's prediction) at a
+    time, from the model's channels; the pooled spectrum averages their
+    rates in input order."""
+    from qflip.channel import eigenvalues_from_rates
+    from qflip.transforms import fwht, fwht_inverse, simplex_project
+
+    size = model.size
+    channels = [model.channels[index] for index in range(size)]
+    shared = eigenvalues_from_rates(np.stack([c.rates for c in channels]).mean(axis=0))
+    columns = np.empty((size, size))
+    for index, chan in enumerate(channels):
+        eigenvalues = shared if use_average_rates else chan.eigenvalues
+        indicator = np.zeros(size)
+        indicator[index] = 1.0
+        spectrum = chan.spam * eigenvalues**depth * fwht(indicator)
+        columns[:, index] = simplex_project(fwht_inverse(spectrum))
+    return columns

@@ -9,12 +9,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_gate_matrix,
     dense_power_apply,
     dense_spam_matrix,
     dense_wht_matrix,
+    per_column_mitigation_matrix,
 )
 from qflip import channel
 from qflip.errors import CoverageError
@@ -214,6 +217,61 @@ class TestModelTypes:
             model.channel(1)
 
 
+class TestModelArrays:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_from_arrays_matches_channels(self, n, seed):
+        rng = np.random.default_rng(seed)
+        size = 1 << n
+        inputs = sorted(rng.choice(size, size=rng.integers(1, size + 1), replace=False).tolist())
+        channels = {index: random_channel(rng, n) for index in reversed(inputs)}
+        by_channels = channel.NoiseModel(n, channels)
+        by_arrays = channel.NoiseModel.from_arrays(
+            n,
+            inputs,
+            np.stack([channels[i].rates for i in inputs]),
+            np.stack([channels[i].spam for i in inputs]),
+        )
+        for model in (by_channels, by_arrays):
+            assert model.input_indices() == inputs
+            for index, row in zip(inputs, range(len(inputs))):
+                assert model.rates[row].tobytes() == channels[index].rates.tobytes()
+                assert model.spam[row].tobytes() == channels[index].spam.tobytes()
+                assert model.channels[index].rates.tobytes() == channels[index].rates.tobytes()
+                assert model.channel(index).spam.tobytes() == channels[index].spam.tobytes()
+        assert channel.model_to_json(by_arrays) == channel.model_to_json(by_channels)
+        batch = channel.predict_distribution(by_arrays, 7, inputs)
+        assert batch.tobytes() == channel.predict_distribution(by_channels, 7, inputs).tobytes()
+        for index, row in zip(inputs, batch):
+            assert row.tobytes() == channel.predict_distribution(by_arrays, 7, index).tobytes()
+
+    def test_arrays_and_views_are_read_only(self):
+        model = random_model(np.random.default_rng(3), 2)
+        for arr in (model.inputs, model.rates, model.spam):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(TypeError):
+            model.channels[0] = model.channel(1)
+
+    def test_from_arrays_validation(self):
+        rates = np.array([[0.9, 0.1], [0.8, 0.2]])
+        spam = np.array([[1.0, 0.9], [1.0, 0.8]])
+        with pytest.raises(ValueError, match="increasing"):
+            channel.NoiseModel.from_arrays(1, [1, 0], rates, spam)
+        with pytest.raises(ValueError, match="out of range"):
+            channel.NoiseModel.from_arrays(1, [0, 2], rates, spam)
+        with pytest.raises(ValueError, match="shape"):
+            channel.NoiseModel.from_arrays(1, [0], rates, spam)
+        with pytest.raises(ValueError, match="spam"):
+            channel.NoiseModel.from_arrays(1, [0, 1], rates, spam * 0.5)
+        with pytest.raises(ValueError, match="no input-state"):
+            channel.NoiseModel.from_arrays(1, [], np.empty((0, 2)), np.empty((0, 2)))
+        with pytest.raises(CoverageError, match="input state 1 "):
+            channel.predict_distribution(
+                channel.NoiseModel.from_arrays(1, [0], rates[:1], spam[:1]), 2, [0, 1]
+            )
+
+
 class TestPredict:
     def test_single_layer_recovers_rates(self):
         rng = np.random.default_rng(21)
@@ -323,6 +381,34 @@ class TestMitigationMatrix:
         default = channel.mitigation_matrix(model, 9)
         pooled = channel.mitigation_matrix(model, 9, use_average_rates=True)
         np.testing.assert_allclose(default.matrix, pooled.matrix, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        depth=st.integers(0, 40),
+        pooled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_per_column_predictions(self, n, depth, pooled, seed):
+        model = random_model(np.random.default_rng(seed), n)
+        built = channel.mitigation_matrix(model, depth, use_average_rates=pooled)
+        oracle = per_column_mitigation_matrix(model, depth, use_average_rates=pooled)
+        assert built.matrix.flags.c_contiguous
+        assert built.matrix.tobytes() == oracle.tobytes()
+
+    def test_one_batched_prediction_per_call(self, monkeypatch):
+        model = random_model(np.random.default_rng(37), 4)
+        predict = channel._predict
+        calls = []
+
+        def counting_predict(*args):
+            calls.append(args)
+            return predict(*args)
+
+        monkeypatch.setattr(channel, "_predict", counting_predict)
+        channel.mitigation_matrix(model, 3)
+        channel.mitigation_matrix(model, 3, use_average_rates=True)
+        assert [len(args[3]) for args in calls] == [16, 16]
 
     def test_missing_input_raises(self):
         chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 1.0])

@@ -293,6 +293,33 @@ class TestCharacterize:
         assert code == 2
         assert "profile not found" in capsys.readouterr().err
 
+    def test_not_utf8_dataset_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "dataset.jsonl"
+        path.write_bytes(b"\xff\xfe")
+        code = run("characterize", "--dataset", path, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: malformed dataset record: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"preset": "nope"}', "'n'"),
+            ('{"preset": [1], "n": 2}', "preset must be a string, got [1]"),
+        ],
+    )
+    def test_malformed_profile_payload_names_its_file(
+        self, run_dir, tmp_path, capsys, payload, message
+    ):
+        profile = tmp_path / "p.json"
+        profile.write_text(payload)
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {profile}: malformed profile: {message}\n"
+
     def test_broken_sibling_profile_names_its_file(self, run_dir, tmp_path, capsys):
         # the profile next to the dataset is read without being asked for
         (tmp_path / "dataset.jsonl").write_bytes((run_dir / "dataset.jsonl").read_bytes())
@@ -345,6 +372,15 @@ class TestPredict:
         code = run("predict", "--model", model, "--depths", "1", "--out", tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
+
+    def test_malformed_model_payload_names_its_file(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text('{"n": 2}')
+        code = run("predict", "--model", model, "--depths", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: malformed model payload: 'inputs'\n"
+        )
 
 
 class TestMitigate:

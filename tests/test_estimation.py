@@ -7,11 +7,25 @@ zero-noise pseudo-data and demand near machine-precision round trips.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import curve_fit_rb, dense_wht_matrix, rb_rss, xor_permutation_matrix
+from oracles import (
+    curve_fit_rb,
+    dense_wht_matrix,
+    polyfit_decay,
+    rb_rss,
+    xor_permutation_matrix,
+)
 from qflip import channel, estimation, simulator
 from qflip.errors import CoverageError
 from qflip.records import CountsRecord, Dataset
+
+
+def fit_series(series, train_depths=None):
+    """fit_decay on the rows of a depth -> spectrum mapping, in depth order."""
+    depths = sorted(series) if train_depths is None else sorted(set(train_depths))
+    return estimation.fit_decay(np.stack([series[m] for m in depths]), depths)
 
 
 def make_record(depth, input_index, counts, sequence_id=0):
@@ -108,7 +122,7 @@ class TestFitDecay:
         spams = np.array([1.0, 0.95, 0.9, 0.85])
         eigs = np.array([1.0, 0.99, 0.97, 0.9])
         series = {m: spams * eigs**m for m in range(1, 51)}
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         np.testing.assert_allclose(fit.spam, spams, atol=1e-6)
         np.testing.assert_allclose(fit.eigenvalues, eigs, atol=1e-6)
         assert np.all(fit.residual[1:] < 1e-9)
@@ -116,13 +130,13 @@ class TestFitDecay:
 
     def test_constant_series_gives_unit_eigenvalue(self):
         series = {m: np.array([1.0, 0.9]) for m in (1, 5, 9)}
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         assert fit.eigenvalues[1] == 1.0
         assert fit.spam[1] == pytest.approx(0.9, abs=1e-12)
 
     def test_coefficient_zero_is_pinned(self):
         series = {m: np.array([0.7, 0.5**m]) for m in range(1, 6)}
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         assert fit.spam[0] == 1.0
         assert fit.eigenvalues[0] == 1.0
 
@@ -135,7 +149,7 @@ class TestFitDecay:
             clean = 0.5**m
             value = clean if clean > 1e-6 else rng.normal(0.0, 1e-7)
             series[m] = np.array([1.0, value])
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         assert fit.eigenvalues[1] == pytest.approx(0.5, abs=1e-9)
         assert fit.points_used[1] < 40
 
@@ -145,7 +159,7 @@ class TestFitDecay:
             2: np.array([1.0, -1e-9, 0.0]),
             3: np.array([1.0, 0.0, -0.1]),
         }
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         # one usable point: eigenvalue floored, spam keeps the value
         assert fit.eigenvalues[1] == estimation.FIT_FLOOR
         assert fit.spam[1] == pytest.approx(0.3)
@@ -158,13 +172,13 @@ class TestFitDecay:
 
     def test_growing_series_clamps_to_one(self):
         series = {m: np.array([1.0, 0.5 * 1.1**m]) for m in range(1, 11)}
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         assert fit.eigenvalues[1] == 1.0
 
     def test_fast_decay_clamps_to_floor(self):
         series = {m: np.array([1.0, np.exp(-16.0 * m)]) for m in (1, 2)}
         # values at m=1,2 are below the mask floor already? exp(-16) ~ 1e-7
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         assert fit.eigenvalues[1] == estimation.FIT_FLOOR
 
     def test_training_depth_selection(self):
@@ -174,16 +188,75 @@ class TestFitDecay:
         # corrupt the depths outside the training set
         series[15] = np.array([1.0, 0.0])
         series[16] = np.array([1.0, 0.0])
-        fit = estimation.fit_decay(series, train_depths=range(1, 11))
+        fit = fit_series(series, train_depths=range(1, 11))
         np.testing.assert_allclose(fit.eigenvalues[1], 0.95, atol=1e-9)
         assert fit.points_used[0] == 10
 
     def test_argument_validation(self):
-        series = {1: np.array([1.0, 0.5])}
-        with pytest.raises(ValueError):
-            estimation.fit_decay(series)
+        with pytest.raises(ValueError, match="at least 2"):
+            estimation.fit_decay(np.array([[1.0, 0.5]]), [1])
+        with pytest.raises(ValueError, match="does not match"):
+            estimation.fit_decay(np.ones((2, 2)), [1, 2, 3])
+        averages = [
+            estimation.DepthAverage(
+                depth=1, input_index=0, distribution=np.array([0.75, 0.25]), circuits_used=1
+            )
+        ]
         with pytest.raises(CoverageError):
-            estimation.fit_decay(series, train_depths=[1, 2])
+            estimation.estimate_model_from_averages(1, averages, train_depths=[1, 2])
+
+
+def noisy_decay_table(rng, n, depths):
+    """Spectra spam * eig**m plus noise, with coefficients that keep no,
+    one, or a gapped subset of usable points."""
+    size = 1 << n
+    spams = rng.uniform(0.3, 1.2, size)
+    eigs = rng.uniform(0.5, 1.0, size)
+    table = spams * eigs ** depths[:, None] + rng.normal(0.0, 0.01, (len(depths), size))
+    kind = rng.integers(0, 4, size)
+    table[:, kind == 0] = -rng.uniform(0.0, 1e-3, (len(depths), int(np.sum(kind == 0))))
+    for column in np.flatnonzero(kind == 1):
+        table[:, column] = 0.0
+        table[rng.integers(len(depths)), column] = 0.5
+    gaps = (kind == 2)[None, :] & (rng.random(table.shape) < 0.4)
+    table[gaps] = estimation.FIT_FLOOR
+    table[:, 0] = 1.0
+    return table
+
+
+class TestFitDecayOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_polyfit_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        depths = np.sort(rng.choice(60, size=rng.integers(2, 31), replace=False))
+        table = noisy_decay_table(rng, n, depths)
+        fit = estimation.fit_decay(table, depths)
+        got = (fit.spam, fit.eigenvalues, fit.points_used, fit.residual)
+        for mine, oracle in zip(got, polyfit_decay(table, depths)):
+            assert mine.dtype == oracle.dtype
+            assert mine.tobytes() == oracle.tobytes()
+
+    def test_one_lstsq_per_fitted_coefficient(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        depths = np.arange(1, 21)
+        table = noisy_decay_table(rng, 5, depths)
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        def no_polyfit(*args, **kwargs):
+            raise AssertionError("np.polyfit called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(np, "polyfit", no_polyfit)
+        fit = estimation.fit_decay(table, depths)
+        fitted = int(np.sum(fit.points_used[1:] >= 2))
+        assert 0 < fitted < 31
+        assert len(calls) == fitted
 
 
 class TestEstimateModel:
@@ -381,7 +454,7 @@ class TestRb:
 class TestDiagnosticsCsv:
     def test_format(self, tmp_path):
         series = {m: np.array([1.0, 0.9 * 0.95**m]) for m in range(1, 11)}
-        fit = estimation.fit_decay(series)
+        fit = fit_series(series)
         path = tmp_path / "diag.csv"
         estimation.write_diagnostics(path, fit)
         lines = path.read_text().strip().splitlines()

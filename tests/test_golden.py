@@ -1,4 +1,5 @@
-"""Golden sha256 pins for the artifacts of two small fixed run-all configs.
+"""Golden sha256 pins for the artifacts of small fixed pipelines: two
+run-all configs and one staged simulate, characterize, predict chain.
 
 The bytes of these artifacts are part of the package's contract: a
 refactor of grouping, sampling or scoring must leave them unchanged. When
@@ -89,3 +90,50 @@ def test_artifact_bytes_are_pinned(run_dir, name):
 @pytest.mark.parametrize("name", sorted(PINS_N4))
 def test_n4_artifact_bytes_are_pinned(run_dir_n4, name):
     assert sha256(run_dir_n4 / name) == PINS_N4[name]
+
+
+# the staged path: simulate, characterize three of the inputs, then predict
+# two of them without a dataset, so the model covers only some inputs and
+# the score column stays empty
+STAGED_N3 = [
+    [
+        "simulate",
+        "--preset", "iid_bitflip:0.02",
+        "--n", "3",
+        "--K", "3",
+        "--shots", "64",
+        "--seed", "7",
+        "--readout", "0.03",
+        "--depths", "1..6",
+        "--inputs", "0,3,5,6",
+    ],
+    [
+        "characterize",
+        "--dataset", "{out}/dataset.jsonl",
+        "--inputs", "0,3,5",
+        "--train", "1..6",
+    ],
+    ["predict", "--model", "{out}/model.json", "--depths", "2,9", "--inputs", "0,5"],
+]
+
+PINS_STAGED_N3 = {
+    "dataset.jsonl": "7ff0fd0a33bf50153697aef96566905b55cf4913428b5d44654365a5378a6df2",
+    "model.json": "ce74d72922fa17d00a532f36ddca8ce66142269bb0f5ff69edb3c589a38d054e",
+    "predictions.csv": "970a0f7ed881af5a915c07418d5c2eb21852e0392268de8563f9f85f02e17b16",
+    "diagnostics_000.csv": "72534000bfb7854bfb16d080374e42571fc87d6164466593b0e4031e1a527a6b",
+    "diagnostics_011.csv": "eeb3e8bf948d21217b7c44d82f48bea5bdfabd620fa34d2ac06232d0c27ad396",
+    "diagnostics_101.csv": "0b6b8a2d88e792b01b05409ff2cd5d582dd513709bdea331b1a3eabef74d0c9c",
+}
+
+
+@pytest.fixture(scope="module")
+def run_dir_staged(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    for argv in STAGED_N3:
+        assert main([*(arg.format(out=out) for arg in argv), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINS_STAGED_N3))
+def test_staged_artifact_bytes_are_pinned(run_dir_staged, name):
+    assert sha256(run_dir_staged / name) == PINS_STAGED_N3[name]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import record_to_json
+from oracles import record_to_json, stacked_cell_means
 from qflip import records, simulator
 from qflip.errors import CoverageError
 
@@ -270,6 +272,46 @@ GOOD_LINE = '{"depth":1,"input":"00","seq":0,"shots":2,"counts":{"00":2}}'
 
 def bad_line(counts):
     return '{"depth":2,"input":"10","seq":3,"shots":5,"counts":%s}' % counts
+
+
+class TestCellMeans:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_stacked_cell_means(self, n, seed):
+        # unequal circuit counts and shots per cell, gapped sequence ids,
+        # and subsets of the depths and inputs in any order
+        rng = np.random.default_rng(seed)
+        size = 1 << n
+        depths = rng.choice(8, size=rng.integers(1, 5), replace=False).tolist()
+        inputs = rng.choice(size, size=rng.integers(1, min(size, 6) + 1), replace=False).tolist()
+        cells = []
+        for depth in depths:
+            for index in inputs:
+                for seq in rng.choice(20, size=rng.integers(1, 6), replace=False).tolist():
+                    shots = int(rng.integers(1, 40))
+                    outcomes, counts = np.unique(rng.integers(0, size, shots), return_counts=True)
+                    counts = dict(zip(outcomes.tolist(), counts.tolist()))
+                    cells.append(records.CountsRecord(depth, index, seq, shots, counts))
+        ds = records.Dataset(n, cells)
+        chosen_depths = rng.permutation(depths)[: rng.integers(1, len(depths) + 1)].tolist()
+        chosen_inputs = rng.permutation(inputs)[: rng.integers(1, len(inputs) + 1)].tolist()
+        got = ds.cell_means(chosen_depths, chosen_inputs)
+        expected = stacked_cell_means(ds, chosen_depths, chosen_inputs)
+        assert got.shape == (len(chosen_inputs), len(chosen_depths), size)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_coverage_and_repeated_inputs(self):
+        ds = simulator.generate_dataset(
+            simulator.iid_bitflip(2, 0.05), depths=[1, 2], circuits_per_depth=2,
+            inputs=[0, 3], shots=16, seed=4,
+        )
+        assert ds.circuits(2, 3) == 2
+        with pytest.raises(CoverageError, match=r"m=3, in=11"):
+            ds.cell_means([1, 3], [3])
+        with pytest.raises(CoverageError):
+            ds.cell_means([1], [1])
+        with pytest.raises(ValueError, match="repeat"):
+            ds.cell_means([1], [0, 0])
 
 
 class TestCodecEdgeCases:
