@@ -95,27 +95,11 @@ def gate_error_matrix(rates: np.ndarray) -> np.ndarray:
 def spam_matrix(spam: np.ndarray) -> np.ndarray:
     """Dense SPAM matrix (1/2**n) W diag(spam) W; columns sum to spam[0]."""
     arr = np.asarray(spam, dtype=float)
-    n = num_qubits(arr)
+    num_qubits(arr)
     if abs(arr[0] - 1.0) > SPAM_HEAD_TOL:
         raise ValueError(f"spam[0] must be 1, got {arr[0]!r}")
-    walsh = _walsh_matrix(n)
-    return (walsh * arr) @ walsh / arr.size
-
-
-def _walsh_matrix(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    overlaps = idx[:, None] & idx[None, :]
-    # popcount parity of i & j gives the +-1 Walsh matrix entry
-    return np.where(_popcount(overlaps) % 2 == 0, 1.0, -1.0)
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    work = values.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
+    # fwht transforms rows: diag(spam) W, then (W diag(spam)) W
+    return fwht(fwht(np.diag(arr)).T) / arr.size
 
 
 def apply_transition_power(rates: np.ndarray, depth: int, vec: np.ndarray) -> np.ndarray:
@@ -151,26 +135,34 @@ class InputChannel:
     spam: np.ndarray
 
     def __post_init__(self):
-        rates = require_prob_dist(self.rates)
-        spam = np.asarray(self.spam, dtype=float)
-        num_qubits(spam)
-        if spam.shape != rates.shape:
-            raise ValueError(
-                f"spam length {spam.size} does not match rates length {rates.size}"
-            )
-        if abs(spam[0] - 1.0) > SPAM_HEAD_TOL:
-            raise ValueError(f"spam[0] must be 1, got {spam[0]!r}")
-        rates = rates.copy()
-        spam = spam.copy()
-        spam[0] = 1.0
-        rates.flags.writeable = False
-        spam.flags.writeable = False
+        rates, spam = _channel_arrays(self.rates, self.spam)
+        num_qubits(rates)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "spam", spam)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return eigenvalues_from_rates(self.rates)
+
+
+def _channel_arrays(rates, spam):
+    """Read-only float copies of rates and spam, checked by the rules every
+    channel keeps: each rates vector along the last axis is a distribution,
+    spam is finite with the same shape, and each spam[0] is within
+    SPAM_HEAD_TOL of 1 and is then set to exactly 1."""
+    rates = np.array(require_prob_dist(rates), dtype=float)
+    spam = np.array(spam, dtype=float)
+    if spam.shape != rates.shape:
+        raise ValueError(f"spam shape {spam.shape} does not match rates shape {rates.shape}")
+    if not np.all(np.isfinite(spam)):
+        raise ValueError("vector entries must be finite")
+    head = np.abs(spam[..., 0] - 1.0) > SPAM_HEAD_TOL
+    if head.any():
+        raise ValueError(f"spam[0] must be 1, got {spam[..., 0][head][0]!r}")
+    spam[..., 0] = 1.0
+    rates.flags.writeable = False
+    spam.flags.writeable = False
+    return rates, spam
 
 
 class NoiseModel:
@@ -226,22 +218,13 @@ class NoiseModel:
             raise ValueError(f"input index {inputs[outside][0]} out of range for n={n}")
         if np.any(inputs[1:] <= inputs[:-1]):
             raise ValueError("model inputs must be increasing")
-        rates = np.array(require_prob_dist(rates), dtype=float)
-        spam = np.array(spam, dtype=float)
-        for name, arr in (("rates", rates), ("spam", spam)):
-            if arr.shape != (inputs.size, size):
-                raise ValueError(
-                    f"{name} shape {arr.shape} does not match {inputs.size} inputs "
-                    f"of length {size}"
-                )
-        if not np.all(np.isfinite(spam)):
-            raise ValueError("vector entries must be finite")
-        head = np.abs(spam[:, 0] - 1.0) > SPAM_HEAD_TOL
-        if head.any():
-            raise ValueError(f"spam[0] must be 1, got {spam[head][0, 0]!r}")
-        spam[:, 0] = 1.0
-        for arr in (inputs, rates, spam):
-            arr.flags.writeable = False
+        rates, spam = _channel_arrays(rates, spam)
+        if rates.shape != (inputs.size, size):
+            raise ValueError(
+                f"rates shape {rates.shape} does not match {inputs.size} inputs "
+                f"of length {size}"
+            )
+        inputs.flags.writeable = False
         self.n, self.inputs, self.rates, self.spam = n, inputs, rates, spam
 
     @property
@@ -257,9 +240,9 @@ class NoiseModel:
             }
         )
 
-    def _rows(self, input_indices) -> np.ndarray:
-        """Row positions of the given inputs; CoverageError names the first
-        one the model has no channel for."""
+    def rows(self, input_indices) -> np.ndarray:
+        """Row positions of the given inputs in the arrays; CoverageError
+        names the first one the model has no channel for."""
         wanted = np.asarray(input_indices, dtype=np.int64).reshape(-1)
         found = np.minimum(np.searchsorted(self.inputs, wanted), self.inputs.size - 1)
         missing = self.inputs[found] != wanted
@@ -272,7 +255,7 @@ class NoiseModel:
         return found
 
     def channel(self, input_index: int) -> InputChannel:
-        row = self._rows([input_index])[0]
+        row = self.rows([input_index])[0]
         return InputChannel(rates=self.rates[row], spam=self.spam[row])
 
     def input_indices(self) -> list[int]:
@@ -289,7 +272,7 @@ def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarr
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    rows = model._rows(input_index)
+    rows = model.rows(input_index)
     predicted = _predict(
         model.spam[rows], eigenvalues_from_rates(model.rates[rows]), depth, model.inputs[rows]
     )
@@ -313,6 +296,17 @@ class MitigationMatrix:
     matrix: np.ndarray = field(repr=False)
     condition: float
 
+    @classmethod
+    def from_columns(cls, depth: int, columns: np.ndarray) -> "MitigationMatrix":
+        """The system with these columns and its 1-norm condition number
+        (inf when the solver finds it singular)."""
+        columns = np.ascontiguousarray(columns)
+        try:
+            condition = float(np.linalg.cond(columns, 1))
+        except np.linalg.LinAlgError:
+            condition = float("inf")
+        return cls(depth=depth, matrix=columns, condition=condition)
+
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
@@ -334,12 +328,7 @@ def mitigation_matrix(
     _require_all_inputs(model, f"mitigation matrix needs all {model.size} input states")
     rates = average_error_rates(model) if use_average_rates else model.rates
     predicted = _predict(model.spam, eigenvalues_from_rates(rates), depth, model.inputs)
-    columns = np.ascontiguousarray(predicted.T)
-    try:
-        condition = float(np.linalg.cond(columns, 1))
-    except np.linalg.LinAlgError:
-        condition = float("inf")
-    return MitigationMatrix(depth=depth, matrix=columns, condition=condition)
+    return MitigationMatrix.from_columns(depth, predicted.T)
 
 
 def average_error_rates(model: NoiseModel) -> np.ndarray:
@@ -371,16 +360,20 @@ def model_to_json(model: NoiseModel) -> dict:
 
 def model_from_json(payload: dict) -> NoiseModel:
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         raw_inputs = payload["inputs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc
+    if type(n) is not int:
+        raise ValueError(f"malformed model payload: n must be an integer, got {n!r}")
     if not isinstance(raw_inputs, dict) or not raw_inputs:
         raise ValueError("model payload has no inputs")
     channels = {}
     for key, entry in raw_inputs.items():
         try:
             index = int(key)
+            if key != str(index):
+                raise ValueError(f"expected the key {str(index)!r}")
             rates = np.asarray(entry["p"], dtype=float)
             spam = np.asarray(entry["A"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:

@@ -34,7 +34,7 @@ from .mitigation import (
     evaluate_mitigation,
     jsd,
 )
-from .records import Dataset, index_to_bits
+from .records import Dataset, _object, index_to_bits
 from .simulator import (
     DEFAULT_CIRCUITS_PER_DEPTH,
     DEFAULT_SHOTS,
@@ -220,18 +220,8 @@ class Settings:
         return path
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _config_hash(payload: dict) -> str:
-    blob = json.dumps(_jsonable(payload), sort_keys=True, default=str)
+    blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -260,23 +250,33 @@ def _read_json(path, what: str) -> dict:
         raise ConfigError(f"{what} not found: {path}")
     with open(path) as handle:
         try:
-            return json.load(handle)
+            # a repeated key is an error, not a silent overwrite
+            return json.load(
+                handle, object_pairs_hook=lambda pairs: _object(tuple(pairs), "an object")
+            )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _read_model(path):
-    """(payload, NoiseModel) of a model file; a bad payload names the file."""
+    """(meta, NoiseModel) of a model file; a bad payload names the file."""
     payload = _read_json(path, "model file")
     try:
-        return payload, model_from_json(payload)
+        model = model_from_json(payload)
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"model meta must be an object, got {meta!r}")
+        train = meta.get("train_depths", [])
+        if not isinstance(train, list) or any(type(depth) is not int for depth in train):
+            raise ValueError(f"model meta train_depths must be a list of integers, got {train!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return meta, model
 
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as handle:
-        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -407,6 +407,7 @@ def _rb_into(dataset, outdir, train, input_index, seed, digest) -> None:
 
 def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> None:
     labels = [index_to_bits(i, model.n) for i in range(model.size)]
+    model.rows(inputs)  # CoverageError before the file is created
     if dataset is not None:
         dataset.require(depths, inputs)
     with open(path, "w", newline="") as handle:
@@ -495,7 +496,7 @@ def cmd_characterize(s: Settings) -> int:
 
 
 def cmd_predict(s: Settings) -> int:
-    payload, model = _read_model(s.require("model"))
+    meta, model = _read_model(s.require("model"))
     depths = parse_depths(s.require("depths"))
     inputs_text = s.raw("inputs")
     if inputs_text is not None:
@@ -505,7 +506,7 @@ def cmd_predict(s: Settings) -> int:
     dataset = None
     if s.raw("dataset") is not None:
         dataset = _read_dataset(s.raw("dataset"), model)
-    seed = s.integer("seed", payload.get("meta", {}).get("seed"))
+    seed = s.integer("seed", meta.get("seed"))
     cfg = {"command": "predict", "depths": depths, "inputs": inputs, "seed": seed}
     digest = _config_hash(cfg)
     path = os.path.join(s.out_dir(), "predictions.csv")
@@ -516,17 +517,15 @@ def cmd_predict(s: Settings) -> int:
 
 
 def cmd_mitigate(s: Settings) -> int:
-    payload, model = _read_model(s.require("model"))
+    meta, model = _read_model(s.require("model"))
     dataset = _read_dataset(s.require("dataset"), model)
     test_text = s.raw("test")
     test = parse_depths(test_text) if test_text is not None else _positive_depths(dataset)
     inputs_text = s.raw("inputs")
     inputs = parse_inputs(inputs_text, model.size) if inputs_text is not None else None
     pooled = s.boolean("pavg")
-    train = payload.get("meta", {}).get("train_depths")
-    if train:
-        _warn_overlap(train, test)
-    seed = s.integer("seed", payload.get("meta", {}).get("seed"))
+    _warn_overlap(meta.get("train_depths", []), test)
+    seed = s.integer("seed", meta.get("seed"))
     cfg = {
         "command": "mitigate",
         "test": test,

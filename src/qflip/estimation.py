@@ -23,7 +23,7 @@ from .channel import (
 )
 from .errors import CoverageError, format_missing
 from .records import Dataset
-from .transforms import fwht
+from .transforms import fwht, xor_permute
 
 __all__ = [
     "DepthAverage",
@@ -91,13 +91,7 @@ def spectralize(avg: DepthAverage) -> np.ndarray:
 def _aligned_spectra(means: np.ndarray, inputs) -> np.ndarray:
     """Spectra of an ``(inputs, depths, 2**n)`` table of distributions,
     each xor-aligned to its input; entry 0 of every spectrum is 1."""
-    size = means.shape[-1]
-    inputs = np.asarray(inputs, dtype=np.int64)
-    outside = (inputs < 0) | (inputs >= size)
-    if outside.any():
-        raise ValueError(f"basis index {inputs[outside][0]} out of range for size {size}")
-    aligned = np.take_along_axis(means, (np.arange(size) ^ inputs[:, None])[:, None], axis=-1)
-    spectra = fwht(aligned)
+    spectra = fwht(xor_permute(means, np.asarray(inputs, dtype=np.int64)[:, None]))
     spectra[..., 0] = 1.0
     return spectra
 

@@ -116,12 +116,7 @@ def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
     Column in = averaged prepare-and-measure distribution on input in;
     needs every basis input at depth 0.
     """
-    columns = np.ascontiguousarray(dataset.cell_means([0], range(dataset.size))[:, 0].T)
-    try:
-        condition = float(np.linalg.cond(columns, 1))
-    except np.linalg.LinAlgError:
-        condition = float("inf")
-    return MitigationMatrix(depth=0, matrix=columns, condition=condition)
+    return MitigationMatrix.from_columns(0, dataset.cell_means([0], range(dataset.size))[:, 0].T)
 
 
 @dataclass(frozen=True)

@@ -313,19 +313,15 @@ class Dataset:
         if len(set(inputs)) < len(inputs):
             raise ValueError("cell_means inputs repeat an index")
         self.require(depths, inputs)
-        slot = np.full(self.size, -1)
-        slot[inputs] = np.arange(len(inputs))
-        # canonical order sorts by depth first, so a depth's records are
-        # contiguous, and within it by sequence id
-        starts = np.searchsorted(self.depth, depths, side="left")
-        ends = np.searchsorted(self.depth, depths, side="right")
         means = np.empty((len(inputs), len(depths), self.size))
-        for j, (lo, hi) in enumerate(zip(starts, ends)):
-            cell = slot[self.input[lo:hi]]
-            kept = np.flatnonzero(cell >= 0)
+        for j, depth in enumerate(depths):
+            cells = [self._cells[depth, index] for index in inputs]
+            circuits = np.array([len(positions) for positions in cells])
+            owner = np.repeat(np.arange(len(inputs)), circuits)
             sums = np.zeros((len(inputs), self.size))
-            np.add.at(sums, cell[kept], self._rows(kept + lo))
-            means[:, j] = sums / np.bincount(cell[kept], minlength=len(inputs))[:, None]
+            # np.add.at adds in index order, so each cell's rows in sequence-id order
+            np.add.at(sums, owner, self._rows(np.concatenate(cells)))
+            means[:, j] = sums / circuits[:, None]
         return means
 
     def _rows(self, positions: np.ndarray) -> np.ndarray:

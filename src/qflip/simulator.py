@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .channel import InputChannel, NoiseModel, apply_transition_power
+from .channel import NoiseModel, apply_transition_power
 from .errors import ConfigError
 from .records import Dataset
 from .transforms import MAX_QUBITS, require_prob_dist
@@ -314,12 +314,9 @@ def true_noise_model(gt: GroundTruth) -> NoiseModel:
     prep flips commute with the gate chain and fold into the Walsh-diagonal
     SPAM factor.
     """
-    spam = gt.spectral_spam()
-    channels = {
-        index: InputChannel(rates=gt.rates_for(index), spam=spam)
-        for index in range(gt.size)
-    }
-    return NoiseModel(n=gt.n, channels=channels)
+    rates = np.stack([gt.rates_for(index) for index in range(gt.size)])
+    spam = np.broadcast_to(gt.spectral_spam(), rates.shape)
+    return NoiseModel.from_arrays(gt.n, np.arange(gt.size), rates, spam)
 
 
 def _tensor_flip_rates(n: int, flip_probs) -> np.ndarray:

@@ -3,8 +3,10 @@
 Everything here operates on real vectors of length 2**n indexed by n-bit
 patterns: the Walsh-Hadamard transform in natural (Hadamard) ordering,
 xor-relabeling of the index set, and Euclidean projection onto the
-probability simplex. These are the shared primitives for the channel
-algebra, the device simulator, and the estimation pipeline.
+probability simplex. Each kernel also takes a ``(..., 2**n)`` batch and
+treats every vector along the last axis as it treats that vector alone.
+These are the shared primitives for the channel algebra, the device
+simulator, and the estimation pipeline.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ def num_qubits(values: np.ndarray) -> int:
 
 def _outcome_qubits(values: np.ndarray) -> int:
     """num_qubits for the last axis of a vector or a batch of vectors."""
+    if values.ndim == 0:
+        raise ValueError(f"expected a 1-d vector, got shape {values.shape}")
     size = values.shape[-1]
     if size < 2 or size & (size - 1) != 0:
         raise ValueError(f"vector length {size} is not a power of two >= 2")
@@ -60,8 +64,6 @@ def require_prob_dist(values: np.ndarray) -> np.ndarray:
     Returns the input as a float array (copy only if conversion is needed).
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     _outcome_qubits(arr)
     if arr.min() < -PROB_NEG_TOL:
         raise ValueError(f"distribution has negative entry {arr.min():g}")
@@ -82,8 +84,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     ``fwht_inverse`` (which carries the full 1/2**n factor).
     """
     arr = np.array(values, dtype=float)
-    if arr.ndim == 0:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     shape = arr.shape
     size = 1 << _outcome_qubits(arr)
     half = 1
@@ -105,18 +105,29 @@ def fwht_inverse(values: np.ndarray) -> np.ndarray:
     return out / out.shape[-1]
 
 
-def xor_permute(values: np.ndarray, basis_index: int) -> np.ndarray:
+def xor_permute(values: np.ndarray, basis_index) -> np.ndarray:
     """Relabel outcomes by xor: output[i] = values[i ^ basis_index].
 
     This is the input-alignment permutation: it maps the distribution seen
     on basis input ``basis_index`` to the flip-pattern frame of input 0.
     An involution (applying it twice is the identity).
+
+    A ``(..., 2**n)`` array permutes each vector along its last axis, by
+    one basis index or by an array of them that broadcasts against the
+    leading axes (``inputs[:, None]`` for an ``(inputs, depths, 2**n)``
+    table); each vector gets its 1-d result. An index out of range raises.
     """
     arr = np.asarray(values, dtype=float)
-    size = 1 << num_qubits(arr)
-    if not 0 <= basis_index < size:
-        raise ValueError(f"basis index {basis_index} out of range for size {size}")
-    return arr[np.arange(size) ^ basis_index]
+    size = 1 << _outcome_qubits(arr)
+    index = np.asarray(basis_index)
+    outside = (index < 0) | (index >= size)
+    if outside.any():
+        raise ValueError(f"basis index {index[outside][0]} out of range for size {size}")
+    # the gather index takes the shape of the basis indices, not of arr:
+    # take_along_axis broadcasts it
+    gather = np.arange(size) ^ index[..., None]
+    gather = gather.reshape((1,) * (arr.ndim - gather.ndim) + gather.shape)
+    return np.take_along_axis(arr, gather, axis=-1)
 
 
 def simplex_project(values: np.ndarray) -> np.ndarray:

@@ -245,6 +245,18 @@ def per_input_exact_distribution(gt, depth: int, input_index: int) -> np.ndarray
     return state / state.sum()
 
 
+def per_input_true_noise_model(gt):
+    """The planted model built as one InputChannel per basis input (its
+    own rates, the shared spectral SPAM), then stacked by NoiseModel."""
+    from qflip.channel import InputChannel, NoiseModel
+
+    spam = gt.spectral_spam()
+    channels = {
+        index: InputChannel(rates=gt.rates_for(index), spam=spam) for index in range(gt.size)
+    }
+    return NoiseModel(n=gt.n, channels=channels)
+
+
 def record_to_json(record, n: int) -> str:
     """One dataset line by json.dumps: the fields in wire order, the counts
     in outcome order, bitstrings with qubit 0 rightmost."""

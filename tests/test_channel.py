@@ -165,7 +165,7 @@ class TestSpamMatrix:
         got = channel.spam_matrix([1.0, 0.9])
         np.testing.assert_allclose(got, [[0.95, 0.05], [0.05, 0.95]], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_dense_oracle_and_column_sums(self, n):
         rng = np.random.default_rng(500 + n)
         spam = rng.uniform(0.2, 1.0, 1 << n)

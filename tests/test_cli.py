@@ -366,6 +366,16 @@ class TestPredict:
         assert run("predict", "--model", tmp_path / "nope.json", "--depths", "1",
                    "--out", tmp_path) == 2
 
+    def test_input_not_in_model_exits_3_without_a_file(self, run_dir, tmp_path, capsys):
+        run("characterize", "--dataset", run_dir / "dataset.jsonl", "--inputs", "0,1",
+            "--train", "1..8", "--out", tmp_path)
+        out = tmp_path / "predict"
+        code = run("predict", "--model", tmp_path / "model.json", "--depths", "2",
+                   "--inputs", "0,2", "--out", out)
+        assert code == 3
+        assert "no channel for input state 2 (10)" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_broken_model_names_its_file(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text('{"n": 2,')
@@ -381,6 +391,60 @@ class TestPredict:
         assert capsys.readouterr().err == (
             f"error: {model}: malformed model payload: 'inputs'\n"
         )
+
+
+def _with_key_twice(payload, key):
+    """The model file's text with input ``key`` listed twice, verbatim."""
+    entry = json.dumps(payload["inputs"][key])
+    return json.dumps(payload).replace('"inputs": {', f'"inputs": {{"{key}": {entry}, ', 1)
+
+
+class TestModelFileChecks:
+    """A model.json field that breaks the format exits 2 naming the file, in
+    each command that reads one."""
+
+    CASES = {
+        "meta not an object": (
+            lambda p: json.dumps({**p, "meta": [1]}), "model meta must be an object"
+        ),
+        "train depths not a list": (
+            lambda p: json.dumps({**p, "meta": {"train_depths": 5}}),
+            "train_depths must be a list of integers",
+        ),
+        "fractional n": (
+            lambda p: json.dumps({**p, "n": 2.7}), "n must be an integer, got 2.7"
+        ),
+        "boolean n": (lambda p: json.dumps({**p, "n": True}), "n must be an integer, got True"),
+        "two keys for one input": (
+            lambda p: json.dumps({**p, "inputs": {**p["inputs"], "03": p["inputs"]["3"]}}),
+            "input '03': expected the key '3'",
+        ),
+        "repeated key": (lambda p: _with_key_twice(p, "3"), "repeated key '3'"),
+    }
+
+    @pytest.fixture(scope="class")
+    def payload(self, run_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("model")
+        assert run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--train", "1..8", "--out", out) == 0
+        return json.loads((out / "model.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["predict", "mitigate"])
+    def test_exits_2_naming_the_file(self, payload, run_dir, tmp_path, capsys, case, command):
+        text, message = self.CASES[case]
+        model = tmp_path / "model.json"
+        model.write_text(text(payload))
+        args = {
+            "predict": ["--depths", "2"],
+            "mitigate": ["--dataset", run_dir / "dataset.jsonl", "--test", "4"],
+        }[command]
+        code = run(command, "--model", model, *args, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMitigate:

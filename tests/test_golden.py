@@ -1,5 +1,6 @@
 """Golden sha256 pins for the artifacts of small fixed pipelines: two
-run-all configs and one staged simulate, characterize, predict chain.
+run-all configs, one staged simulate, characterize, predict chain and one
+staged characterize with pooled rates and the RB fit.
 
 The bytes of these artifacts are part of the package's contract: a
 refactor of grouping, sampling or scoring must leave them unchanged. When
@@ -137,3 +138,48 @@ def run_dir_staged(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(PINS_STAGED_N3))
 def test_staged_artifact_bytes_are_pinned(run_dir_staged, name):
     assert sha256(run_dir_staged / name) == PINS_STAGED_N3[name]
+
+
+# fit-time pooling: characterize four inputs, none of them 0, with --pavg
+# (rates pooled over the fitted inputs) and --rb (fit on the first of them)
+STAGED_PAVG_N3 = [
+    [
+        "simulate",
+        "--preset", "depolarizing:0.01",
+        "--n", "3",
+        "--K", "4",
+        "--shots", "128",
+        "--seed", "17",
+        "--readout", "0.02/0.03,0.01,0.04",
+        "--prep", "0.005",
+        "--depths", "1..8",
+        "--inputs", "all",
+    ],
+    [
+        "characterize",
+        "--dataset", "{out}/dataset.jsonl",
+        "--inputs", "1,2,4,7",
+        "--train", "2..8",
+        "--pavg",
+        "--rb",
+    ],
+]
+
+PINS_STAGED_PAVG_N3 = {
+    "model.json": "5570a80efd06ff90ffc5c1039dca9fdcc5b4ab8b5203795bef6fdef76f6c8f81",
+    "rb.json": "81f658e15d858e1257b3b4151bc4f3d9d536ababe7cbd453c994064d233b6987",
+    "diagnostics_111.csv": "667ebcc8c18aa40b4c37f802be2a8d7acc051a0425a9c9ddfcea29cd96285a20",
+}
+
+
+@pytest.fixture(scope="module")
+def run_dir_staged_pavg(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    for argv in STAGED_PAVG_N3:
+        assert main([*(arg.format(out=out) for arg in argv), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINS_STAGED_PAVG_N3))
+def test_staged_pavg_artifact_bytes_are_pinned(run_dir_staged_pavg, name):
+    assert sha256(run_dir_staged_pavg / name) == PINS_STAGED_PAVG_N3[name]

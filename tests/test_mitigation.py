@@ -216,6 +216,46 @@ class TestMemMatrix:
             assert l1 < 8 * np.sqrt(4 / (circuits * shots))
 
 
+class TestConditionNumber:
+    """Both system builders record np.linalg.cond(columns, 1) of the
+    matrix they return, and inf for a singular one."""
+
+    def test_recorded_condition_is_numpys(self):
+        rng = np.random.default_rng(6)
+        channels = {
+            i: channel.InputChannel(
+                rates=random_simplex(rng, 4) * 0.2 + np.array([0.8, 0, 0, 0]),
+                spam=np.concatenate(([1.0], rng.uniform(0.7, 1.0, 3))),
+            )
+            for i in range(4)
+        }
+        model = channel.NoiseModel(n=2, channels=channels)
+        ds = simulator.generate_dataset(
+            simulator.spam_only(2, 0.05), depths=[0], circuits_per_depth=3,
+            inputs=range(4), shots=64, seed=6,
+        )
+        systems = [
+            channel.mitigation_matrix(model, 5),
+            channel.mitigation_matrix(model, 5, use_average_rates=True),
+            mitigation.build_mem_matrix(ds),
+        ]
+        for system in systems:
+            assert system.condition == float(np.linalg.cond(system.matrix, 1))
+            assert np.isfinite(system.condition)
+
+    def test_singular_systems_record_inf(self):
+        # rates exactly [0.5, 0.5] give a rank-1 prediction matrix, and two
+        # inputs read out alike give a rank-1 confusion matrix
+        chan = channel.InputChannel(rates=[0.5, 0.5], spam=[1.0, 1.0])
+        model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
+        ds = Dataset(n=1, records=[
+            CountsRecord(depth=0, input_index=i, sequence_id=0, shots=4, counts={0: 2, 1: 2})
+            for i in range(2)
+        ])
+        for system in (channel.mitigation_matrix(model, 3), mitigation.build_mem_matrix(ds)):
+            assert system.condition == float("inf")
+
+
 class TestEvaluate:
     def make_noiseless_report(self):
         gt = simulator.iid_bitflip(2, 0.0)

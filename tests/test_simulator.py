@@ -16,6 +16,7 @@ from oracles import (
     dense_wht_matrix,
     depolarized_measurement,
     per_input_exact_distribution,
+    per_input_true_noise_model,
 )
 from qflip import channel, clifford, simulator
 from qflip.errors import ConfigError
@@ -261,6 +262,24 @@ class TestExactDistributions:
                 for index, row in zip(inputs, rows):
                     assert np.array_equal(row, per_input_exact_distribution(gt, depth, index))
                     assert np.array_equal(simulator.exact_distribution(gt, depth, index), row)
+
+    @pytest.mark.parametrize(
+        "preset,n",
+        [(preset, n) for preset in sorted(PARAMS) for n in (1, 2, 4)
+         if (preset, n) != ("correlated_pair", 1)],
+    )
+    def test_true_noise_model_equals_per_input_build(self, preset, n):
+        base = self.ground_truth(preset, n)
+        rng = np.random.default_rng(n)
+        overridden = simulator.GroundTruth(
+            n=n, rates=base.rates, readout=base.readout, prep=base.prep,
+            rates_by_input={0: rng.dirichlet(np.ones(1 << n))},
+        )
+        for gt in (base, overridden):
+            got, expected = simulator.true_noise_model(gt), per_input_true_noise_model(gt)
+            assert got.n == expected.n
+            for name in ("inputs", "rates", "spam"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_argument_validation(self):
         gt = simulator.iid_bitflip(2, 0.1)

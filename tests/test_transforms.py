@@ -129,6 +129,49 @@ class TestXorPermute:
         with pytest.raises(ValueError):
             xor_permute(np.ones(4), -1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        rows=st.integers(1, 4),
+        depths=st.integers(1, 3),
+        shape=st.sampled_from(["scalar", "per row", "per vector"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_rows_equal_their_1d_calls(self, n, rows, depths, shape, seed):
+        rng = np.random.default_rng(seed)
+        size = 1 << n
+        values = rng.normal(size=(rows, depths, size))
+        index = {
+            "scalar": int(rng.integers(size)),
+            "per row": rng.integers(size, size=(rows, 1)),
+            "per vector": rng.integers(size, size=(rows, depths)),
+        }[shape]
+        got = xor_permute(values, index)
+        assert got.shape == values.shape
+        each = np.broadcast_to(index, (rows, depths))
+        for r in range(rows):
+            for d in range(depths):
+                expected = xor_permute(values[r, d], int(each[r, d]))
+                assert got[r, d].tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        rows=st.integers(1, 5),
+        bad_row=st.integers(0, 4),
+        too_high=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_rejects_an_out_of_range_index_in_any_row(
+        self, n, rows, bad_row, too_high, seed
+    ):
+        rng = np.random.default_rng(seed)
+        size = 1 << n
+        index = rng.integers(size, size=rows)
+        index[bad_row % rows] = size if too_high else -1
+        with pytest.raises(ValueError, match="out of range"):
+            xor_permute(np.zeros((rows, 2, size)), index[:, None])
+
 
 class TestSimplexProject:
     def test_already_on_simplex_unchanged(self):
