@@ -23,14 +23,14 @@ predictions always go through the spectral route.
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CoverageError, format_missing
+from .errors import ConfigError, CoverageError, format_missing
+from .records import index_to_bits, read_json, write_json
 from .transforms import (
     MAX_QUBITS,
     fwht,
@@ -250,7 +250,7 @@ class NoiseModel:
             index = int(wanted[missing][0])
             raise CoverageError(
                 f"model has no channel for input state {index} "
-                f"({format(index, f'0{self.n}b')})"
+                f"({index_to_bits(index, self.n)})"
             )
         return found
 
@@ -345,7 +345,7 @@ def _require_all_inputs(model: NoiseModel, what: str) -> None:
     """CoverageError naming the basis inputs the model has no channel for."""
     missing = np.setdiff1d(np.arange(model.size), model.inputs).tolist()
     if missing:
-        shown = format_missing(missing, lambda i: format(i, f"0{model.n}b"))
+        shown = format_missing(missing, lambda i: index_to_bits(i, model.n))
         raise CoverageError(f"{what}; missing {shown}")
 
 
@@ -359,6 +359,8 @@ def model_to_json(model: NoiseModel) -> dict:
 
 
 def model_from_json(payload: dict) -> NoiseModel:
+    """The model of a ``model_to_json`` payload. An optional "meta" must be
+    an object, and its "train_depths", if present, a list of integers."""
     try:
         n = payload["n"]
         raw_inputs = payload["inputs"]
@@ -368,6 +370,12 @@ def model_from_json(payload: dict) -> NoiseModel:
         raise ValueError(f"malformed model payload: n must be an integer, got {n!r}")
     if not isinstance(raw_inputs, dict) or not raw_inputs:
         raise ValueError("model payload has no inputs")
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"model meta must be an object, got {meta!r}")
+    train = meta.get("train_depths", [])
+    if not isinstance(train, list) or any(type(depth) is not int for depth in train):
+        raise ValueError(f"model meta train_depths must be a list of integers, got {train!r}")
     channels = {}
     for key, entry in raw_inputs.items():
         try:
@@ -386,12 +394,15 @@ def write_model(path, model: NoiseModel, meta: dict | None = None) -> None:
     payload = model_to_json(model)
     if meta:
         payload["meta"] = meta
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
-def read_model(path) -> NoiseModel:
-    with open(path) as handle:
-        payload = json.load(handle)
-    return model_from_json(payload)
+def read_model(path):
+    """(model, meta) of a file written by ``write_model``; meta is {} when
+    the file has none. ConfigError names the file for any fault in it."""
+    payload = read_json(path, "model file")
+    try:
+        model = model_from_json(payload)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return model, payload.get("meta", {})

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 coverage error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -18,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channel import model_from_json, predict_distribution, write_model
+from .channel import predict_distribution, read_model, write_model
 from .errors import ConfigError, CoverageError, NumericError
 from .estimation import (
     estimate_model,
@@ -34,7 +33,7 @@ from .mitigation import (
     evaluate_mitigation,
     jsd,
 )
-from .records import Dataset, _object, index_to_bits
+from .records import Dataset, index_to_bits, read_json, write_csv, write_json
 from .simulator import (
     DEFAULT_CIRCUITS_PER_DEPTH,
     DEFAULT_SHOTS,
@@ -245,41 +244,6 @@ def _read_dataset(path, model=None) -> Dataset:
     return dataset
 
 
-def _read_json(path, what: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
-    with open(path) as handle:
-        try:
-            # a repeated key is an error, not a silent overwrite
-            return json.load(
-                handle, object_pairs_hook=lambda pairs: _object(tuple(pairs), "an object")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _read_model(path):
-    """(meta, NoiseModel) of a model file; a bad payload names the file."""
-    payload = _read_json(path, "model file")
-    try:
-        model = model_from_json(payload)
-        meta = payload.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"model meta must be an object, got {meta!r}")
-        train = meta.get("train_depths", [])
-        if not isinstance(train, list) or any(type(depth) is not int for depth in train):
-            raise ValueError(f"model meta train_depths must be a list of integers, got {train!r}")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return meta, model
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _positive_depths(dataset: Dataset) -> list:
     depths = [m for m in dataset.depths() if m > 0]
     return depths or dataset.depths()
@@ -335,7 +299,7 @@ def _simulate_to_dir(gt, plan, depths, outdir, digest, extra_profile=None):
     }
     profile.update(extra_profile or {})
     profile_path = os.path.join(outdir, "profile.json")
-    _write_json(profile_path, profile)
+    write_json(profile_path, profile)
     print(f"wrote {len(dataset)} records to {dataset_path}")
     print(f"wrote ground-truth profile to {profile_path}")
     return dataset, dataset_path
@@ -348,7 +312,7 @@ def _load_profile(s: Settings, dataset_path):
         path = os.path.join(os.path.dirname(os.path.abspath(dataset_path)), "profile.json")
         if not os.path.exists(path):
             return None, None
-    payload = _read_json(path, "profile")
+    payload = read_json(path, "profile")
     try:
         return ground_truth_from_profile(payload)
     except (ConfigError, ValueError) as exc:
@@ -399,7 +363,7 @@ def _rb_into(dataset, outdir, train, input_index, seed, digest) -> None:
         "degenerate": result.degenerate,
     }
     path = os.path.join(outdir, "rb.json")
-    _write_json(path, payload)
+    write_json(path, payload)
     flag = " (degenerate fit)" if result.degenerate else ""
     print(f"RB baseline: alpha={result.alpha:.6f} gate_error={result.gate_error:.6f}{flag}")
     print(f"wrote RB fit to {path}")
@@ -410,11 +374,8 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
     model.rows(inputs)  # CoverageError before the file is created
     if dataset is not None:
         dataset.require(depths, inputs)
-    with open(path, "w", newline="") as handle:
-        if meta:
-            handle.write(f"# {meta}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["depth", "input", "jsd", *labels])
+
+    def rows():
         for depth in depths:
             predicted = predict_distribution(model, depth, inputs)
             scores = [""] * len(inputs)
@@ -422,9 +383,9 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
                 observed = dataset.cell_means([depth], inputs)[:, 0]
                 scores = [f"{score:.12g}" for score in jsd(observed, predicted)]
             for index, score, row in zip(inputs, scores, predicted):
-                writer.writerow(
-                    [depth, labels[index], score, *(f"{v:.12g}" for v in row)]
-                )
+                yield [depth, labels[index], score, *(f"{v:.12g}" for v in row)]
+
+    write_csv(path, meta, ["depth", "input", "jsd", *labels], rows())
     print(f"wrote predictions to {path}")
 
 
@@ -496,7 +457,7 @@ def cmd_characterize(s: Settings) -> int:
 
 
 def cmd_predict(s: Settings) -> int:
-    meta, model = _read_model(s.require("model"))
+    model, meta = read_model(s.require("model"))
     depths = parse_depths(s.require("depths"))
     inputs_text = s.raw("inputs")
     if inputs_text is not None:
@@ -517,7 +478,7 @@ def cmd_predict(s: Settings) -> int:
 
 
 def cmd_mitigate(s: Settings) -> int:
-    meta, model = _read_model(s.require("model"))
+    model, meta = read_model(s.require("model"))
     dataset = _read_dataset(s.require("dataset"), model)
     test_text = s.raw("test")
     test = parse_depths(test_text) if test_text is not None else _positive_depths(dataset)

@@ -11,7 +11,6 @@ the survival probability is included as a baseline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .channel import (
     rates_from_eigenvalues,
 )
 from .errors import CoverageError, format_missing
-from .records import Dataset
+from .records import Dataset, index_to_bits, write_csv
 from .transforms import fwht, xor_permute
 
 __all__ = [
@@ -200,7 +199,9 @@ def estimate_model_from_averages(
     )
     missing = [(m, index) for index in inputs for m in depths if (index, m) not in cells]
     if missing:
-        shown = format_missing(missing, lambda cell: f"(m={cell[0]}, in={cell[1]:0{n}b})")
+        shown = format_missing(
+            missing, lambda cell: f"(m={cell[0]}, in={index_to_bits(cell[1], n)})"
+        )
         raise CoverageError(f"no averages for {shown}")
     means = np.array([[cells[index, depth] for depth in depths] for index in inputs])
     return _fit_model(n, inputs, depths, means, use_average_rates)
@@ -352,18 +353,10 @@ def _divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 def write_diagnostics(path, fit: FitResult, meta: str | None = None) -> None:
     """Fit diagnostics CSV: coefficient,A,lambda,points_used,residual."""
-    with open(path, "w", newline="") as handle:
-        if meta:
-            handle.write(f"# {meta}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["coefficient", "A", "lambda", "points_used", "residual"])
-        for i in range(fit.spam.size):
-            writer.writerow(
-                [
-                    i,
-                    f"{fit.spam[i]:.12g}",
-                    f"{fit.eigenvalues[i]:.12g}",
-                    int(fit.points_used[i]),
-                    f"{fit.residual[i]:.12g}",
-                ]
-            )
+    rows = (
+        [i, f"{a:.12g}", f"{lam:.12g}", int(used), f"{residual:.12g}"]
+        for i, (a, lam, used, residual) in enumerate(
+            zip(fit.spam, fit.eigenvalues, fit.points_used, fit.residual)
+        )
+    )
+    write_csv(path, meta, ["coefficient", "A", "lambda", "points_used", "residual"], rows)

@@ -10,14 +10,13 @@ circuits per (depth, input) and over everything per depth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import MitigationMatrix, NoiseModel, mitigation_matrix
 from .errors import CoverageError, NumericError
-from .records import Dataset, index_to_bits
+from .records import Dataset, index_to_bits, write_csv
 from .transforms import require_prob_dist, simplex_project
 
 __all__ = [
@@ -144,22 +143,12 @@ class MitigationReport:
         return sorted({row.method for row in self.rows}, key=METHOD_ORDER.index)
 
     def write_csv(self, path, meta: str | None = None) -> None:
-        with open(path, "w", newline="") as handle:
-            if meta:
-                handle.write(f"# {meta}\n")
-            writer = csv.writer(handle)
-            writer.writerow(["depth", "input", "method", "mean_jsd", "std_jsd", "flags"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.depth,
-                        row.input_label,
-                        row.method,
-                        f"{row.mean_jsd:.12g}",
-                        f"{row.std_jsd:.12g}",
-                        row.flags,
-                    ]
-                )
+        columns = ["depth", "input", "method", "mean_jsd", "std_jsd", "flags"]
+        rows = (
+            [r.depth, r.input_label, r.method, f"{r.mean_jsd:.12g}", f"{r.std_jsd:.12g}", r.flags]
+            for r in self.rows
+        )
+        write_csv(path, meta, columns, rows)
 
 
 def evaluate_mitigation(

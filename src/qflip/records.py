@@ -4,19 +4,25 @@ One record holds the outcome counts of a single circuit submission:
 (depth, input state, sequence id, shots, counts). Outcomes and inputs are
 n-bit basis indices; on the wire they appear as bitstrings whose rightmost
 character is qubit 0. A Dataset holds its records as flat columns.
+
+The other artifact files are read and written here too: ``read_json`` and
+``write_json`` for model.json, profile.json and rb.json, and ``write_csv``
+for the CSV reports, whose '# ' header line is written as the dataset's is.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
+import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, format_missing
+from .errors import ConfigError, CoverageError, format_missing
 from .transforms import MAX_QUBITS
 
 __all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
@@ -143,6 +149,43 @@ def _object(pairs, name: str) -> dict:
         key = next(key for key, seen in Counter(key for key, _ in pairs).items() if seen > 1)
         raise ValueError(f"repeated key {key!r} in {name}")
     return fields
+
+
+def read_json(path, what: str):
+    """The JSON value in a file (model.json, profile.json). ConfigError for
+    a missing file ('<what> not found: <path>'), and '<path>: <reason>' for
+    text that is not JSON or an object that repeats a key."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    with open(path) as handle:
+        try:
+            return json.load(
+                handle, object_pairs_hook=lambda pairs: _object(tuple(pairs), "an object")
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def write_csv(path, header: str | None, columns, rows) -> None:
+    """Write a CSV artifact: the header comment line, the column names, then rows."""
+    with open(path, "w", newline="") as handle:
+        _write_header(handle, header)
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_header(handle, header: str | None) -> None:
+    """Write header as the '# ' comment line that opens an artifact, if given."""
+    if header:
+        handle.write(f"# {header}\n")
 
 
 def _lookup_fault(key, payload: dict, n) -> str:
@@ -344,8 +387,7 @@ class Dataset:
         starts = self._starts.tolist()
         line = _LINE + "\n"
         with open(path, "w") as handle:
-            if header:
-                handle.write(f"# {header}\n")
+            _write_header(handle, header)
             for depth, index, seq, shots, lo, hi in zip(
                 self.depth.tolist(),
                 self.input.tolist(),

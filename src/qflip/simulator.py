@@ -396,9 +396,11 @@ def ground_truth_from_profile(payload: dict):
     {"preset": name, "n": n, "seed": s, "params": {...}}."""
     try:
         name = payload["preset"]
-        n = int(payload["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = payload["n"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed profile: {exc}") from exc
+    if type(n) is not int:
+        raise ConfigError(f"malformed profile: n must be an integer, got {n!r}")
     if not isinstance(name, str):
         raise ConfigError(f"malformed profile: preset must be a string, got {name!r}")
     params = payload.get("params", {})

@@ -464,7 +464,8 @@ class TestSerialization:
         model = random_model(rng, 3)
         path = tmp_path / "model.json"
         channel.write_model(path, model)
-        back = channel.read_model(path)
+        back, meta = channel.read_model(path)
+        assert meta == {}
         for index in model.input_indices():
             assert np.array_equal(back.channels[index].rates, model.channels[index].rates)
 

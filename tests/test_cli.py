@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qflip
 from qflip.cli import main, parse_depths, parse_inputs, parse_preset, parse_spam
 from qflip.errors import ConfigError
 from qflip.records import Dataset
@@ -308,6 +309,8 @@ class TestCharacterize:
         [
             ('{"preset": "nope"}', "'n'"),
             ('{"preset": [1], "n": 2}', "preset must be a string, got [1]"),
+            ('{"preset": "iid_bitflip", "n": 2.7}', "n must be an integer, got 2.7"),
+            ('{"preset": "iid_bitflip", "n": true}', "n must be an integer, got True"),
         ],
     )
     def test_malformed_profile_payload_names_its_file(
@@ -445,6 +448,16 @@ class TestModelFileChecks:
         assert err.startswith(f"error: {model}: ")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_library_reader_gives_the_same_error(self, payload, tmp_path, case):
+        text, message = self.CASES[case]
+        model = tmp_path / "model.json"
+        model.write_text(text(payload))
+        with pytest.raises(ConfigError) as caught:
+            qflip.read_model(model)
+        assert str(caught.value).startswith(f"{model}: ")
+        assert message in str(caught.value)
 
 
 class TestMitigate:

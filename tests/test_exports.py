@@ -1,7 +1,10 @@
 """Every exported name resolves, so deleting an API cannot leave a
-dangling entry in an ``__all__`` list."""
+dangling entry in an ``__all__`` list, and no module reaches into another
+module's private names."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import qflip
@@ -22,3 +25,19 @@ def test_every_exported_name_resolves():
         if not hasattr(module, export)
     ]
     assert dangling == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """Helpers shared across modules are public; ``from .records import
+    _object`` would hide a second user of a private helper."""
+    package = pathlib.Path(qflip.__file__).parent
+    imports = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "qflip")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []

@@ -34,6 +34,7 @@ PINS = {
     "model.json": "25b426b1922ac6c5f0ca69fba9c046d6474904a81df06a0ced47bd00c5df5609",
     "report.csv": "ef0c6cfc01f26ed94d468b1c98b4e600e4eda0840f9967299eb3d9ea522aea7f",
     "predictions.csv": "80b6acfaa2c16fb76d59e35050e50d650ee5d358d81a2e12d82ee72db2088acb",
+    "profile.json": "b98b6cfb14e27ac3c6bbe217226a186865cfb558b101a5ecebc662e2b59ea1f2",
 }
 
 # every input of n=4, correlated flips, asymmetric readout pairs per qubit
@@ -60,6 +61,7 @@ PINS_N4 = {
     "predictions.csv": "c9f743cf229db86d32273c95f3db5c0251dc80ce3b79181924b2bacea5ed6201",
     "rb.json": "b55399761a46e024c553c19fce5e13cccb87e139c57c8fdd5bcd675e578a889f",
     "diagnostics_1011.csv": "e9442dd8f3274b26df22b26977d7596ea10ff788a04895bd92ea5255b2d0c743",
+    "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
 }
 
 
@@ -124,6 +126,7 @@ PINS_STAGED_N3 = {
     "diagnostics_000.csv": "72534000bfb7854bfb16d080374e42571fc87d6164466593b0e4031e1a527a6b",
     "diagnostics_011.csv": "eeb3e8bf948d21217b7c44d82f48bea5bdfabd620fa34d2ac06232d0c27ad396",
     "diagnostics_101.csv": "0b6b8a2d88e792b01b05409ff2cd5d582dd513709bdea331b1a3eabef74d0c9c",
+    "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
 
 
@@ -169,6 +172,7 @@ PINS_STAGED_PAVG_N3 = {
     "model.json": "5570a80efd06ff90ffc5c1039dca9fdcc5b4ab8b5203795bef6fdef76f6c8f81",
     "rb.json": "81f658e15d858e1257b3b4151bc4f3d9d536ababe7cbd453c994064d233b6987",
     "diagnostics_111.csv": "667ebcc8c18aa40b4c37f802be2a8d7acc051a0425a9c9ddfcea29cd96285a20",
+    "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
 }
 
 
