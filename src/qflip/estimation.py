@@ -110,13 +110,13 @@ def fit_decay(spectra, depths) -> FitResult:
 
     Row j of the ``(depths, 2**n)`` table is the spectrum at depths[j].
     Per coefficient, depths whose value exceeds FIT_FLOOR enter an
-    ordinary least squares of log(value) on depth, solved as np.polyfit
-    solves a line: the same scaled Vandermonde matrix and rcond, built once
-    per set of usable depths, and one np.linalg.lstsq call per
-    coefficient, so each result is polyfit's bit for bit. The eigenvalue
-    is clamped to [FIT_FLOOR, 1]. Coefficients with fewer than two usable
-    points get eigenvalue FIT_FLOOR and spam equal to the first usable
-    value (0 if none); points_used flags them.
+    ordinary least squares of log(value) on depth. All columns are solved
+    at once in closed form from sums centred on each column's mean usable
+    depth and log value; this agrees with a per-coefficient np.polyfit to
+    rounding, not bit for bit. The eigenvalue is clamped to [FIT_FLOOR, 1].
+    Coefficients with fewer than two usable points get eigenvalue
+    FIT_FLOOR, spam equal to their one usable value (0 if none) and a NaN
+    residual; points_used flags them. Coefficient 0 is pinned to 1.
     """
     table = np.asarray(spectra, dtype=float)
     depth_arr = np.asarray(depths, dtype=float)
@@ -126,45 +126,32 @@ def fit_decay(spectra, depths) -> FitResult:
         raise ValueError(
             f"spectrum table shape {table.shape} does not match {len(depth_arr)} depths"
         )
-    size = table.shape[1]
+    if np.unique(depth_arr).size < len(depth_arr):
+        raise ValueError("training depths repeat a value")
     usable = table > FIT_FLOOR
     used = usable.sum(axis=0)
+    count = np.maximum(used, 1)
+    # unusable points get log(1) = 0 and weight 0 (usable is the weight)
     logs = np.log(np.where(usable, table, 1.0))
+    x_mean = depth_arr @ usable / count
+    y_mean = logs.sum(axis=0) / count
+    dx = (depth_arr[:, None] - x_mean) * usable
+    dy = logs - y_mean
+    spread = np.einsum("ij,ij->j", dx, dx)
+    # distinct depths give a positive spread wherever two points are usable
+    slope = np.einsum("ij,ij->j", dx, dy) / np.where(used >= 2, spread, 1.0)
+    intercept = y_mean - slope * x_mean
+    errors = ((dy - slope * dx) * usable) ** 2
+    residual = np.sqrt(errors.sum(axis=0) / count)
+    eigenvalues = np.clip(np.exp(slope), FIT_FLOOR, 1.0)
+    spam = np.exp(intercept)
 
-    spam = np.ones(size)
-    eigenvalues = np.ones(size)
-    points_used = used.copy()
-    points_used[0] = len(depth_arr)
-    residual = np.zeros(size)
-
-    few = np.flatnonzero(used[1:] < 2) + 1
-    first = table[np.argmax(usable[:, few], axis=0), few]
-    eigenvalues[few] = FIT_FLOOR
-    spam[few] = np.where(used[few] == 1, first, 0.0)
-    residual[few] = np.nan
-
-    # coefficients with the same usable depths share one design matrix
-    groups = {}
-    for column in np.flatnonzero(used[1:] >= 2) + 1:
-        groups.setdefault(usable[:, column].tobytes(), []).append(column)
-    for columns in groups.values():
-        mask = usable[:, columns[0]]
-        x = depth_arr[mask]
-        lhs = np.vander(x, 2)
-        scale = np.sqrt((lhs * lhs).sum(axis=0))
-        lhs /= scale
-        rcond = len(x) * np.finfo(float).eps
-        ys = np.ascontiguousarray(logs[mask][:, columns].T)
-        coefs = np.array([np.linalg.lstsq(lhs, y, rcond)[0] for y in ys]) / scale
-        slope, intercept = coefs.T
-        eigenvalues[columns] = np.clip(np.exp(slope), FIT_FLOOR, 1.0)
-        spam[columns] = np.exp(intercept)
-        # each row sums along its own contiguous axis, as np.mean does one series
-        errors = (ys - (intercept[:, None] + slope[:, None] * x)) ** 2
-        residual[columns] = np.sqrt(errors.sum(axis=1) / len(x))
-    return FitResult(
-        spam=spam, eigenvalues=eigenvalues, points_used=points_used, residual=residual
-    )
+    few = used < 2
+    eigenvalues[few], residual[few] = FIT_FLOOR, np.nan
+    # the one usable value, or 0 where there is none
+    spam[few] = np.where(usable, table, 0.0).max(axis=0)[few]
+    used[0], spam[0], eigenvalues[0], residual[0] = len(depth_arr), 1.0, 1.0, 0.0
+    return FitResult(spam=spam, eigenvalues=eigenvalues, points_used=used, residual=residual)
 
 
 def exact_averages(model: NoiseModel, depths, inputs) -> list[DepthAverage]:

@@ -151,19 +151,23 @@ def _object(pairs, name: str) -> dict:
     return fields
 
 
-def read_json(path, what: str):
-    """The JSON value in a file (model.json, profile.json). ConfigError for
+def read_json(path, what: str) -> dict:
+    """The JSON object in a file (model.json, profile.json). ConfigError for
     a missing file ('<what> not found: <path>'), and '<path>: <reason>' for
-    text that is not JSON or an object that repeats a key."""
+    text that is not JSON, an object that repeats a key or a top-level
+    value that is not an object."""
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
     with open(path) as handle:
         try:
-            return json.load(
+            payload = json.load(
                 handle, object_pairs_hook=lambda pairs: _object(tuple(pairs), "an object")
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: {what} must hold a JSON object")
+    return payload
 
 
 def write_json(path, payload) -> None:
@@ -348,9 +352,10 @@ class Dataset:
         """Mean normalized counts per cell as an ``(inputs, depths, 2**n)`` table.
 
         Entry ``[i, j]`` adds the rows of ``distributions(depths[j],
-        inputs[i])`` one at a time in sequence-id order and divides by
-        their number. The table is filled one depth at a time from a dense
-        block of that depth's records, never from the whole dataset at once.
+        inputs[i])`` one at a time in sequence-id order (a depth's rows sit
+        in a zero-padded ``(inputs, circuits, 2**n)`` block by rank in their
+        cell, summed along the circuit axis) and divides by their number.
+        One depth at a time, never from the whole dataset at once.
         """
         depths, inputs = [int(d) for d in depths], [int(i) for i in inputs]
         if len(set(inputs)) < len(inputs):
@@ -361,10 +366,10 @@ class Dataset:
             cells = [self._cells[depth, index] for index in inputs]
             circuits = np.array([len(positions) for positions in cells])
             owner = np.repeat(np.arange(len(inputs)), circuits)
-            sums = np.zeros((len(inputs), self.size))
-            # np.add.at adds in index order, so each cell's rows in sequence-id order
-            np.add.at(sums, owner, self._rows(np.concatenate(cells)))
-            means[:, j] = sums / circuits[:, None]
+            rank = np.arange(len(owner)) - np.repeat(np.cumsum(circuits) - circuits, circuits)
+            block = np.zeros((len(inputs), circuits.max(), self.size))
+            block[owner, rank] = self._rows(np.concatenate(cells))
+            means[:, j] = block.sum(axis=1) / circuits[:, None]
         return means
 
     def _rows(self, positions: np.ndarray) -> np.ndarray:

@@ -391,6 +391,14 @@ def build_preset(name: str, n: int, **params) -> GroundTruth:
         raise ConfigError(f"bad parameters for preset {name!r}: {exc}") from exc
 
 
+def _numbers(value) -> bool:
+    """A number, or nested arrays of them (per-qubit readout and prep); a
+    bool is not a number."""
+    if isinstance(value, (list, tuple)):
+        return all(_numbers(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def ground_truth_from_profile(payload: dict):
     """Profile JSON -> (GroundTruth, seed). Shape:
     {"preset": name, "n": n, "seed": s, "params": {...}}."""
@@ -406,5 +414,8 @@ def ground_truth_from_profile(payload: dict):
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("profile params must be an object")
+    for key, value in params.items():
+        if not _numbers(value):
+            raise ConfigError(f"malformed profile: parameter {key!r} is not a number: {value!r}")
     seed = payload.get("seed")
     return build_preset(name, n, **params), seed

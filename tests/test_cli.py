@@ -323,6 +323,34 @@ class TestCharacterize:
         assert code == 2
         assert capsys.readouterr().err == f"error: {profile}: malformed profile: {message}\n"
 
+    def test_profile_must_hold_an_object(self, run_dir, tmp_path, capsys):
+        profile = tmp_path / "arr.json"
+        profile.write_text("[1]")
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {profile}: profile must hold a JSON object\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [('"0.01"', "'0.01'"), ("false", "False"), ("true", "True"),
+         ('[0.01, "0.02"]', "[0.01, '0.02']")],
+    )
+    def test_preset_params_must_be_numbers(self, run_dir, tmp_path, capsys, value, shown):
+        # false was once read as q=0 and compared against the wrong device
+        profile = tmp_path / "p.json"
+        profile.write_text(
+            f'{{"preset": "iid_bitflip", "n": 2, "params": {{"readout": 0.0, "q": {value}}}}}'
+        )
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {profile}: malformed profile: parameter 'q' is not a number: {shown}\n"
+        )
+
     def test_broken_sibling_profile_names_its_file(self, run_dir, tmp_path, capsys):
         # the profile next to the dataset is read without being asked for
         (tmp_path / "dataset.jsonl").write_bytes((run_dir / "dataset.jsonl").read_bytes())
@@ -385,6 +413,15 @@ class TestPredict:
         code = run("predict", "--model", model, "--depths", "1", "--out", tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {model}: Expecting")
+
+    def test_model_must_hold_an_object(self, tmp_path, capsys):
+        model = tmp_path / "arr.json"
+        model.write_text("[1]")
+        code = run("predict", "--model", model, "--depths", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: model file must hold a JSON object\n"
+        )
 
     def test_malformed_model_payload_names_its_file(self, tmp_path, capsys):
         model = tmp_path / "m.json"

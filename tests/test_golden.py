@@ -31,7 +31,7 @@ ARGV = [
 
 PINS = {
     "dataset.jsonl": "0d0656d0707a38ea9e8480593e17130254f601841561d713c8fe51ab5ee0c24e",
-    "model.json": "25b426b1922ac6c5f0ca69fba9c046d6474904a81df06a0ced47bd00c5df5609",
+    "model.json": "ecc3bfb56364b923897473a760b3f6761e87f885fa1d1a45b3e41c10d9eb44a0",
     "report.csv": "ef0c6cfc01f26ed94d468b1c98b4e600e4eda0840f9967299eb3d9ea522aea7f",
     "predictions.csv": "80b6acfaa2c16fb76d59e35050e50d650ee5d358d81a2e12d82ee72db2088acb",
     "profile.json": "b98b6cfb14e27ac3c6bbe217226a186865cfb558b101a5ecebc662e2b59ea1f2",
@@ -56,9 +56,9 @@ ARGV_N4 = [
 
 PINS_N4 = {
     "dataset.jsonl": "736555503485439608505443524d3f2152300dce0d3b570f3d26ade215a81c8f",
-    "model.json": "5e7c8e183ac440d86f43f5e81cbbfeb14d8ad60387516102d5c45ccc5e1ad39e",
+    "model.json": "cfdaa4d2ee81740d9c75268ee4d3dd5b504a86cc2e9c784ec14525a6be60b1ca",
     "report.csv": "c8eb7ba9d2c9ceacd1d59db8ae8655e4790dde4ee6392fcba219ae2297d05a4a",
-    "predictions.csv": "c9f743cf229db86d32273c95f3db5c0251dc80ce3b79181924b2bacea5ed6201",
+    "predictions.csv": "4c7a49d333550357a5a5c009a0b34a0eeb8a576903d6263c336e0563a31c2df2",
     "rb.json": "b55399761a46e024c553c19fce5e13cccb87e139c57c8fdd5bcd675e578a889f",
     "diagnostics_1011.csv": "e9442dd8f3274b26df22b26977d7596ea10ff788a04895bd92ea5255b2d0c743",
     "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
@@ -121,7 +121,7 @@ STAGED_N3 = [
 
 PINS_STAGED_N3 = {
     "dataset.jsonl": "7ff0fd0a33bf50153697aef96566905b55cf4913428b5d44654365a5378a6df2",
-    "model.json": "ce74d72922fa17d00a532f36ddca8ce66142269bb0f5ff69edb3c589a38d054e",
+    "model.json": "cf35107d9fa3c69de81b4a1edf5e223e4b5c123d408ee3b971543c41072d4277",
     "predictions.csv": "970a0f7ed881af5a915c07418d5c2eb21852e0392268de8563f9f85f02e17b16",
     "diagnostics_000.csv": "72534000bfb7854bfb16d080374e42571fc87d6164466593b0e4031e1a527a6b",
     "diagnostics_011.csv": "eeb3e8bf948d21217b7c44d82f48bea5bdfabd620fa34d2ac06232d0c27ad396",
@@ -169,7 +169,7 @@ STAGED_PAVG_N3 = [
 ]
 
 PINS_STAGED_PAVG_N3 = {
-    "model.json": "5570a80efd06ff90ffc5c1039dca9fdcc5b4ab8b5203795bef6fdef76f6c8f81",
+    "model.json": "00e502a7a492350e5d84b8b9edbea60d0c72a58b4c4ec58af6163cbb5a17b60c",
     "rb.json": "81f658e15d858e1257b3b4151bc4f3d9d536ababe7cbd453c994064d233b6987",
     "diagnostics_111.csv": "667ebcc8c18aa40b4c37f802be2a8d7acc051a0425a9c9ddfcea29cd96285a20",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
