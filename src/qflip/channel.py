@@ -30,9 +30,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing
-from .records import index_to_bits, read_json, write_json
+from .records import holds_numbers, index_to_bits, read_json, write_json
 from .transforms import (
-    MAX_QUBITS,
+    check_basis_indices,
+    check_qubit_count,
     fwht,
     fwht_inverse,
     num_qubits,
@@ -182,13 +183,13 @@ class NoiseModel:
 
     def __init__(self, n: int, channels):
         channels = dict(channels)
-        if 1 <= n <= MAX_QUBITS:
-            for index, channel in channels.items():
-                if channel.rates.size != 1 << n:
-                    raise ValueError(
-                        f"channel for input {index} has length {channel.rates.size}, "
-                        f"expected {1 << n}"
-                    )
+        size = 1 << check_qubit_count(n)
+        for index, channel in channels.items():
+            if channel.rates.size != size:
+                raise ValueError(
+                    f"channel for input {index} has length {channel.rates.size}, "
+                    f"expected {size}"
+                )
         order = sorted(channels)
         self._store(
             n,
@@ -207,15 +208,11 @@ class NoiseModel:
         return model
 
     def _store(self, n, inputs, rates, spam) -> None:
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        size = 1 << check_qubit_count(n)
         inputs = np.array(inputs, dtype=np.int64).reshape(-1)
         if not inputs.size:
             raise ValueError("model has no input-state channels")
-        size = 1 << n
-        outside = (inputs < 0) | (inputs >= size)
-        if outside.any():
-            raise ValueError(f"input index {inputs[outside][0]} out of range for n={n}")
+        check_basis_indices(inputs, n)
         if np.any(inputs[1:] <= inputs[:-1]):
             raise ValueError("model inputs must be increasing")
         rates, spam = _channel_arrays(rates, spam)
@@ -270,8 +267,6 @@ def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarr
     negative; for exact models it is the identity. A sequence of input
     indices gives one row per input, each equal to its one-input result.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     rows = model.rows(input_index)
     predicted = _predict(
         model.spam[rows], eigenvalues_from_rates(model.rates[rows]), depth, model.inputs[rows]
@@ -282,6 +277,8 @@ def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarr
 def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
     """One predicted distribution per input: spam is ``(inputs, 2**n)``,
     eigenvalues the same or one spectrum shared by every input."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     indicator = np.zeros(spam.shape)
     indicator[np.arange(len(inputs)), inputs] = 1.0
     spectrum = spam * eigenvalues**depth * fwht(indicator)
@@ -323,8 +320,6 @@ def mitigation_matrix(
     input-specific. The 1-norm condition number is recorded so callers
     can flag ill-conditioned inversions.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     _require_all_inputs(model, f"mitigation matrix needs all {model.size} input states")
     rates = average_error_rates(model) if use_average_rates else model.rates
     predicted = _predict(model.spam, eigenvalues_from_rates(rates), depth, model.inputs)
@@ -359,8 +354,9 @@ def model_to_json(model: NoiseModel) -> dict:
 
 
 def model_from_json(payload: dict) -> NoiseModel:
-    """The model of a ``model_to_json`` payload. An optional "meta" must be
-    an object, and its "train_depths", if present, a list of integers."""
+    """The model of a ``model_to_json`` payload. Each entry's "p" and "A"
+    must hold JSON numbers. An optional "meta" must be an object, and its
+    "train_depths", if present, a list of integers."""
     try:
         n = payload["n"]
         raw_inputs = payload["inputs"]
@@ -382,6 +378,9 @@ def model_from_json(payload: dict) -> NoiseModel:
             index = int(key)
             if key != str(index):
                 raise ValueError(f"expected the key {str(index)!r}")
+            for name in ("p", "A"):
+                if not holds_numbers(entry[name]):
+                    raise ValueError(f"{name} must hold numbers, got {entry[name]!r}")
             rates = np.asarray(entry["p"], dtype=float)
             spam = np.asarray(entry["A"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:

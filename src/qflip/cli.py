@@ -40,19 +40,10 @@ from .simulator import (
     build_preset,
     generate_dataset,
     ground_truth_from_profile,
+    lookup_preset,
 )
-from .transforms import MAX_QUBITS
 
 __all__ = ["main", "build_parser", "parse_depths", "parse_inputs", "parse_preset"]
-
-# positional parameters accepted after the preset name, e.g. iid_bitflip:0.02
-PRESET_PARAMS = {
-    "iid_bitflip": ("q",),
-    "depolarizing": ("alpha",),
-    "correlated_pair": ("q", "q_corr", "first", "second"),
-    "spam_only": ("epsilon",),
-}
-_INT_PARAMS = {"first", "second"}
 
 
 def parse_depths(text) -> list:
@@ -110,19 +101,16 @@ def parse_preset(text: str):
     """Preset grammar: name or name:value[:value...], positional params."""
     parts = str(text).split(":")
     name = parts[0].strip()
-    if name not in PRESET_PARAMS:
-        known = ", ".join(sorted(PRESET_PARAMS))
-        raise ConfigError(f"unknown preset {name!r}; available: {known}")
-    names = PRESET_PARAMS[name]
+    _, types = lookup_preset(name)
     values = [p.strip() for p in parts[1:]]
-    if len(values) > len(names):
+    if len(values) > len(types):
         raise ConfigError(
-            f"preset {name!r} takes at most {len(names)} parameters ({', '.join(names)})"
+            f"preset {name!r} takes at most {len(types)} parameters ({', '.join(types)})"
         )
     params = {}
-    for key, value in zip(names, values):
+    for (key, kind), value in zip(types.items(), values):
         try:
-            params[key] = int(value) if key in _INT_PARAMS else float(value)
+            params[key] = kind(value)
         except ValueError:
             raise ConfigError(f"bad value {value!r} for preset parameter {key}") from None
     return name, params
@@ -152,7 +140,9 @@ def parse_spam(text, pairs_ok: bool = True):
     return parts
 
 
-def _load_config(path) -> dict:
+def _load_config(path, options) -> dict:
+    """key = value lines of a config file; each key must name an option of
+    some subcommand, so one file can serve several."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -163,10 +153,12 @@ def _load_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
+            written, _, value = line.partition("=")
+            key = written.strip().replace("-", "_")
             if not key:
                 raise ConfigError(f"{path}:{line_no}: empty key")
+            if key not in options:
+                raise ConfigError(f"{path}:{line_no}: unknown option {written.strip()!r}")
             values[key] = value.strip().strip("\"'")
     return values
 
@@ -177,7 +169,7 @@ class Settings:
     def __init__(self, args: argparse.Namespace):
         self._cli = vars(args)
         path = self._cli.get("config")
-        self._file = _load_config(path) if path else {}
+        self._file = _load_config(path, self._cli["options"]) if path else {}
 
     def raw(self, key, default=None):
         value = self._cli.get(key)
@@ -229,12 +221,6 @@ def _meta_line(n, seed, digest) -> str:
     return f"n={n} seed={seed_text} config_sha256={digest}"
 
 
-def _check_n(n: int) -> int:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ConfigError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    return n
-
-
 def _read_dataset(path, model=None) -> Dataset:
     if not os.path.exists(path):
         raise ConfigError(f"dataset not found: {path}")
@@ -250,9 +236,10 @@ def _positive_depths(dataset: Dataset) -> list:
 
 
 def _ground_truth_params(s: Settings):
-    """Shared simulate/run-all front end: preset, geometry, sampling plan."""
+    """Shared simulate/run-all front end: preset, geometry, sampling plan.
+    The plan is what profile.json and the config digest record of it."""
     name, params = parse_preset(s.require("preset"))
-    n = _check_n(s.integer("n", required=True))
+    n = s.integer("n", required=True)
     readout = s.raw("readout")
     if readout is not None:
         params["readout"] = parse_spam(readout)
@@ -268,12 +255,11 @@ def _ground_truth_params(s: Settings):
         "shots": s.integer("shots", DEFAULT_SHOTS),
         "seed": s.integer("seed", 0),
         "inputs": parse_inputs(s.raw("inputs", "0"), gt.size),
-        "workers": s.integer("workers"),
     }
     return gt, plan
 
 
-def _simulate_to_dir(gt, plan, depths, outdir, digest, extra_profile=None):
+def _simulate_to_dir(gt, plan, depths, workers, outdir, digest, **extra_profile):
     dataset = generate_dataset(
         gt,
         depths,
@@ -281,23 +267,12 @@ def _simulate_to_dir(gt, plan, depths, outdir, digest, extra_profile=None):
         inputs=plan["inputs"],
         shots=plan["shots"],
         seed=plan["seed"],
-        workers=plan["workers"],
+        workers=workers,
     )
     meta = _meta_line(plan["n"], plan["seed"], digest)
     dataset_path = os.path.join(outdir, "dataset.jsonl")
     dataset.write_jsonl(dataset_path, header=f"qflip dataset {meta}")
-    profile = {
-        "preset": plan["preset"],
-        "n": plan["n"],
-        "seed": plan["seed"],
-        "params": plan["params"],
-        "depths": depths,
-        "K": plan["K"],
-        "shots": plan["shots"],
-        "inputs": plan["inputs"],
-        "config_sha256": digest,
-    }
-    profile.update(extra_profile or {})
+    profile = {**plan, "depths": depths, "config_sha256": digest, **extra_profile}
     profile_path = os.path.join(outdir, "profile.json")
     write_json(profile_path, profile)
     print(f"wrote {len(dataset)} records to {dataset_path}")
@@ -424,9 +399,8 @@ def _mitigate_into(dataset, model, outdir, test, inputs, pooled, seed, digest) -
 def cmd_simulate(s: Settings) -> int:
     gt, plan = _ground_truth_params(s)
     depths = parse_depths(s.require("depths"))
-    cfg = {k: v for k, v in plan.items() if k != "workers"}
-    cfg.update(command="simulate", depths=depths)
-    _simulate_to_dir(gt, plan, depths, s.out_dir(), _config_hash(cfg))
+    digest = _config_hash({**plan, "command": "simulate", "depths": depths})
+    _simulate_to_dir(gt, plan, depths, s.integer("workers"), s.out_dir(), digest)
     return 0
 
 
@@ -510,12 +484,12 @@ def cmd_run_all(s: Settings) -> int:
     # depth 0 rides along as the MEM calibration stage
     depths = sorted(set(train) | set(test) | {0})
     pooled = s.boolean("pavg")
-    cfg = {k: v for k, v in plan.items() if k != "workers"}
-    cfg.update(command="run-all", train=train, test=test, pavg=pooled)
-    digest = _config_hash(cfg)
+    digest = _config_hash(
+        {**plan, "command": "run-all", "train": train, "test": test, "pavg": pooled}
+    )
     outdir = s.out_dir()
     dataset, _ = _simulate_to_dir(
-        gt, plan, depths, outdir, digest, extra_profile={"train": train, "test": test}
+        gt, plan, depths, s.integer("workers"), outdir, digest, train=train, test=test
     )
     seed = plan["seed"]
     model, fits = _characterize_into(
@@ -605,6 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--rb", action="store_const", const=True, help="also fit the RB baseline")
     cmd.set_defaults(func=cmd_run_all)
 
+    # a config file may set any option of any subcommand
+    options = set().union(*(vars(cmd.parse_args([])) for cmd in sub.choices.values()))
+    parser.set_defaults(options=frozenset(options - {"func"}))
     return parser
 
 

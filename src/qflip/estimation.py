@@ -20,8 +20,8 @@ from .channel import (
     predict_distribution,
     rates_from_eigenvalues,
 )
-from .errors import CoverageError, format_missing
-from .records import Dataset, index_to_bits, write_csv
+from .errors import CoverageError
+from .records import Dataset, require_cells, write_csv
 from .transforms import fwht, xor_permute
 
 __all__ = [
@@ -177,20 +177,15 @@ def estimate_model_from_averages(
     FitResult. With use_average_rates every channel's rates are replaced
     by the mean over the fitted inputs (SPAM stays input-specific).
     """
-    cells = {(avg.input_index, avg.depth): avg.distribution for avg in averages}
+    cells = {(avg.depth, avg.input_index): avg.distribution for avg in averages}
     if not cells:
         raise CoverageError("no averages supplied")
-    inputs = sorted({index for index, _ in cells})
+    inputs = sorted({index for _, index in cells})
     depths = sorted(
-        {depth for _, depth in cells} if train_depths is None else set(train_depths)
+        {depth for depth, _ in cells} if train_depths is None else set(train_depths)
     )
-    missing = [(m, index) for index in inputs for m in depths if (index, m) not in cells]
-    if missing:
-        shown = format_missing(
-            missing, lambda cell: f"(m={cell[0]}, in={index_to_bits(cell[1], n)})"
-        )
-        raise CoverageError(f"no averages for {shown}")
-    means = np.array([[cells[index, depth] for depth in depths] for index in inputs])
+    require_cells(depths, inputs, cells, n, "no averages for")
+    means = np.array([[cells[depth, index] for depth in depths] for index in inputs])
     return _fit_model(n, inputs, depths, means, use_average_rates)
 
 

@@ -8,6 +8,8 @@ character is qubit 0. A Dataset holds its records as flat columns.
 The other artifact files are read and written here too: ``read_json`` and
 ``write_json`` for model.json, profile.json and rb.json, and ``write_csv``
 for the CSV reports, whose '# ' header line is written as the dataset's is.
+``holds_numbers`` is the number rule of the JSON payloads, and
+``require_cells`` the missing-cell error of datasets and averages alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing
-from .transforms import MAX_QUBITS
+from .transforms import MAX_QUBITS, check_basis_indices, check_qubit_count
 
 __all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
 
@@ -170,6 +172,14 @@ def read_json(path, what: str) -> dict:
     return payload
 
 
+def holds_numbers(value) -> bool:
+    """A JSON number, or nested arrays of them (a rates vector, per-qubit
+    readout and prep); a bool is not a number."""
+    if isinstance(value, (list, tuple)):
+        return all(holds_numbers(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def write_json(path, payload) -> None:
     """Write payload as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as handle:
@@ -203,6 +213,19 @@ def _lookup_fault(key, payload: dict, n) -> str:
     if not 1 <= len(key) <= MAX_QUBITS:
         return f"input bitstring length {len(key)} out of range"
     return f"qubit count {len(key)} != {n} seen earlier"
+
+
+def require_cells(depths, inputs, present, n: int, what: str) -> None:
+    """CoverageError, '<what>' and then every (depth, input) cell of
+    depths x inputs that is not in present."""
+    missing = [
+        (depth, index) for index in inputs for depth in depths if (depth, index) not in present
+    ]
+    if missing:
+        shown = format_missing(
+            missing, lambda cell: f"(m={cell[0]}, in={index_to_bits(cell[1], n)})"
+        )
+        raise CoverageError(f"{what} {shown}")
 
 
 def _cell_index(n, depth, input_index, seq) -> dict:
@@ -269,17 +292,16 @@ class Dataset:
         return dataset
 
     def _store(self, n, *columns) -> None:
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        check_qubit_count(n)
         depth, input, seq, shots, record, outcome, count = _check_fields(*columns)
         size = 1 << n
         outside = input >= size
         outside[record[outcome >= size]] = True
         if outside.any():
             position = int(np.argmax(outside))
-            if input[position] >= size:
-                raise ValueError(f"record input {input[position]} out of range for n={n}")
-            raise ValueError(f"record outcome out of range for n={n}")
+            # the record's input is named if it is outside, else its outcome
+            check_basis_indices(input[position], n, "record input")
+            check_basis_indices(outcome[record == position], n, "record outcome")
 
         # columns from the simulator or a written file are already in
         # canonical order; sort only when they are not
@@ -326,17 +348,7 @@ class Dataset:
 
     def require(self, depths, inputs) -> None:
         """Raise CoverageError naming every (depth, input) cell with no records."""
-        missing = [
-            (depth, index)
-            for index in inputs
-            for depth in depths
-            if (depth, index) not in self._cells
-        ]
-        if missing:
-            shown = format_missing(
-                missing, lambda cell: f"(m={cell[0]}, in={index_to_bits(cell[1], self.n)})"
-            )
-            raise CoverageError(f"dataset is missing records for {shown}")
+        require_cells(depths, inputs, self._cells, self.n, "dataset is missing records for")
 
     def circuits(self, depth: int, input_index: int) -> int:
         """Number of records (circuits) in the (depth, input) cell."""

@@ -19,8 +19,8 @@ import numpy as np
 from . import clifford
 from .channel import NoiseModel, apply_transition_power
 from .errors import ConfigError
-from .records import Dataset
-from .transforms import MAX_QUBITS, require_prob_dist
+from .records import Dataset, holds_numbers
+from .transforms import check_basis_indices, check_qubit_count, require_prob_dist
 
 __all__ = [
     "GroundTruth",
@@ -34,6 +34,7 @@ __all__ = [
     "correlated_pair",
     "spam_only",
     "PRESETS",
+    "lookup_preset",
     "build_preset",
     "ground_truth_from_profile",
     "DEFAULT_SHOTS",
@@ -92,8 +93,7 @@ class GroundTruth:
     rates_by_input: dict | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        check_qubit_count(self.n)
         rates = require_prob_dist(self.rates).copy()
         if rates.shape != (1 << self.n,):
             raise ValueError(f"rates length {rates.size} does not match n={self.n}")
@@ -105,8 +105,7 @@ class GroundTruth:
         if self.rates_by_input:
             for index, values in self.rates_by_input.items():
                 index = int(index)
-                if not 0 <= index < 1 << self.n:
-                    raise ValueError(f"override input {index} out of range for n={self.n}")
+                check_basis_indices(index, self.n, "override input")
                 arr = require_prob_dist(values).copy()
                 if arr.shape != (1 << self.n,):
                     raise ValueError(f"override for input {index} has wrong length")
@@ -138,15 +137,22 @@ class GroundTruth:
         composed confusion also has off-diagonal Walsh structure that this
         summary drops.
         """
-        factors = [
-            (1.0 - e01 - e10) * (1.0 - 2.0 * p)
-            for (e01, e10), p in zip(self.readout, self.prep)
-        ]
-        spam = np.ones(self.size)
-        idx = np.arange(self.size)
-        for qubit, factor in enumerate(factors):
-            spam[(idx >> qubit) & 1 == 1] *= factor
-        return spam
+        return _per_qubit_product(
+            [
+                (1.0, (1.0 - e01 - e10) * (1.0 - 2.0 * p))
+                for (e01, e10), p in zip(self.readout, self.prep)
+            ]
+        )
+
+
+def _per_qubit_product(pairs) -> np.ndarray:
+    """The length-2**n vector whose entry i multiplies pairs[q][bit q of i]
+    over the qubits q, the new factor on the left at each qubit."""
+    out = np.ones(1)
+    for pair in pairs:
+        # kron on the left: the new qubit becomes the highest bit of the index
+        out = np.kron(pair, out)
+    return out
 
 
 def _apply_per_qubit(matrices, vec: np.ndarray, n: int) -> np.ndarray:
@@ -173,12 +179,7 @@ def exact_distributions(gt: GroundTruth, depth: int, inputs) -> np.ndarray:
     Each row uses its input's own rates when ``rates_by_input`` overrides
     them.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    inputs = [int(index) for index in inputs]
-    for index in inputs:
-        if not 0 <= index < gt.size:
-            raise ValueError(f"input index {index} out of range for n={gt.n}")
+    inputs = check_basis_indices(inputs, gt.n).tolist()
     state = np.zeros((len(inputs), gt.size))
     state[np.arange(len(inputs)), inputs] = 1.0
     if any(p > 0.0 for p in gt.prep):
@@ -212,14 +213,11 @@ def _check_generation_args(gt, depths, circuits_per_depth, inputs, shots):
         raise ValueError("depths must be unique")
     if min(depths) < 0:
         raise ValueError("depths must be >= 0")
-    inputs = [int(i) for i in inputs]
+    inputs = check_basis_indices(inputs, gt.n).tolist()
     if not inputs:
         raise ValueError("need at least one input state")
     if len(set(inputs)) != len(inputs):
         raise ValueError("input states must be unique")
-    for index in inputs:
-        if not 0 <= index < gt.size:
-            raise ValueError(f"input index {index} out of range for n={gt.n}")
     if circuits_per_depth < 1:
         raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
     if shots < 1:
@@ -250,10 +248,6 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed, first_rec
     return (seq, input_column, *(np.concatenate(parts) for parts in zip(*entries)))
 
 
-def _depth_shard(args):
-    return _depth_columns(*args)
-
-
 def generate_dataset(
     gt: GroundTruth,
     depths,
@@ -277,9 +271,9 @@ def generate_dataset(
     ]
     if workers is not None and workers > 1 and len(shard_args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_depth_shard, shard_args))
+            shards = list(pool.map(_depth_columns, *zip(*shard_args)))
     else:
-        shards = [_depth_columns(*args) for args in shard_args]
+        shards = list(map(_depth_columns, *zip(*shard_args)))
     seq, input_column, record, outcome, count = (np.concatenate(parts) for parts in zip(*shards))
     del shards  # free the per-depth copies before the dataset's checks
     return Dataset.from_columns(
@@ -319,20 +313,11 @@ def true_noise_model(gt: GroundTruth) -> NoiseModel:
     return NoiseModel.from_arrays(gt.n, np.arange(gt.size), rates, spam)
 
 
-def _tensor_flip_rates(n: int, flip_probs) -> np.ndarray:
-    rates = np.ones(1)
-    for q in range(n):
-        f = float(flip_probs[q])
-        # kron on the left: new qubit becomes bit q of the index
-        rates = np.kron([1.0 - f, f], rates)
-    return rates
-
-
 def iid_bitflip(n: int, q: float, readout=0.0, prep=0.0) -> GroundTruth:
     """Independent per-qubit flip probability q each gate layer."""
     if not 0.0 <= q < MAX_FLIP_PROB:
         raise ValueError(f"flip probability must be in [0, 0.5), got {q}")
-    rates = _tensor_flip_rates(n, [q] * n)
+    rates = _per_qubit_product([(1.0 - q, q)] * n)
     return GroundTruth(n=n, rates=rates, readout=readout, prep=prep)
 
 
@@ -341,7 +326,8 @@ def depolarizing(n: int, alpha: float, readout=0.0, prep=0.0) -> GroundTruth:
     qubit flips with probability alpha/2 per layer."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {alpha}")
-    rates = _tensor_flip_rates(n, [alpha / 2.0] * n)
+    flip = alpha / 2.0
+    rates = _per_qubit_product([(1.0 - flip, flip)] * n)
     return GroundTruth(n=n, rates=rates, readout=readout, prep=prep)
 
 
@@ -355,7 +341,7 @@ def correlated_pair(
         raise ValueError(f"correlated mass must be in [0, 1), got {q_corr}")
     if first == second or not (0 <= first < n and 0 <= second < n):
         raise ValueError(f"need two distinct qubits in range, got {(first, second)}")
-    rates = _tensor_flip_rates(n, [q] * n)
+    rates = _per_qubit_product([(1.0 - q, q)] * n)
     pattern = (1 << first) | (1 << second)
     rates[pattern] += q_corr
     rates /= 1.0 + q_corr
@@ -369,34 +355,35 @@ def spam_only(n: int, epsilon, prep=0.0) -> GroundTruth:
     return GroundTruth(n=n, rates=rates, readout=epsilon, prep=prep)
 
 
+# name -> (builder, the parameters that may follow the name in order, as
+# in iid_bitflip:0.02, with their types)
 PRESETS = {
-    "iid_bitflip": iid_bitflip,
-    "depolarizing": depolarizing,
-    "correlated_pair": correlated_pair,
-    "spam_only": spam_only,
+    "iid_bitflip": (iid_bitflip, {"q": float}),
+    "depolarizing": (depolarizing, {"alpha": float}),
+    "correlated_pair": (
+        correlated_pair, {"q": float, "q_corr": float, "first": int, "second": int}
+    ),
+    "spam_only": (spam_only, {"epsilon": float}),
 }
 
 
-def build_preset(name: str, n: int, **params) -> GroundTruth:
+def lookup_preset(name: str):
+    """(builder, params) of a preset; ConfigError lists the known names."""
     try:
-        builder = PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; available: {known}") from None
+
+
+def build_preset(name: str, n: int, **params) -> GroundTruth:
+    builder, _ = lookup_preset(name)
+    # before the builder allocates 2**n rates
+    check_qubit_count(n)
     try:
         return builder(n=n, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for preset {name!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad parameters for preset {name!r}: {exc}") from exc
-
-
-def _numbers(value) -> bool:
-    """A number, or nested arrays of them (per-qubit readout and prep); a
-    bool is not a number."""
-    if isinstance(value, (list, tuple)):
-        return all(_numbers(item) for item in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def ground_truth_from_profile(payload: dict):
@@ -415,7 +402,9 @@ def ground_truth_from_profile(payload: dict):
     if not isinstance(params, dict):
         raise ConfigError("profile params must be an object")
     for key, value in params.items():
-        if not _numbers(value):
+        if not holds_numbers(value):
             raise ConfigError(f"malformed profile: parameter {key!r} is not a number: {value!r}")
     seed = payload.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ConfigError(f"malformed profile: seed must be an integer, got {seed!r}")
     return build_preset(name, n, **params), seed

@@ -19,6 +19,8 @@ __all__ = [
     "xor_permute",
     "simplex_project",
     "num_qubits",
+    "check_qubit_count",
+    "check_basis_indices",
     "require_prob_dist",
 ]
 
@@ -37,6 +39,23 @@ def num_qubits(values: np.ndarray) -> int:
     if values.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {values.shape}")
     return _outcome_qubits(values)
+
+
+def check_qubit_count(n: int) -> int:
+    """n itself; ValueError unless 1 <= n <= MAX_QUBITS."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
+def check_basis_indices(indices, n: int, what: str = "input index") -> np.ndarray:
+    """The basis indices as an int64 array; ValueError names the first one
+    outside [0, 2**n), calling it what."""
+    arr = np.asarray(indices, dtype=np.int64)
+    outside = (arr < 0) | (arr >= 1 << n)
+    if outside.any():
+        raise ValueError(f"{what} {arr[outside].flat[0]} out of range for n={n}")
+    return arr
 
 
 def _outcome_qubits(values: np.ndarray) -> int:

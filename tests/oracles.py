@@ -334,3 +334,17 @@ def per_column_mitigation_matrix(model, depth, use_average_rates=False) -> np.nd
         spectrum = chan.spam * eigenvalues**depth * fwht(indicator)
         columns[:, index] = simplex_project(fwht_inverse(spectrum))
     return columns
+
+
+def mask_loop_product(pairs) -> np.ndarray:
+    """Entry i multiplies pairs[q][bit q of i] over the qubits q, by one
+    boolean mask per qubit (spectral_spam's former loop, with pairs
+    (1, factor))."""
+    size = 1 << len(pairs)
+    out = np.ones(size)
+    idx = np.arange(size)
+    for qubit, (low, high) in enumerate(pairs):
+        bit = (idx >> qubit) & 1 == 1
+        out[~bit] *= low
+        out[bit] *= high
+    return out

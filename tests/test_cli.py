@@ -186,10 +186,11 @@ class TestSimulate:
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("simulate", "--n", 2, "--depths", "1", "--out", tmp_path) == 2
 
-    def test_n_out_of_range_exits_2(self, tmp_path):
+    def test_n_out_of_range_exits_2(self, tmp_path, capsys):
         code = run("simulate", "--preset", "iid_bitflip:0.1", "--n", 0,
                    "--depths", "1", "--out", tmp_path)
         assert code == 2
+        assert capsys.readouterr().err == "error: qubit count must be in [1, 12], got 0\n"
 
     def test_bad_preset_parameter_exits_2(self, tmp_path):
         code = run("simulate", "--preset", "iid_bitflip:0.7", "--n", 2,
@@ -311,6 +312,13 @@ class TestCharacterize:
             ('{"preset": [1], "n": 2}', "preset must be a string, got [1]"),
             ('{"preset": "iid_bitflip", "n": 2.7}', "n must be an integer, got 2.7"),
             ('{"preset": "iid_bitflip", "n": true}', "n must be an integer, got True"),
+            # a seed that is not an integer was once written into every header
+            ('{"preset": "iid_bitflip", "n": 2, "seed": 2.5}',
+             "seed must be an integer, got 2.5"),
+            ('{"preset": "iid_bitflip", "n": 2, "seed": "7"}',
+             "seed must be an integer, got '7'"),
+            ('{"preset": "iid_bitflip", "n": 2, "seed": true}',
+             "seed must be an integer, got True"),
         ],
     )
     def test_malformed_profile_payload_names_its_file(
@@ -322,6 +330,30 @@ class TestCharacterize:
                    "--profile", profile, "--out", tmp_path)
         assert code == 2
         assert capsys.readouterr().err == f"error: {profile}: malformed profile: {message}\n"
+
+    @pytest.mark.parametrize("seed", ["", ', "seed": null'])
+    def test_profile_seed_may_be_absent(self, run_dir, tmp_path, seed):
+        profile = tmp_path / "p.json"
+        profile.write_text(
+            f'{{"preset": "iid_bitflip", "n": 2, "params": {{"q": 0.05}}{seed}}}'
+        )
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 0
+        assert "seed=none" in (tmp_path / "diagnostics_00.csv").read_text()
+
+    def test_profile_qubit_count_is_checked_before_the_device_is_built(
+        self, run_dir, tmp_path, capsys
+    ):
+        # the preset builders allocate 2**n rates, so n is checked first
+        profile = tmp_path / "p.json"
+        profile.write_text('{"preset": "iid_bitflip", "n": 13, "params": {"q": 0.01}}')
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {profile}: qubit count must be in [1, 12], got 13\n"
+        )
 
     def test_profile_must_hold_an_object(self, run_dir, tmp_path, capsys):
         profile = tmp_path / "arr.json"
@@ -433,6 +465,12 @@ class TestPredict:
         )
 
 
+def _with_entry(payload, key, **fields):
+    """The model file's text with fields of input ``key``'s entry replaced."""
+    entry = {**payload["inputs"][key], **fields}
+    return json.dumps({**payload, "inputs": {**payload["inputs"], key: entry}})
+
+
 def _with_key_twice(payload, key):
     """The model file's text with input ``key`` listed twice, verbatim."""
     entry = json.dumps(payload["inputs"][key])
@@ -460,6 +498,16 @@ class TestModelFileChecks:
             "input '03': expected the key '3'",
         ),
         "repeated key": (lambda p: _with_key_twice(p, "3"), "repeated key '3'"),
+        # strings and booleans were once read as numbers
+        "string rates": (
+            lambda p: _with_entry(p, "0", p=[str(v) for v in p["inputs"]["0"]["p"]]),
+            "malformed model entry for input '0': p must hold numbers, got ['",
+        ),
+        "boolean spam": (
+            lambda p: _with_entry(p, "0", A=[True, 1.0, 1.0, 1.0]),
+            "malformed model entry for input '0': A must hold numbers, "
+            "got [True, 1.0, 1.0, 1.0]",
+        ),
     }
 
     @pytest.fixture(scope="class")
@@ -597,6 +645,25 @@ class TestRunAll:
         config = tmp_path / "bad.cfg"
         config.write_text("preset iid_bitflip\n")
         assert run("run-all", "--config", config, "--out", tmp_path) == 2
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        # 'shot' was once ignored, and the run went on with 1024 shots
+        config = tmp_path / "typo.cfg"
+        config.write_text("preset = iid_bitflip:0.04\nn = 2\n# shots per circuit\nshot = 16\n"
+                          "train = 1..3\ntest = 2\n")
+        code = run("run-all", "--config", config, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}:4: unknown option 'shot'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_may_hold_other_subcommands_options(self, tmp_path):
+        # one file serves simulate and characterize; run-all skips the rest
+        config = tmp_path / "shared.cfg"
+        config.write_text("preset = iid_bitflip:0.04\nn = 2\nK = 5\nshots = 50\n"
+                          "train = 1..3\ntest = 2\ndepths = 1..3\ndataset = d.jsonl\n"
+                          "model = m.json\nprofile = p.json\n")
+        assert run("run-all", "--config", config, "--out", tmp_path / "o") == 0
+        assert run("simulate", "--config", config, "--out", tmp_path / "s") == 0
 
 
 class TestConsoleEntry:

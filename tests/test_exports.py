@@ -1,11 +1,13 @@
 """Every exported name resolves, so deleting an API cannot leave a
-dangling entry in an ``__all__`` list, and no module reaches into another
-module's private names."""
+dangling entry in an ``__all__`` list, no module reaches into another
+module's private names, and each shared rule's message is written once."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+
+import pytest
 
 import qflip
 
@@ -41,3 +43,20 @@ def test_no_module_imports_another_modules_private_name():
         if alias.name.startswith("_")
     ]
     assert imports == []
+
+
+@pytest.mark.parametrize(
+    "message", ["qubit count must be in", "unknown preset", "out of range for n=", "(m="]
+)
+def test_each_shared_rule_message_is_written_once(message):
+    """A rule shared by several entry points has one implementation, so its
+    message appears once in the package source; a second copy is a second
+    implementation that can drift."""
+    package = pathlib.Path(qflip.__file__).parent
+    places = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for _ in range(line.count(message))
+    ]
+    assert len(places) == 1, places
