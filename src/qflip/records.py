@@ -3,7 +3,10 @@
 One record holds the outcome counts of a single circuit submission:
 (depth, input state, sequence id, shots, counts). Outcomes and inputs are
 n-bit basis indices; on the wire they appear as bitstrings whose rightmost
-character is qubit 0. A Dataset holds its records as flat columns.
+character is qubit 0. A Dataset holds its records as flat columns. One
+numpy byte kernel, ``_render``, formats the dataset lines: the writer
+writes its bytes, and the reader accepts a block of a file only if the
+kernel gives it back, reading any other file one JSON line at a time.
 
 The other artifact files are read and written here too: ``read_json`` and
 ``write_json`` for model.json, profile.json and rb.json, and ``write_csv``
@@ -25,13 +28,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing
-from .transforms import MAX_QUBITS, check_basis_indices, check_qubit_count
+from .transforms import check_basis_indices, check_qubit_count
 
 __all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
 
-# one dataset line; the counts are '"<bits>":<count>' entries in outcome order
-_LINE = '{"depth":%d,"input":"%s","seq":%d,"shots":%d,"counts":{%s}}'
 _INT64 = range(-(1 << 63), 1 << 63)
+
+# write_jsonl renders about this many count entries at a time, and
+# read_jsonl parses about this many bytes at a time; larger blocks raise
+# peak RSS and gain no speed
+_WRITE_ENTRIES = 4096
+_READ_BYTES = 1 << 16
+# np.fromstring saturates an int64 past 2**63 - 1, so the block reader
+# takes only digit runs of up to 18 characters: values below this
+_PARSE_LIMIT = 10**18
+# a bytes.translate table that keeps the digits and turns every other byte into a space
+_DIGITS_ONLY = bytes(byte if 48 <= byte <= 57 else 32 for byte in range(256))
 
 # a JSON object decodes to a tuple of (key, value) pairs: a repeated key
 # stays visible, and an object is told apart from an array
@@ -190,16 +202,15 @@ def write_json(path, payload) -> None:
 def write_csv(path, header: str | None, columns, rows) -> None:
     """Write a CSV artifact: the header comment line, the column names, then rows."""
     with open(path, "w", newline="") as handle:
-        _write_header(handle, header)
+        handle.write(_header_line(header))
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
 
 
-def _write_header(handle, header: str | None) -> None:
-    """Write header as the '# ' comment line that opens an artifact, if given."""
-    if header:
-        handle.write(f"# {header}\n")
+def _header_line(header: str | None) -> str:
+    """The '# ' comment line that opens an artifact, or "" for no header."""
+    return f"# {header}\n" if header else ""
 
 
 def _lookup_fault(key, payload: dict, n) -> str:
@@ -210,9 +221,15 @@ def _lookup_fault(key, payload: dict, n) -> str:
         return f"malformed dataset record: invalid bitstring {key!r}"
     if key != payload["input"]:
         return f"outcome bitstring {key!r} does not have {n} bits"
-    if not 1 <= len(key) <= MAX_QUBITS:
-        return f"input bitstring length {len(key)} out of range"
     return f"qubit count {len(key)} != {n} seen earlier"
+
+
+def _input_width(bits) -> int | None:
+    """The qubit count a record's input gives: None if it is not a
+    bitstring, else its length, which check_qubit_count checks."""
+    if type(bits) is not str or not bits or bits.strip("01"):
+        return None
+    return check_qubit_count(len(bits))
 
 
 def require_cells(depths, inputs, present, n: int, what: str) -> None:
@@ -399,86 +416,252 @@ class Dataset:
 
     def write_jsonl(self, path, header: str | None = None) -> None:
         """Write records in canonical order; header becomes a '#' comment."""
-        bits = [index_to_bits(index, self.n) for index in range(self.size)]
-        keys = [f'"{text}":' for text in bits]
-        starts = self._starts.tolist()
-        line = _LINE + "\n"
-        with open(path, "w") as handle:
-            _write_header(handle, header)
-            for depth, index, seq, shots, lo, hi in zip(
-                self.depth.tolist(),
-                self.input.tolist(),
-                self.seq.tolist(),
-                self.shots.tolist(),
-                starts,
-                starts[1:],
-            ):
-                entries = map(
-                    str.__add__,
-                    map(keys.__getitem__, self.outcome[lo:hi].tolist()),
-                    map(str, self.count[lo:hi].tolist()),
-                )
-                handle.write(line % (depth, bits[index], seq, shots, ",".join(entries)))
+        starts = self._starts
+        # record bounds of blocks of about _WRITE_ENTRIES count entries
+        cuts = np.searchsorted(starts, np.arange(_WRITE_ENTRIES, len(self.count), _WRITE_ENTRIES))
+        bounds = np.unique(np.concatenate([[0], cuts, [len(self)]])).tolist()
+        with open(path, "wb") as handle:
+            handle.write(_header_line(header).encode())
+            for lo, hi in zip(bounds, bounds[1:]):
+                first, last = starts[lo], starts[hi]
+                handle.write(_render(
+                    self.n, self.depth[lo:hi], self.input[lo:hi], self.seq[lo:hi],
+                    self.shots[lo:hi], self.outcome[first:last], self.count[first:last],
+                    starts[lo:hi + 1] - first,
+                ))
 
     @classmethod
     def read_jsonl(cls, path) -> "Dataset":
         """Read a dataset file; the first record's input fixes n. The first
-        line that breaks the format or a record rule is named as path:line."""
-        n, index = None, {}  # index: n-bit string -> basis index, once n is known
-        # depth, input, seq and shots of each record, then its count entries
-        rows, lengths, outcomes, counts, line_of = [], [], [], [], []
-        fault = None
-        # bytes that are not UTF-8 are kept as surrogates, so that the line
-        # holding them can be named
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    if not line.isascii():
-                        # raises the decoding error of the line's own bytes
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    pairs, end = _DECODE(line)
-                    if end < len(line):
-                        end = json.decoder.WHITESPACE.match(line, end).end()
-                        raise json.JSONDecodeError("Extra data", line, end)
-                    payload = _object(pairs, "a record")
-                    bits = payload["input"]
-                    if n is None and type(bits) is str and 1 <= len(bits) <= MAX_QUBITS:
-                        n = len(bits)
-                        index = {index_to_bits(i, n): i for i in range(1 << n)}
-                    entries = _object(payload["counts"], "counts")
-                    row = (payload["depth"], index[bits], payload["seq"], payload["shots"])
-                    keys = list(map(index.__getitem__, entries))
-                except KeyError as exc:
-                    fault = f"{path}:{line_no}: {_lookup_fault(exc.args[0], payload, n)}"
-                    break
-                except (TypeError, ValueError) as exc:
-                    fault = f"{path}:{line_no}: malformed dataset record: {exc}"
-                    break
-                rows += row
-                lengths.append(len(keys))
-                outcomes += keys
-                counts += entries.values()
-                line_of.append(line_no)
-        columns = (
-            rows[0::4], rows[1::4], rows[2::4], rows[3::4],
-            np.repeat(np.arange(len(lengths)), lengths), outcomes, counts,
-        )
-        try:
-            if fault is None:
-                if n is None:
-                    raise ValueError("dataset file is empty")
-                return cls.from_columns(n, *columns)
-            # a record rule broken on an earlier line comes first
-            _check_fields(*columns)
-        except RecordError as exc:
-            line_no = line_of[exc.position]
-            raise ValueError(f"{path}:{line_no}: malformed dataset record: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        raise ValueError(fault)
+        line that breaks the format or a record rule is named as path:line.
+
+        A file as write_jsonl writes it is parsed in blocks of bytes; any
+        other file, and any file that breaks a rule, is read line by line.
+        """
+        dataset = _read_rendered(path)
+        return _read_lines(path) if dataset is None else dataset
+
+
+def _render(n, depth, input, seq, shots, outcome, count, starts) -> np.ndarray:
+    """The dataset lines of a block of records, as uint8 bytes; record r's
+    count entries are ``outcome``/``count[starts[r]:starts[r + 1]]``, at
+    least one per record. The only formatter of dataset lines.
+
+    Each count entry is one matrix row, each record head a few rows of the
+    same width, in file order; every field is right-aligned in a
+    fixed-width column, padded with 0 bytes. The lines are the matrix's
+    bytes with the 0 bytes dropped.
+    """
+    records, entries = len(depth), len(outcome)
+    bits = _bit_table(n)
+    ends = np.zeros((entries, 3), np.uint8)
+    ends[:, 0] = ord(",")
+    ends[starts[1:] - 1] = np.frombuffer(b"}}\n", np.uint8)
+    tails = _side_by_side(entries, b'"', bits[outcome], b'":', _digits(count), ends)
+    heads = _side_by_side(
+        records, b'{"depth":', _digits(depth), b',"input":"', bits[input], b'","seq":',
+        _digits(seq), b',"shots":', _digits(shots), b',"counts":{',
+    )
+    width = tails.shape[1]
+    height = -(-heads.shape[1] // width)
+    heads = np.pad(heads, ((0, 0), (0, height * width - heads.shape[1])))
+    is_head = np.zeros(records * height + entries, bool)
+    is_head[(np.arange(records) * height + starts[:-1])[:, None] + np.arange(height)] = True
+    rows = np.empty((len(is_head), width), np.uint8)
+    rows[is_head] = heads.reshape(-1, width)
+    rows[~is_head] = tails
+    return rows[rows != 0]
+
+
+def _bit_table(n: int) -> np.ndarray:
+    """Row i: the n-character bitstring of basis index i, as ASCII bytes."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Each non-negative value's decimal digits as a row of ASCII bytes,
+    right-aligned in the width of the largest; 0 bytes pad the left."""
+    width = len(str(values.max()))
+    out = np.zeros((len(values), width), np.uint8)
+    out[:, -1] = values % 10 + ord("0")
+    rest = values // 10
+    for column in range(width - 2, -1, -1):
+        out[:, column] = (rest % 10 + ord("0")) * (rest > 0)
+        rest = rest // 10
+    return out
+
+
+def _side_by_side(rows: int, *fields) -> np.ndarray:
+    """The fields as one (rows, total width) uint8 matrix; a bytes field
+    repeats on every row."""
+    fields = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
+    edges = np.cumsum([0] + [field.shape[-1] for field in fields]).tolist()
+    out = np.empty((rows, edges[-1]), np.uint8)
+    for field, lo, hi in zip(fields, edges, edges[1:]):
+        out[:, lo:hi] = field
+    return out
+
+
+def _read_rendered(path) -> Dataset | None:
+    """The dataset in a file of '#' lines followed by lines exactly as
+    _render writes them, parsed in blocks of about _READ_BYTES cut after a
+    newline; None for any other file, or columns that break a rule."""
+    n, blocks = None, []
+    with open(path, "rb") as handle:
+        start = 0
+        while (line := handle.readline()).startswith(b"#"):
+            if b"\r" in line:
+                # text mode ends a line at '\r' too, so what follows may be a record
+                return None
+            start = handle.tell()
+        handle.seek(start)
+        for block in _line_blocks(handle):
+            if n is None:
+                n = _rendered_width(block)
+            parsed = _parse_block(n, block) if n else None
+            if parsed is None:
+                return None
+            blocks.append(parsed)
+    if not blocks:
+        return None
+    depth, input, seq, shots, lengths, outcome, count = map(np.concatenate, zip(*blocks))
+    record = np.repeat(np.arange(len(depth)), lengths)
+    try:
+        return Dataset.from_columns(n, depth, input, seq, shots, record, outcome, count)
+    except ValueError:
+        return None
+
+
+def _line_blocks(handle):
+    """The rest of a binary file in blocks of about _READ_BYTES, each cut
+    after its last newline; bytes after the file's last newline come last."""
+    pending = bytearray()
+    for chunk in iter(lambda: handle.read(_READ_BYTES), b""):
+        pending += chunk
+        cut = pending.rfind(b"\n") + 1
+        if cut:
+            yield bytes(pending[:cut])
+            del pending[:cut]
+    if pending:
+        yield bytes(pending)
+
+
+def _rendered_width(block: bytes) -> int | None:
+    """n as the block's first line gives it, None if the line gives none."""
+    line = block.split(b"\n", 1)[0]
+    start = line.find(b'"input":"') + len(b'"input":"')
+    try:
+        return _input_width(line[start : line.find(b'"', start)].decode("latin-1"))
+    except ValueError:
+        return None
+
+
+def _parse_block(n: int, block: bytes) -> tuple | None:
+    """depth, input, seq, shots, the number of count entries of each record,
+    outcome and count of a block of whole lines; None unless _render gives
+    the block back byte for byte with each record's outcomes increasing.
+
+    Numbers are the block's digit runs; the colons after the five field
+    names count each line's entries, and a bitstring is read as a decimal
+    number whose digit k is bit k.
+    """
+    if not block.endswith(b"\n"):
+        return None
+    text = np.frombuffer(block, np.uint8)
+    newlines = np.flatnonzero(text == ord("\n"))
+    colons = np.flatnonzero(text == ord(":"))
+    lengths = np.bincount(np.searchsorted(newlines, colons), minlength=len(newlines)) - 5
+    values = np.fromstring(block.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    tokens = 4 + 2 * lengths
+    if lengths.min() < 1 or len(values) != tokens.sum() or values.max() >= _PARSE_LIMIT:
+        return None
+    firsts = np.cumsum(tokens) - tokens
+    depth, bits, seq, shots = (values[firsts + field] for field in range(4))
+    in_entries = np.ones(len(values), bool)
+    in_entries[firsts[:, None] + np.arange(4)] = False
+    keys, count = values[in_entries].reshape(-1, 2).T
+    # a copy, so the block's keys are freed once they are decoded
+    count = count.copy()
+    input, outcome = _bits_to_index(bits, n), _bits_to_index(keys, n)
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    same_record = np.ones(len(outcome) - 1, bool)
+    same_record[starts[1:-1] - 1] = False
+    if np.any(same_record & (outcome[1:] <= outcome[:-1])):
+        return None
+    if not np.array_equal(_render(n, depth, input, seq, shots, outcome, count, starts), text):
+        return None
+    return depth, input, seq, shots, lengths, outcome, count
+
+
+def _bits_to_index(values: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices of n-bit strings read as decimal numbers: bit k is set
+    where decimal digit k is not 0."""
+    index = np.zeros_like(values)
+    for k in range(n):
+        values, digit = np.divmod(values, 10)
+        index += np.minimum(digit, 1) << k
+    return index
+
+
+def _read_lines(path) -> Dataset:
+    """Read a dataset file one JSON line at a time; the first line that
+    breaks the format or a record rule is named as path:line."""
+    n, index = None, {}  # index: n-bit string -> basis index, once n is known
+    # depth, input, seq and shots of each record, then its count entries
+    rows, lengths, outcomes, counts, line_of = [], [], [], [], []
+    fault = None
+    # bytes that are not UTF-8 are kept as surrogates, so that the line
+    # holding them can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                if not line.isascii():
+                    # raises the decoding error of the line's own bytes
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                pairs, end = _DECODE(line)
+                if end < len(line):
+                    end = json.decoder.WHITESPACE.match(line, end).end()
+                    raise json.JSONDecodeError("Extra data", line, end)
+                payload = _object(pairs, "a record")
+                bits = payload["input"]
+                width = _input_width(bits)
+                if n is None and width:
+                    n, index = width, {index_to_bits(i, width): i for i in range(1 << width)}
+                entries = _object(payload["counts"], "counts")
+                row = (payload["depth"], index[bits], payload["seq"], payload["shots"])
+                keys = list(map(index.__getitem__, entries))
+            except KeyError as exc:
+                fault = f"{path}:{line_no}: {_lookup_fault(exc.args[0], payload, n)}"
+                break
+            except (TypeError, ValueError) as exc:
+                fault = f"{path}:{line_no}: malformed dataset record: {exc}"
+                break
+            rows += row
+            lengths.append(len(keys))
+            outcomes += keys
+            counts += entries.values()
+            line_of.append(line_no)
+    columns = (
+        rows[0::4], rows[1::4], rows[2::4], rows[3::4],
+        np.repeat(np.arange(len(lengths)), lengths), outcomes, counts,
+    )
+    try:
+        if fault is None:
+            if n is None:
+                raise ValueError("dataset file is empty")
+            return Dataset.from_columns(n, *columns)
+        # a record rule broken on an earlier line comes first
+        _check_fields(*columns)
+    except RecordError as exc:
+        line_no = line_of[exc.position]
+        raise ValueError(f"{path}:{line_no}: malformed dataset record: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    raise ValueError(fault)
 
 
 class _RecordView(Sequence):

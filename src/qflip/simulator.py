@@ -315,6 +315,7 @@ def true_noise_model(gt: GroundTruth) -> NoiseModel:
 
 def iid_bitflip(n: int, q: float, readout=0.0, prep=0.0) -> GroundTruth:
     """Independent per-qubit flip probability q each gate layer."""
+    check_qubit_count(n)
     if not 0.0 <= q < MAX_FLIP_PROB:
         raise ValueError(f"flip probability must be in [0, 0.5), got {q}")
     rates = _per_qubit_product([(1.0 - q, q)] * n)
@@ -324,6 +325,7 @@ def iid_bitflip(n: int, q: float, readout=0.0, prep=0.0) -> GroundTruth:
 def depolarizing(n: int, alpha: float, readout=0.0, prep=0.0) -> GroundTruth:
     """Per-qubit depolarizing strength alpha; in the measured basis each
     qubit flips with probability alpha/2 per layer."""
+    check_qubit_count(n)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {alpha}")
     flip = alpha / 2.0
@@ -335,6 +337,7 @@ def correlated_pair(
     n: int, q: float, q_corr: float, first: int = 0, second: int = 1, readout=0.0, prep=0.0
 ) -> GroundTruth:
     """iid flips plus excess joint-flip mass on one qubit pair."""
+    check_qubit_count(n)
     if not 0.0 <= q < MAX_FLIP_PROB:
         raise ValueError(f"flip probability must be in [0, 0.5), got {q}")
     if not 0.0 <= q_corr < 1.0:
@@ -350,6 +353,7 @@ def correlated_pair(
 
 def spam_only(n: int, epsilon, prep=0.0) -> GroundTruth:
     """No gate noise at all; only readout confusion (and optional prep)."""
+    check_qubit_count(n)
     rates = np.zeros(1 << n)
     rates[0] = 1.0
     return GroundTruth(n=n, rates=rates, readout=epsilon, prep=prep)
@@ -378,7 +382,7 @@ def lookup_preset(name: str):
 
 def build_preset(name: str, n: int, **params) -> GroundTruth:
     builder, _ = lookup_preset(name)
-    # before the builder allocates 2**n rates
+    # outside the except below, so a bad n is not called a bad parameter
     check_qubit_count(n)
     try:
         return builder(n=n, **params)

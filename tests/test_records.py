@@ -1,5 +1,9 @@
 """Dataset record validation and JSONL wire-format tests."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,7 +362,7 @@ class TestCodecEdgeCases:
             ('"depth":2,"input":"1x","seq":3,"shots":5',
              "malformed dataset record: invalid bitstring '1x'"),
             ('"depth":2,"input":"0000000000000","seq":3,"shots":5',
-             "input bitstring length 13 out of range"),
+             "malformed dataset record: qubit count must be in [1, 12], got 13"),
         ],
     )
     def test_bad_fields_name_their_line(self, tmp_path, fields, message, bad_first):
@@ -454,3 +458,155 @@ class TestCodecEdgeCases:
         assert built == []
         back.records[0]
         assert len(built) == 1
+
+
+COLUMNS = ("depth", "input", "seq", "shots", "record", "outcome", "count")
+INT63 = st.integers(0, 2**63 - 1)
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: its n and columns, or its message."""
+    try:
+        ds = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return ds.n, [getattr(ds, column).tolist() for column in COLUMNS]
+
+
+@st.composite
+def column_datasets(draw):
+    """Datasets of a few records at n = 1..12, with depth, seq, shots and
+    counts up to 2**63 - 1, so some values have 19 digits."""
+    n = draw(st.sampled_from([1, 2, 5, 12]))
+    size = draw(st.integers(1, 5))
+    seqs = draw(st.lists(INT63, min_size=size, max_size=size, unique=True))
+    depth, input, shots, record, outcome, count = [], [], [], [], [], []
+    for position in range(size):
+        outcomes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+        counts = draw(st.lists(st.integers(0, (2**63 - 1) // 4), min_size=len(outcomes),
+                               max_size=len(outcomes)))
+        counts[0] += sum(counts) == 0
+        depth.append(draw(INT63))
+        input.append(draw(st.integers(0, (1 << n) - 1)))
+        shots.append(sum(counts))
+        record += [position] * len(outcomes)
+        outcome += outcomes
+        count += counts
+    return records.Dataset.from_columns(n, depth, input, seqs, shots, record, outcome, count)
+
+
+class TestBlockCodec:
+    """write_jsonl renders blocks of bytes, and read_jsonl parses a file in
+    blocks when each renders back to itself, else reads it line by line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=column_datasets(), block=st.sampled_from(["default", "short", "exact"]))
+    def test_round_trip(self, ds, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.jsonl")
+            ds.write_jsonl(path, header="h")
+            with open(path, "rb") as handle:
+                text = handle.read()
+            assert text.decode() == "".join(
+                f"{line}\n" for line in ["# h"] + [record_to_json(r, ds.n) for r in ds.records]
+            )
+            body = len(text) - len("# h\n")
+            # "short": every line is longer than a block; "exact": the lines
+            # after the header fill a whole number of blocks
+            size = {
+                "default": records._READ_BYTES,
+                "short": 7,
+                "exact": next(d for d in range(8, body + 1) if body % d == 0),
+            }[block]
+            with mock.patch.object(records, "_READ_BYTES", size):
+                back = read_outcome(records.Dataset.read_jsonl, path)
+                parsed = records._read_rendered(path)
+            assert back == read_outcome(records._read_lines, path)
+            assert back == (ds.n, [getattr(ds, column).tolist() for column in COLUMNS])
+            # a 19-digit value is left to the line reader
+            nineteen = any(
+                getattr(ds, column).max() >= 10**18 for column in ("depth", "seq", "shots", "count")
+            )
+            assert (parsed is None) == nineteen
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        size = 1 << 12
+        counts = np.arange(size) + 10**6
+        ds = records.Dataset.from_columns(
+            12, [3], [size - 1], [0], [int(counts.sum())], [0] * size, np.arange(size), counts
+        )
+        path = tmp_path / "data.jsonl"
+        ds.write_jsonl(path)
+        assert path.stat().st_size > records._READ_BYTES
+        parsed = records._read_rendered(path)
+        assert parsed is not None
+        assert read_outcome(lambda _: parsed, path) == read_outcome(records._read_lines, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        position=st.integers(0, 10**6),
+        byte=st.sampled_from(b'0129":,{}#- \n\r\x00\xc3\xff'),
+        edit=st.sampled_from(["replace", "insert", "delete"]),
+        size=st.sampled_from([16, 1 << 16]),
+    )
+    def test_one_byte_edits_read_as_the_line_reader_reads_them(self, position, byte, edit, size):
+        text = bytearray(CANONICAL)
+        position %= len(text)
+        if edit == "replace":
+            text[position] = byte
+        elif edit == "insert":
+            text.insert(position, byte)
+        else:
+            del text[position]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(text)
+            with mock.patch.object(records, "_READ_BYTES", size):
+                got = read_outcome(records.Dataset.read_jsonl, path)
+            assert got == read_outcome(records._read_lines, path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: text[:-1], None),
+            (lambda text: text.replace(b"\n", b"\r\n"), None),
+            (lambda text: text.replace(b"}}\n", b"}}\n# note\n", 1), None),
+            (lambda text: text.replace(b"}}\n", b"}}\n\n", 1), None),
+            (lambda text: b"# a\rb\n" + text, ":2: malformed dataset record: Expecting value"),
+            (lambda text: text.replace(b'"counts":{"00":1', b'"counts":{"00":1,"00":0'),
+             ":3: malformed dataset record: repeated key '00' in counts"),
+            (lambda text: text.replace(b'"seq":1', b'"seq":\xc3\xa91'),
+             ":3: malformed dataset record: Expecting value"),
+            (lambda text: text.replace(b'"seq":1', b'"seq":\xff1'),
+             ":3: malformed dataset record: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["no final newline", "crlf", "interior #", "blank line", "cr in header", "repeated outcome", "non-ascii record", "invalid utf-8"],
+    )
+    def test_other_spellings_are_read_line_by_line(self, tmp_path, edit, message):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(edit(CANONICAL))
+        assert records._read_rendered(path) is None
+        got = read_outcome(records.Dataset.read_jsonl, path)
+        assert got == read_outcome(records._read_lines, path)
+        if message is None:
+            canonical = tmp_path / "canonical.jsonl"
+            canonical.write_bytes(CANONICAL)
+            assert got == read_outcome(records._read_rendered, canonical)
+        else:
+            assert got.startswith(f"{path}{message}")
+
+    def test_header_lines_are_skipped_unread(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"# caf\xc3\xa9\n#\xff\n" + CANONICAL)
+        parsed = records._read_rendered(path)
+        assert parsed is not None
+        assert read_outcome(lambda _: parsed, path) == read_outcome(records._read_lines, path)
+
+
+CANONICAL = (
+    b"# qflip dataset n=2\n"
+    b'{"depth":1,"input":"00","seq":0,"shots":5,"counts":{"00":3,"11":2}}\n'
+    b'{"depth":1,"input":"11","seq":1,"shots":5,"counts":{"00":1,"01":2,"11":2}}\n'
+    b'{"depth":20,"input":"01","seq":1,"shots":7,"counts":{"01":7}}\n'
+)

@@ -2,6 +2,8 @@
 rejects a bad value with the same message, and the one implementation
 gives the bits the former copies gave."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,27 @@ def test_every_entry_point_rejects_a_qubit_count_alike(entry, n, tmp_path, capsy
         with pytest.raises(ValueError) as caught:
             QUBIT_COUNT_ENTRY_POINTS[entry](n)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "builder,params",
+    [
+        (simulator.iid_bitflip, (0.01,)),
+        (simulator.depolarizing, (0.1,)),
+        (simulator.correlated_pair, (0.01, 0.01)),
+        (simulator.spam_only, (0.01,)),
+    ],
+)
+def test_preset_builders_check_n_before_allocating(builder, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as caught:
+            builder(40, *params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == "qubit count must be in [1, 12], got 40"
+    assert peak < 1 << 20
 
 
 def test_preset_name_is_checked_by_one_lookup():
