@@ -22,7 +22,7 @@ from .channel import (
 )
 from .errors import CoverageError
 from .records import Dataset, require_cells, write_csv
-from .transforms import fwht, xor_permute
+from .transforms import fwht_in_place, xor_permute
 
 __all__ = [
     "DepthAverage",
@@ -89,8 +89,9 @@ def spectralize(avg: DepthAverage) -> np.ndarray:
 
 def _aligned_spectra(means: np.ndarray, inputs) -> np.ndarray:
     """Spectra of an ``(inputs, depths, 2**n)`` table of distributions,
-    each xor-aligned to its input; entry 0 of every spectrum is 1."""
-    spectra = fwht(xor_permute(means, np.asarray(inputs, dtype=np.int64)[:, None]))
+    each xor-aligned to its input; entry 0 of every spectrum is 1. The
+    aligned copy is transformed in place."""
+    spectra = fwht_in_place(xor_permute(means, np.asarray(inputs, dtype=np.int64)[:, None]))
     spectra[..., 0] = 1.0
     return spectra
 

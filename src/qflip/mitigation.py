@@ -48,41 +48,53 @@ DEFAULT_METHODS = (UNMITIGATED, MEM, PROPOSED)
 COND_LIMIT = 1e8
 ILL_CONDITIONED_FLAG = "ill_conditioned"
 
+# jsd scores about this many entries at a time
+_JSD_ENTRIES = 1 << 14
+
 
 def jsd(p, q):
     """Jensen-Shannon divergence in bits; 0 for equal, 1 for disjoint.
 
     1-d distributions give a float. ``(..., 2**n)`` arrays are scored row
     by row along the last axis and give an array of the leading shape, each
-    entry equal to the 1-d score of its row.
+    entry equal to the 1-d score of its row. Rows are scored about
+    _JSD_ENTRIES entries at a time, so the temporaries stay a few times
+    that size whatever the batch.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
     if p_arr.shape != q_arr.shape:
         raise ValueError(f"shape mismatch: {p_arr.shape} vs {q_arr.shape}")
-    p_arr = np.maximum(require_prob_dist(p_arr), 0.0)
-    q_arr = np.maximum(require_prob_dist(q_arr), 0.0)
-    mid = 0.5 * (p_arr + q_arr)
-    scores = 0.5 * (_kl_bits(p_arr, mid) + _kl_bits(q_arr, mid))
-    return float(scores) if p_arr.ndim == 1 else scores
+    p_rows = require_prob_dist(p_arr).reshape(-1, p_arr.shape[-1])
+    q_rows = require_prob_dist(q_arr).reshape(-1, q_arr.shape[-1])
+    scores = np.empty(len(p_rows))
+    step = max(1, _JSD_ENTRIES // p_rows.shape[1])
+    for lo in range(0, len(p_rows), step):
+        rows = slice(lo, lo + step)
+        p_part = np.maximum(p_rows[rows], 0.0)
+        q_part = np.maximum(q_rows[rows], 0.0)
+        mid = p_part + q_part
+        mid *= 0.5
+        scores[rows] = 0.5 * (_kl_bits(p_part, mid) + _kl_bits(q_part, mid))
+    return float(scores[0]) if p_arr.ndim == 1 else scores.reshape(p_arr.shape[:-1])
 
 
 def _kl_bits(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """sum(a * log2(a / mid)) over the support of a, per last-axis row."""
-    rows = a.reshape(-1, a.shape[-1])
-    mask = rows > 0.0
-    terms = rows[mask] * np.log2(rows[mask] / mid.reshape(rows.shape)[mask])
+    """sum(a * log2(a / mid)) over the support of a, per row of ``(rows, 2**n)``."""
+    mask = a > 0.0
+    terms = a[mask]
+    terms *= np.log2(terms / mid[mask])
     # pack each row's support terms to its front and add up the first
     # `support` of them: np.sum's pairwise order depends on the length, so
     # this adds each row exactly as a 1-d sum over its support would
     support = np.count_nonzero(mask, axis=1)
-    packed = np.zeros(rows.shape)
+    packed = np.zeros(a.shape)
     packed[np.nonzero(mask)[0], np.cumsum(mask, axis=1)[mask] - 1] = terms
-    totals = np.empty(len(rows))
+    totals = np.empty(len(a))
     for count in np.unique(support):
         chosen = support == count
         totals[chosen] = packed[chosen, :count].sum(axis=1)
-    return totals.reshape(a.shape[:-1])
+    return totals
 
 
 def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
@@ -193,6 +205,7 @@ def evaluate_mitigation(
         cells = [dataset.distributions(depth, index) for index in inputs]
         sizes = [len(cell) for cell in cells]
         raw = np.concatenate(cells)
+        del cells
         ideal = np.repeat(identity[inputs], sizes, axis=0)
         scores, flags = {}, {}
         for method in ordered:
@@ -205,6 +218,7 @@ def evaluate_mitigation(
                 if fallback:
                     flags[method] = ILL_CONDITIONED_FLAG
                 outputs = simplex_project(solved.T)
+                del solved
             scores[method] = jsd(ideal, outputs)
         per_input = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) for m in ordered}
         for position, index in enumerate(inputs):

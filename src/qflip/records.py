@@ -3,7 +3,8 @@
 One record holds the outcome counts of a single circuit submission:
 (depth, input state, sequence id, shots, counts). Outcomes and inputs are
 n-bit basis indices; on the wire they appear as bitstrings whose rightmost
-character is qubit 0. A Dataset holds its records as flat columns. One
+character is qubit 0. A Dataset holds its records as flat columns and
+its count entries in compressed sparse rows, in narrow dtypes. One
 numpy byte kernel, ``_render``, formats the dataset lines: the writer
 writes its bytes, and the reader accepts a block of a file only if the
 kernel gives it back, reading any other file one JSON line at a time.
@@ -33,12 +34,16 @@ from .transforms import check_basis_indices, check_qubit_count
 __all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
 
 _INT64 = range(-(1 << 63), 1 << 63)
+# the stored outcome dtype: it holds every basis index up to MAX_QUBITS
+OUTCOME_DTYPE = np.dtype(np.int16)
 
 # write_jsonl renders about this many count entries at a time, and
 # read_jsonl parses about this many bytes at a time; larger blocks raise
 # peak RSS and gain no speed
 _WRITE_ENTRIES = 4096
 _READ_BYTES = 1 << 16
+# the checks add up each record's counts this many entries at a time
+_SUM_ENTRIES = 1 << 16
 # np.fromstring saturates an int64 past 2**63 - 1, so the block reader
 # takes only digit runs of up to 18 characters: values below this
 _PARSE_LIMIT = 10**18
@@ -66,11 +71,12 @@ class RecordError(ValueError):
 
 
 def _integers(column):
-    """The column as int64, and {position: value} of its entries that are
-    not 64-bit integers (stored as 0)."""
+    """The column as an integer array (an integer array as given, without
+    a copy; anything else as int64), and {position: value} of its entries
+    that are not 64-bit integers (stored as 0)."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu" and np.can_cast(column.dtype, np.int64):
-            return column.astype(np.int64, copy=False).reshape(-1), {}
+            return column.reshape(-1), {}
         column = column.reshape(-1).tolist()
     if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, column))):
         with contextlib.suppress(OverflowError):
@@ -80,39 +86,78 @@ def _integers(column):
     return np.array([0 if i in wrong else v for i, v in enumerate(values)], dtype=np.int64), wrong
 
 
-def _check_fields(depth, input_index, seq, shots, record, outcome, count):
-    """Check per-record columns and COO count entries (``record`` holding
-    each entry's record position), as lists or integer arrays, against
-    every CountsRecord rule; returns them as int64 arrays (intp for
-    ``record``). Raises RecordError for the first record that breaks a
-    rule, with the message of the first rule it breaks in the order listed.
+def count_dtype(shots: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds ``shots``, and so every
+    count of a record of at most that many shots."""
+    return next(
+        np.dtype(kind) for kind in (np.int8, np.int16, np.int32, np.int64)
+        if shots <= np.iinfo(kind).max
+    )
+
+
+def _owners(starts: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The record of each entry position, for entries grouped by record
+    from the offsets ``starts``."""
+    return np.searchsorted(starts, entries, side="right") - 1
+
+
+def _record_blocks(starts: np.ndarray, entries: int) -> list[int]:
+    """Record bounds of consecutive blocks of about ``entries`` count
+    entries each, for entries grouped by record from offsets ``starts``."""
+    cuts = np.searchsorted(starts, np.arange(entries, starts[-1], entries))
+    return np.unique(np.concatenate([[0], cuts, [len(starts) - 1]])).tolist()
+
+
+def _record_totals(count: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each record's count sum as int64. reduceat adds up an int64 copy of
+    its input, so it is given blocks of about _SUM_ENTRIES entries."""
+    totals = np.zeros(len(starts) - 1, dtype=np.int64)
+    bounds = _record_blocks(starts, _SUM_ENTRIES)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # reduceat gives an empty record the next one's first entry: add up
+        # only records with entries, each of which then runs to its own end
+        filled = lo + np.flatnonzero(starts[lo + 1 : hi + 1] > starts[lo:hi])
+        if filled.size:
+            first = starts[lo]
+            totals[filled] = np.add.reduceat(
+                count[first : starts[hi]], starts[filled] - first, dtype=np.int64
+            )
+    return totals
+
+
+def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
+    """Check per-record columns and count entries grouped by record (record
+    r's are the next ``lengths[r]`` of ``outcome`` and ``count``), as lists
+    or integer arrays, against every CountsRecord rule. Returns them as
+    integer arrays, an integer array as given, with the record offsets
+    ``starts`` in place of ``lengths``. Raises RecordError for the first
+    record that breaks a rule, with the message of the first rule it breaks
+    in the order listed.
     """
-    record, wrong = _integers(record)
-    if wrong:
-        raise ValueError("count entry record positions must be integers")
+    lengths, wrong = _integers(lengths)
+    if wrong or lengths.min(initial=0) < 0:
+        raise ValueError("count entry lengths must be non-negative integers")
     columns = (depth, input_index, seq, shots, outcome, count)
     (depth, input_index, seq, shots, outcome, count), wrongs = zip(*map(_integers, columns))
     size = len(depth)
-    if not size == len(input_index) == len(seq) == len(shots):
+    if not size == len(input_index) == len(seq) == len(shots) == len(lengths):
         raise ValueError("per-record columns differ in length")
-    if not len(record) == len(outcome) == len(count):
+    if not lengths.sum() == len(outcome) == len(count):
         raise ValueError("count entry columns differ in length")
-    if record.size and not 0 <= record.min() <= record.max() < size:
-        raise ValueError("count entry names a record that does not exist")
-    record = record.astype(np.intp, copy=False)
+    # entries of record r are [starts[r], starts[r + 1])
+    starts = np.concatenate([[0], np.cumsum(lengths)])
     # each record's first value that is not an integer; an entry's is its record's
     faults = {}
     names = ("depth", "input index", "sequence id", "shots", "outcome index", "count value")
     for name, wrong, per_entry in zip(names, wrongs, [False] * 4 + [True] * 2):
         for position, value in wrong.items():
-            owner = int(record[position]) if per_entry else position
+            owner = int(_owners(starts, position)) if per_entry else position
             faults.setdefault(owner, f"{name} must be a 64-bit integer, got {value!r}")
     negative_outcome = np.zeros(size, dtype=bool)
-    negative_outcome[record[outcome < 0]] = True
+    negative_outcome[_owners(starts, np.flatnonzero(outcome < 0))] = True
     negative_count = np.zeros(size, dtype=bool)
-    negative_count[record[count < 0]] = True
-    totals = np.zeros(size, dtype=np.int64)
-    np.add.at(totals, record, count)
+    negative_count[_owners(starts, np.flatnonzero(count < 0))] = True
+    totals = _record_totals(count, starts)
     rules = [
         (depth < 0, lambda i: f"depth must be >= 0, got {depth[i]}"),
         (input_index < 0, lambda i: f"input index must be >= 0, got {input_index[i]}"),
@@ -130,7 +175,7 @@ def _check_fields(depth, input_index, seq, shots, record, outcome, count):
             message(position) for mask, message in rules if mask[position]
         )
         raise RecordError(message, position)
-    return depth, input_index, seq, shots, record, outcome, count
+    return depth, input_index, seq, shots, starts, outcome, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +191,7 @@ class CountsRecord:
     def __post_init__(self):
         *_, outcome, count = _check_fields(
             [self.depth], [self.input_index], [self.sequence_id], [self.shots],
-            [0] * len(self.counts), list(self.counts), list(self.counts.values()),
+            [len(self.counts)], list(self.counts), list(self.counts.values()),
         )
         object.__setattr__(self, "counts", dict(zip(outcome.tolist(), count.tolist())))
 
@@ -271,15 +316,20 @@ class Dataset:
     """Counts over a fixed qubit count, held as flat read-only columns.
 
     Records are in canonical (depth, seq, input) order, the order of the
-    JSON-lines file. Per record: ``depth``, ``input``, ``seq`` and
-    ``shots``. The counts are COO entries (``record``, ``outcome``,
-    ``count``) sorted by record, then outcome; ``record`` is the record's
-    position, and an entry read from a file may hold a zero count.
+    JSON-lines file. Per record: int64 ``depth``, ``input``, ``seq`` and
+    ``shots``. The count entries are stored in compressed sparse rows:
+    ``outcome`` (OUTCOME_DTYPE) and ``count`` (``count_dtype`` of the
+    largest shots) hold every record's entries in record order, each
+    record's by increasing outcome, and record r's are those from offset
+    ``_starts[r]`` to ``_starts[r + 1]``. An entry read from a file may
+    hold a zero count. ``record`` gives each entry's record position.
 
-    ``Dataset(n, records)`` builds one from CountsRecords and
-    ``Dataset.from_columns`` from arrays; both go through the same checks.
-    Each (depth, input) cell indexes its records in sequence-id order; a
-    repeated (depth, input, seq) triple is rejected.
+    ``Dataset(n, records)`` builds one from CountsRecords,
+    ``Dataset.from_csr`` from arrays of entries grouped by record and
+    ``Dataset.from_columns`` from arrays of entries that name their
+    record; all go through the same checks. Each (depth, input) cell
+    indexes its records in sequence-id order; a repeated (depth, input,
+    seq) triple is rejected.
     """
 
     def __init__(self, n: int, records=()):
@@ -290,59 +340,103 @@ class Dataset:
             [record.input_index for record in records],
             [record.sequence_id for record in records],
             [record.shots for record in records],
-            np.repeat(np.arange(len(records)), [len(record.counts) for record in records]),
+            [len(record.counts) for record in records],
             [outcome for record in records for outcome in record.counts],
             [count for record in records for count in record.counts.values()],
         )
 
     @classmethod
-    def from_columns(cls, n, depth, input, seq, shots, record, outcome, count) -> "Dataset":
-        """A dataset from per-record columns and COO count entries.
+    def from_csr(cls, n, depth, input, seq, shots, lengths, outcome, count) -> "Dataset":
+        """A dataset from per-record columns and count entries grouped by
+        record: record r's entries are the next ``lengths[r]`` of
+        ``outcome`` and ``count``.
 
-        Records and entries may come in any order; each entry's ``record``
-        is the position of its record in the per-record columns. Arrays of
-        the stored dtypes (int64; intp for ``record``) are kept without a
-        copy, so the caller must not modify them afterwards.
+        Records, and the entries within a record, may come in any order.
+        Arrays of the stored dtypes are kept without a copy, so the caller
+        must not modify them afterwards.
         """
         dataset = cls.__new__(cls)
-        dataset._store(n, depth, input, seq, shots, record, outcome, count)
+        dataset._store(n, depth, input, seq, shots, lengths, outcome, count)
         return dataset
+
+    @classmethod
+    def from_columns(cls, n, depth, input, seq, shots, record, outcome, count) -> "Dataset":
+        """A dataset from per-record columns and count entries that each
+        name their record: ``record`` holds the position of the entry's
+        record in the per-record columns.
+
+        Records and entries may come in any order; see ``from_csr``.
+        """
+        record, wrong = _integers(record)
+        if wrong:
+            raise ValueError("count entry record positions must be integers")
+        if record.size and not 0 <= record.min() <= record.max() < len(depth):
+            raise ValueError("count entry names a record that does not exist")
+        # entry columns of another length are left to the checks to name
+        if len(record) == len(outcome) == len(count) and np.any(record[1:] < record[:-1]):
+            by_record = np.argsort(record, kind="stable")
+            outcome, count = (
+                column[by_record] if isinstance(column, np.ndarray)
+                else [column[i] for i in by_record.tolist()]
+                for column in (outcome, count)
+            )
+        lengths = np.bincount(record, minlength=len(depth))
+        return cls.from_csr(n, depth, input, seq, shots, lengths, outcome, count)
 
     def _store(self, n, *columns) -> None:
         check_qubit_count(n)
-        depth, input, seq, shots, record, outcome, count = _check_fields(*columns)
+        depth, input, seq, shots, starts, outcome, count = _check_fields(*columns)
         size = 1 << n
         outside = input >= size
-        outside[record[outcome >= size]] = True
+        outside[_owners(starts, np.flatnonzero(outcome >= size))] = True
         if outside.any():
             position = int(np.argmax(outside))
             # the record's input is named if it is outside, else its outcome
             check_basis_indices(input[position], n, "record input")
-            check_basis_indices(outcome[record == position], n, "record outcome")
+            check_basis_indices(outcome[starts[position]:starts[position + 1]], n, "record outcome")
+        depth, input, seq, shots = (
+            column.astype(np.int64, copy=False) for column in (depth, input, seq, shots)
+        )
+        outcome = outcome.astype(OUTCOME_DTYPE, copy=False)
+        # counts are at most their shots; a larger one passed the sum rule
+        # only by int64 overflow, and is kept as it is
+        count = count.astype(
+            count_dtype(max(shots.max(initial=0), count.max(initial=0))), copy=False
+        )
 
         # columns from the simulator or a written file are already in
         # canonical order; sort only when they are not
         order = np.lexsort((input, seq, depth))
         if np.any(order != np.arange(len(order))):
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
             depth, input, seq, shots = depth[order], input[order], seq[order], shots[order]
-            record = rank[record]
-        same_record = record[1:] == record[:-1]
-        if not np.all((record[1:] > record[:-1]) | (same_record & (outcome[1:] > outcome[:-1]))):
-            entries = np.lexsort((outcome, record))
-            record, outcome, count = record[entries], outcome[entries], count[entries]
-            if np.any((record[1:] == record[:-1]) & (outcome[1:] == outcome[:-1])):
+            lengths = np.diff(starts)[order]
+            moved = np.concatenate([[0], np.cumsum(lengths)])
+            # entry j of the record now at r was entry starts[order[r]] + j
+            entries = np.repeat(starts[order] - moved[:-1], lengths) + np.arange(moved[-1])
+            outcome, count, starts = outcome[entries], count[entries], moved
+        # every record has an entry, so each ends before the next one starts
+        last = np.zeros(max(len(outcome) - 1, 0), bool)
+        last[starts[1:-1] - 1] = True
+        if not np.all(last | (outcome[1:] > outcome[:-1])):
+            entries = np.lexsort((outcome, np.repeat(np.arange(len(depth)), np.diff(starts))))
+            outcome, count = outcome[entries], count[entries]
+            if np.any(~last & (outcome[1:] == outcome[:-1])):
                 raise ValueError("a record lists one outcome twice")
 
         self.n = n
         self.depth, self.input, self.seq, self.shots = depth, input, seq, shots
-        self.record, self.outcome, self.count = record, outcome, count
-        # entries of record r are [_starts[r], _starts[r + 1])
-        self._starts = np.searchsorted(record, np.arange(len(depth) + 1))
-        for column in (depth, input, seq, shots, record, outcome, count, self._starts):
+        self.outcome, self.count, self._starts = outcome, count, starts
+        for column in (depth, input, seq, shots, outcome, count, starts):
             column.flags.writeable = False
         self._cells = _cell_index(n, depth, input, seq)
+
+    @property
+    def record(self) -> np.ndarray:
+        """Each count entry's record position, read-only, built from the
+        offsets on each access."""
+        record = np.repeat(np.arange(len(self)), np.diff(self._starts))
+        record.flags.writeable = False
+        return record
 
     @property
     def size(self) -> int:
@@ -417,9 +511,7 @@ class Dataset:
     def write_jsonl(self, path, header: str | None = None) -> None:
         """Write records in canonical order; header becomes a '#' comment."""
         starts = self._starts
-        # record bounds of blocks of about _WRITE_ENTRIES count entries
-        cuts = np.searchsorted(starts, np.arange(_WRITE_ENTRIES, len(self.count), _WRITE_ENTRIES))
-        bounds = np.unique(np.concatenate([[0], cuts, [len(self)]])).tolist()
+        bounds = _record_blocks(starts, _WRITE_ENTRIES)
         with open(path, "wb") as handle:
             handle.write(_header_line(header).encode())
             for lo, hi in zip(bounds, bounds[1:]):
@@ -525,10 +617,10 @@ def _read_rendered(path) -> Dataset | None:
             blocks.append(parsed)
     if not blocks:
         return None
-    depth, input, seq, shots, lengths, outcome, count = map(np.concatenate, zip(*blocks))
-    record = np.repeat(np.arange(len(depth)), lengths)
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    del blocks
     try:
-        return Dataset.from_columns(n, depth, input, seq, shots, record, outcome, count)
+        return Dataset.from_csr(n, *columns)
     except ValueError:
         return None
 
@@ -581,9 +673,11 @@ def _parse_block(n: int, block: bytes) -> tuple | None:
     in_entries = np.ones(len(values), bool)
     in_entries[firsts[:, None] + np.arange(4)] = False
     keys, count = values[in_entries].reshape(-1, 2).T
-    # a copy, so the block's keys are freed once they are decoded
-    count = count.copy()
-    input, outcome = _bits_to_index(bits, n), _bits_to_index(keys, n)
+    # a narrow copy, so the block's keys are freed once they are decoded;
+    # blocks of other dtypes concatenate to the widest
+    count = count.astype(count_dtype(max(shots.max(), count.max())))
+    input = _bits_to_index(bits, n)
+    outcome = _bits_to_index(keys, n).astype(OUTCOME_DTYPE)
     starts = np.concatenate([[0], np.cumsum(lengths)])
     same_record = np.ones(len(outcome) - 1, bool)
     same_record[starts[1:-1] - 1] = False
@@ -615,7 +709,8 @@ def _read_lines(path) -> Dataset:
     # holding them can be named
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+            # JSON whitespace only: any other space character is an error
+            line = line.strip(" \t\r\n")
             if not line or line.startswith("#"):
                 continue
             try:
@@ -645,15 +740,12 @@ def _read_lines(path) -> Dataset:
             outcomes += keys
             counts += entries.values()
             line_of.append(line_no)
-    columns = (
-        rows[0::4], rows[1::4], rows[2::4], rows[3::4],
-        np.repeat(np.arange(len(lengths)), lengths), outcomes, counts,
-    )
+    columns = (rows[0::4], rows[1::4], rows[2::4], rows[3::4], lengths, outcomes, counts)
     try:
         if fault is None:
             if n is None:
                 raise ValueError("dataset file is empty")
-            return Dataset.from_columns(n, *columns)
+            return Dataset.from_csr(n, *columns)
         # a record rule broken on an earlier line comes first
         _check_fields(*columns)
     except RecordError as exc:

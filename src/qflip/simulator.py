@@ -19,7 +19,7 @@ import numpy as np
 from . import clifford
 from .channel import NoiseModel, apply_transition_power
 from .errors import ConfigError
-from .records import Dataset, holds_numbers
+from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers
 from .transforms import check_basis_indices, check_qubit_count, require_prob_dist
 
 __all__ = [
@@ -225,27 +225,33 @@ def _check_generation_args(gt, depths, circuits_per_depth, inputs, shots):
     return depths, sorted(inputs)
 
 
-def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed, first_record):
-    """One depth's records as columns: (seq, input, record, outcome, count),
-    the count entries in record, then outcome order.
-
-    Records run through the circuits, each over every input, and are
-    numbered from first_record.
+def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
+    """One depth's records as columns: (seq, input, lengths, outcome,
+    count). Records run through the circuits, each over every input;
+    record r's count entries are the next lengths[r] (outcome, count)
+    pairs, by increasing outcome, in the dtypes the Dataset stores.
     """
     dists = exact_distributions(gt, depth, inputs)
-    entries = []
+    # every circuit's counts go into one block, so that the entries are
+    # found, gathered and narrowed once per depth, not once per circuit
+    block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
     for k in range(circuits_per_depth):
         rng = _shard_rng(seed, depth, k)
         # draw the circuit's gate ids first, as sample_identity_circuit does,
         # so generate_circuits reproduces it; depth 0 draws nothing
         rng.integers(0, clifford.GROUP_ORDER, size=(depth, gt.n))
         # one row per input, drawn in input order from the circuit's stream
-        sample = rng.multinomial(shots, dists)
-        rows, outcomes = np.nonzero(sample)
-        entries.append((rows + (first_record + k * len(inputs)), outcomes, sample[rows, outcomes]))
-    seq = np.repeat(np.arange(circuits_per_depth), len(inputs))
-    input_column = np.tile(inputs, circuits_per_depth)
-    return (seq, input_column, *(np.concatenate(parts) for parts in zip(*entries)))
+        block[k] = rng.multinomial(shots, dists)
+    block = block.reshape(-1, gt.size)
+    entries = np.flatnonzero(block)
+    outcome = (entries % gt.size).astype(OUTCOME_DTYPE)
+    return (
+        np.repeat(np.arange(circuits_per_depth), len(inputs)),
+        np.tile(inputs, circuits_per_depth),
+        np.count_nonzero(block, axis=1),
+        outcome,
+        block.reshape(-1)[entries],
+    )
 
 
 def generate_dataset(
@@ -261,28 +267,26 @@ def generate_dataset(
 
     Deterministic per seed: every (depth, circuit) pair derives its own
     random stream, so results are identical whether generation runs
-    serially or sharded across worker processes.
+    serially or sharded across worker processes. Each depth's counts are
+    made in one dense block and kept only as the Dataset's compact
+    entries.
     """
     depths, inputs = _check_generation_args(gt, depths, circuits_per_depth, inputs, shots)
-    per_depth = circuits_per_depth * len(inputs)
-    shard_args = [
-        (gt, depth, circuits_per_depth, inputs, shots, seed, position * per_depth)
-        for position, depth in enumerate(depths)
-    ]
+    shard_args = [(gt, depth, circuits_per_depth, inputs, shots, seed) for depth in depths]
     if workers is not None and workers > 1 and len(shard_args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_depth_columns, *zip(*shard_args)))
     else:
         shards = list(map(_depth_columns, *zip(*shard_args)))
-    seq, input_column, record, outcome, count = (np.concatenate(parts) for parts in zip(*shards))
-    del shards  # free the per-depth copies before the dataset's checks
-    return Dataset.from_columns(
+    seq, input_column, lengths, outcome, count = (np.concatenate(parts) for parts in zip(*shards))
+    del shards  # free the per-depth parts before the dataset's checks
+    return Dataset.from_csr(
         gt.n,
-        np.repeat(depths, per_depth),
+        np.repeat(depths, circuits_per_depth * len(inputs)),
         input_column,
         seq,
         np.full(len(seq), shots),
-        record,
+        lengths,
         outcome,
         count,
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "fwht",
+    "fwht_in_place",
     "fwht_inverse",
     "xor_permute",
     "simplex_project",
@@ -102,19 +103,27 @@ def fwht(values: np.ndarray) -> np.ndarray:
     floating-point result as transforming it alone. The inverse is
     ``fwht_inverse`` (which carries the full 1/2**n factor).
     """
-    arr = np.array(values, dtype=float)
-    shape = arr.shape
-    size = 1 << _outcome_qubits(arr)
+    return fwht_in_place(np.array(values, dtype=float, order="C"))
+
+
+def fwht_in_place(values: np.ndarray) -> np.ndarray:
+    """``fwht`` of a writeable C-contiguous float64 array, written over it
+    and returned, bit for bit as ``fwht`` gives it. The only temporary
+    holds half of the array."""
+    size = 1 << _outcome_qubits(values)
+    if values.dtype != np.float64 or not values.flags.c_contiguous or not values.flags.writeable:
+        raise ValueError("fwht_in_place needs a writeable C-contiguous float64 array")
     half = 1
     while half < size:
         # blocks of 2 * half never straddle two vectors of the batch
-        arr = arr.reshape(-1, 2, half)
-        even = arr[:, 0, :] + arr[:, 1, :]
-        odd = arr[:, 0, :] - arr[:, 1, :]
-        arr[:, 0, :] = even
-        arr[:, 1, :] = odd
+        pairs = values.reshape(-1, 2, half)
+        low, high = pairs[:, 0, :], pairs[:, 1, :]
+        odd = low - high
+        low += high
+        high[...] = odd
+        del odd  # before the next step makes its own
         half *= 2
-    return arr.reshape(shape)
+    return values
 
 
 def fwht_inverse(values: np.ndarray) -> np.ndarray:

@@ -2,15 +2,29 @@
 
 Everything here deliberately avoids the fast paths in qflip: dense matrix
 builds, naive matrix powers, grid searches, and direct 2x2 complex algebra.
-Tests compare library output against these.
+Tests compare library output against these. ``traced_peak`` measures
+what a call allocates, for the memory bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes of the memory allocated while fn ran, as
+    tracemalloc counts it, over what was allocated before)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def popcount(x: int) -> int:

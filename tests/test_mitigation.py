@@ -7,6 +7,7 @@ scoring must equal the per-record loop in oracles.py bit for bit.
 """
 
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.spatial.distance import jensenshannon
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
 from qflip.records import CountsRecord, Dataset
-from oracles import masked_jsd, per_record_mitigation_rows
+from oracles import masked_jsd, per_record_mitigation_rows, traced_peak
 
 
 def random_simplex(rng, size):
@@ -77,12 +78,19 @@ def distribution_batch(rng, rows, size):
 
 class TestBatchedJsd:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 7), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_rows_match_one_dimensional_scores(self, n, rows, seed):
+    @given(
+        n=st.integers(1, 7),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 20, 1 << 14]),
+    )
+    def test_rows_match_one_dimensional_scores(self, n, rows, seed, chunk):
         rng = np.random.default_rng(seed)
         p = distribution_batch(rng, rows, 2**n)
         q = distribution_batch(rng, rows, 2**n)
-        batch = mitigation.jsd(p, q)
+        # rows are scored in chunks of about `chunk` entries
+        with mock.patch.object(mitigation, "_JSD_ENTRIES", chunk):
+            batch = mitigation.jsd(p, q)
         assert batch.shape == (rows,)
         for i in range(rows):
             single = mitigation.jsd(p[i], q[i])
@@ -90,6 +98,14 @@ class TestBatchedJsd:
             assert batch[i] == single == masked_jsd(p[i], q[i])
         stacked = mitigation.jsd(p.reshape(1, rows, -1), q.reshape(1, rows, -1))
         assert np.array_equal(stacked, batch[None, :])
+
+    def test_peak_is_a_few_times_one_batch(self):
+        rng = np.random.default_rng(4)
+        p = distribution_batch(rng, 1280, 128)
+        q = distribution_batch(rng, 1280, 128)
+        scores, peak = traced_peak(lambda: mitigation.jsd(p, q))
+        assert peak < 4 * p.nbytes
+        assert np.array_equal(scores, [masked_jsd(a, b) for a, b in zip(p, q)])
 
     @pytest.mark.parametrize(
         "bad_row",

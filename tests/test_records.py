@@ -1,6 +1,7 @@
 """Dataset record validation and JSONL wire-format tests."""
 
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import record_to_json, stacked_cell_means
+from oracles import record_to_json, stacked_cell_means, traced_peak
 from qflip import records, simulator
 from qflip.errors import CoverageError
 
@@ -458,6 +459,141 @@ class TestCodecEdgeCases:
         assert built == []
         back.records[0]
         assert len(built) == 1
+
+
+class TestCompactStorage:
+    """Count entries are stored grouped by record behind per-record
+    offsets, in the narrowest dtypes that hold them."""
+
+    def test_generated_dataset_has_no_wide_entry_column(self):
+        gt = simulator.iid_bitflip(3, 0.05, readout=0.02)
+        ds = simulator.generate_dataset(
+            gt, depths=[0, 4], circuits_per_depth=3, inputs=range(8), shots=1024, seed=5
+        )
+        entries = len(ds.count)
+        # so that a per-entry array is told apart from a per-record one
+        assert entries not in (len(ds), len(ds) + 1)
+        assert (ds.outcome.dtype, ds.count.dtype) == (np.int16, np.int16)
+        wide = [
+            name for name, value in vars(ds).items()
+            if isinstance(value, np.ndarray) and len(value) == entries and value.itemsize > 2
+        ]
+        assert wide == []
+        # record positions are built from the offsets on access, read-only
+        lengths = [len(record.counts) for record in ds.records]
+        assert ds.record.tolist() == np.repeat(np.arange(len(ds)), lengths).tolist()
+        with pytest.raises(ValueError):
+            ds.record[0] = 1
+
+    @pytest.mark.parametrize(
+        "shots,dtype",
+        [(1, np.int8), (127, np.int8), (128, np.int16), (1024, np.int16),
+         (2**15, np.int32), (2**31, np.int64), (2**63 - 1, np.int64)],
+    )
+    def test_count_dtype_is_the_narrowest_that_holds_shots(self, shots, dtype):
+        assert records.count_dtype(shots) == dtype
+        ds = records.Dataset.from_columns(
+            1, [0], [0], [0], [shots], [0, 0], [1, 0], [shots - 1, 1]
+        )
+        assert ds.count.dtype == dtype
+        assert ds.outcome.dtype == np.int16
+        assert ds.count.tolist() == [1, shots - 1]
+
+    def test_full_range_counts_round_trip(self, tmp_path):
+        top = 2**63 - 1
+        ds = records.Dataset.from_columns(1, [0], [1], [0], [top], [0, 0], [0, 1], [top - 2, 2])
+        assert ds.count.dtype == np.int64
+        path = tmp_path / "data.jsonl"
+        ds.write_jsonl(path)
+        back = records.Dataset.read_jsonl(path)
+        assert back.count.dtype == np.int64
+        assert back.count.tolist() == [top - 2, 2]
+
+    def test_from_csr_sorts_records_and_entries(self):
+        ds = TestDataset().make_dataset()
+        # records out of canonical order, entries out of order in a record
+        again = records.Dataset.from_csr(
+            2, depth=[2, 1, 1], input=[1, 0, 0], seq=[0, 1, 0], shots=[4, 4, 4],
+            lengths=[1, 2, 1], outcome=[1, 3, 0, 0], count=[4, 1, 3, 4],
+        )
+        for column in COLUMNS:
+            assert getattr(again, column).tolist() == getattr(ds, column).tolist()
+        # narrow arrays of the stored dtypes are kept as they are
+        outcome = np.array([1, 0], np.int16)
+        count = np.array([1, 3], np.int8)
+        kept = records.Dataset.from_csr(2, [1], [0], [0], [4], [2], outcome, count)
+        assert kept.count is not count and kept.count.dtype == np.int8
+        assert kept.outcome.tolist() == [0, 1]
+        in_order = np.array([0, 1], np.int16)
+        kept = records.Dataset.from_csr(2, [1], [0], [0], [4], [2], in_order, count)
+        assert np.shares_memory(kept.outcome, in_order)
+
+    def test_from_csr_checks_lengths(self):
+        with pytest.raises(ValueError, match="lengths must be non-negative integers"):
+            records.Dataset.from_csr(2, [1, 1], [0, 1], [0, 0], [1, 1], [2, -1], [0], [1])
+        with pytest.raises(ValueError, match="lengths must be non-negative integers"):
+            records.Dataset.from_csr(2, [1], [0], [0], [1], [1.0], [0], [1])
+        with pytest.raises(ValueError, match="count entry columns differ in length"):
+            records.Dataset.from_csr(2, [1], [0], [0], [1], [2], [0], [1])
+        with pytest.raises(ValueError, match="per-record columns differ in length"):
+            records.Dataset.from_csr(2, [1], [0], [0], [1], [1, 0], [0], [1])
+        # an empty record is named by the sum rule, not read as its neighbour's
+        with pytest.raises(records.RecordError, match="counts sum to 0, expected shots=1") as info:
+            records.Dataset.from_csr(2, [1, 1], [0, 1], [0, 0], [1, 1], [0, 1], [0], [1])
+        assert info.value.position == 0
+
+    def test_narrow_columns_are_checked_as_they_are(self):
+        with pytest.raises(records.RecordError, match="negative count value"):
+            records.Dataset.from_csr(
+                2, [1], [0], [0], [1], [2], np.array([0, 1], np.int16), np.array([2, -1], np.int8)
+            )
+        with pytest.raises(ValueError, match="record outcome 4 out of range for n=2"):
+            records.Dataset.from_csr(
+                2, [1], [0], [0], [1], [1], np.array([4], np.uint8), np.array([1], np.uint8)
+            )
+        # int8 counts that sum past 127 are added up as int64, and stored
+        # in the dtype of their shots
+        ds = records.Dataset.from_csr(
+            2, [1], [0], [0], [200], [2], np.array([0, 1], np.int16), np.array([100, 100], np.int8)
+        )
+        assert ds.count.dtype == np.int16
+        assert ds.count.tolist() == [100, 100]
+
+
+class TestLineReaderWhitespace:
+    """A record line may be padded with JSON whitespace (space, tab, CR,
+    LF) and nothing else."""
+
+    LINE = '{"depth":1,"input":"0","seq":0,"shots":1,"counts":{"0":1}}'
+
+    @pytest.mark.parametrize("pad", ["\u00a0", "\x1c", "\u3000"])
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_other_space_characters_are_errors(self, tmp_path, pad, side):
+        path = tmp_path / "data.jsonl"
+        line = pad + self.LINE if side == "before" else self.LINE + pad
+        path.write_text(f"# h\n{self.LINE}\n{line}\n", encoding="utf-8")
+        prefix = re.escape(f"{path}:3: malformed dataset record: ")
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            records.Dataset.read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace(b"\n{", b"\n \t{").replace(b"}}\n", b"}}\t \n"),
+            lambda text: text.replace(b"\n", b"\r\n"),
+            lambda text: text.replace(b"}}\n", b"}}\n\n \t\n\r\n"),
+        ],
+        ids=["space and tab padding", "crlf", "blank lines"],
+    )
+    def test_json_whitespace_reads_as_before(self, tmp_path, edit):
+        canonical = tmp_path / "canonical.jsonl"
+        canonical.write_bytes(CANONICAL)
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(edit(CANONICAL))
+        expected = read_outcome(records.Dataset.read_jsonl, canonical)
+        assert type(expected) is tuple
+        assert read_outcome(records.Dataset.read_jsonl, path) == expected
+        assert read_outcome(records._read_lines, path) == expected
 
 
 COLUMNS = ("depth", "input", "seq", "shots", "record", "outcome", "count")

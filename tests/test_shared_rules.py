@@ -2,12 +2,10 @@
 rejects a bad value with the same message, and the one implementation
 gives the bits the former copies gave."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from oracles import mask_loop_product
+from oracles import mask_loop_product, traced_peak
 from qflip import channel, estimation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
@@ -48,13 +46,12 @@ def test_every_entry_point_rejects_a_qubit_count_alike(entry, n, tmp_path, capsy
     ],
 )
 def test_preset_builders_check_n_before_allocating(builder, params):
-    tracemalloc.start()
-    try:
+    def build():
         with pytest.raises(ValueError) as caught:
             builder(40, *params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return caught
+
+    caught, peak = traced_peak(build)
     assert str(caught.value) == "qubit count must be in [1, 12], got 40"
     assert peak < 1 << 20
 

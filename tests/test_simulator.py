@@ -17,6 +17,7 @@ from oracles import (
     depolarized_measurement,
     per_input_exact_distribution,
     per_input_true_noise_model,
+    traced_peak,
 )
 from qflip import channel, clifford, simulator
 from qflip.errors import ConfigError
@@ -325,11 +326,30 @@ class TestGenerateDataset:
     def test_workers_match_serial(self, tmp_path):
         gt = simulator.iid_bitflip(2, 0.05)
         kwargs = dict(depths=[1, 2, 5], circuits_per_depth=3, inputs=[0], shots=32, seed=7)
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        simulator.generate_dataset(gt, **kwargs).write_jsonl(serial)
-        simulator.generate_dataset(gt, workers=2, **kwargs).write_jsonl(parallel)
-        assert serial.read_bytes() == parallel.read_bytes()
+        serial = simulator.generate_dataset(gt, **kwargs)
+        parallel = simulator.generate_dataset(gt, workers=2, **kwargs)
+        # the process pool returns the same compact columns
+        for column in ("depth", "input", "seq", "shots", "record", "outcome", "count"):
+            ours, theirs = getattr(serial, column), getattr(parallel, column)
+            assert ours.dtype == theirs.dtype
+            np.testing.assert_array_equal(ours, theirs)
+        assert (parallel.outcome.dtype, parallel.count.dtype) == (np.int16, np.int8)
+        serial.write_jsonl(tmp_path / "serial.jsonl")
+        parallel.write_jsonl(tmp_path / "parallel.jsonl")
+        assert (tmp_path / "serial.jsonl").read_bytes() == (tmp_path / "parallel.jsonl").read_bytes()
+
+    def test_generation_peak_is_bounded_by_the_entries(self):
+        gt = simulator.iid_bitflip(7, 0.05, readout=0.02)
+        kwargs = dict(depths=range(6), circuits_per_depth=2, inputs=range(128), shots=1024, seed=3)
+        # a first call makes one-time allocations (imports, caches)
+        simulator.generate_dataset(gt, depths=[0], circuits_per_depth=1, inputs=[0])
+        ds, peak = traced_peak(lambda: simulator.generate_dataset(gt, **kwargs))
+        entries = len(ds.count)
+        assert entries > 50_000
+        # 4 bytes stored per entry, a second copy while the depths are
+        # joined, and one depth's dense block and index; three int64
+        # columns held twice would be 48
+        assert peak < 16 * entries
 
     def test_depth_streams_do_not_depend_on_depth_list(self):
         gt = simulator.iid_bitflip(1, 0.1)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qflip.transforms import (
     fwht,
+    fwht_in_place,
     fwht_inverse,
     num_qubits,
     require_prob_dist,
@@ -15,6 +16,7 @@ from qflip.transforms import (
 from oracles import (
     dense_wht_matrix,
     grid_simplex_minimizer,
+    traced_peak,
     threshold_simplex_project,
     xor_permutation_matrix,
 )
@@ -77,10 +79,48 @@ class TestFwht:
             assert np.array_equal(out, fwht(row))
             assert np.array_equal(back, fwht_inverse(row))
         assert np.array_equal(fwht(batch[None]), forward[None])
+        assert np.array_equal(fwht(np.asfortranarray(batch)), forward)
 
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             fwht(np.float64(1.0))
+
+
+class TestFwhtInPlace:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_two_temporary_butterfly(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(scale=rng.uniform(0.01, 100.0), size=(rows, 2**n))
+        expected, half = batch.copy(), 1
+        while half < 2**n:
+            pairs = expected.reshape(-1, 2, half)
+            even, odd = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+            pairs[:, 0], pairs[:, 1] = even, odd
+            half *= 2
+        out = fwht_in_place(batch)
+        assert out is batch
+        assert np.array_equal(batch, expected)
+
+    def test_temporary_is_about_half_the_array(self):
+        # plus the finiteness check's bools and the ufuncs' fixed buffers;
+        # fwht's copy alone is the whole array
+        values = np.random.default_rng(2).normal(size=(512, 1024))
+        _, peak = traced_peak(lambda: fwht_in_place(values))
+        assert peak < 0.75 * values.nbytes
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(8), np.zeros((8, 2)).T, np.zeros(8)[::2]],
+        ids=["integers", "fortran order", "strided"],
+    )
+    def test_rejects_arrays_it_cannot_write_over(self, values):
+        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+            fwht_in_place(values)
+        frozen = np.zeros(8)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+            fwht_in_place(frozen)
 
 
 class TestFwhtInverse:
