@@ -4,7 +4,10 @@ One record holds the outcome counts of a single circuit submission:
 (depth, input state, sequence id, shots, counts). Outcomes and inputs are
 n-bit basis indices; on the wire they appear as bitstrings whose rightmost
 character is qubit 0. A Dataset holds its records as flat columns and
-its count entries in compressed sparse rows, in narrow dtypes. One
+its count entries in compressed sparse rows, in narrow dtypes. It has one
+constructor, from those columns, and one check of the record rules: among
+them, each count is at most its record's shots and the counts add up to
+the shots. ``Dataset.records`` gives each record as a ``Record`` tuple. One
 numpy byte kernel, ``_render``, formats the dataset lines: the writer
 writes its bytes, and the reader accepts a block of a file only if the
 kernel gives it back, reading any other file one JSON line at a time.
@@ -22,16 +25,15 @@ import contextlib
 import csv
 import json
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing
 from .transforms import check_basis_indices, check_qubit_count
 
-__all__ = ["CountsRecord", "Dataset", "RecordError", "index_to_bits"]
+__all__ = ["Dataset", "Record", "RecordError", "index_to_bits"]
 
 _INT64 = range(-(1 << 63), 1 << 63)
 # the stored outcome dtype: it holds every basis index up to MAX_QUBITS
@@ -42,8 +44,9 @@ OUTCOME_DTYPE = np.dtype(np.int16)
 # peak RSS and gain no speed
 _WRITE_ENTRIES = 4096
 _READ_BYTES = 1 << 16
-# the checks add up each record's counts this many entries at a time
-_SUM_ENTRIES = 1 << 16
+# the checks add up each record's counts this many entries at a time; a
+# block makes a few int64 temporaries of its size
+_SUM_ENTRIES = 1 << 14
 # np.fromstring saturates an int64 past 2**63 - 1, so the block reader
 # takes only digit runs of up to 18 characters: values below this
 _PARSE_LIMIT = 10**18
@@ -108,27 +111,37 @@ def _record_blocks(starts: np.ndarray, entries: int) -> list[int]:
     return np.unique(np.concatenate([[0], cuts, [len(starts) - 1]])).tolist()
 
 
-def _record_totals(count: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each record's count sum as int64. reduceat adds up an int64 copy of
-    its input, so it is given blocks of about _SUM_ENTRIES entries."""
-    totals = np.zeros(len(starts) - 1, dtype=np.int64)
+def _sum_faults(count: np.ndarray, shots: np.ndarray, starts: np.ndarray):
+    """Per record: whether a count exceeds its shots, and whether its
+    counts do not sum to its shots. The running sums are int64 and are
+    made in blocks of about _SUM_ENTRIES entries. A count is below 2**63,
+    so with non-negative counts the first running sum past shots is either
+    above shots or, wrapped, negative: a record whose running sums stay in
+    [0, shots] and end at shots sums to its shots."""
+    above = np.zeros(len(shots), dtype=bool)
+    unequal = shots != 0
     bounds = _record_blocks(starts, _SUM_ENTRIES)
     for lo, hi in zip(bounds, bounds[1:]):
-        # reduceat gives an empty record the next one's first entry: add up
-        # only records with entries, each of which then runs to its own end
-        filled = lo + np.flatnonzero(starts[lo + 1 : hi + 1] > starts[lo:hi])
-        if filled.size:
-            first = starts[lo]
-            totals[filled] = np.add.reduceat(
-                count[first : starts[hi]], starts[filled] - first, dtype=np.int64
-            )
-    return totals
+        first, entries = starts[lo], count[starts[lo] : starts[hi]]
+        if not entries.size:
+            continue
+        lengths = np.diff(starts[lo : hi + 1])
+        limit = np.repeat(shots[lo:hi], lengths)
+        running = np.cumsum(entries, dtype=np.int64)
+        # the sum of the block's records before each record's first entry
+        offsets = starts[lo:hi] - first
+        running -= np.repeat(np.where(offsets > 0, running[offsets - 1], 0), lengths)
+        above[_owners(starts, first + np.flatnonzero(entries > limit))] = True
+        filled = lo + np.flatnonzero(lengths)
+        unequal[filled] = running[starts[filled + 1] - first - 1] != shots[filled]
+        unequal[_owners(starts, first + np.flatnonzero((running < 0) | (running > limit)))] = True
+    return above, unequal
 
 
 def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
     """Check per-record columns and count entries grouped by record (record
     r's are the next ``lengths[r]`` of ``outcome`` and ``count``), as lists
-    or integer arrays, against every CountsRecord rule. Returns them as
+    or integer arrays, against every record rule. Returns them as
     integer arrays, an integer array as given, with the record offsets
     ``starts`` in place of ``lengths``. Raises RecordError for the first
     record that breaks a rule, with the message of the first rule it breaks
@@ -157,7 +170,11 @@ def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
     negative_outcome[_owners(starts, np.flatnonzero(outcome < 0))] = True
     negative_count = np.zeros(size, dtype=bool)
     negative_count[_owners(starts, np.flatnonzero(count < 0))] = True
-    totals = _record_totals(count, starts)
+
+    def counts(i):
+        return count[starts[i] : starts[i + 1]].tolist()
+
+    above, unequal = _sum_faults(count, shots, starts)
     rules = [
         (depth < 0, lambda i: f"depth must be >= 0, got {depth[i]}"),
         (input_index < 0, lambda i: f"input index must be >= 0, got {input_index[i]}"),
@@ -165,7 +182,8 @@ def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
         (shots < 1, lambda i: f"shots must be >= 1, got {shots[i]}"),
         (negative_outcome, lambda i: "negative outcome index in counts"),
         (negative_count, lambda i: "negative count value"),
-        (totals != shots, lambda i: f"counts sum to {totals[i]}, expected shots={shots[i]}"),
+        (above, lambda i: f"count value {max(counts(i))} exceeds shots={shots[i]}"),
+        (unequal, lambda i: f"counts sum to {sum(counts(i))}, expected shots={shots[i]}"),
     ]
     broken = np.logical_or.reduce([mask for mask, _ in rules])
     broken[list(faults)] = True
@@ -176,27 +194,6 @@ def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
         )
         raise RecordError(message, position)
     return depth, input_index, seq, shots, starts, outcome, count
-
-
-@dataclass(frozen=True, eq=False)
-class CountsRecord:
-    """Outcome counts for one circuit run at one depth and input state."""
-
-    depth: int
-    input_index: int
-    sequence_id: int
-    shots: int
-    counts: dict[int, int]
-
-    def __post_init__(self):
-        *_, outcome, count = _check_fields(
-            [self.depth], [self.input_index], [self.sequence_id], [self.shots],
-            [len(self.counts)], list(self.counts), list(self.counts.values()),
-        )
-        object.__setattr__(self, "counts", dict(zip(outcome.tolist(), count.tolist())))
-
-    def sort_key(self):
-        return (self.depth, self.sequence_id, self.input_index)
 
 
 def _object(pairs, name: str) -> dict:
@@ -315,77 +312,32 @@ def _cell_index(n, depth, input_index, seq) -> dict:
 class Dataset:
     """Counts over a fixed qubit count, held as flat read-only columns.
 
-    Records are in canonical (depth, seq, input) order, the order of the
-    JSON-lines file. Per record: int64 ``depth``, ``input``, ``seq`` and
+    ``Dataset(n, depth, input, seq, shots, lengths, outcome, count)`` is
+    the only constructor. It takes per-record columns and count entries
+    grouped by record: record r's entries are the next ``lengths[r]`` of
+    ``outcome`` and ``count``. Records, and the entries within a record,
+    may come in any order. Every record must follow the record rules
+    (``_check_fields``): non-negative integer fields, shots >= 1, each
+    count at most its shots and the counts summing to shots. Arrays of the
+    stored dtypes are kept without a copy, so the caller must not modify
+    them afterwards.
+
+    Records are stored in canonical (depth, seq, input) order, the order of
+    the JSON-lines file. Per record: int64 ``depth``, ``input``, ``seq`` and
     ``shots``. The count entries are stored in compressed sparse rows:
     ``outcome`` (OUTCOME_DTYPE) and ``count`` (``count_dtype`` of the
     largest shots) hold every record's entries in record order, each
     record's by increasing outcome, and record r's are those from offset
-    ``_starts[r]`` to ``_starts[r + 1]``. An entry read from a file may
-    hold a zero count. ``record`` gives each entry's record position.
-
-    ``Dataset(n, records)`` builds one from CountsRecords,
-    ``Dataset.from_csr`` from arrays of entries grouped by record and
-    ``Dataset.from_columns`` from arrays of entries that name their
-    record; all go through the same checks. Each (depth, input) cell
-    indexes its records in sequence-id order; a repeated (depth, input,
-    seq) triple is rejected.
+    ``starts[r]`` to ``starts[r + 1]``. An entry read from a file may hold
+    a zero count. Each (depth, input) cell indexes its records in
+    sequence-id order; a repeated (depth, input, seq) triple is rejected.
     """
 
-    def __init__(self, n: int, records=()):
-        records = list(records)
-        self._store(
-            n,
-            [record.depth for record in records],
-            [record.input_index for record in records],
-            [record.sequence_id for record in records],
-            [record.shots for record in records],
-            [len(record.counts) for record in records],
-            [outcome for record in records for outcome in record.counts],
-            [count for record in records for count in record.counts.values()],
-        )
-
-    @classmethod
-    def from_csr(cls, n, depth, input, seq, shots, lengths, outcome, count) -> "Dataset":
-        """A dataset from per-record columns and count entries grouped by
-        record: record r's entries are the next ``lengths[r]`` of
-        ``outcome`` and ``count``.
-
-        Records, and the entries within a record, may come in any order.
-        Arrays of the stored dtypes are kept without a copy, so the caller
-        must not modify them afterwards.
-        """
-        dataset = cls.__new__(cls)
-        dataset._store(n, depth, input, seq, shots, lengths, outcome, count)
-        return dataset
-
-    @classmethod
-    def from_columns(cls, n, depth, input, seq, shots, record, outcome, count) -> "Dataset":
-        """A dataset from per-record columns and count entries that each
-        name their record: ``record`` holds the position of the entry's
-        record in the per-record columns.
-
-        Records and entries may come in any order; see ``from_csr``.
-        """
-        record, wrong = _integers(record)
-        if wrong:
-            raise ValueError("count entry record positions must be integers")
-        if record.size and not 0 <= record.min() <= record.max() < len(depth):
-            raise ValueError("count entry names a record that does not exist")
-        # entry columns of another length are left to the checks to name
-        if len(record) == len(outcome) == len(count) and np.any(record[1:] < record[:-1]):
-            by_record = np.argsort(record, kind="stable")
-            outcome, count = (
-                column[by_record] if isinstance(column, np.ndarray)
-                else [column[i] for i in by_record.tolist()]
-                for column in (outcome, count)
-            )
-        lengths = np.bincount(record, minlength=len(depth))
-        return cls.from_csr(n, depth, input, seq, shots, lengths, outcome, count)
-
-    def _store(self, n, *columns) -> None:
+    def __init__(self, n: int, depth, input, seq, shots, lengths, outcome, count):
         check_qubit_count(n)
-        depth, input, seq, shots, starts, outcome, count = _check_fields(*columns)
+        depth, input, seq, shots, starts, outcome, count = _check_fields(
+            depth, input, seq, shots, lengths, outcome, count
+        )
         size = 1 << n
         outside = input >= size
         outside[_owners(starts, np.flatnonzero(outcome >= size))] = True
@@ -398,11 +350,7 @@ class Dataset:
             column.astype(np.int64, copy=False) for column in (depth, input, seq, shots)
         )
         outcome = outcome.astype(OUTCOME_DTYPE, copy=False)
-        # counts are at most their shots; a larger one passed the sum rule
-        # only by int64 overflow, and is kept as it is
-        count = count.astype(
-            count_dtype(max(shots.max(initial=0), count.max(initial=0))), copy=False
-        )
+        count = count.astype(count_dtype(shots.max(initial=0)), copy=False)
 
         # columns from the simulator or a written file are already in
         # canonical order; sort only when they are not
@@ -425,18 +373,10 @@ class Dataset:
 
         self.n = n
         self.depth, self.input, self.seq, self.shots = depth, input, seq, shots
-        self.outcome, self.count, self._starts = outcome, count, starts
+        self.outcome, self.count, self.starts = outcome, count, starts
         for column in (depth, input, seq, shots, outcome, count, starts):
             column.flags.writeable = False
         self._cells = _cell_index(n, depth, input, seq)
-
-    @property
-    def record(self) -> np.ndarray:
-        """Each count entry's record position, read-only, built from the
-        offsets on each access."""
-        record = np.repeat(np.arange(len(self)), np.diff(self._starts))
-        record.flags.writeable = False
-        return record
 
     @property
     def size(self) -> int:
@@ -448,7 +388,7 @@ class Dataset:
     @property
     def records(self) -> Sequence:
         """Read-only sequence of the records in canonical order; each
-        CountsRecord is built when indexed."""
+        Record is built when indexed."""
         return _RecordView(self)
 
     def depths(self) -> list[int]:
@@ -497,8 +437,8 @@ class Dataset:
 
     def _rows(self, positions: np.ndarray) -> np.ndarray:
         """Normalized counts of the records at positions, one dense row each."""
-        first = self._starts[positions]
-        lengths = self._starts[positions + 1] - first
+        first = self.starts[positions]
+        lengths = self.starts[positions + 1] - first
         entries = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
         entries += np.arange(len(entries))
         rows = np.zeros((len(positions), self.size))
@@ -510,7 +450,7 @@ class Dataset:
 
     def write_jsonl(self, path, header: str | None = None) -> None:
         """Write records in canonical order; header becomes a '#' comment."""
-        starts = self._starts
+        starts = self.starts
         bounds = _record_blocks(starts, _WRITE_ENTRIES)
         with open(path, "wb") as handle:
             handle.write(_header_line(header).encode())
@@ -620,7 +560,7 @@ def _read_rendered(path) -> Dataset | None:
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
     del blocks
     try:
-        return Dataset.from_csr(n, *columns)
+        return Dataset(n, *columns)
     except ValueError:
         return None
 
@@ -745,7 +685,7 @@ def _read_lines(path) -> Dataset:
         if fault is None:
             if n is None:
                 raise ValueError("dataset file is empty")
-            return Dataset.from_csr(n, *columns)
+            return Dataset(n, *columns)
         # a record rule broken on an earlier line comes first
         _check_fields(*columns)
     except RecordError as exc:
@@ -756,8 +696,13 @@ def _read_lines(path) -> Dataset:
     raise ValueError(fault)
 
 
+# one record of a Dataset, as Dataset.records gives it; counts maps
+# outcome -> count in increasing outcome order
+Record = namedtuple("Record", "depth input_index sequence_id shots counts")
+
+
 class _RecordView(Sequence):
-    """The records of a Dataset, in its order; a CountsRecord per index."""
+    """The records of a Dataset, in its order; a Record per index."""
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
@@ -770,11 +715,9 @@ class _RecordView(Sequence):
             return [self[i] for i in range(len(self))[position]]
         ds = self._dataset
         position = range(len(ds))[position]
-        lo, hi = ds._starts[position], ds._starts[position + 1]
-        return CountsRecord(
-            depth=int(ds.depth[position]),
-            input_index=int(ds.input[position]),
-            sequence_id=int(ds.seq[position]),
-            shots=int(ds.shots[position]),
-            counts=dict(zip(ds.outcome[lo:hi].tolist(), ds.count[lo:hi].tolist())),
+        lo, hi = ds.starts[position], ds.starts[position + 1]
+        return Record(
+            int(ds.depth[position]), int(ds.input[position]), int(ds.seq[position]),
+            int(ds.shots[position]),
+            dict(zip(ds.outcome[lo:hi].tolist(), ds.count[lo:hi].tolist())),
         )

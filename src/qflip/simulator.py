@@ -280,7 +280,7 @@ def generate_dataset(
         shards = list(map(_depth_columns, *zip(*shard_args)))
     seq, input_column, lengths, outcome, count = (np.concatenate(parts) for parts in zip(*shards))
     del shards  # free the per-depth parts before the dataset's checks
-    return Dataset.from_csr(
+    return Dataset(
         gt.n,
         np.repeat(depths, circuits_per_depth * len(inputs)),
         input_column,

@@ -271,6 +271,19 @@ def per_input_true_noise_model(gt):
     return NoiseModel(n=gt.n, channels=channels)
 
 
+def dataset_of(n: int, rows):
+    """A Dataset from (depth, input, seq, shots, {outcome: count}) rows,
+    through its one constructor."""
+    from qflip.records import Dataset
+
+    depth, input, seq, shots, counts = map(list, list(zip(*rows)) or [()] * 5)
+    return Dataset(
+        n, depth, input, seq, shots, [len(entries) for entries in counts],
+        [outcome for entries in counts for outcome in entries],
+        [count for entries in counts for count in entries.values()],
+    )
+
+
 def record_to_json(record, n: int) -> str:
     """One dataset line by json.dumps: the fields in wire order, the counts
     in outcome order, bitstrings with qubit 0 rightmost."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     curve_fit_rb,
+    dataset_of,
     dense_wht_matrix,
     polyfit_decay,
     rb_rss,
@@ -19,7 +20,6 @@ from oracles import (
 )
 from qflip import channel, estimation, simulator
 from qflip.errors import CoverageError
-from qflip.records import CountsRecord, Dataset
 
 
 def fit_series(series, train_depths=None):
@@ -29,26 +29,20 @@ def fit_series(series, train_depths=None):
 
 
 def make_record(depth, input_index, counts, sequence_id=0):
-    return CountsRecord(
-        depth=depth,
-        input_index=input_index,
-        sequence_id=sequence_id,
-        shots=sum(counts.values()),
-        counts=counts,
-    )
+    return (depth, input_index, sequence_id, sum(counts.values()), counts)
 
 
 class TestAggregate:
     def test_single_record(self):
-        ds = Dataset(n=1, records=[make_record(1, 0, {0: 8})])
+        ds = dataset_of(1, [make_record(1, 0, {0: 8})])
         avg = estimation.aggregate(ds, 1, 0)
         assert np.array_equal(avg.distribution, [1.0, 0.0])
         assert avg.circuits_used == 1
 
     def test_mean_of_two_records(self):
-        ds = Dataset(
-            n=1,
-            records=[
+        ds = dataset_of(
+            1,
+            [
                 make_record(1, 0, {0: 4}, sequence_id=0),
                 make_record(1, 0, {1: 4}, sequence_id=1),
             ],
@@ -59,9 +53,9 @@ class TestAggregate:
 
     def test_records_normalized_before_averaging(self):
         # unequal shots: each circuit still contributes equal weight
-        ds = Dataset(
-            n=1,
-            records=[
+        ds = dataset_of(
+            1,
+            [
                 make_record(1, 0, {0: 10}, sequence_id=0),
                 make_record(1, 0, {1: 30}, sequence_id=1),
             ],
@@ -70,7 +64,7 @@ class TestAggregate:
         assert np.array_equal(avg.distribution, [0.5, 0.5])
 
     def test_missing_group_raises(self):
-        ds = Dataset(n=1, records=[make_record(1, 0, {0: 8})])
+        ds = dataset_of(1, [make_record(1, 0, {0: 8})])
         with pytest.raises(CoverageError):
             estimation.aggregate(ds, 2, 0)
         with pytest.raises(CoverageError):
@@ -322,9 +316,9 @@ class TestEstimateModel:
         np.testing.assert_allclose(fitted.spam, gt.spectral_spam(), atol=0.05)
 
     def test_coverage_error_names_missing_pairs(self):
-        ds = Dataset(
-            n=1,
-            records=[
+        ds = dataset_of(
+            1,
+            [
                 make_record(1, 0, {0: 8}),
                 make_record(2, 0, {0: 8}),
                 make_record(1, 1, {1: 8}),

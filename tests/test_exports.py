@@ -46,7 +46,11 @@ def test_no_module_imports_another_modules_private_name():
 
 
 @pytest.mark.parametrize(
-    "message", ["qubit count must be in", "unknown preset", "out of range for n=", "(m="]
+    "message",
+    [
+        "qubit count must be in", "unknown preset", "out of range for n=", "(m=",
+        "counts sum to", "exceeds shots=",
+    ],
 )
 def test_each_shared_rule_message_is_written_once(message):
     """A rule shared by several entry points has one implementation, so its

@@ -17,8 +17,7 @@ from scipy.spatial.distance import jensenshannon
 
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
-from qflip.records import CountsRecord, Dataset
-from oracles import masked_jsd, per_record_mitigation_rows, traced_peak
+from oracles import dataset_of, masked_jsd, per_record_mitigation_rows, traced_peak
 
 
 def random_simplex(rng, size):
@@ -264,10 +263,7 @@ class TestConditionNumber:
         # inputs read out alike give a rank-1 confusion matrix
         chan = channel.InputChannel(rates=[0.5, 0.5], spam=[1.0, 1.0])
         model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
-        ds = Dataset(n=1, records=[
-            CountsRecord(depth=0, input_index=i, sequence_id=0, shots=4, counts={0: 2, 1: 2})
-            for i in range(2)
-        ])
+        ds = dataset_of(1, [(0, i, 0, 4, {0: 2, 1: 2}) for i in range(2)])
         for system in (channel.mitigation_matrix(model, 3), mitigation.build_mem_matrix(ds)):
             assert system.condition == float("inf")
 
@@ -348,12 +344,7 @@ class TestEvaluate:
         # rates exactly [0.5, 0.5] give a rank-1 prediction matrix
         chan = channel.InputChannel(rates=[0.5, 0.5], spam=[1.0, 1.0])
         model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
-        records = [
-            CountsRecord(depth=3, input_index=i, sequence_id=s, shots=8, counts={i: 8})
-            for i in range(2)
-            for s in range(3)
-        ]
-        ds = Dataset(n=1, records=records)
+        ds = dataset_of(1, [(3, i, s, 8, {i: 8}) for i in range(2) for s in range(3)])
         report = mitigation.evaluate_mitigation(
             ds, model=model, methods=(mitigation.UNMITIGATED, mitigation.PROPOSED)
         )
@@ -412,14 +403,9 @@ class TestEvaluate:
         model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
         assert channel.mitigation_matrix(model, 1).condition < 10
         assert channel.mitigation_matrix(model, 30).condition > mitigation.COND_LIMIT
-        records = [
-            CountsRecord(depth=d, input_index=i, sequence_id=s, shots=8,
-                         counts={i: 5, 1 - i: 3})
-            for d in (1, 30)
-            for i in range(2)
-            for s in range(3)
-        ]
-        ds = Dataset(n=1, records=records)
+        ds = dataset_of(1, [
+            (d, i, s, 8, {i: 5, 1 - i: 3}) for d in (1, 30) for i in range(2) for s in range(3)
+        ])
         lstsq = np.linalg.lstsq
         rhs_shapes = []
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import record_to_json, stacked_cell_means, traced_peak
+from oracles import dataset_of, record_to_json, stacked_cell_means, traced_peak
 from qflip import records, simulator
 from qflip.errors import CoverageError
 
@@ -44,31 +44,34 @@ class TestBitstrings:
                 read_lines(tmp_path, line)
 
 
-class TestCountsRecord:
+def one_record(**fields):
+    """A two-qubit Dataset of one record: a good record with fields replaced."""
+    good = dict(depth=1, input_index=0, sequence_id=0, shots=4, counts={0: 4})
+    return dataset_of(2, [tuple(dict(good, **fields).values())])
+
+
+class TestRecordRules:
+    """The record rules as the Dataset constructor applies them."""
+
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
-            records.CountsRecord(
-                depth=1, input_index=0, sequence_id=0, shots=10, counts={0: 4, 1: 5}
-            )
+            one_record(shots=10, counts={0: 4, 1: 5})
 
     def test_rejects_negative_fields(self):
-        good = dict(depth=1, input_index=0, sequence_id=0, shots=4, counts={0: 4})
-        records.CountsRecord(**good)
+        one_record()
         for bad in (
-            dict(good, depth=-1),
-            dict(good, input_index=-1),
-            dict(good, sequence_id=-1),
-            dict(good, shots=0, counts={}),
-            dict(good, counts={-1: 4}),
-            dict(good, counts={0: -4, 1: 8}),
+            dict(depth=-1),
+            dict(input_index=-1),
+            dict(sequence_id=-1),
+            dict(shots=0, counts={}),
+            dict(counts={-1: 4}),
+            dict(counts={0: -4, 1: 8}),
         ):
             with pytest.raises(ValueError):
-                records.CountsRecord(**bad)
+                one_record(**bad)
 
     def test_counts_coerced_to_ints(self):
-        record = records.CountsRecord(
-            depth=1, input_index=0, sequence_id=0, shots=4, counts={np.int64(2): np.int64(4)}
-        )
+        (record,) = one_record(counts={np.int64(2): np.int64(4)}).records
         assert record.counts == {2: 4}
         assert all(type(k) is int and type(v) is int for k, v in record.counts.items())
 
@@ -86,27 +89,84 @@ class TestCountsRecord:
         ],
     )
     def test_rejects_non_integer_fields(self, field, value, message):
-        good = dict(depth=1, input_index=0, sequence_id=0, shots=4, counts={0: 4})
         with pytest.raises(records.RecordError) as info:
-            records.CountsRecord(**dict(good, **{field: value}))
+            one_record(**{field: value})
         assert str(info.value) == message
         assert info.value.position == 0
+
+    @pytest.mark.parametrize(
+        "n,shots,counts,message",
+        [
+            # the int64 sum wraps to exactly the shots
+            (2, 5, [2**62] * 3 + [2**62 + 5], f"count value {2**62 + 5} exceeds shots=5"),
+            # no count exceeds the shots, and the int64 sum wraps to them
+            (3, 2**62, [2**62] * 5, f"counts sum to {5 * 2**62}, expected shots={2**62}"),
+        ],
+        ids=["count above shots", "sum past int64"],
+    )
+    def test_counts_that_wrap_int64_are_rejected(self, tmp_path, n, shots, counts, message):
+        record = records.Record(1, 0, 0, shots, dict(enumerate(counts)))
+        with pytest.raises(records.RecordError) as info:
+            dataset_of(n, [record])
+        assert str(info.value) == message
+        assert info.value.position == 0
+        path = tmp_path / "data.jsonl"
+        path.write_text(record_to_json(record, n) + "\n")
+        with pytest.raises(ValueError) as info:
+            records.Dataset.read_jsonl(path)
+        assert str(info.value) == f"{path}:1: malformed dataset record: {message}"
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([1, 5, 2**62, 2**63 - 1]),
+                st.lists(st.sampled_from([0, 1, 4, 5, 2**62, 2**62 + 5, 2**63 - 1]), max_size=5),
+                st.booleans(),
+            ),
+            min_size=1, max_size=4,
+        ),
+        block=st.sampled_from([1, 2, 3, 1 << 14]),
+    )
+    def test_sum_rules_match_python_integers(self, rows, block):
+        """The int64 block sums name the record, and the rule, that adding
+        each record's counts as Python integers names."""
+        rows = [
+            (total if exact and 1 <= total < 2**63 else shots, counts)
+            for shots, counts, exact in rows
+            for total in [sum(counts)]
+        ]
+        faults = [
+            (position, f"count value {max(counts)} exceeds shots={shots}")
+            if max(counts, default=0) > shots
+            else (position, f"counts sum to {sum(counts)}, expected shots={shots}")
+            for position, (shots, counts) in enumerate(rows)
+            if max(counts, default=0) > shots or sum(counts) != shots
+        ]
+        with mock.patch.object(records, "_SUM_ENTRIES", block):
+            try:
+                dataset_of(3, [
+                    (1, 0, seq, shots, dict(enumerate(counts)))
+                    for seq, (shots, counts) in enumerate(rows)
+                ])
+                got = []
+            except records.RecordError as exc:
+                got = [(exc.position, str(exc))]
+        assert got == faults[:1]
 
 
 class TestWireFormat:
     def test_exact_line(self, tmp_path):
-        record = records.CountsRecord(
-            depth=3, input_index=1, sequence_id=7, shots=100, counts={0: 61, 2: 39}
-        )
+        ds = dataset_of(2, [(3, 1, 7, 100, {0: 61, 2: 39})])
         path = tmp_path / "data.jsonl"
-        records.Dataset(2, [record]).write_jsonl(path)
+        ds.write_jsonl(path)
         line = '{"depth":3,"input":"01","seq":7,"shots":100,"counts":{"00":61,"10":39}}'
         assert path.read_text() == line + "\n"
         back = records.Dataset.read_jsonl(path)
         assert back.n == 2
         (only,) = back.records
-        assert only.counts == record.counts
-        assert only.sort_key() == record.sort_key()
+        assert only == ds.records[0] == (3, 1, 7, 100, {0: 61, 2: 39})
 
     def test_rejects_malformed_lines(self, tmp_path):
         for line in (
@@ -122,12 +182,11 @@ class TestWireFormat:
 
 class TestDataset:
     def make_dataset(self):
-        recs = [
-            records.CountsRecord(depth=2, input_index=1, sequence_id=0, shots=4, counts={1: 4}),
-            records.CountsRecord(depth=1, input_index=0, sequence_id=1, shots=4, counts={0: 3, 3: 1}),
-            records.CountsRecord(depth=1, input_index=0, sequence_id=0, shots=4, counts={0: 4}),
-        ]
-        return records.Dataset(n=2, records=recs)
+        return dataset_of(2, [
+            (2, 1, 0, 4, {1: 4}),
+            (1, 0, 1, 4, {0: 3, 3: 1}),
+            (1, 0, 0, 4, {0: 4}),
+        ])
 
     def test_grouping(self):
         ds = self.make_dataset()
@@ -145,21 +204,19 @@ class TestDataset:
 
     def test_rejects_duplicate_records(self):
         recs = list(self.make_dataset().records)
-        recs.append(
-            records.CountsRecord(depth=1, input_index=0, sequence_id=1, shots=2, counts={0: 2})
-        )
+        recs.append(records.Record(1, 0, 1, 2, {0: 2}))
         with pytest.raises(ValueError, match=r"duplicate record \(depth=1, input=00, seq=1\)"):
-            records.Dataset(n=2, records=recs)
+            dataset_of(2, recs)
 
     def test_sorted_order(self):
         ds = self.make_dataset()
-        keys = [r.sort_key() for r in ds.records]
+        keys = [(r.depth, r.sequence_id, r.input_index) for r in ds.records]
         assert keys == sorted(keys)
         assert [ds.depth.tolist(), ds.seq.tolist(), ds.input.tolist()] == [
             [1, 1, 2], [0, 1, 0], [0, 0, 1]
         ]
         # entries sorted by record, then outcome
-        assert ds.record.tolist() == [0, 1, 1, 2]
+        assert ds.starts.tolist() == [0, 1, 3, 4]
         assert ds.outcome.tolist() == [0, 0, 3, 1]
         assert ds.count.tolist() == [4, 3, 1, 4]
 
@@ -167,63 +224,59 @@ class TestDataset:
         ds = self.make_dataset()
         view = ds.records
         assert len(view) == len(ds) == 3
-        assert view[-1].sort_key() == (2, 0, 1)
+        assert view[-1] == records.Record(
+            depth=2, input_index=1, sequence_id=0, shots=4, counts={1: 4}
+        )
         assert view[1].counts == {0: 3, 3: 1}
-        assert [r.sort_key() for r in view[1:]] == [(1, 1, 0), (2, 0, 1)]
+        assert [r[:3] for r in view[1:]] == [(1, 0, 1), (2, 1, 0)]
         with pytest.raises(IndexError):
             view[3]
         with pytest.raises(ValueError):
             ds.depth[0] = 5
+        with pytest.raises(ValueError):
+            ds.starts[0] = 1
 
-    def test_from_columns_matches_records(self):
+    def test_columns_in_any_order_match_records(self):
         ds = self.make_dataset()
-        # records and entries in any order; entries name their record's position
-        again = records.Dataset.from_columns(
+        # records, and the entries within a record, in any order
+        again = records.Dataset(
             2, depth=[1, 2, 1], input=[0, 1, 0], seq=[1, 0, 0], shots=[4, 4, 4],
-            record=[2, 0, 1, 0, 1], outcome=[0, 3, 1, 0, 3], count=[4, 1, 4, 3, 0],
+            lengths=[2, 2, 1], outcome=[3, 0, 1, 3, 0], count=[1, 3, 4, 0, 4],
         )
         for column in ("depth", "input", "seq", "shots"):
             assert getattr(again, column).tolist() == getattr(ds, column).tolist()
         # the zero entry is kept
-        assert again.record.tolist() == [0, 1, 1, 2, 2]
+        assert again.starts.tolist() == [0, 1, 3, 5]
         assert again.outcome.tolist() == [0, 0, 3, 1, 3]
         assert again.count.tolist() == [4, 3, 1, 4, 0]
         for cell in [(1, 0), (2, 1)]:
             np.testing.assert_array_equal(again.distributions(*cell), ds.distributions(*cell))
         with pytest.raises(ValueError, match="one outcome twice"):
-            records.Dataset.from_columns(
-                2, [1], [0], [0], [4], record=[0, 0], outcome=[1, 1], count=[2, 2]
-            )
+            records.Dataset(2, [1], [0], [0], [4], lengths=[2], outcome=[1, 1], count=[2, 2])
         with pytest.raises(ValueError, match="counts sum to 3, expected shots=4"):
-            records.Dataset.from_columns(2, [1], [0], [0], [4], [0], [1], [3])
+            records.Dataset(2, [1], [0], [0], [4], [1], [1], [3])
 
-    def test_from_columns_rejects_non_integer_columns(self):
+    def test_rejects_non_integer_columns(self):
         with pytest.raises(ValueError, match="shots must be a 64-bit integer, got 3.9"):
-            records.Dataset.from_columns(2, [1], [0], [0], [3.9], [0], [1], [3])
+            records.Dataset(2, [1], [0], [0], [3.9], [1], [1], [3])
         # an integral float array is still not an integer column
         with pytest.raises(ValueError, match="depth must be a 64-bit integer, got 1.0"):
-            records.Dataset.from_columns(
-                2, np.array([1.0]), [0], [0], [3], [0], [1], [3]
-            )
+            records.Dataset(2, np.array([1.0]), [0], [0], [3], [1], [1], [3])
         with pytest.raises(ValueError, match="count value must be a 64-bit integer, got True"):
-            records.Dataset.from_columns(2, [1], [0], [0], [1], [0], [1], np.array([True]))
-        with pytest.raises(ValueError, match="record positions must be integers"):
-            records.Dataset.from_columns(2, [1], [0], [0], [3], [0.0], [1], [3])
+            records.Dataset(2, [1], [0], [0], [1], [1], [1], np.array([True]))
         # the first broken record is named by its position as given
         with pytest.raises(records.RecordError, match="got -2") as info:
-            records.Dataset.from_columns(
+            records.Dataset(
                 2, depth=[3, 1, 2], input=[0, 0, 0], seq=[0, -2, -1], shots=[1, 1, 1],
-                record=[0, 1, 2], outcome=[0, 0, 0], count=[1, 1, 1],
+                lengths=[1, 1, 1], outcome=[0, 0, 0], count=[1, 1, 1],
             )
         assert info.value.position == 1
 
     def test_rejects_out_of_range_records(self):
-        bad = records.CountsRecord(depth=1, input_index=5, sequence_id=0, shots=1, counts={0: 1})
         with pytest.raises(ValueError):
-            records.Dataset(n=2, records=[bad])
-        bad = records.CountsRecord(depth=1, input_index=0, sequence_id=0, shots=1, counts={4: 1})
+            dataset_of(2, [(1, 5, 0, 1, {0: 1})])
         with pytest.raises(ValueError):
-            records.Dataset(n=2, records=[bad])
+            dataset_of(2, [(1, 0, 0, 1, {4: 1})])
 
     def test_file_round_trip(self, tmp_path):
         ds = self.make_dataset()
@@ -232,9 +285,7 @@ class TestDataset:
         back = records.Dataset.read_jsonl(path)
         assert back.n == 2
         assert len(back) == 3
-        original = {r.sort_key(): r.counts for r in ds.records}
-        loaded = {r.sort_key(): r.counts for r in back.records}
-        assert loaded == original
+        assert list(back.records) == list(ds.records)
         # canonical order makes rewrites byte-identical
         second = tmp_path / "again.jsonl"
         back.write_jsonl(second)
@@ -296,8 +347,8 @@ class TestCellMeans:
                     shots = int(rng.integers(1, 40))
                     outcomes, counts = np.unique(rng.integers(0, size, shots), return_counts=True)
                     counts = dict(zip(outcomes.tolist(), counts.tolist()))
-                    cells.append(records.CountsRecord(depth, index, seq, shots, counts))
-        ds = records.Dataset(n, cells)
+                    cells.append((depth, index, seq, shots, counts))
+        ds = dataset_of(n, cells)
         chosen_depths = rng.permutation(depths)[: rng.integers(1, len(depths) + 1)].tolist()
         chosen_inputs = rng.permutation(inputs)[: rng.integers(1, len(inputs) + 1)].tolist()
         got = ds.cell_means(chosen_depths, chosen_inputs)
@@ -340,6 +391,7 @@ class TestCodecEdgeCases:
             ('{"011":5}', "outcome bitstring '011' does not have 2 bits"),
             ('{"00":-1,"01":6}', "malformed dataset record: negative count value"),
             ('{"00":3,"01":1}', "malformed dataset record: counts sum to 4, expected shots=5"),
+            ('{"00":6,"01":0}', "malformed dataset record: count value 6 exceeds shots=5"),
         ],
     )
     def test_bad_counts_name_their_line(self, tmp_path, counts, message, bad_first):
@@ -439,27 +491,6 @@ class TestCodecEdgeCases:
         assert lines[0] == "# h"
         assert lines[1:] == [record_to_json(record, 3) for record in ds.records]
 
-    def test_columnar_pipeline_builds_no_counts_records(self, tmp_path, monkeypatch):
-        built = []
-        check = records.CountsRecord.__post_init__
-
-        def counted(self):
-            built.append(self)
-            check(self)
-
-        monkeypatch.setattr(records.CountsRecord, "__post_init__", counted)
-        gt = simulator.iid_bitflip(2, 0.05, readout=0.02)
-        ds = simulator.generate_dataset(
-            gt, depths=[0, 3], circuits_per_depth=4, inputs=[0, 1, 2, 3], shots=32, seed=1
-        )
-        path = tmp_path / "data.jsonl"
-        ds.write_jsonl(path)
-        back = records.Dataset.read_jsonl(path)
-        assert len(ds.records) == len(back.records) == 32
-        assert built == []
-        back.records[0]
-        assert len(built) == 1
-
 
 class TestCompactStorage:
     """Count entries are stored grouped by record behind per-record
@@ -479,11 +510,11 @@ class TestCompactStorage:
             if isinstance(value, np.ndarray) and len(value) == entries and value.itemsize > 2
         ]
         assert wide == []
-        # record positions are built from the offsets on access, read-only
+        # each record's first entry, read-only
         lengths = [len(record.counts) for record in ds.records]
-        assert ds.record.tolist() == np.repeat(np.arange(len(ds)), lengths).tolist()
+        assert ds.starts.tolist() == np.cumsum([0] + lengths).tolist()
         with pytest.raises(ValueError):
-            ds.record[0] = 1
+            ds.starts[0] = 1
 
     @pytest.mark.parametrize(
         "shots,dtype",
@@ -492,16 +523,14 @@ class TestCompactStorage:
     )
     def test_count_dtype_is_the_narrowest_that_holds_shots(self, shots, dtype):
         assert records.count_dtype(shots) == dtype
-        ds = records.Dataset.from_columns(
-            1, [0], [0], [0], [shots], [0, 0], [1, 0], [shots - 1, 1]
-        )
+        ds = records.Dataset(1, [0], [0], [0], [shots], [2], [1, 0], [shots - 1, 1])
         assert ds.count.dtype == dtype
         assert ds.outcome.dtype == np.int16
         assert ds.count.tolist() == [1, shots - 1]
 
     def test_full_range_counts_round_trip(self, tmp_path):
         top = 2**63 - 1
-        ds = records.Dataset.from_columns(1, [0], [1], [0], [top], [0, 0], [0, 1], [top - 2, 2])
+        ds = records.Dataset(1, [0], [1], [0], [top], [2], [0, 1], [top - 2, 2])
         assert ds.count.dtype == np.int64
         path = tmp_path / "data.jsonl"
         ds.write_jsonl(path)
@@ -509,10 +538,10 @@ class TestCompactStorage:
         assert back.count.dtype == np.int64
         assert back.count.tolist() == [top - 2, 2]
 
-    def test_from_csr_sorts_records_and_entries(self):
+    def test_sorts_records_and_entries(self):
         ds = TestDataset().make_dataset()
         # records out of canonical order, entries out of order in a record
-        again = records.Dataset.from_csr(
+        again = records.Dataset(
             2, depth=[2, 1, 1], input=[1, 0, 0], seq=[0, 1, 0], shots=[4, 4, 4],
             lengths=[1, 2, 1], outcome=[1, 3, 0, 0], count=[4, 1, 3, 4],
         )
@@ -521,39 +550,39 @@ class TestCompactStorage:
         # narrow arrays of the stored dtypes are kept as they are
         outcome = np.array([1, 0], np.int16)
         count = np.array([1, 3], np.int8)
-        kept = records.Dataset.from_csr(2, [1], [0], [0], [4], [2], outcome, count)
+        kept = records.Dataset(2, [1], [0], [0], [4], [2], outcome, count)
         assert kept.count is not count and kept.count.dtype == np.int8
         assert kept.outcome.tolist() == [0, 1]
         in_order = np.array([0, 1], np.int16)
-        kept = records.Dataset.from_csr(2, [1], [0], [0], [4], [2], in_order, count)
+        kept = records.Dataset(2, [1], [0], [0], [4], [2], in_order, count)
         assert np.shares_memory(kept.outcome, in_order)
 
-    def test_from_csr_checks_lengths(self):
+    def test_checks_lengths(self):
         with pytest.raises(ValueError, match="lengths must be non-negative integers"):
-            records.Dataset.from_csr(2, [1, 1], [0, 1], [0, 0], [1, 1], [2, -1], [0], [1])
+            records.Dataset(2, [1, 1], [0, 1], [0, 0], [1, 1], [2, -1], [0], [1])
         with pytest.raises(ValueError, match="lengths must be non-negative integers"):
-            records.Dataset.from_csr(2, [1], [0], [0], [1], [1.0], [0], [1])
+            records.Dataset(2, [1], [0], [0], [1], [1.0], [0], [1])
         with pytest.raises(ValueError, match="count entry columns differ in length"):
-            records.Dataset.from_csr(2, [1], [0], [0], [1], [2], [0], [1])
+            records.Dataset(2, [1], [0], [0], [1], [2], [0], [1])
         with pytest.raises(ValueError, match="per-record columns differ in length"):
-            records.Dataset.from_csr(2, [1], [0], [0], [1], [1, 0], [0], [1])
+            records.Dataset(2, [1], [0], [0], [1], [1, 0], [0], [1])
         # an empty record is named by the sum rule, not read as its neighbour's
         with pytest.raises(records.RecordError, match="counts sum to 0, expected shots=1") as info:
-            records.Dataset.from_csr(2, [1, 1], [0, 1], [0, 0], [1, 1], [0, 1], [0], [1])
+            records.Dataset(2, [1, 1], [0, 1], [0, 0], [1, 1], [0, 1], [0], [1])
         assert info.value.position == 0
 
     def test_narrow_columns_are_checked_as_they_are(self):
         with pytest.raises(records.RecordError, match="negative count value"):
-            records.Dataset.from_csr(
+            records.Dataset(
                 2, [1], [0], [0], [1], [2], np.array([0, 1], np.int16), np.array([2, -1], np.int8)
             )
         with pytest.raises(ValueError, match="record outcome 4 out of range for n=2"):
-            records.Dataset.from_csr(
+            records.Dataset(
                 2, [1], [0], [0], [1], [1], np.array([4], np.uint8), np.array([1], np.uint8)
             )
         # int8 counts that sum past 127 are added up as int64, and stored
         # in the dtype of their shots
-        ds = records.Dataset.from_csr(
+        ds = records.Dataset(
             2, [1], [0], [0], [200], [2], np.array([0, 1], np.int16), np.array([100, 100], np.int8)
         )
         assert ds.count.dtype == np.int16
@@ -596,7 +625,7 @@ class TestLineReaderWhitespace:
         assert read_outcome(records._read_lines, path) == expected
 
 
-COLUMNS = ("depth", "input", "seq", "shots", "record", "outcome", "count")
+COLUMNS = ("depth", "input", "seq", "shots", "starts", "outcome", "count")
 INT63 = st.integers(0, 2**63 - 1)
 
 
@@ -616,8 +645,8 @@ def column_datasets(draw):
     n = draw(st.sampled_from([1, 2, 5, 12]))
     size = draw(st.integers(1, 5))
     seqs = draw(st.lists(INT63, min_size=size, max_size=size, unique=True))
-    depth, input, shots, record, outcome, count = [], [], [], [], [], []
-    for position in range(size):
+    depth, input, shots, lengths, outcome, count = [], [], [], [], [], []
+    for _ in range(size):
         outcomes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
         counts = draw(st.lists(st.integers(0, (2**63 - 1) // 4), min_size=len(outcomes),
                                max_size=len(outcomes)))
@@ -625,10 +654,10 @@ def column_datasets(draw):
         depth.append(draw(INT63))
         input.append(draw(st.integers(0, (1 << n) - 1)))
         shots.append(sum(counts))
-        record += [position] * len(outcomes)
+        lengths.append(len(outcomes))
         outcome += outcomes
         count += counts
-    return records.Dataset.from_columns(n, depth, input, seqs, shots, record, outcome, count)
+    return records.Dataset(n, depth, input, seqs, shots, lengths, outcome, count)
 
 
 class TestBlockCodec:
@@ -668,8 +697,8 @@ class TestBlockCodec:
     def test_line_longer_than_a_block(self, tmp_path):
         size = 1 << 12
         counts = np.arange(size) + 10**6
-        ds = records.Dataset.from_columns(
-            12, [3], [size - 1], [0], [int(counts.sum())], [0] * size, np.arange(size), counts
+        ds = records.Dataset(
+            12, [3], [size - 1], [0], [int(counts.sum())], [size], np.arange(size), counts
         )
         path = tmp_path / "data.jsonl"
         ds.write_jsonl(path)

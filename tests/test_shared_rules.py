@@ -5,14 +5,14 @@ gives the bits the former copies gave."""
 import numpy as np
 import pytest
 
-from oracles import mask_loop_product, traced_peak
+from oracles import dataset_of, mask_loop_product, traced_peak
 from qflip import channel, estimation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
-from qflip.records import CountsRecord, Dataset
+from qflip.records import Dataset
 
 QUBIT_COUNT_ENTRY_POINTS = {
-    "Dataset.from_columns": lambda n: Dataset.from_columns(n, [], [], [], [], [], [], []),
+    "Dataset": lambda n: Dataset(n, [], [], [], [], [], [], []),
     "NoiseModel": lambda n: channel.NoiseModel(n, {}),
     "NoiseModel.from_arrays": lambda n: channel.NoiseModel.from_arrays(
         n, [0], [[1.0, 0.0]], [[1.0, 1.0]]
@@ -71,9 +71,7 @@ def test_preset_name_is_checked_by_one_lookup():
 def test_missing_averages_are_named_as_missing_records():
     # cells present: every input at depth 1, only input 0 at depths 2..9
     cells = [(1, index) for index in range(4)] + [(depth, 0) for depth in range(2, 10)]
-    dataset = Dataset(
-        2, [CountsRecord(depth, index, 0, 1, {index: 1}) for depth, index in cells]
-    )
+    dataset = dataset_of(2, [(depth, index, 0, 1, {index: 1}) for depth, index in cells])
     averages = [estimation.aggregate(dataset, depth, index) for depth, index in cells]
     depths, inputs = list(range(1, 10)), [0, 1, 2, 3]
     with pytest.raises(CoverageError) as records:

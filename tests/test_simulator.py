@@ -329,7 +329,7 @@ class TestGenerateDataset:
         serial = simulator.generate_dataset(gt, **kwargs)
         parallel = simulator.generate_dataset(gt, workers=2, **kwargs)
         # the process pool returns the same compact columns
-        for column in ("depth", "input", "seq", "shots", "record", "outcome", "count"):
+        for column in ("depth", "input", "seq", "shots", "starts", "outcome", "count"):
             ours, theirs = getattr(serial, column), getattr(parallel, column)
             assert ours.dtype == theirs.dtype
             np.testing.assert_array_equal(ours, theirs)
