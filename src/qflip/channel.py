@@ -22,10 +22,9 @@ predictions always go through the spectral route.
 
 from __future__ import annotations
 
-import functools
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -93,12 +92,20 @@ def gate_error_matrix(rates: np.ndarray) -> np.ndarray:
     return arr[idx[:, None] ^ idx[None, :]]
 
 
+def _check_spam_head(spam: np.ndarray) -> None:
+    """ValueError unless spam[0] of each vector along the last axis is
+    within SPAM_HEAD_TOL of 1."""
+    heads = spam[..., :1]
+    off = np.abs(heads - 1.0) > SPAM_HEAD_TOL
+    if off.any():
+        raise ValueError(f"spam[0] must be 1, got {float(heads[off][0])!r}")
+
+
 def spam_matrix(spam: np.ndarray) -> np.ndarray:
     """Dense SPAM matrix (1/2**n) W diag(spam) W; columns sum to spam[0]."""
     arr = np.asarray(spam, dtype=float)
     num_qubits(arr)
-    if abs(arr[0] - 1.0) > SPAM_HEAD_TOL:
-        raise ValueError(f"spam[0] must be 1, got {arr[0]!r}")
+    _check_spam_head(arr)
     # fwht transforms rows: diag(spam) W, then (W diag(spam)) W
     return fwht(fwht(np.diag(arr)).T) / arr.size
 
@@ -124,118 +131,53 @@ def apply_transition_power(rates: np.ndarray, depth: int, vec: np.ndarray) -> np
     return fwht_inverse(spectrum * fwht(target))
 
 
-@dataclass(frozen=True, eq=False)
-class InputChannel:
-    """Fitted noise parameters for one basis input state.
-
-    rates: flip-pattern distribution applied per gate layer.
-    spam: per-coefficient SPAM attenuation (WHT diagonal), spam[0] == 1.
-    """
-
-    rates: np.ndarray
-    spam: np.ndarray
-
-    def __post_init__(self):
-        rates, spam = _channel_arrays(self.rates, self.spam)
-        num_qubits(rates)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "spam", spam)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return eigenvalues_from_rates(self.rates)
-
-
-def _channel_arrays(rates, spam):
-    """Read-only float copies of rates and spam, checked by the rules every
-    channel keeps: each rates vector along the last axis is a distribution,
-    spam is finite with the same shape, and each spam[0] is within
-    SPAM_HEAD_TOL of 1 and is then set to exactly 1."""
-    rates = np.array(require_prob_dist(rates), dtype=float)
-    spam = np.array(spam, dtype=float)
-    if spam.shape != rates.shape:
-        raise ValueError(f"spam shape {spam.shape} does not match rates shape {rates.shape}")
-    if not np.all(np.isfinite(spam)):
-        raise ValueError("vector entries must be finite")
-    head = np.abs(spam[..., 0] - 1.0) > SPAM_HEAD_TOL
-    if head.any():
-        raise ValueError(f"spam[0] must be 1, got {spam[..., 0][head][0]!r}")
-    spam[..., 0] = 1.0
-    rates.flags.writeable = False
-    spam.flags.writeable = False
-    return rates, spam
+# fitted noise parameters for one basis input state: rates, the
+# flip-pattern distribution applied per gate layer, and spam, the
+# per-coefficient SPAM attenuation (WHT diagonal) with spam[0] == 1
+InputChannel = namedtuple("InputChannel", "rates spam")
 
 
 class NoiseModel:
     """Per-input-state channel parameters for an n-qubit device, held as arrays.
 
-    ``inputs`` holds the k characterized basis inputs in increasing order;
-    row r of the read-only ``(k, 2**n)`` arrays ``rates`` and ``spam``
-    belongs to ``inputs[r]``. A model need not cover all 2**n inputs;
+    ``NoiseModel(n, channels)`` builds one from a mapping of basis input
+    index -> InputChannel. ``inputs`` holds the k characterized basis
+    inputs in increasing order; row r of the read-only ``(k, 2**n)``
+    arrays ``rates`` and ``spam`` belongs to ``inputs[r]``, and
+    ``channel(index)`` reads one row back. Every rates row is a
+    distribution, spam is finite, and each spam[0] within SPAM_HEAD_TOL of
+    1 is stored as exactly 1. A model need not cover all 2**n inputs;
     operations that require full coverage (averaging, mitigation
     matrices) raise CoverageError when it is missing.
-
-    ``NoiseModel(n, channels)`` builds one from a mapping of basis input
-    index -> InputChannel and ``NoiseModel.from_arrays`` from arrays; both
-    go through the same checks. ``channels`` reads the rows back as a
-    read-only mapping of InputChannels, built on first use.
     """
 
-    def __init__(self, n: int, channels):
-        channels = dict(channels)
+    def __init__(self, n: int, channels: Mapping[int, InputChannel]):
         size = 1 << check_qubit_count(n)
-        for index, channel in channels.items():
-            if channel.rates.size != size:
-                raise ValueError(
-                    f"channel for input {index} has length {channel.rates.size}, "
-                    f"expected {size}"
-                )
         order = sorted(channels)
-        self._store(
-            n,
-            order,
-            [channels[index].rates for index in order],
-            [channels[index].spam for index in order],
-        )
-
-    @classmethod
-    def from_arrays(cls, n: int, inputs, rates, spam) -> "NoiseModel":
-        """A model from increasing basis input indices and ``(k, 2**n)``
-        rates and spam arrays, row r belonging to ``inputs[r]``. The arrays
-        are copied."""
-        model = cls.__new__(cls)
-        model._store(n, inputs, rates, spam)
-        return model
-
-    def _store(self, n, inputs, rates, spam) -> None:
-        size = 1 << check_qubit_count(n)
-        inputs = np.array(inputs, dtype=np.int64).reshape(-1)
-        if not inputs.size:
+        if not order:
             raise ValueError("model has no input-state channels")
-        check_basis_indices(inputs, n)
-        if np.any(inputs[1:] <= inputs[:-1]):
-            raise ValueError("model inputs must be increasing")
-        rates, spam = _channel_arrays(rates, spam)
-        if rates.shape != (inputs.size, size):
-            raise ValueError(
-                f"rates shape {rates.shape} does not match {inputs.size} inputs "
-                f"of length {size}"
-            )
-        inputs.flags.writeable = False
+        for index in order:
+            for vector in channels[index]:
+                if np.shape(vector) != (size,):
+                    raise ValueError(
+                        f"channel for input {index} has length {np.size(vector)}, "
+                        f"expected {size}"
+                    )
+        inputs = check_basis_indices(order, n)
+        rates = np.array([channels[index].rates for index in order], dtype=float)
+        spam = np.array([channels[index].spam for index in order], dtype=float)
+        require_prob_dist(rates)
+        if not np.all(np.isfinite(spam)):
+            raise ValueError("vector entries must be finite")
+        _check_spam_head(spam)
+        spam[:, 0] = 1.0
+        for arr in (inputs, rates, spam):
+            arr.flags.writeable = False
         self.n, self.inputs, self.rates, self.spam = n, inputs, rates, spam
 
     @property
     def size(self) -> int:
         return 1 << self.n
-
-    @functools.cached_property
-    def channels(self) -> Mapping[int, InputChannel]:
-        return MappingProxyType(
-            {
-                index: InputChannel(rates=rates, spam=spam)
-                for index, rates, spam in zip(self.inputs.tolist(), self.rates, self.spam)
-            }
-        )
 
     def rows(self, input_indices) -> np.ndarray:
         """Row positions of the given inputs in the arrays; CoverageError
@@ -252,6 +194,7 @@ class NoiseModel:
         return found
 
     def channel(self, input_index: int) -> InputChannel:
+        """The input's rows, as read-only views."""
         row = self.rows([input_index])[0]
         return InputChannel(rates=self.rates[row], spam=self.spam[row])
 
@@ -287,22 +230,24 @@ def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MitigationMatrix:
-    """Columns are predicted distributions per input state at one depth."""
+    """Columns are predicted distributions per input state at one depth.
+
+    The matrix is kept C-contiguous, and ``condition`` is its 1-norm
+    condition number (inf when the solver finds it singular).
+    """
 
     depth: int
     matrix: np.ndarray = field(repr=False)
-    condition: float
+    condition: float = field(init=False)
 
-    @classmethod
-    def from_columns(cls, depth: int, columns: np.ndarray) -> "MitigationMatrix":
-        """The system with these columns and its 1-norm condition number
-        (inf when the solver finds it singular)."""
-        columns = np.ascontiguousarray(columns)
+    def __post_init__(self):
+        matrix = np.ascontiguousarray(self.matrix)
         try:
-            condition = float(np.linalg.cond(columns, 1))
+            condition = float(np.linalg.cond(matrix, 1))
         except np.linalg.LinAlgError:
             condition = float("inf")
-        return cls(depth=depth, matrix=columns, condition=condition)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "condition", condition)
 
     @property
     def size(self) -> int:
@@ -323,7 +268,7 @@ def mitigation_matrix(
     _require_all_inputs(model, f"mitigation matrix needs all {model.size} input states")
     rates = average_error_rates(model) if use_average_rates else model.rates
     predicted = _predict(model.spam, eigenvalues_from_rates(rates), depth, model.inputs)
-    return MitigationMatrix.from_columns(depth, predicted.T)
+    return MitigationMatrix(depth, predicted.T)
 
 
 def average_error_rates(model: NoiseModel) -> np.ndarray:

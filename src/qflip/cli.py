@@ -42,6 +42,7 @@ from .simulator import (
     ground_truth_from_profile,
     lookup_preset,
 )
+from .transforms import check_basis_indices
 
 __all__ = ["main", "build_parser", "parse_depths", "parse_inputs", "parse_preset"]
 
@@ -89,8 +90,10 @@ def parse_inputs(text, size: int) -> list:
             raise ConfigError(
                 f"bad input token {token!r}; use decimal basis indices or 'all'"
             ) from None
-        if not 0 <= index < size:
-            raise ConfigError(f"input state {index} out of range for {size} outcomes")
+        try:
+            check_basis_indices(index, size.bit_length() - 1, "input state")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         indices.add(index)
     if not indices:
         raise ConfigError("empty input list")

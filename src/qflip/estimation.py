@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    InputChannel,
     NoiseModel,
     predict_distribution,
     rates_from_eigenvalues,
@@ -218,7 +219,8 @@ def _fit_model(n, inputs, depths, means, use_average_rates):
     if use_average_rates:
         rates = np.broadcast_to(rates.mean(axis=0), rates.shape)
     spam = np.stack([fit.spam for fit in fits])
-    return NoiseModel.from_arrays(n, inputs, rates, spam), dict(zip(inputs, fits))
+    channels = dict(zip(inputs, map(InputChannel, rates, spam)))
+    return NoiseModel(n, channels), dict(zip(inputs, fits))
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,7 +127,7 @@ def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
     Column in = averaged prepare-and-measure distribution on input in;
     needs every basis input at depth 0.
     """
-    return MitigationMatrix.from_columns(0, dataset.cell_means([0], range(dataset.size))[:, 0].T)
+    return MitigationMatrix(0, dataset.cell_means([0], range(dataset.size))[:, 0].T)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,7 @@ _DECODE = json.JSONDecoder(object_pairs_hook=tuple).raw_decode
 
 def index_to_bits(index: int, n: int) -> str:
     """Basis index -> n-character bitstring, qubit 0 rightmost."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"index {index} out of range for {n} qubits")
+    check_basis_indices(index, n, "index")
     return format(index, f"0{n}b")
 
 

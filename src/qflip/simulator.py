@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .channel import NoiseModel, apply_transition_power
+from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError
 from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers
 from .transforms import check_basis_indices, check_qubit_count, require_prob_dist
@@ -312,9 +312,10 @@ def true_noise_model(gt: GroundTruth) -> NoiseModel:
     prep flips commute with the gate chain and fold into the Walsh-diagonal
     SPAM factor.
     """
-    rates = np.stack([gt.rates_for(index) for index in range(gt.size)])
-    spam = np.broadcast_to(gt.spectral_spam(), rates.shape)
-    return NoiseModel.from_arrays(gt.n, np.arange(gt.size), rates, spam)
+    spam = gt.spectral_spam()
+    return NoiseModel(
+        gt.n, {index: InputChannel(gt.rates_for(index), spam) for index in range(gt.size)}
+    )
 
 
 def iid_bitflip(n: int, q: float, readout=0.0, prep=0.0) -> GroundTruth:

@@ -34,8 +34,8 @@ PROB_NEG_TOL = 1e-9
 def num_qubits(values: np.ndarray) -> int:
     """Return n for a length-2**n vector, validating the length.
 
-    Raises ValueError if the length is not a power of two in [2, 2**MAX_QUBITS]
-    or the entries are not finite.
+    Raises ValueError if the length is not a power of two 2**n with n a
+    valid qubit count, or the entries are not finite.
     """
     if values.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {values.shape}")
@@ -51,12 +51,13 @@ def check_qubit_count(n: int) -> int:
 
 def check_basis_indices(indices, n: int, what: str = "input index") -> np.ndarray:
     """The basis indices as an int64 array; ValueError names the first one
-    outside [0, 2**n), calling it what."""
-    arr = np.asarray(indices, dtype=np.int64)
+    outside [0, 2**n), calling it what. The range is checked before the
+    conversion, so an index past int64 is named too."""
+    arr = np.asarray(indices)
     outside = (arr < 0) | (arr >= 1 << n)
     if outside.any():
         raise ValueError(f"{what} {arr[outside].flat[0]} out of range for n={n}")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def _outcome_qubits(values: np.ndarray) -> int:
@@ -66,9 +67,7 @@ def _outcome_qubits(values: np.ndarray) -> int:
     size = values.shape[-1]
     if size < 2 or size & (size - 1) != 0:
         raise ValueError(f"vector length {size} is not a power of two >= 2")
-    n = size.bit_length() - 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"vector length {size} exceeds {MAX_QUBITS}-qubit support")
+    n = check_qubit_count(size.bit_length() - 1)
     if not np.all(np.isfinite(values)):
         raise ValueError("vector entries must be finite")
     return n
@@ -90,7 +89,7 @@ def require_prob_dist(values: np.ndarray) -> np.ndarray:
     totals = arr.sum(axis=-1)
     bad = np.abs(totals - 1.0) > PROB_SUM_TOL
     if np.any(bad):
-        raise ValueError(f"distribution sums to {totals[bad].flat[0]!r}, expected 1")
+        raise ValueError(f"distribution sums to {float(totals[bad].flat[0])!r}, expected 1")
     return arr
 
 
@@ -146,14 +145,11 @@ def xor_permute(values: np.ndarray, basis_index) -> np.ndarray:
     table); each vector gets its 1-d result. An index out of range raises.
     """
     arr = np.asarray(values, dtype=float)
-    size = 1 << _outcome_qubits(arr)
-    index = np.asarray(basis_index)
-    outside = (index < 0) | (index >= size)
-    if outside.any():
-        raise ValueError(f"basis index {index[outside][0]} out of range for size {size}")
+    n = _outcome_qubits(arr)
+    index = check_basis_indices(basis_index, n, "basis index")
     # the gather index takes the shape of the basis indices, not of arr:
     # take_along_axis broadcasts it
-    gather = np.arange(size) ^ index[..., None]
+    gather = np.arange(1 << n) ^ index[..., None]
     gather = gather.reshape((1,) * (arr.ndim - gather.ndim) + gather.shape)
     return np.take_along_axis(arr, gather, axis=-1)
 

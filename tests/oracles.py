@@ -351,11 +351,11 @@ def per_column_mitigation_matrix(model, depth, use_average_rates=False) -> np.nd
     from qflip.transforms import fwht, fwht_inverse, simplex_project
 
     size = model.size
-    channels = [model.channels[index] for index in range(size)]
+    channels = [model.channel(index) for index in range(size)]
     shared = eigenvalues_from_rates(np.stack([c.rates for c in channels]).mean(axis=0))
     columns = np.empty((size, size))
     for index, chan in enumerate(channels):
-        eigenvalues = shared if use_average_rates else chan.eigenvalues
+        eigenvalues = shared if use_average_rates else eigenvalues_from_rates(chan.rates)
         indicator = np.zeros(size)
         indicator[index] = 1.0
         spectrum = chan.spam * eigenvalues**depth * fwht(indicator)

@@ -179,25 +179,29 @@ class TestSpamMatrix:
             channel.spam_matrix([0.9, 0.9])
 
 
+def one_input_model(rates, spam):
+    return channel.NoiseModel(1, {0: channel.InputChannel(rates=rates, spam=spam)})
+
+
 class TestModelTypes:
     def test_spam_head_snapped_to_one(self):
-        chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0 + 5e-10, 0.8])
-        assert chan.spam[0] == 1.0
+        model = one_input_model([0.9, 0.1], [1.0 + 5e-10, 0.8])
+        assert model.channel(0).spam[0] == 1.0
 
     def test_arrays_are_read_only(self):
-        chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 0.8])
+        chan = one_input_model([0.9, 0.1], [1.0, 0.8]).channel(0)
         with pytest.raises(ValueError):
             chan.rates[0] = 0.5
         with pytest.raises(ValueError):
             chan.spam[1] = 0.5
 
     def test_rejects_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            channel.InputChannel(rates=[0.9, 0.2], spam=[1.0, 0.8])
-        with pytest.raises(ValueError):
-            channel.InputChannel(rates=[0.9, 0.1], spam=[0.7, 0.8])
-        with pytest.raises(ValueError):
-            channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 0.8, 0.8, 0.8])
+        with pytest.raises(ValueError, match="distribution sums to 1.1"):
+            one_input_model([0.9, 0.2], [1.0, 0.8])
+        with pytest.raises(ValueError, match=r"spam\[0\] must be 1, got 0.7$"):
+            one_input_model([0.9, 0.1], [0.7, 0.8])
+        with pytest.raises(ValueError, match="channel for input 0 has length 4, expected 2"):
+            one_input_model([0.9, 0.1], [1.0, 0.8, 0.8, 0.8])
 
     def test_model_validation(self):
         chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 0.8])
@@ -220,56 +224,45 @@ class TestModelTypes:
 class TestModelArrays:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_from_arrays_matches_channels(self, n, seed):
+    def test_rows_match_channels(self, n, seed):
         rng = np.random.default_rng(seed)
         size = 1 << n
         inputs = sorted(rng.choice(size, size=rng.integers(1, size + 1), replace=False).tolist())
         channels = {index: random_channel(rng, n) for index in reversed(inputs)}
-        by_channels = channel.NoiseModel(n, channels)
-        by_arrays = channel.NoiseModel.from_arrays(
-            n,
-            inputs,
-            np.stack([channels[i].rates for i in inputs]),
-            np.stack([channels[i].spam for i in inputs]),
-        )
-        for model in (by_channels, by_arrays):
-            assert model.input_indices() == inputs
-            for index, row in zip(inputs, range(len(inputs))):
-                assert model.rates[row].tobytes() == channels[index].rates.tobytes()
-                assert model.spam[row].tobytes() == channels[index].spam.tobytes()
-                assert model.channels[index].rates.tobytes() == channels[index].rates.tobytes()
-                assert model.channel(index).spam.tobytes() == channels[index].spam.tobytes()
-        assert channel.model_to_json(by_arrays) == channel.model_to_json(by_channels)
-        batch = channel.predict_distribution(by_arrays, 7, inputs)
-        assert batch.tobytes() == channel.predict_distribution(by_channels, 7, inputs).tobytes()
+        model = channel.NoiseModel(n, channels)
+        in_order = channel.NoiseModel(n, {index: channels[index] for index in inputs})
+        assert model.input_indices() == inputs
+        for row, index in enumerate(inputs):
+            assert model.rates[row].tobytes() == channels[index].rates.tobytes()
+            assert model.spam[row].tobytes() == channels[index].spam.tobytes()
+            assert model.channel(index).rates.tobytes() == channels[index].rates.tobytes()
+            assert model.channel(index).spam.tobytes() == channels[index].spam.tobytes()
+        assert channel.model_to_json(in_order) == channel.model_to_json(model)
+        batch = channel.predict_distribution(model, 7, inputs)
         for index, row in zip(inputs, batch):
-            assert row.tobytes() == channel.predict_distribution(by_arrays, 7, index).tobytes()
+            assert row.tobytes() == channel.predict_distribution(model, 7, index).tobytes()
 
     def test_arrays_and_views_are_read_only(self):
         model = random_model(np.random.default_rng(3), 2)
-        for arr in (model.inputs, model.rates, model.spam):
+        for arr in (model.inputs, model.rates, model.spam, *model.channel(1)):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        with pytest.raises(TypeError):
-            model.channels[0] = model.channel(1)
 
-    def test_from_arrays_validation(self):
-        rates = np.array([[0.9, 0.1], [0.8, 0.2]])
-        spam = np.array([[1.0, 0.9], [1.0, 0.8]])
-        with pytest.raises(ValueError, match="increasing"):
-            channel.NoiseModel.from_arrays(1, [1, 0], rates, spam)
-        with pytest.raises(ValueError, match="out of range"):
-            channel.NoiseModel.from_arrays(1, [0, 2], rates, spam)
-        with pytest.raises(ValueError, match="shape"):
-            channel.NoiseModel.from_arrays(1, [0], rates, spam)
+    def test_constructor_validation(self):
+        first = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 0.9])
+        second = channel.InputChannel(rates=[0.8, 0.2], spam=[1.0, 0.8])
+        with pytest.raises(ValueError, match="input index 2 out of range for n=1"):
+            channel.NoiseModel(1, {0: first, 2: second})
+        with pytest.raises(ValueError, match="channel for input 1 has length 3, expected 2"):
+            channel.NoiseModel(1, {0: first, 1: second._replace(spam=[1.0, 0.8, 0.8])})
         with pytest.raises(ValueError, match="spam"):
-            channel.NoiseModel.from_arrays(1, [0, 1], rates, spam * 0.5)
+            channel.NoiseModel(1, {0: first, 1: second._replace(spam=[0.5, 0.8])})
+        with pytest.raises(ValueError, match="finite"):
+            channel.NoiseModel(1, {0: first, 1: second._replace(spam=[1.0, np.nan])})
         with pytest.raises(ValueError, match="no input-state"):
-            channel.NoiseModel.from_arrays(1, [], np.empty((0, 2)), np.empty((0, 2)))
+            channel.NoiseModel(1, {})
         with pytest.raises(CoverageError, match="input state 1 "):
-            channel.predict_distribution(
-                channel.NoiseModel.from_arrays(1, [0], rates[:1], spam[:1]), 2, [0, 1]
-            )
+            channel.predict_distribution(channel.NoiseModel(1, {0: first}), 2, [0, 1])
 
 
 class TestPredict:
@@ -308,7 +301,7 @@ class TestPredict:
         model = random_model(rng, n)
         size = 1 << n
         for index in range(size):
-            chan = model.channels[index]
+            chan = model.channel(index)
             got = channel.predict_distribution(model, depth, index)
             oracle = simplex_project(
                 dense_spam_matrix(chan.spam)
@@ -360,7 +353,7 @@ class TestMitigationMatrix:
         pooled = channel.average_error_rates(model)
         built = channel.mitigation_matrix(model, 6, use_average_rates=True)
         for index in range(4):
-            chan = model.channels[index]
+            chan = model.channel(index)
             oracle = simplex_project(
                 dense_spam_matrix(chan.spam)
                 @ dense_power_apply(
@@ -435,7 +428,7 @@ class TestAverageRates:
         rng = np.random.default_rng(42)
         model = random_model(rng, 2)
         got = channel.average_error_rates(model)
-        stacked = np.stack([model.channels[i].rates for i in range(4)])
+        stacked = np.stack([model.channel(i).rates for i in range(4)])
         np.testing.assert_allclose(got, stacked.mean(axis=0), atol=1e-15)
         assert abs(got.sum() - 1.0) < 1e-12
         assert got.min() >= 0.0
@@ -456,8 +449,8 @@ class TestSerialization:
         assert back.n == model.n
         assert back.input_indices() == model.input_indices()
         for index in model.input_indices():
-            assert np.array_equal(back.channels[index].rates, model.channels[index].rates)
-            assert np.array_equal(back.channels[index].spam, model.channels[index].spam)
+            assert np.array_equal(back.channel(index).rates, model.channel(index).rates)
+            assert np.array_equal(back.channel(index).spam, model.channel(index).spam)
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(52)
@@ -467,7 +460,7 @@ class TestSerialization:
         back, meta = channel.read_model(path)
         assert meta == {}
         for index in model.input_indices():
-            assert np.array_equal(back.channels[index].rates, model.channels[index].rates)
+            assert np.array_equal(back.channel(index).rates, model.channel(index).rates)
 
     def test_payload_shape(self):
         chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 0.8])

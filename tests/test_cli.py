@@ -65,8 +65,10 @@ class TestParseInputs:
         assert parse_inputs("3,0", 4) == [0, 3]
 
     def test_out_of_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="input state 4 out of range for n=2"):
             parse_inputs("4", 4)
+        with pytest.raises(ConfigError, match=f"input state {2**70} out of range for n=2"):
+            parse_inputs(str(2**70), 4)
 
     def test_garbage(self):
         with pytest.raises(ConfigError):
@@ -508,6 +510,21 @@ class TestModelFileChecks:
             "malformed model entry for input '0': A must hold numbers, "
             "got [True, 1.0, 1.0, 1.0]",
         ),
+        "input past int64": (
+            lambda p: json.dumps({**p, "inputs": {**p["inputs"], str(2**70): p["inputs"]["0"]}}),
+            f"input index {2**70} out of range for n=2",
+        ),
+        # the sum is printed as a plain float, not as a numpy repr
+        "rates not summing to 1": (
+            lambda p: _with_entry(p, "1", p=[p["inputs"]["1"]["p"][0] + 0.2,
+                                             *p["inputs"]["1"]["p"][1:]]),
+            "distribution sums to 1.2",
+        ),
+        # the length is checked before the sum, so the error names it
+        "rates of the wrong length": (
+            lambda p: _with_entry(p, "2", p=p["inputs"]["2"]["p"][:-1]),
+            "channel for input 2 has length 3, expected 4",
+        ),
     }
 
     @pytest.fixture(scope="class")
@@ -532,6 +549,7 @@ class TestModelFileChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ")
         assert message in err
+        assert "np." not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -543,6 +561,7 @@ class TestModelFileChecks:
             qflip.read_model(model)
         assert str(caught.value).startswith(f"{model}: ")
         assert message in str(caught.value)
+        assert "np." not in str(caught.value)
 
 
 class TestMitigate:

@@ -267,8 +267,8 @@ class TestEstimateModel:
         for index in range(4):
             expected = np.zeros(4)
             expected[0] = 1.0
-            np.testing.assert_allclose(model.channels[index].rates, expected, atol=1e-9)
-            np.testing.assert_allclose(model.channels[index].spam, np.ones(4), atol=1e-9)
+            np.testing.assert_allclose(model.channel(index).rates, expected, atol=1e-9)
+            np.testing.assert_allclose(model.channel(index).spam, np.ones(4), atol=1e-9)
         assert sorted(diagnostics) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("builder", [
@@ -285,10 +285,10 @@ class TestEstimateModel:
         model, _ = estimation.estimate_model_from_averages(gt.n, averages)
         for index in range(gt.size):
             np.testing.assert_allclose(
-                model.channels[index].rates, planted.channels[index].rates, atol=1e-6
+                model.channel(index).rates, planted.channel(index).rates, atol=1e-6
             )
             np.testing.assert_allclose(
-                model.channels[index].spam, planted.channels[index].spam, atol=1e-6
+                model.channel(index).spam, planted.channel(index).spam, atol=1e-6
             )
 
     def test_spam_only_device_absorbed_in_spam(self):
@@ -300,7 +300,7 @@ class TestEstimateModel:
         model, _ = estimation.estimate_model(ds)
         expected_rates = np.array([1.0, 0, 0, 0])
         for index in range(4):
-            fitted = model.channels[index]
+            fitted = model.channel(index)
             assert np.abs(fitted.rates - expected_rates).sum() < 0.01
             np.testing.assert_allclose(fitted.spam, gt.spectral_spam(), atol=0.02)
 
@@ -311,7 +311,7 @@ class TestEstimateModel:
             shots=1024, seed=17,
         )
         model, _ = estimation.estimate_model(ds, train_depths=range(1, 21))
-        fitted = model.channels[0]
+        fitted = model.channel(0)
         assert np.abs(fitted.rates - gt.rates).sum() < 0.02
         np.testing.assert_allclose(fitted.spam, gt.spectral_spam(), atol=0.05)
 
@@ -337,15 +337,15 @@ class TestEstimateModel:
         )
         separate, _ = estimation.estimate_model(ds)
         pooled, _ = estimation.estimate_model(ds, use_average_rates=True)
-        expected = np.mean([separate.channels[i].rates for i in range(4)], axis=0)
+        expected = np.mean([separate.channel(i).rates for i in range(4)], axis=0)
         for index in range(4):
-            np.testing.assert_allclose(pooled.channels[index].rates, expected, atol=1e-12)
+            np.testing.assert_allclose(pooled.channel(index).rates, expected, atol=1e-12)
             # SPAM stays input-specific
             np.testing.assert_allclose(
-                pooled.channels[index].spam, separate.channels[index].spam, atol=1e-12
+                pooled.channel(index).spam, separate.channel(index).spam, atol=1e-12
             )
             # identical planted rates: pooled estimate close to each per-input one
-            assert np.abs(pooled.channels[index].rates - separate.channels[index].rates).sum() < 0.02
+            assert np.abs(pooled.channel(index).rates - separate.channel(index).rates).sum() < 0.02
 
     def test_data_sufficiency_is_monotone(self):
         # mean recovery error over a seed family must not get worse as the
@@ -360,7 +360,7 @@ class TestEstimateModel:
                     inputs=[0], shots=256, seed=900 + seed,
                 )
                 model, _ = estimation.estimate_model(ds)
-                errors.append(np.abs(model.channels[0].rates - gt.rates).sum())
+                errors.append(np.abs(model.channel(0).rates - gt.rates).sum())
             mean_errors.append(np.mean(errors))
         assert mean_errors[0] >= mean_errors[1] >= mean_errors[2]
 

@@ -48,8 +48,8 @@ def test_no_module_imports_another_modules_private_name():
 @pytest.mark.parametrize(
     "message",
     [
-        "qubit count must be in", "unknown preset", "out of range for n=", "(m=",
-        "counts sum to", "exceeds shots=",
+        "qubit count must be in", "unknown preset", "out of range for", "(m=",
+        "counts sum to", "exceeds shots=", "spam[0] must be 1",
     ],
 )
 def test_each_shared_rule_message_is_written_once(message):

@@ -14,8 +14,8 @@ from qflip.records import Dataset
 QUBIT_COUNT_ENTRY_POINTS = {
     "Dataset": lambda n: Dataset(n, [], [], [], [], [], [], []),
     "NoiseModel": lambda n: channel.NoiseModel(n, {}),
-    "NoiseModel.from_arrays": lambda n: channel.NoiseModel.from_arrays(
-        n, [0], [[1.0, 0.0]], [[1.0, 1.0]]
+    "NoiseModel with a channel": lambda n: channel.NoiseModel(
+        n, {0: channel.InputChannel(rates=[1.0, 0.0], spam=[1.0, 1.0])}
     ),
     "GroundTruth": lambda n: simulator.GroundTruth(n=n, rates=[1.0, 0.0]),
 }

@@ -300,7 +300,7 @@ class TestValidators:
     def test_num_qubits(self):
         assert num_qubits(np.ones(2)) == 1
         assert num_qubits(np.ones(4096)) == 12
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^qubit count must be in \[1, 12\], got 13$"):
             num_qubits(np.ones(8192))
         with pytest.raises(ValueError):
             num_qubits(np.ones((2, 2)))
