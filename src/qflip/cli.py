@@ -356,14 +356,17 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
     def rows():
         for depth in depths:
             predicted = predict_distribution(model, depth, inputs)
-            scores = [""] * len(inputs)
+            scores = [()] * len(inputs)
             if dataset is not None:
                 observed = dataset.cell_means([depth], inputs)[:, 0]
-                scores = [f"{score:.12g}" for score in jsd(observed, predicted)]
+                scores = [(score,) for score in jsd(observed, predicted).tolist()]
             for index, score, row in zip(inputs, scores, predicted):
-                yield [depth, labels[index], score, *(f"{v:.12g}" for v in row)]
+                yield (depth, labels[index], *score, *row.tolist())
 
-    write_csv(path, meta, ["depth", "input", "jsd", *labels], rows())
+    # without a dataset the jsd column is empty
+    score_fmt = "%.12g" if dataset is not None else ""
+    fmt = f"%d,%s,{score_fmt}" + ",%.12g" * model.size
+    write_csv(path, meta, ["depth", "input", "jsd", *labels], fmt, rows())
     print(f"wrote predictions to {path}")
 
 

@@ -1,8 +1,8 @@
 """Noise-model estimation from identity-circuit shot counts.
 
-Pipeline: average the per-circuit empirical distributions into one
-(inputs, depths, 2**n) table of cell means, xor-align each row to its input
-and Walsh-transform the whole table at once, fit each input's spectral
+Pipeline: average the per-circuit empirical distributions into an
+(inputs, depths, 2**n) table of cell means for a block of inputs, xor-align
+each row to its input and Walsh-transform the block at once, fit each input's spectral
 coefficients to exponential decays A * lambda**m by least squares in the
 log domain, then map the fitted eigenvalues back to flip-pattern rates and
 project onto the simplex. A randomized-benchmarking style scalar fit of
@@ -44,6 +44,9 @@ __all__ = [
 # below this value a spectral sample is treated as decayed to noise; also
 # the lower clamp for fitted eigenvalues
 FIT_FLOOR = 1e-6
+# estimate_model fits a block of inputs whose cell means number about this
+# many values (inputs x depths x 2**n) at a time
+_FIT_ENTRIES = 1 << 17
 
 # rb_fit bounds and alpha search: grid size and golden-section stopping width
 RB_AMPLITUDE_MAX = 1.5
@@ -188,7 +191,7 @@ def estimate_model_from_averages(
     )
     require_cells(depths, inputs, cells, n, "no averages for")
     means = np.array([[cells[depth, index] for depth in depths] for index in inputs])
-    return _fit_model(n, inputs, depths, means, use_average_rates)
+    return _model_from_fits(n, inputs, _fit_table(means, inputs, depths), use_average_rates)
 
 
 def estimate_model(
@@ -201,20 +204,32 @@ def estimate_model(
 
     inputs defaults to every input present in the dataset; train_depths
     to every depth present. Raises CoverageError naming each requested
-    (depth, input) pair with no records.
+    (depth, input) pair with no records. Inputs are fitted a block at a
+    time, so the table of cell means and its spectra hold about
+    _FIT_ENTRIES values, whatever the number of inputs.
     """
     inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
     depths = dataset.depths() if train_depths is None else sorted(set(train_depths))
     if not inputs:
         raise CoverageError("dataset has no records")
-    means = dataset.cell_means(depths, inputs)
-    return _fit_model(dataset.n, inputs, depths, means, use_average_rates)
+    # every missing cell is named, not only those of the first block
+    dataset.require(depths, inputs)
+    step = max(1, _FIT_ENTRIES // max(1, len(depths) * dataset.size))
+    fits = []
+    for lo in range(0, len(inputs), step):
+        block = inputs[lo:lo + step]
+        fits += _fit_table(dataset.cell_means(depths, block), block, depths)
+    return _model_from_fits(dataset.n, inputs, fits, use_average_rates)
 
 
-def _fit_model(n, inputs, depths, means, use_average_rates):
-    """Fit every input's row of an ``(inputs, depths, 2**n)`` table of
-    averaged distributions; returns (model, diagnostics)."""
-    fits = [fit_decay(spectra, depths) for spectra in _aligned_spectra(means, inputs)]
+def _fit_table(means, inputs, depths) -> list:
+    """The FitResult of each input's row of an ``(inputs, depths, 2**n)``
+    table of averaged distributions."""
+    return [fit_decay(spectra, depths) for spectra in _aligned_spectra(means, inputs)]
+
+
+def _model_from_fits(n, inputs, fits, use_average_rates):
+    """(model, diagnostics) of the inputs' fits, in input order."""
     rates = rates_from_eigenvalues(np.stack([fit.eigenvalues for fit in fits]))
     if use_average_rates:
         rates = np.broadcast_to(rates.mean(axis=0), rates.shape)
@@ -321,7 +336,10 @@ def _rb_profile(alphas: np.ndarray, depths: np.ndarray, values: np.ndarray):
         candidates.append((amp, np.full_like(amp, off)))
     amps = np.stack([amp for amp, _ in candidates])
     offs = np.stack([off for _, off in candidates])
-    residual = amps[:, :, None] * decay + offs[:, :, None] - values
+    # in place: one (candidates, alphas, depths) array at a time
+    residual = amps[:, :, None] * decay
+    residual += offs[:, :, None]
+    residual -= values
     rss = np.einsum("cij,cij->ci", residual, residual)
     rss[0, ~inside] = np.inf
     choice = np.argmin(rss, axis=0)
@@ -338,10 +356,12 @@ def _divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 def write_diagnostics(path, fit: FitResult, meta: str | None = None) -> None:
     """Fit diagnostics CSV: coefficient,A,lambda,points_used,residual."""
-    rows = (
-        [i, f"{a:.12g}", f"{lam:.12g}", int(used), f"{residual:.12g}"]
-        for i, (a, lam, used, residual) in enumerate(
-            zip(fit.spam, fit.eigenvalues, fit.points_used, fit.residual)
-        )
+    rows = zip(
+        range(len(fit.spam)),
+        fit.spam.tolist(),
+        fit.eigenvalues.tolist(),
+        fit.points_used.tolist(),
+        fit.residual.tolist(),
     )
-    write_csv(path, meta, ["coefficient", "A", "lambda", "points_used", "residual"], rows)
+    columns = ["coefficient", "A", "lambda", "points_used", "residual"]
+    write_csv(path, meta, columns, "%d,%.12g,%.12g,%d,%.12g", rows)

@@ -112,6 +112,23 @@ def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
     return solutions, True
 
 
+def _score_rows(outputs: np.ndarray, truth: np.ndarray, project: bool) -> np.ndarray:
+    """JSD of each row of ``(records, 2**n)`` outputs, projected onto the
+    simplex first if project, against the basis state truth[row]. Rows go
+    about _JSD_ENTRIES entries at a time, each block scored against
+    one-hot rows made for it alone."""
+    scores = np.empty(len(outputs))
+    step = max(1, _JSD_ENTRIES // outputs.shape[1])
+    for lo in range(0, len(outputs), step):
+        block = outputs[lo:lo + step]
+        if project:
+            block = simplex_project(block)
+        ideal = np.zeros(block.shape)
+        ideal[np.arange(len(block)), truth[lo:lo + step]] = 1.0
+        scores[lo:lo + step] = jsd(ideal, block)
+    return scores
+
+
 def mitigate(mit: MitigationMatrix, noisy) -> np.ndarray:
     """Invert the mitigation system on one observed distribution."""
     noisy = np.asarray(noisy, dtype=float)
@@ -157,10 +174,10 @@ class MitigationReport:
     def write_csv(self, path, meta: str | None = None) -> None:
         columns = ["depth", "input", "method", "mean_jsd", "std_jsd", "flags"]
         rows = (
-            [r.depth, r.input_label, r.method, f"{r.mean_jsd:.12g}", f"{r.std_jsd:.12g}", r.flags]
+            (r.depth, r.input_label, r.method, r.mean_jsd, r.std_jsd, r.flags)
             for r in self.rows
         )
-        write_csv(path, meta, columns, rows)
+        write_csv(path, meta, columns, "%d,%s,%s,%.12g,%.12g,%s", rows)
 
 
 def evaluate_mitigation(
@@ -174,8 +191,8 @@ def evaluate_mitigation(
 
     Per record: mitigate its empirical distribution (method-dependent) and
     take the JSD against the input basis state. Each depth and method
-    solves every record in one multi-right-hand-side call and scores them
-    in one batched projection and JSD. Rows report mean/std over
+    solves every record in one multi-right-hand-side call, then projects
+    and scores the solutions a block of records at a time. Rows report mean/std over
     circuits per (depth, input, method), plus pooled "all" rows per
     (depth, method). Ill-conditioned or fallback solves set the flag.
     """
@@ -197,29 +214,26 @@ def evaluate_mitigation(
     dataset.require(depths, inputs)
     mem_matrix = build_mem_matrix(dataset) if MEM in methods else None
 
-    size = dataset.size
-    identity = np.eye(size)
     ordered = sorted(methods, key=METHOD_ORDER.index)
     rows = []
     for depth in depths:
-        cells = [dataset.distributions(depth, index) for index in inputs]
-        sizes = [len(cell) for cell in cells]
-        raw = np.concatenate(cells)
-        del cells
-        ideal = np.repeat(identity[inputs], sizes, axis=0)
+        sizes = [dataset.circuits(depth, index) for index in inputs]
+        truth = np.repeat(inputs, sizes)
+        raw = dataset.distributions(depth, inputs)
         scores, flags = {}, {}
         for method in ordered:
-            outputs, flags[method] = raw, ""
-            if method != UNMITIGATED:
-                system = mem_matrix if method == MEM else mitigation_matrix(
-                    model, depth, use_average_rates=method == PROPOSED_PAVG
-                )
-                solved, fallback = _solve_columns(system.matrix, raw.T, system.condition)
-                if fallback:
-                    flags[method] = ILL_CONDITIONED_FLAG
-                outputs = simplex_project(solved.T)
-                del solved
-            scores[method] = jsd(ideal, outputs)
+            flags[method] = ""
+            if method == UNMITIGATED:
+                scores[method] = _score_rows(raw, truth, project=False)
+                continue
+            system = mem_matrix if method == MEM else mitigation_matrix(
+                model, depth, use_average_rates=method == PROPOSED_PAVG
+            )
+            solved, fallback = _solve_columns(system.matrix, raw.T, system.condition)
+            if fallback:
+                flags[method] = ILL_CONDITIONED_FLAG
+            scores[method] = _score_rows(solved.T, truth, project=True)
+            del solved
         per_input = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) for m in ordered}
         for position, index in enumerate(inputs):
             for method in ordered:

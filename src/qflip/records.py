@@ -15,6 +15,8 @@ kernel gives it back, reading any other file one JSON line at a time.
 The other artifact files are read and written here too: ``read_json`` and
 ``write_json`` for model.json, profile.json and rb.json, and ``write_csv``
 for the CSV reports, whose '# ' header line is written as the dataset's is.
+Both writers render their files by hand, in batches, byte for byte as
+the json module (indent=2, sort_keys=True) and ``csv.writer`` would.
 ``holds_numbers`` is the number rule of the JSON payloads, and
 ``require_cells`` the missing-cell error of datasets and averages alike.
 """
@@ -22,11 +24,12 @@ for the CSV reports, whose '# ' header line is written as the dataset's is.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
+import math
 import os
 from collections import Counter, namedtuple
 from collections.abc import Sequence
+from itertools import chain, islice
 
 import numpy as np
 
@@ -44,6 +47,9 @@ OUTCOME_DTYPE = np.dtype(np.int16)
 # peak RSS and gain no speed
 _WRITE_ENTRIES = 4096
 _READ_BYTES = 1 << 16
+# write_csv formats about this many values with one % at a time, so a
+# wide CSV never holds more of its Python values than that
+_CSV_VALUES = 1 << 14
 # the checks add up each record's counts this many entries at a time; a
 # block makes a few int64 temporaries of its size
 _SUM_ENTRIES = 1 << 14
@@ -234,19 +240,58 @@ def holds_numbers(value) -> bool:
 
 
 def write_json(path, payload) -> None:
-    """Write payload as indented JSON with sorted keys and a final newline."""
+    """Write payload as JSON with a final newline, byte for byte as the
+    json module writes it with indent=2 and sort_keys=True: 2-space indent,
+    sorted keys, floats in repr form and NaN/Infinity as json spells them.
+    Object keys must be strings."""
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(_json_text(payload, "\n"))
         handle.write("\n")
 
 
-def write_csv(path, header: str | None, columns, rows) -> None:
-    """Write a CSV artifact: the header comment line, the column names, then rows."""
+def _json_text(value, newline: str) -> str:
+    """value as indented JSON; newline is the line break plus the indent of
+    the line value starts on. A list of finite floats is joined in one
+    call; every other scalar goes through json.dumps."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_json_key(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # a sum that is not finite flags an infinity or a NaN (or an
+        # overflow, which the per-item path writes the same way)
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {key!r}")
+    return json.dumps(key)
+
+
+def write_csv(path, header: str | None, columns, fmt: str, rows) -> None:
+    """Write a CSV artifact: the header comment line, the column names,
+    then rows, each formatted by fmt, one %-format per column (such as
+    "%d,%s,%.12g"). Lines end in CRLF, as csv.writer ends them. No field is
+    quoted, so no name or value may hold a comma, a quote or a line break.
+    Rows are formatted about _CSV_VALUES values at a time, one % per chunk."""
+    line = fmt + "\r\n"
+    step = max(1, _CSV_VALUES // len(columns))
+    rows = iter(rows)
     with open(path, "w", newline="") as handle:
         handle.write(_header_line(header))
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        handle.write(",".join(columns) + "\r\n")
+        while chunk := list(islice(rows, step)):
+            handle.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
 def _header_line(header: str | None) -> str:
@@ -405,16 +450,19 @@ class Dataset:
         self.require([depth], [input_index])
         return len(self._cells[(depth, input_index)])
 
-    def distributions(self, depth: int, input_index: int) -> np.ndarray:
-        """Normalized counts of the cell's circuits, one row per record."""
-        self.require([depth], [input_index])
-        return self._rows(self._cells[(depth, input_index)])
+    def distributions(self, depth: int, inputs) -> np.ndarray:
+        """Normalized counts of the circuits at depth on each of inputs, one
+        row per record: the (depth, input) cells in the order of inputs,
+        each cell's records in sequence-id order."""
+        inputs = [int(index) for index in inputs]
+        self.require([depth], inputs)
+        return self._rows(np.concatenate([self._cells[depth, index] for index in inputs]))
 
     def cell_means(self, depths, inputs) -> np.ndarray:
         """Mean normalized counts per cell as an ``(inputs, depths, 2**n)`` table.
 
         Entry ``[i, j]`` adds the rows of ``distributions(depths[j],
-        inputs[i])`` one at a time in sequence-id order (a depth's rows sit
+        [inputs[i]])`` one at a time in sequence-id order (a depth's rows sit
         in a zero-padded ``(inputs, circuits, 2**n)`` block by rank in their
         cell, summed along the circuit axis) and divides by their number.
         One depth at a time, never from the whole dataset at once.

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the fast paths in qflip: dense matrix
-builds, naive matrix powers, grid searches, and direct 2x2 complex algebra.
+builds, naive matrix powers, grid searches, direct 2x2 complex algebra,
+and csv.writer and json.dump for the artifact bytes.
 Tests compare library output against these. ``traced_peak`` measures
 what a call allocates, for the memory bounds.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import tracemalloc
@@ -139,7 +141,7 @@ def per_record_mitigation_rows(dataset, depths, inputs, systems, cond_limit):
         scores = {method: {} for method in methods}
         flagged = dict.fromkeys(methods, False)
         for index in inputs:
-            raw = dataset.distributions(depth, index).T
+            raw = dataset.distributions(depth, [index]).T
             ideal = np.eye(size)[:, index]
             for method in methods:
                 system = systems[(depth, method)]
@@ -300,6 +302,23 @@ def record_to_json(record, n: int) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def csv_writer_file(path, header, columns, rows) -> None:
+    """A CSV artifact as csv.writer writes it: the '# ' header line, the
+    column names, then rows of fields, floats already formatted."""
+    with open(path, "w", newline="") as handle:
+        handle.write(f"# {header}\n" if header else "")
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def json_dump_file(path, payload) -> None:
+    """A JSON artifact as json.dump writes it, with a final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def stacked_cell_means(dataset, depths, inputs) -> np.ndarray:
     """(inputs, depths, 2**n) table of cell means, each an axis-0 sum of
     the cell's rows divided by their count, one cell at a time."""
@@ -307,7 +326,7 @@ def stacked_cell_means(dataset, depths, inputs) -> np.ndarray:
     for index in inputs:
         row = []
         for depth in depths:
-            rows = dataset.distributions(depth, index)
+            rows = dataset.distributions(depth, [index])
             row.append(rows.sum(axis=0) / len(rows))
         table.append(row)
     return np.array(table)

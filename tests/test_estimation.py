@@ -16,6 +16,7 @@ from oracles import (
     dense_wht_matrix,
     polyfit_decay,
     rb_rss,
+    traced_peak,
     xor_permutation_matrix,
 )
 from qflip import channel, estimation, simulator
@@ -346,6 +347,45 @@ class TestEstimateModel:
             )
             # identical planted rates: pooled estimate close to each per-input one
             assert np.abs(pooled.channel(index).rates - separate.channel(index).rates).sum() < 0.02
+
+    @pytest.mark.parametrize("entries", [1, 3 * 5 * 4])
+    def test_blocks_of_inputs_fit_as_one_table(self, monkeypatch, entries):
+        # cells of 1 to 3 circuits, so blocks pad their cell means differently
+        rng = np.random.default_rng(5)
+        probabilities = [0.7, 0.1, 0.15, 0.05]
+        rows = [
+            (depth, index, seq, 64, dict(enumerate(rng.multinomial(64, probabilities).tolist())))
+            for depth in range(1, 6)
+            for index in range(4)
+            for seq in range(1 + (depth + index) % 3)
+        ]
+        ds = dataset_of(2, rows)
+        whole, whole_fits = estimation.estimate_model(ds)
+        # 1 entry: one input per block; 60 entries: inputs 0-2, then 3
+        monkeypatch.setattr(estimation, "_FIT_ENTRIES", entries)
+        blocked, blocked_fits = estimation.estimate_model(ds)
+        np.testing.assert_array_equal(blocked.rates, whole.rates)
+        np.testing.assert_array_equal(blocked.spam, whole.spam)
+        for index in range(4):
+            for field in ("spam", "eigenvalues", "points_used", "residual"):
+                np.testing.assert_array_equal(
+                    getattr(blocked_fits[index], field), getattr(whole_fits[index], field)
+                )
+
+    def test_fit_peak_is_bounded_by_a_block_of_inputs(self):
+        gt = simulator.iid_bitflip(7, 0.01, readout=0.02)
+        depths = range(1, 41)
+        ds = simulator.generate_dataset(
+            gt, depths=depths, circuits_per_depth=1, inputs=range(128), shots=1024, seed=3
+        )
+        # a first call makes one-time allocations (imports, caches)
+        estimation.estimate_model(ds, inputs=[0, 1], train_depths=[1, 2])
+        _, peak = traced_peak(lambda: estimation.estimate_model(ds))
+        table = 128 * len(depths) * 128 * 8
+        # the whole (inputs, depths, 2**n) table of cell means and its
+        # aligned copy would take two tables; a block of inputs at a time,
+        # the fits and the model stay under one
+        assert peak < table
 
     def test_data_sufficiency_is_monotone(self):
         # mean recovery error over a seed family must not get worse as the

@@ -1,6 +1,7 @@
 """Every exported name resolves, so deleting an API cannot leave a
 dangling entry in an ``__all__`` list, no module reaches into another
-module's private names, and each shared rule's message is written once."""
+module's private names, each shared rule's message is written once, and
+each artifact format has one renderer."""
 
 import ast
 import importlib
@@ -64,3 +65,22 @@ def test_each_shared_rule_message_is_written_once(message):
         for _ in range(line.count(message))
     ]
     assert len(places) == 1, places
+
+
+def test_artifacts_have_one_renderer_each():
+    """``records.write_csv`` and ``records.write_json`` render every CSV and
+    JSON artifact: no module imports csv or calls json.dump, a second
+    writer whose bytes could drift from theirs."""
+    package = pathlib.Path(qflip.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+        or (
+            isinstance(node, ast.Attribute) and node.attr == "dump"
+            and isinstance(node.value, ast.Name) and node.value.id == "json"
+        )
+    ]
+    assert found == []

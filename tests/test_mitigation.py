@@ -355,6 +355,15 @@ class TestEvaluate:
         assert all(r.flags == "" for r in unmit_rows)
 
     def test_matches_per_record_loop(self, monkeypatch):
+        self.check_against_per_record_loop(monkeypatch)
+
+    def test_scoring_blocks_match_per_record_loop(self, monkeypatch):
+        # 3 records of 8 outcomes per scoring block
+        monkeypatch.setattr(mitigation, "_JSD_ENTRIES", 24)
+        self.check_against_per_record_loop(monkeypatch)
+
+    @staticmethod
+    def check_against_per_record_loop(monkeypatch):
         gt = simulator.iid_bitflip(3, 0.01, readout=0.03, prep=0.01)
         train = list(range(1, 9))
         ds = simulator.generate_dataset(
@@ -394,6 +403,22 @@ class TestEvaluate:
         assert got == expected
         # one factorization per depth and model-based method, all records at once
         assert rhs_shapes == [(8, 8 * 12)] * 6
+
+    def test_scoring_peak_is_bounded_by_the_records(self):
+        gt = simulator.iid_bitflip(7, 0.01, readout=0.02)
+        ds = simulator.generate_dataset(
+            gt, depths=[0, 5], circuits_per_depth=10, inputs=range(128), shots=1024, seed=4
+        )
+        model = simulator.true_noise_model(gt)
+        # a first call makes one-time allocations (imports, caches)
+        mitigation.evaluate_mitigation(ds, model=model, test_depths=[5])
+        _, peak = traced_peak(
+            lambda: mitigation.evaluate_mitigation(ds, model=model, test_depths=[5])
+        )
+        raw = 10 * 128 * 128 * 8
+        # the depth's rows, the solver's copy and the solutions take three;
+        # dense one-hot truth rows and a whole-depth projection took 7.5
+        assert peak < 4 * raw
 
     def test_ill_conditioned_depth_takes_least_squares(self, monkeypatch):
         # lambda = 0.5 per layer: depth 1 is well conditioned, depth 30 has

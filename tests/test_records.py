@@ -7,10 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dataset_of, record_to_json, stacked_cell_means, traced_peak
+from oracles import (
+    csv_writer_file,
+    dataset_of,
+    json_dump_file,
+    record_to_json,
+    stacked_cell_means,
+    traced_peak,
+)
 from qflip import records, simulator
 from qflip.errors import CoverageError
 
@@ -192,15 +199,21 @@ class TestDataset:
         ds = self.make_dataset()
         assert ds.depths() == [1, 2]
         assert ds.input_indices() == [0, 1]
-        assert len(ds.distributions(2, 1)) == 1
+        assert len(ds.distributions(2, [1])) == 1
         # rows come in sequence-id order
-        rows = ds.distributions(1, 0)
+        rows = ds.distributions(1, [0])
         np.testing.assert_array_equal(rows, [[1, 0, 0, 0], [0.75, 0, 0, 0.25]])
         ds.require([1], [0])
         with pytest.raises(CoverageError, match=r"\(m=2, in=00\), \(m=1, in=01\)"):
             ds.require([1, 2], [0, 1])
         with pytest.raises(CoverageError, match="m=9"):
-            ds.distributions(9, 0)
+            ds.distributions(9, [0])
+
+    def test_distributions_of_several_inputs_come_cell_after_cell(self):
+        ds = dataset_of(1, [
+            (1, 1, 0, 2, {1: 2}), (1, 0, 0, 2, {0: 1, 1: 1}), (1, 0, 1, 2, {0: 2}),
+        ])
+        np.testing.assert_array_equal(ds.distributions(1, [1, 0]), [[0, 1], [0.5, 0.5], [1, 0]])
 
     def test_rejects_duplicate_records(self):
         recs = list(self.make_dataset().records)
@@ -249,8 +262,10 @@ class TestDataset:
         assert again.starts.tolist() == [0, 1, 3, 5]
         assert again.outcome.tolist() == [0, 0, 3, 1, 3]
         assert again.count.tolist() == [4, 3, 1, 4, 0]
-        for cell in [(1, 0), (2, 1)]:
-            np.testing.assert_array_equal(again.distributions(*cell), ds.distributions(*cell))
+        for depth, index in [(1, 0), (2, 1)]:
+            np.testing.assert_array_equal(
+                again.distributions(depth, [index]), ds.distributions(depth, [index])
+            )
         with pytest.raises(ValueError, match="one outcome twice"):
             records.Dataset(2, [1], [0], [0], [4], lengths=[2], outcome=[1, 1], count=[2, 2])
         with pytest.raises(ValueError, match="counts sum to 3, expected shots=4"):
@@ -775,3 +790,95 @@ CANONICAL = (
     b'{"depth":1,"input":"11","seq":1,"shots":5,"counts":{"00":1,"01":2,"11":2}}\n'
     b'{"depth":20,"input":"01","seq":1,"shots":7,"counts":{"01":7}}\n'
 )
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1e308, float("nan"), float("inf"), float("-inf")]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# a CSV column kind: its %-format, its values, and the field csv.writer
+# was given for a value, formatted as the CSV writers used to format it
+CSV_KINDS = {
+    "int": ("%d", st.integers(), lambda value: value),
+    "float": ("%.12g", FLOATS, lambda value: f"{value:.12g}"),
+    "text": (
+        "%s",
+        st.one_of(
+            st.sampled_from(["all", "MEM", "ill_conditioned", ""]),
+            st.text("01", min_size=1, max_size=12),
+            st.booleans(),
+        ),
+        lambda value: value,
+    ),
+    # the jsd column of predictions written without a dataset: no value
+    "empty": ("", st.none(), lambda value: ""),
+}
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), FLOATS, st.text(),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(FLOATS, FLOATS),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(column kinds, rows); every artifact CSV has several columns."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_KINDS)), min_size=2, max_size=6))
+    rows = draw(st.lists(st.tuples(*(CSV_KINDS[kind][1] for kind in kinds)), max_size=8))
+    return kinds, rows
+
+
+class TestArtifactWriters:
+    """write_csv and write_json give the bytes csv.writer and json.dump gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=csv_tables(),
+        chunk=st.sampled_from([1, 3, 10, records._CSV_VALUES]),
+        header=st.sampled_from([None, "n=2 seed=11 config_sha256=0123abcd"]),
+    )
+    @example(
+        table=(["int", "text", "empty", "float", "float"], [(10, "01", None, 0.25, -0.0)] * 4),
+        chunk=3,
+        header="h",
+    )
+    def test_csv_matches_csv_writer(self, table, chunk, header):
+        kinds, rows = table
+        columns = [f"c{i}" for i in range(len(kinds))]
+        fmt = ",".join(CSV_KINDS[kind][0] for kind in kinds)
+        values = [tuple(v for kind, v in zip(kinds, row) if kind != "empty") for row in rows]
+        fields = [[CSV_KINDS[kind][2](v) for kind, v in zip(kinds, row)] for row in rows]
+        patch = mock.patch.object(records, "_CSV_VALUES", chunk)
+        with tempfile.TemporaryDirectory() as tmp, patch:
+            got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            records.write_csv(got, header, columns, fmt, iter(values))
+            csv_writer_file(want, header, columns, fields)
+            with open(got, "rb") as mine, open(want, "rb") as theirs:
+                assert mine.read() == theirs.read()
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=JSON_VALUES)
+    @example(payload={
+        "p": [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1e308, 1e308],
+        "x": [float("nan"), float("inf"), float("-inf"), 1.0],
+        "empty": [], "object": {}, "nested": {"deeper": {"list": [[], {}]}},
+        "readout": [(0.01, 0.02), (0.03, 0.04)],
+        "text": "caf\u00e9 \u2713 \"quoted\"\n", "caf\u00e9": 1,
+        "flags": [True, False, None, 3, -7, 2**70],
+    })
+    def test_json_matches_json_dump(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.json"), os.path.join(tmp, "want.json")
+            records.write_json(got, payload)
+            json_dump_file(want, payload)
+            with open(got, "rb") as mine, open(want, "rb") as theirs:
+                assert mine.read() == theirs.read()
+
+    def test_json_keys_must_be_strings(self, tmp_path):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            records.write_json(tmp_path / "bad.json", {"inputs": {1: [0.5]}})

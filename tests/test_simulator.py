@@ -306,7 +306,7 @@ class TestGenerateDataset:
         assert len(ds) == 3 * 4 * 2
         assert ds.depths() == [1, 3, 7]
         assert ds.input_indices() == [0, 3]
-        assert len(ds.distributions(3, 0)) == 4
+        assert len(ds.distributions(3, [0])) == 4
         cell = [r.sequence_id for r in ds.records if (r.depth, r.input_index) == (3, 0)]
         assert cell == [0, 1, 2, 3]
         assert all(sum(r.counts.values()) == 32 for r in ds.records)
