@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, format_missing
+from .errors import ConfigError, CoverageError, format_missing, require_selected
 from .records import holds_numbers, index_to_bits, read_json, write_json
 from .transforms import (
     check_basis_indices,
@@ -51,7 +51,7 @@ __all__ = [
     "apply_transition_power",
     "predict_distribution",
     "mitigation_matrix",
-    "average_error_rates",
+    "pool_rates",
     "model_to_json",
     "model_from_json",
     "write_model",
@@ -147,8 +147,8 @@ class NoiseModel:
     ``channel(index)`` reads one row back. Every rates row is a
     distribution, spam is finite, and each spam[0] within SPAM_HEAD_TOL of
     1 is stored as exactly 1. A model need not cover all 2**n inputs;
-    operations that require full coverage (averaging, mitigation
-    matrices) raise CoverageError when it is missing.
+    ``rows`` raises CoverageError for an input it does not cover, and
+    mitigation matrices need them all.
     """
 
     def __init__(self, n: int, channels: Mapping[int, InputChannel]):
@@ -180,17 +180,17 @@ class NoiseModel:
         return 1 << self.n
 
     def rows(self, input_indices) -> np.ndarray:
-        """Row positions of the given inputs in the arrays; CoverageError
-        names the first one the model has no channel for."""
+        """Row positions of the given inputs in the arrays. This is the
+        model's one coverage check: CoverageError on an empty selection,
+        or naming every input the model does not cover."""
         wanted = np.asarray(input_indices, dtype=np.int64).reshape(-1)
+        require_selected(wanted, "input states")
         found = np.minimum(np.searchsorted(self.inputs, wanted), self.inputs.size - 1)
-        missing = self.inputs[found] != wanted
-        if missing.any():
-            index = int(wanted[missing][0])
-            raise CoverageError(
-                f"model has no channel for input state {index} "
-                f"({index_to_bits(index, self.n)})"
-            )
+        missing = np.unique(wanted[self.inputs[found] != wanted]).tolist()
+        if missing:
+            shown = format_missing(missing, lambda i: f"{i} ({index_to_bits(i, self.n)})")
+            plural = "s" if len(missing) > 1 else ""
+            raise CoverageError(f"model has no channel for input state{plural} {shown}")
         return found
 
     def channel(self, input_index: int) -> InputChannel:
@@ -254,39 +254,28 @@ class MitigationMatrix:
         return self.matrix.shape[0]
 
 
-def mitigation_matrix(
-    model: NoiseModel, depth: int, use_average_rates: bool = False
-) -> MitigationMatrix:
+def mitigation_matrix(model: NoiseModel, depth: int) -> MitigationMatrix:
     """Build the depth-m mitigation system: column in = prediction for in.
 
     Requires a channel for every input state; all columns come from one
-    batched spectral prediction. With use_average_rates the gate error
-    rates are pooled across inputs (one shared spectrum) while SPAM stays
-    input-specific. The 1-norm condition number is recorded so callers
-    can flag ill-conditioned inversions.
+    batched spectral prediction. The 1-norm condition number is recorded
+    so callers can flag ill-conditioned inversions.
     """
-    _require_all_inputs(model, f"mitigation matrix needs all {model.size} input states")
-    rates = average_error_rates(model) if use_average_rates else model.rates
-    predicted = _predict(model.spam, eigenvalues_from_rates(rates), depth, model.inputs)
+    model.rows(range(model.size))  # names every input the model lacks
+    predicted = _predict(model.spam, eigenvalues_from_rates(model.rates), depth, model.inputs)
     return MitigationMatrix(depth, predicted.T)
 
 
-def average_error_rates(model: NoiseModel) -> np.ndarray:
-    """Mean flip-pattern distribution across all 2**n input states.
+def pool_rates(model: NoiseModel) -> NoiseModel:
+    """The model with every input's rates replaced by their mean over the
+    model's own inputs; each input keeps its SPAM.
 
     Each per-input rate vector already lives in the input-0 flip frame
     (estimation aligns them), so a plain arithmetic mean is correct.
     """
-    _require_all_inputs(model, f"average over input states needs all {model.size}")
-    return model.rates.mean(axis=0)
-
-
-def _require_all_inputs(model: NoiseModel, what: str) -> None:
-    """CoverageError naming the basis inputs the model has no channel for."""
-    missing = np.setdiff1d(np.arange(model.size), model.inputs).tolist()
-    if missing:
-        shown = format_missing(missing, lambda i: index_to_bits(i, model.n))
-        raise CoverageError(f"{what}; missing {shown}")
+    rates = model.rates.mean(axis=0)
+    rows = zip(model.input_indices(), model.spam)
+    return NoiseModel(model.n, {index: InputChannel(rates, spam) for index, spam in rows})
 
 
 def model_to_json(model: NoiseModel) -> dict:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channel import predict_distribution, read_model, write_model
+from .channel import pool_rates, predict_distribution, read_model, write_model
 from .errors import ConfigError, CoverageError, NumericError
 from .estimation import (
     estimate_model,
@@ -305,9 +305,9 @@ def _print_truth_distance(model, gt) -> None:
 
 
 def _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=None):
-    model, fits = estimate_model(
-        dataset, inputs=inputs, train_depths=train, use_average_rates=pooled
-    )
+    model, fits = estimate_model(dataset, inputs=inputs, train_depths=train)
+    if pooled:
+        model = pool_rates(model)
     meta = _meta_line(dataset.n, seed, digest)
     model_path = os.path.join(outdir, "model.json")
     write_model(
@@ -531,6 +531,11 @@ def _add_device(cmd) -> None:
     cmd.add_argument("--workers", help="parallel worker processes")
 
 
+# --pavg of characterize, and of mitigate and run-all
+_PAVG_FIT = "write the model with each input's rates pooled to their mean; SPAM stays per input"
+_PAVG_METHOD = "also score proposed_pavg: proposed on the model with its rates pooled"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qflip",
@@ -552,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--inputs", help="input states to fit (default: all present)")
     cmd.add_argument("--profile", help="ground-truth profile JSON (default: sibling file)")
     cmd.add_argument("--seed", help="seed recorded in artifacts")
-    cmd.add_argument("--pavg", action="store_const", const=True, help="pool rates across inputs")
+    cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_FIT)
     cmd.add_argument("--rb", action="store_const", const=True, help="also fit the RB baseline")
     cmd.set_defaults(func=cmd_characterize)
 
@@ -572,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--test", help="test depths (default: all positive depths)")
     cmd.add_argument("--inputs", help="input states (default: all present)")
     cmd.add_argument("--seed", help="seed recorded in artifacts")
-    cmd.add_argument("--pavg", action="store_const", const=True, help="add the pooled-rates method")
+    cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_METHOD)
     cmd.set_defaults(func=cmd_mitigate)
 
     cmd = sub.add_parser("run-all", help="simulate, characterize, predict, mitigate")
@@ -581,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--train", help="training depths, e.g. 1..30")
     cmd.add_argument("--test", help="test depths, e.g. 10,30,50,70,90")
     cmd.add_argument("--inputs", help="input states (default: all)")
-    cmd.add_argument("--pavg", action="store_const", const=True, help="add the pooled-rates method")
+    cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_METHOD)
     cmd.add_argument("--rb", action="store_const", const=True, help="also fit the RB baseline")
     cmd.set_defaults(func=cmd_run_all)
 

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, plus the formatter its
-messages use to list missing entries.
+messages use to list missing entries and the empty-selection rule.
 
 The CLI maps these onto process exit codes; library callers can catch
 QflipError to handle anything raised by this package.
@@ -29,3 +29,9 @@ def format_missing(items, label=str) -> str:
     if len(items) > 8:
         shown += f", ... ({len(items)} total)"
     return shown
+
+
+def require_selected(items, what: str) -> None:
+    """CoverageError when items, a selection of depths or input states, is empty."""
+    if len(items) == 0:
+        raise CoverageError(f"empty selection of {what}")

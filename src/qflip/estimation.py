@@ -21,7 +21,6 @@ from .channel import (
     predict_distribution,
     rates_from_eigenvalues,
 )
-from .errors import CoverageError
 from .records import Dataset, require_cells, write_csv
 from .transforms import fwht_in_place, xor_permute
 
@@ -169,9 +168,7 @@ def exact_averages(model: NoiseModel, depths, inputs) -> list[DepthAverage]:
     ]
 
 
-def estimate_model_from_averages(
-    n: int, averages, train_depths=None, use_average_rates: bool = False
-):
+def estimate_model_from_averages(n: int, averages, train_depths=None):
     """Fit a NoiseModel from precomputed DepthAverages.
 
     The averages are stacked into the ``(inputs, depths, 2**n)`` table that
@@ -179,47 +176,37 @@ def estimate_model_from_averages(
     average of a cell replaces an earlier one. train_depths defaults to
     every depth supplied, and every input needs an average at each.
     Returns (model, diagnostics) where diagnostics maps input index ->
-    FitResult. With use_average_rates every channel's rates are replaced
-    by the mean over the fitted inputs (SPAM stays input-specific).
+    FitResult.
     """
     cells = {(avg.depth, avg.input_index): avg.distribution for avg in averages}
-    if not cells:
-        raise CoverageError("no averages supplied")
     inputs = sorted({index for _, index in cells})
     depths = sorted(
         {depth for depth, _ in cells} if train_depths is None else set(train_depths)
     )
     require_cells(depths, inputs, cells, n, "no averages for")
     means = np.array([[cells[depth, index] for depth in depths] for index in inputs])
-    return _model_from_fits(n, inputs, _fit_table(means, inputs, depths), use_average_rates)
+    return _model_from_fits(n, inputs, _fit_table(means, inputs, depths))
 
 
-def estimate_model(
-    dataset: Dataset,
-    inputs=None,
-    train_depths=None,
-    use_average_rates: bool = False,
-):
+def estimate_model(dataset: Dataset, inputs=None, train_depths=None):
     """Full pipeline: cell means, spectra, fit, back-transform.
 
     inputs defaults to every input present in the dataset; train_depths
-    to every depth present. Raises CoverageError naming each requested
-    (depth, input) pair with no records. Inputs are fitted a block at a
-    time, so the table of cell means and its spectra hold about
-    _FIT_ENTRIES values, whatever the number of inputs.
+    to every depth present. Raises CoverageError for an empty selection,
+    or naming each requested (depth, input) pair with no records. Inputs
+    are fitted a block at a time, so the table of cell means and its
+    spectra hold about _FIT_ENTRIES values, whatever the number of inputs.
     """
     inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
     depths = dataset.depths() if train_depths is None else sorted(set(train_depths))
-    if not inputs:
-        raise CoverageError("dataset has no records")
     # every missing cell is named, not only those of the first block
     dataset.require(depths, inputs)
-    step = max(1, _FIT_ENTRIES // max(1, len(depths) * dataset.size))
+    step = max(1, _FIT_ENTRIES // (len(depths) * dataset.size))
     fits = []
     for lo in range(0, len(inputs), step):
         block = inputs[lo:lo + step]
         fits += _fit_table(dataset.cell_means(depths, block), block, depths)
-    return _model_from_fits(dataset.n, inputs, fits, use_average_rates)
+    return _model_from_fits(dataset.n, inputs, fits)
 
 
 def _fit_table(means, inputs, depths) -> list:
@@ -228,11 +215,9 @@ def _fit_table(means, inputs, depths) -> list:
     return [fit_decay(spectra, depths) for spectra in _aligned_spectra(means, inputs)]
 
 
-def _model_from_fits(n, inputs, fits, use_average_rates):
+def _model_from_fits(n, inputs, fits):
     """(model, diagnostics) of the inputs' fits, in input order."""
     rates = rates_from_eigenvalues(np.stack([fit.eigenvalues for fit in fits]))
-    if use_average_rates:
-        rates = np.broadcast_to(rates.mean(axis=0), rates.shape)
     spam = np.stack([fit.spam for fit in fits])
     channels = dict(zip(inputs, map(InputChannel, rates, spam)))
     return NoiseModel(n, channels), dict(zip(inputs, fits))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MitigationMatrix, NoiseModel, mitigation_matrix
-from .errors import CoverageError, NumericError
+from .channel import MitigationMatrix, NoiseModel, mitigation_matrix, pool_rates
+from .errors import NumericError
 from .records import Dataset, index_to_bits, write_csv
 from .transforms import require_prob_dist, simplex_project
 
@@ -190,9 +190,11 @@ def evaluate_mitigation(
     """Score each method per circuit and aggregate.
 
     Per record: mitigate its empirical distribution (method-dependent) and
-    take the JSD against the input basis state. Each depth and method
-    solves every record in one multi-right-hand-side call, then projects
-    and scores the solutions a block of records at a time. Rows report mean/std over
+    take the JSD against the input basis state. proposed inverts the
+    model's mitigation matrix, proposed_pavg that of ``pool_rates(model)``,
+    pooled once per call. Each depth and method solves every record in one
+    multi-right-hand-side call, then projects and scores the solutions a
+    block of records at a time. Rows report mean/std over
     circuits per (depth, input, method), plus pooled "all" rows per
     (depth, method). Ill-conditioned or fallback solves set the flag.
     """
@@ -208,11 +210,12 @@ def evaluate_mitigation(
         [d for d in dataset.depths() if d > 0] if test_depths is None
         else sorted(set(int(d) for d in test_depths))
     )
-    if not depths:
-        raise CoverageError("no test depths")
     inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
     dataset.require(depths, inputs)
     mem_matrix = build_mem_matrix(dataset) if MEM in methods else None
+    models = {PROPOSED: model}
+    if PROPOSED_PAVG in methods:
+        models[PROPOSED_PAVG] = pool_rates(model)
 
     ordered = sorted(methods, key=METHOD_ORDER.index)
     rows = []
@@ -226,9 +229,7 @@ def evaluate_mitigation(
             if method == UNMITIGATED:
                 scores[method] = _score_rows(raw, truth, project=False)
                 continue
-            system = mem_matrix if method == MEM else mitigation_matrix(
-                model, depth, use_average_rates=method == PROPOSED_PAVG
-            )
+            system = mem_matrix if method == MEM else mitigation_matrix(models[method], depth)
             solved, fallback = _solve_columns(system.matrix, raw.T, system.condition)
             if fallback:
                 flags[method] = ILL_CONDITIONED_FLAG

@@ -18,7 +18,8 @@ for the CSV reports, whose '# ' header line is written as the dataset's is.
 Both writers render their files by hand, in batches, byte for byte as
 the json module (indent=2, sort_keys=True) and ``csv.writer`` would.
 ``holds_numbers`` is the number rule of the JSON payloads, and
-``require_cells`` the missing-cell error of datasets and averages alike.
+``require_cells`` the empty-selection and missing-cell errors of datasets
+and averages alike.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, format_missing
+from .errors import ConfigError, CoverageError, format_missing, require_selected
 from .transforms import check_basis_indices, check_qubit_count
 
 __all__ = ["Dataset", "Record", "RecordError", "index_to_bits"]
@@ -319,8 +320,10 @@ def _input_width(bits) -> int | None:
 
 
 def require_cells(depths, inputs, present, n: int, what: str) -> None:
-    """CoverageError, '<what>' and then every (depth, input) cell of
-    depths x inputs that is not in present."""
+    """CoverageError when depths or inputs is empty, else '<what>' and then
+    every (depth, input) cell of depths x inputs that is not in present."""
+    require_selected(depths, "depths")
+    require_selected(inputs, "input states")
     missing = [
         (depth, index) for index in inputs for depth in depths if (depth, index) not in present
     ]
@@ -442,7 +445,8 @@ class Dataset:
         return sorted({index for _, index in self._cells})
 
     def require(self, depths, inputs) -> None:
-        """Raise CoverageError naming every (depth, input) cell with no records."""
+        """Raise CoverageError on an empty selection, else naming every
+        (depth, input) cell with no records."""
         require_cells(depths, inputs, self._cells, self.n, "dataset is missing records for")
 
     def circuits(self, depth: int, input_index: int) -> int:

@@ -362,22 +362,20 @@ def polyfit_decay(spectra, depths, floor=1e-6):
     return spam, eigenvalues, points_used, residual
 
 
-def per_column_mitigation_matrix(model, depth, use_average_rates=False) -> np.ndarray:
+def per_column_mitigation_matrix(model, depth) -> np.ndarray:
     """Mitigation matrix built one column (one input's prediction) at a
-    time, from the model's channels; the pooled spectrum averages their
-    rates in input order."""
+    time, from the model's channels, each column with its own 1-d
+    spectrum."""
     from qflip.channel import eigenvalues_from_rates
     from qflip.transforms import fwht, fwht_inverse, simplex_project
 
     size = model.size
-    channels = [model.channel(index) for index in range(size)]
-    shared = eigenvalues_from_rates(np.stack([c.rates for c in channels]).mean(axis=0))
     columns = np.empty((size, size))
-    for index, chan in enumerate(channels):
-        eigenvalues = shared if use_average_rates else eigenvalues_from_rates(chan.rates)
+    for index in range(size):
+        chan = model.channel(index)
         indicator = np.zeros(size)
         indicator[index] = 1.0
-        spectrum = chan.spam * eigenvalues**depth * fwht(indicator)
+        spectrum = chan.spam * eigenvalues_from_rates(chan.rates) ** depth * fwht(indicator)
         columns[:, index] = simplex_project(fwht_inverse(spectrum))
     return columns
 

@@ -350,8 +350,8 @@ class TestMitigationMatrix:
     def test_average_rates_variant(self):
         rng = np.random.default_rng(35)
         model = random_model(rng, 2)
-        pooled = channel.average_error_rates(model)
-        built = channel.mitigation_matrix(model, 6, use_average_rates=True)
+        pooled = np.mean([model.channel(i).rates for i in range(4)], axis=0)
+        built = channel.mitigation_matrix(channel.pool_rates(model), 6)
         for index in range(4):
             chan = model.channel(index)
             oracle = simplex_project(
@@ -372,7 +372,7 @@ class TestMitigationMatrix:
             channels[index] = channel.InputChannel(rates=rates, spam=spam)
         model = channel.NoiseModel(n=2, channels=channels)
         default = channel.mitigation_matrix(model, 9)
-        pooled = channel.mitigation_matrix(model, 9, use_average_rates=True)
+        pooled = channel.mitigation_matrix(channel.pool_rates(model), 9)
         np.testing.assert_allclose(default.matrix, pooled.matrix, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -384,8 +384,10 @@ class TestMitigationMatrix:
     )
     def test_bits_match_per_column_predictions(self, n, depth, pooled, seed):
         model = random_model(np.random.default_rng(seed), n)
-        built = channel.mitigation_matrix(model, depth, use_average_rates=pooled)
-        oracle = per_column_mitigation_matrix(model, depth, use_average_rates=pooled)
+        if pooled:
+            model = channel.pool_rates(model)
+        built = channel.mitigation_matrix(model, depth)
+        oracle = per_column_mitigation_matrix(model, depth)
         assert built.matrix.flags.c_contiguous
         assert built.matrix.tobytes() == oracle.tobytes()
 
@@ -400,7 +402,7 @@ class TestMitigationMatrix:
 
         monkeypatch.setattr(channel, "_predict", counting_predict)
         channel.mitigation_matrix(model, 3)
-        channel.mitigation_matrix(model, 3, use_average_rates=True)
+        channel.mitigation_matrix(channel.pool_rates(model), 3)
         assert [len(args[3]) for args in calls] == [16, 16]
 
     def test_missing_input_raises(self):
@@ -410,34 +412,48 @@ class TestMitigationMatrix:
             channel.mitigation_matrix(model, 1)
 
 
-class TestAverageRates:
+class TestPoolRates:
     def test_shared_rates_are_fixed_point(self):
         rng = np.random.default_rng(41)
         rates = random_rates(rng, 2)
         chan = channel.InputChannel(rates=rates, spam=np.ones(4))
         model = channel.NoiseModel(n=2, channels={i: chan for i in range(4)})
-        np.testing.assert_allclose(channel.average_error_rates(model), rates, atol=1e-15)
+        np.testing.assert_allclose(channel.pool_rates(model).rates, model.rates, atol=1e-15)
 
     def test_two_input_mean_by_hand(self):
         first = channel.InputChannel(rates=[1.0, 0.0], spam=[1.0, 1.0])
-        second = channel.InputChannel(rates=[0.8, 0.2], spam=[1.0, 1.0])
+        second = channel.InputChannel(rates=[0.8, 0.2], spam=[1.0, 0.6])
         model = channel.NoiseModel(n=1, channels={0: first, 1: second})
-        np.testing.assert_allclose(channel.average_error_rates(model), [0.9, 0.1], atol=1e-15)
+        pooled = channel.pool_rates(model)
+        np.testing.assert_allclose(pooled.rates, [[0.9, 0.1], [0.9, 0.1]], atol=1e-15)
+        assert pooled.spam.tolist() == [[1.0, 1.0], [1.0, 0.6]]
 
-    def test_mean_stays_on_simplex(self):
+    def test_mean_stays_on_simplex_and_spam_is_kept(self):
         rng = np.random.default_rng(42)
         model = random_model(rng, 2)
-        got = channel.average_error_rates(model)
+        pooled = channel.pool_rates(model)
         stacked = np.stack([model.channel(i).rates for i in range(4)])
-        np.testing.assert_allclose(got, stacked.mean(axis=0), atol=1e-15)
-        assert abs(got.sum() - 1.0) < 1e-12
-        assert got.min() >= 0.0
+        assert pooled.input_indices() == model.input_indices()
+        for index in range(4):
+            got = pooled.channel(index)
+            np.testing.assert_allclose(got.rates, stacked.mean(axis=0), atol=1e-15)
+            assert abs(got.rates.sum() - 1.0) < 1e-12
+            assert got.rates.min() >= 0.0
+            assert got.spam.tobytes() == model.channel(index).spam.tobytes()
 
-    def test_missing_input_raises(self):
-        chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 1.0])
-        model = channel.NoiseModel(n=1, channels={1: chan})
-        with pytest.raises(CoverageError):
-            channel.average_error_rates(model)
+    def test_partial_model_averages_over_its_own_inputs(self):
+        # the inputs characterize --inputs 1,2,4,7 --pavg pools at n=3
+        rng = np.random.default_rng(43)
+        channels = {index: random_channel(rng, 3) for index in (1, 2, 4, 7)}
+        model = channel.NoiseModel(n=3, channels=channels)
+        pooled = channel.pool_rates(model)
+        mean = np.mean([channels[i].rates for i in (1, 2, 4, 7)], axis=0)
+        assert pooled.input_indices() == [1, 2, 4, 7]
+        for row in pooled.rates:
+            assert row.tobytes() == model.rates.mean(axis=0).tobytes()
+            np.testing.assert_allclose(row, mean, atol=1e-15)
+        with pytest.raises(CoverageError, match=r"input states 0 \(000\), 3 \(011\), 5 "):
+            channel.mitigation_matrix(pooled, 2)
 
 
 class TestSerialization:

@@ -594,6 +594,41 @@ class TestMitigate:
             "--dataset", run_dir / "dataset.jsonl", "--test", "8", "--out", tmp_path)
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,pooled", [("yes", True), ("off", False)])
+    def test_pavg_read_from_config_text(self, model_path, run_dir, tmp_path, text, pooled):
+        config = tmp_path / "pavg.cfg"
+        config.write_text(f"pavg = {text}\ntest = 4\n")
+        code = run("mitigate", "--config", config, "--model", model_path,
+                   "--dataset", run_dir / "dataset.jsonl", "--out", tmp_path)
+        assert code == 0
+        methods = {row[2] for row in read_csv_rows(tmp_path / "report.csv")[1:]}
+        assert ("proposed_pavg" in methods) == pooled
+
+    def test_pavg_config_word_must_be_boolean(self, model_path, run_dir, tmp_path, capsys):
+        config = tmp_path / "pavg.cfg"
+        config.write_text("pavg = maybe\n")
+        code = run("mitigate", "--config", config, "--model", model_path,
+                   "--dataset", run_dir / "dataset.jsonl", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --pavg expects a boolean, got 'maybe'\n"
+
+    def test_failed_solve_exits_4_without_a_report(
+        self, model_path, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_solution(matrix, rhs, *args, **kwargs):
+            return np.full(np.shape(rhs), np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", no_solution)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: (no_solution(*args),))
+        out = tmp_path / "out"
+        code = run("mitigate", "--model", model_path,
+                   "--dataset", run_dir / "dataset.jsonl", "--test", "4", "--out", out)
+        assert code == 4
+        # the test depth overlaps the training depths, so a warning comes first
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: mitigation solve failed even via least squares\n")
+        assert not (out / "report.csv").exists()
+
     def test_dataset_width_must_match_model(self, model_path, tmp_path, capsys):
         dataset = tmp_path / "one_qubit.jsonl"
         dataset.write_text('{"depth":1,"input":"0","seq":0,"shots":1,"counts":{"0":1}}\n')
@@ -683,6 +718,30 @@ class TestRunAll:
                           "model = m.json\nprofile = p.json\n")
         assert run("run-all", "--config", config, "--out", tmp_path / "o") == 0
         assert run("simulate", "--config", config, "--out", tmp_path / "s") == 0
+
+
+class TestErrorExits:
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        assert run("run-all", "--config", config, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--K", "--shots", "--seed", "--n"])
+    def test_non_integer_option_exits_2(self, tmp_path, capsys, flag):
+        argv = {"--preset": "iid_bitflip:0.05", "--n": 1, "--depths": "1",
+                "--out": tmp_path, flag: "five"}
+        assert run("simulate", *[part for pair in argv.items() for part in pair]) == 2
+        assert capsys.readouterr().err == f"error: {flag} expects an integer, got 'five'\n"
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run("simulate", "--preset", "iid_bitflip:0.05", "--n", 1,
+                   "--depths", "1", "--out", blocker)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
 
 class TestConsoleEntry:

@@ -337,7 +337,7 @@ class TestEstimateModel:
             shots=1024, seed=23,
         )
         separate, _ = estimation.estimate_model(ds)
-        pooled, _ = estimation.estimate_model(ds, use_average_rates=True)
+        pooled = channel.pool_rates(separate)
         expected = np.mean([separate.channel(i).rates for i in range(4)], axis=0)
         for index in range(4):
             np.testing.assert_allclose(pooled.channel(index).rates, expected, atol=1e-12)

@@ -50,7 +50,8 @@ def test_no_module_imports_another_modules_private_name():
     "message",
     [
         "qubit count must be in", "unknown preset", "out of range for", "(m=",
-        "counts sum to", "exceeds shots=", "spam[0] must be 1",
+        "counts sum to", "exceeds shots=", "spam[0] must be 1", "no channel for",
+        "empty selection of",
     ],
 )
 def test_each_shared_rule_message_is_written_once(message):

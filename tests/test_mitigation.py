@@ -250,7 +250,7 @@ class TestConditionNumber:
         )
         systems = [
             channel.mitigation_matrix(model, 5),
-            channel.mitigation_matrix(model, 5, use_average_rates=True),
+            channel.mitigation_matrix(channel.pool_rates(model), 5),
             mitigation.build_mem_matrix(ds),
         ]
         for system in systems:
@@ -379,7 +379,7 @@ class TestEvaluate:
             systems[(depth, mitigation.MEM)] = mem
             systems[(depth, mitigation.PROPOSED)] = channel.mitigation_matrix(model, depth)
             systems[(depth, mitigation.PROPOSED_PAVG)] = channel.mitigation_matrix(
-                model, depth, use_average_rates=True
+                channel.pool_rates(model), depth
             )
         expected = per_record_mitigation_rows(
             ds, depths, inputs, systems, mitigation.COND_LIMIT

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import dataset_of, mask_loop_product, traced_peak
-from qflip import channel, estimation, simulator
+from qflip import channel, estimation, mitigation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
 from qflip.records import Dataset
@@ -82,6 +82,52 @@ def test_missing_averages_are_named_as_missing_records():
     assert shown.startswith("(m=2, in=01), (m=3, in=01)")
     assert shown.endswith(", ... (24 total)")
     assert str(fitted.value) == f"no averages for {shown}"
+
+
+# every input at depths 0 and 1, and the same records at depth 0 alone
+CELLS = dataset_of(2, [(depth, index, 0, 4, {index: 4}) for depth in (0, 1) for index in range(4)])
+DEPTH_0 = dataset_of(2, [(0, index, 0, 4, {index: 4}) for index in range(4)])
+MODEL = channel.NoiseModel(
+    2, {index: channel.InputChannel(rates=np.eye(4)[0], spam=np.ones(4)) for index in range(4)}
+)
+EMPTY_SELECTIONS = {
+    "evaluate_mitigation inputs": (
+        lambda: mitigation.evaluate_mitigation(
+            CELLS, None, [1], inputs=[], methods=["unmitigated"]
+        ),
+        "input states",
+    ),
+    "evaluate_mitigation depths": (
+        lambda: mitigation.evaluate_mitigation(CELLS, MODEL, [], methods=["proposed"]),
+        "depths",
+    ),
+    "evaluate_mitigation on depth 0 alone": (
+        lambda: mitigation.evaluate_mitigation(DEPTH_0, MODEL),
+        "depths",
+    ),
+    "Dataset.distributions": (lambda: CELLS.distributions(1, []), "input states"),
+    "Dataset.cell_means inputs": (lambda: CELLS.cell_means([1], []), "input states"),
+    "Dataset.cell_means depths": (lambda: CELLS.cell_means([], [0]), "depths"),
+    "Dataset.require": (lambda: DEPTH_0.require([0], []), "input states"),
+    "estimate_model": (lambda: estimation.estimate_model(CELLS, inputs=[]), "input states"),
+    "estimate_model_from_averages": (
+        lambda: estimation.estimate_model_from_averages(2, [], train_depths=[1, 2]),
+        "input states",
+    ),
+    "rb_series_from_dataset": (
+        lambda: estimation.rb_series_from_dataset(CELLS, depths=[]), "depths"
+    ),
+    "predict_distribution": (lambda: channel.predict_distribution(MODEL, 1, []), "input states"),
+    "NoiseModel.rows": (lambda: MODEL.rows(np.empty(0, int)), "input states"),
+}
+
+
+@pytest.mark.parametrize("entry", EMPTY_SELECTIONS)
+def test_every_entry_point_rejects_an_empty_selection_alike(entry):
+    call, what = EMPTY_SELECTIONS[entry]
+    with pytest.raises(CoverageError) as caught:
+        call()
+    assert str(caught.value) == f"empty selection of {what}"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
