@@ -32,6 +32,7 @@ from .errors import ConfigError, CoverageError, format_missing, require_selected
 from .records import holds_numbers, index_to_bits, read_json, write_json
 from .transforms import (
     check_basis_indices,
+    check_depths,
     check_qubit_count,
     fwht,
     fwht_inverse,
@@ -120,8 +121,7 @@ def apply_transition_power(rates: np.ndarray, depth: int, vec: np.ndarray) -> np
     floating-point result it gets alone.
     """
     arr = require_prob_dist(rates)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = check_depths(depth).item()
     target = np.asarray(vec, dtype=float)
     if arr.ndim > target.ndim or target.shape[target.ndim - arr.ndim:] != arr.shape:
         raise ValueError(f"vector shape {target.shape} does not match rates {arr.shape}")
@@ -180,10 +180,10 @@ class NoiseModel:
         return 1 << self.n
 
     def rows(self, input_indices) -> np.ndarray:
-        """Row positions of the given inputs in the arrays. This is the
-        model's one coverage check: CoverageError on an empty selection,
+        """Row positions of the given basis indices, in their order. This is
+        the model's one coverage check: CoverageError on an empty selection,
         or naming every input the model does not cover."""
-        wanted = np.asarray(input_indices, dtype=np.int64).reshape(-1)
+        wanted = check_basis_indices(input_indices, self.n).reshape(-1)
         require_selected(wanted, "input states")
         found = np.minimum(np.searchsorted(self.inputs, wanted), self.inputs.size - 1)
         missing = np.unique(wanted[self.inputs[found] != wanted]).tolist()
@@ -220,8 +220,7 @@ def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarr
 def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
     """One predicted distribution per input: spam is ``(inputs, 2**n)``,
     eigenvalues the same or one spectrum shared by every input."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = check_depths(depth).item()
     indicator = np.zeros(spam.shape)
     indicator[np.arange(len(inputs)), inputs] = 1.0
     spectrum = spam * eigenvalues**depth * fwht(indicator)

@@ -119,15 +119,11 @@ def parse_preset(text: str):
     return name, params
 
 
-def parse_spam(text, pairs_ok: bool = True):
+def parse_spam(text):
     """Error-probability grammar: scalar, comma list per qubit, a/b pairs."""
 
     def one(token):
         if "/" in token:
-            if not pairs_ok:
-                raise ConfigError(
-                    f"asymmetric pair {token!r} not allowed here; use a scalar per qubit"
-                )
             a, b = token.split("/", 1)
             return (float(a), float(b))
         return float(token)
@@ -243,12 +239,9 @@ def _ground_truth_params(s: Settings):
     The plan is what profile.json and the config digest record of it."""
     name, params = parse_preset(s.require("preset"))
     n = s.integer("n", required=True)
-    readout = s.raw("readout")
-    if readout is not None:
-        params["readout"] = parse_spam(readout)
-    prep = s.raw("prep")
-    if prep is not None:
-        params["prep"] = parse_spam(prep, pairs_ok=False)
+    for key in ("readout", "prep"):
+        if s.raw(key) is not None:
+            params[key] = parse_spam(s.raw(key))
     gt = build_preset(name, n, **params)
     plan = {
         "preset": name,

@@ -1,9 +1,14 @@
 """Exception hierarchy shared across the package, plus the formatter its
-messages use to list missing entries and the empty-selection rule.
+messages use to list missing entries, the empty-selection rule and the
+selection rule: a set of depths or input states is its sorted distinct values.
 
 The CLI maps these onto process exit codes; library callers can catch
 QflipError to handle anything raised by this package.
 """
+
+import numpy as np
+
+from .transforms import check_basis_indices, check_depths
 
 
 class QflipError(Exception):
@@ -35,3 +40,13 @@ def require_selected(items, what: str) -> None:
     """CoverageError when items, a selection of depths or input states, is empty."""
     if len(items) == 0:
         raise CoverageError(f"empty selection of {what}")
+
+
+def select(values, n: int | None = None) -> list:
+    """The sorted distinct values, as Python ints, of a selection of depths
+    or, given n, of basis indices of n qubits; CoverageError when it is
+    empty, ValueError from ``check_depths`` or ``check_basis_indices``."""
+    checked = check_depths(values) if n is None else check_basis_indices(values, n)
+    chosen = np.unique(checked).tolist()
+    require_selected(chosen, "depths" if n is None else "input states")
+    return chosen

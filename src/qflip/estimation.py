@@ -21,6 +21,7 @@ from .channel import (
     predict_distribution,
     rates_from_eigenvalues,
 )
+from .errors import select
 from .records import Dataset, require_cells, write_csv
 from .transforms import fwht_in_place, xor_permute
 
@@ -179,10 +180,8 @@ def estimate_model_from_averages(n: int, averages, train_depths=None):
     FitResult.
     """
     cells = {(avg.depth, avg.input_index): avg.distribution for avg in averages}
-    inputs = sorted({index for _, index in cells})
-    depths = sorted(
-        {depth for depth, _ in cells} if train_depths is None else set(train_depths)
-    )
+    depths = select([depth for depth, _ in cells] if train_depths is None else train_depths)
+    inputs = select([index for _, index in cells], n)
     require_cells(depths, inputs, cells, n, "no averages for")
     means = np.array([[cells[depth, index] for depth in depths] for index in inputs])
     return _model_from_fits(n, inputs, _fit_table(means, inputs, depths))
@@ -197,8 +196,8 @@ def estimate_model(dataset: Dataset, inputs=None, train_depths=None):
     are fitted a block at a time, so the table of cell means and its
     spectra hold about _FIT_ENTRIES values, whatever the number of inputs.
     """
-    inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
-    depths = dataset.depths() if train_depths is None else sorted(set(train_depths))
+    inputs = dataset.input_indices() if inputs is None else select(inputs, dataset.n)
+    depths = dataset.depths() if train_depths is None else select(train_depths)
     # every missing cell is named, not only those of the first block
     dataset.require(depths, inputs)
     step = max(1, _FIT_ENTRIES // (len(depths) * dataset.size))
@@ -236,7 +235,7 @@ class RbResult:
 
 def rb_series_from_dataset(dataset: Dataset, input_index: int = 0, depths=None) -> dict:
     """Survival probability of the input bitstring at each depth."""
-    depths = dataset.depths() if depths is None else sorted(set(depths))
+    depths = dataset.depths() if depths is None else select(depths)
     means = dataset.cell_means(depths, [input_index])[0]
     return {depth: float(row[input_index]) for depth, row in zip(depths, means)}
 

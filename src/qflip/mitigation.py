@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MitigationMatrix, NoiseModel, mitigation_matrix, pool_rates
-from .errors import NumericError
+from .errors import NumericError, select
 from .records import Dataset, index_to_bits, write_csv
 from .transforms import require_prob_dist, simplex_project
 
@@ -206,11 +206,8 @@ def evaluate_mitigation(
         raise ValueError("need at least one method")
     if model is None and (PROPOSED in methods or PROPOSED_PAVG in methods):
         raise ValueError("model-based methods need a fitted model")
-    depths = (
-        [d for d in dataset.depths() if d > 0] if test_depths is None
-        else sorted(set(int(d) for d in test_depths))
-    )
-    inputs = dataset.input_indices() if inputs is None else sorted(set(inputs))
+    depths = [d for d in dataset.depths() if d > 0] if test_depths is None else select(test_depths)
+    inputs = dataset.input_indices() if inputs is None else select(inputs, dataset.n)
     dataset.require(depths, inputs)
     mem_matrix = build_mem_matrix(dataset) if MEM in methods else None
     models = {PROPOSED: model}

@@ -35,7 +35,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing, require_selected
-from .transforms import check_basis_indices, check_qubit_count
+from .transforms import check_basis_indices, check_depths, check_qubit_count
 
 __all__ = ["Dataset", "Record", "RecordError", "index_to_bits"]
 
@@ -165,7 +165,7 @@ def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
         raise ValueError("count entry columns differ in length")
     # entries of record r are [starts[r], starts[r + 1])
     starts = np.concatenate([[0], np.cumsum(lengths)])
-    # each record's first value that is not an integer; an entry's is its record's
+    # each record's first non-integer value; an entry's is its record's
     faults = {}
     names = ("depth", "input index", "sequence id", "shots", "outcome index", "count value")
     for name, wrong, per_entry in zip(names, wrongs, [False] * 4 + [True] * 2):
@@ -458,7 +458,8 @@ class Dataset:
         """Normalized counts of the circuits at depth on each of inputs, one
         row per record: the (depth, input) cells in the order of inputs,
         each cell's records in sequence-id order."""
-        inputs = [int(index) for index in inputs]
+        depth = check_depths(depth).item()
+        inputs = check_basis_indices(inputs, self.n).tolist()
         self.require([depth], inputs)
         return self._rows(np.concatenate([self._cells[depth, index] for index in inputs]))
 
@@ -471,9 +472,8 @@ class Dataset:
         cell, summed along the circuit axis) and divides by their number.
         One depth at a time, never from the whole dataset at once.
         """
-        depths, inputs = [int(d) for d in depths], [int(i) for i in inputs]
-        if len(set(inputs)) < len(inputs):
-            raise ValueError("cell_means inputs repeat an index")
+        depths = check_depths(depths).tolist()
+        inputs = check_basis_indices(inputs, self.n).tolist()
         self.require(depths, inputs)
         means = np.empty((len(inputs), len(depths), self.size))
         for j, depth in enumerate(depths):

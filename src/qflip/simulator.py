@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clifford
 from .channel import InputChannel, NoiseModel, apply_transition_power
-from .errors import ConfigError
+from .errors import ConfigError, require_selected, select
 from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers
 from .transforms import check_basis_indices, check_qubit_count, require_prob_dist
 
@@ -44,42 +44,28 @@ __all__ = [
 DEFAULT_SHOTS = 1024
 DEFAULT_CIRCUITS_PER_DEPTH = 1000
 
-# per-qubit error probabilities live strictly below a fair coin
-MAX_FLIP_PROB = 0.5
+def _check_flip_probability(value, what: str) -> None:
+    """ValueError unless value, a per-qubit error probability, is below a fair coin."""
+    if not 0.0 <= value < 0.5:
+        raise ValueError(f"{what} must be in [0, 0.5), got {value}")
 
 
-def _per_qubit_pairs(readout, n: int) -> tuple[tuple[float, float], ...]:
-    """Normalize a readout argument: scalar, per-qubit scalar, or (e01, e10)."""
-    if np.isscalar(readout):
-        pairs = [(float(readout), float(readout))] * n
-    else:
-        entries = list(readout)
-        if len(entries) != n:
-            raise ValueError(f"expected {n} readout entries, got {len(entries)}")
-        pairs = []
-        for entry in entries:
-            if np.isscalar(entry):
-                pairs.append((float(entry), float(entry)))
-            else:
-                e01, e10 = entry
-                pairs.append((float(e01), float(e10)))
-    for e01, e10 in pairs:
-        if not (0.0 <= e01 < MAX_FLIP_PROB and 0.0 <= e10 < MAX_FLIP_PROB):
-            raise ValueError(f"readout probabilities must be in [0, 0.5), got {(e01, e10)}")
-    return tuple(pairs)
-
-
-def _per_qubit_probs(prep, n: int) -> tuple[float, ...]:
-    if np.isscalar(prep):
-        probs = [float(prep)] * n
-    else:
-        probs = [float(x) for x in prep]
-        if len(probs) != n:
-            raise ValueError(f"expected {n} preparation entries, got {len(probs)}")
-    for p in probs:
-        if not 0.0 <= p < MAX_FLIP_PROB:
-            raise ValueError(f"preparation flip probability must be in [0, 0.5), got {p}")
-    return tuple(probs)
+def _per_qubit(values, n: int, what: str, pairs: bool) -> tuple:
+    """A readout or preparation argument, one entry for every qubit or n
+    entries, as n float entries. With pairs, an entry e stands for (e, e),
+    or is an (e01, e10) pair; without, a pair is rejected."""
+    entries = [values] * n if np.isscalar(values) else list(values)
+    if len(entries) != n:
+        raise ValueError(f"expected {n} {what} entries, got {len(entries)}")
+    out = []
+    for entry in entries:
+        if not (pairs or np.isscalar(entry)):
+            raise ValueError(f"{what} takes one probability per qubit, got {entry!r}")
+        e01, e10 = map(float, (entry, entry) if np.isscalar(entry) else entry)
+        for p in (e01, e10):
+            _check_flip_probability(p, f"{what} probability")
+        out.append((e01, e10) if pairs else e01)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,24 +80,22 @@ class GroundTruth:
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        rates = require_prob_dist(self.rates).copy()
-        if rates.shape != (1 << self.n,):
-            raise ValueError(f"rates length {rates.size} does not match n={self.n}")
-        rates.flags.writeable = False
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "readout", _per_qubit_pairs(self.readout, self.n))
-        object.__setattr__(self, "prep", _per_qubit_probs(self.prep, self.n))
+        object.__setattr__(self, "rates", self._checked_rates(self.rates, "rates"))
+        object.__setattr__(self, "readout", _per_qubit(self.readout, self.n, "readout", True))
+        object.__setattr__(self, "prep", _per_qubit(self.prep, self.n, "preparation", False))
         overrides = {}
-        if self.rates_by_input:
-            for index, values in self.rates_by_input.items():
-                index = int(index)
-                check_basis_indices(index, self.n, "override input")
-                arr = require_prob_dist(values).copy()
-                if arr.shape != (1 << self.n,):
-                    raise ValueError(f"override for input {index} has wrong length")
-                arr.flags.writeable = False
-                overrides[index] = arr
+        for index, values in (self.rates_by_input or {}).items():
+            index = check_basis_indices(index, self.n, "override input").item()
+            overrides[index] = self._checked_rates(values, f"override for input {index}")
         object.__setattr__(self, "rates_by_input", overrides)
+
+    def _checked_rates(self, values, what: str) -> np.ndarray:
+        """A read-only copy of values, a flip-pattern distribution of length 2**n."""
+        rates = require_prob_dist(values).copy()
+        if rates.shape != (self.size,):
+            raise ValueError(f"{what} length {rates.size} does not match n={self.n}")
+        rates.flags.writeable = False
+        return rates
 
     @property
     def size(self) -> int:
@@ -138,18 +122,21 @@ class GroundTruth:
         summary drops.
         """
         return _per_qubit_product(
+            self.n,
             [
                 (1.0, (1.0 - e01 - e10) * (1.0 - 2.0 * p))
                 for (e01, e10), p in zip(self.readout, self.prep)
-            ]
+            ],
         )
 
 
-def _per_qubit_product(pairs) -> np.ndarray:
+def _per_qubit_product(n: int, pairs) -> np.ndarray:
     """The length-2**n vector whose entry i multiplies pairs[q][bit q of i]
-    over the qubits q, the new factor on the left at each qubit."""
+    over the qubits q, the new factor on the left at each qubit. One pair
+    stands for every qubit. n is checked before anything is allocated."""
+    check_qubit_count(n)
     out = np.ones(1)
-    for pair in pairs:
+    for pair in np.broadcast_to(np.asarray(pairs, dtype=float), (n, 2)):
         # kron on the left: the new qubit becomes the highest bit of the index
         out = np.kron(pair, out)
     return out
@@ -180,6 +167,7 @@ def exact_distributions(gt: GroundTruth, depth: int, inputs) -> np.ndarray:
     them.
     """
     inputs = check_basis_indices(inputs, gt.n).tolist()
+    require_selected(inputs, "input states")
     state = np.zeros((len(inputs), gt.size))
     state[np.arange(len(inputs)), inputs] = 1.0
     if any(p > 0.0 for p in gt.prep):
@@ -203,26 +191,6 @@ def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndar
 def _shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
     # one stream per (depth, circuit); independent of list order and workers
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth, sequence_id)))
-
-
-def _check_generation_args(gt, depths, circuits_per_depth, inputs, shots):
-    depths = [int(d) for d in depths]
-    if not depths:
-        raise ValueError("need at least one depth")
-    if len(set(depths)) != len(depths):
-        raise ValueError("depths must be unique")
-    if min(depths) < 0:
-        raise ValueError("depths must be >= 0")
-    inputs = check_basis_indices(inputs, gt.n).tolist()
-    if not inputs:
-        raise ValueError("need at least one input state")
-    if len(set(inputs)) != len(inputs):
-        raise ValueError("input states must be unique")
-    if circuits_per_depth < 1:
-        raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return depths, sorted(inputs)
 
 
 def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
@@ -269,9 +237,13 @@ def generate_dataset(
     random stream, so results are identical whether generation runs
     serially or sharded across worker processes. Each depth's counts are
     made in one dense block and kept only as the Dataset's compact
-    entries.
+    entries. depths and inputs are selections: sorted, repeats dropped.
     """
-    depths, inputs = _check_generation_args(gt, depths, circuits_per_depth, inputs, shots)
+    depths, inputs = select(depths), select(inputs, gt.n)
+    if circuits_per_depth < 1:
+        raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     shard_args = [(gt, depth, circuits_per_depth, inputs, shots, seed) for depth in depths]
     if workers is not None and workers > 1 and len(shard_args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -295,7 +267,7 @@ def generate_dataset(
 def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):
     """The identity circuits generate_dataset draws, in dataset order."""
     circuits = []
-    for depth in sorted(set(int(d) for d in depths)):
+    for depth in select(depths):
         for k in range(circuits_per_depth):
             rng = _shard_rng(seed, depth, k)
             if depth == 0:
@@ -320,21 +292,18 @@ def true_noise_model(gt: GroundTruth) -> NoiseModel:
 
 def iid_bitflip(n: int, q: float, readout=0.0, prep=0.0) -> GroundTruth:
     """Independent per-qubit flip probability q each gate layer."""
-    check_qubit_count(n)
-    if not 0.0 <= q < MAX_FLIP_PROB:
-        raise ValueError(f"flip probability must be in [0, 0.5), got {q}")
-    rates = _per_qubit_product([(1.0 - q, q)] * n)
+    _check_flip_probability(q, "flip probability")
+    rates = _per_qubit_product(n, (1.0 - q, q))
     return GroundTruth(n=n, rates=rates, readout=readout, prep=prep)
 
 
 def depolarizing(n: int, alpha: float, readout=0.0, prep=0.0) -> GroundTruth:
     """Per-qubit depolarizing strength alpha; in the measured basis each
     qubit flips with probability alpha/2 per layer."""
-    check_qubit_count(n)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {alpha}")
     flip = alpha / 2.0
-    rates = _per_qubit_product([(1.0 - flip, flip)] * n)
+    rates = _per_qubit_product(n, (1.0 - flip, flip))
     return GroundTruth(n=n, rates=rates, readout=readout, prep=prep)
 
 
@@ -342,14 +311,12 @@ def correlated_pair(
     n: int, q: float, q_corr: float, first: int = 0, second: int = 1, readout=0.0, prep=0.0
 ) -> GroundTruth:
     """iid flips plus excess joint-flip mass on one qubit pair."""
-    check_qubit_count(n)
-    if not 0.0 <= q < MAX_FLIP_PROB:
-        raise ValueError(f"flip probability must be in [0, 0.5), got {q}")
+    _check_flip_probability(q, "flip probability")
     if not 0.0 <= q_corr < 1.0:
         raise ValueError(f"correlated mass must be in [0, 1), got {q_corr}")
+    rates = _per_qubit_product(n, (1.0 - q, q))
     if first == second or not (0 <= first < n and 0 <= second < n):
         raise ValueError(f"need two distinct qubits in range, got {(first, second)}")
-    rates = _per_qubit_product([(1.0 - q, q)] * n)
     pattern = (1 << first) | (1 << second)
     rates[pattern] += q_corr
     rates /= 1.0 + q_corr
@@ -358,9 +325,7 @@ def correlated_pair(
 
 def spam_only(n: int, epsilon, prep=0.0) -> GroundTruth:
     """No gate noise at all; only readout confusion (and optional prep)."""
-    check_qubit_count(n)
-    rates = np.zeros(1 << n)
-    rates[0] = 1.0
+    rates = _per_qubit_product(n, (1.0, 0.0))
     return GroundTruth(n=n, rates=rates, readout=epsilon, prep=prep)
 
 

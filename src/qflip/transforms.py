@@ -11,6 +11,8 @@ simulator, and the estimation pipeline.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "num_qubits",
     "check_qubit_count",
     "check_basis_indices",
+    "check_depths",
     "require_prob_dist",
 ]
 
@@ -50,14 +53,40 @@ def check_qubit_count(n: int) -> int:
 
 
 def check_basis_indices(indices, n: int, what: str = "input index") -> np.ndarray:
-    """The basis indices as an int64 array; ValueError names the first one
-    outside [0, 2**n), calling it what. The range is checked before the
-    conversion, so an index past int64 is named too."""
-    arr = np.asarray(indices)
+    """The basis indices as an int64 array; ValueError names the first
+    non-integer or the first outside [0, 2**n), calling it what. The range
+    is checked before the conversion, so an index past int64 is named too."""
+    arr = _checked_integers(indices, what)
     outside = (arr < 0) | (arr >= 1 << n)
     if outside.any():
         raise ValueError(f"{what} {arr[outside].flat[0]} out of range for n={n}")
     return arr.astype(np.int64, copy=False)
+
+
+def check_depths(depths) -> np.ndarray:
+    """The depths, counts of gate layers, as an int64 array; ValueError
+    names the first one that is a non-integer or negative."""
+    arr = _checked_integers(depths, "depth")
+    negative = arr < 0
+    if negative.any():
+        raise ValueError(f"depth must be >= 0, got {arr[negative].flat[0]}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _checked_integers(values, what: str) -> np.ndarray:
+    """values, an integer or an iterable of them such as a set, as an array;
+    ValueError names the first entry that is a bool, float, str or other
+    non-integer, in a sequence's own entries: [1, True]."""
+    if isinstance(values, Iterable) and not isinstance(values, (str, np.ndarray)):
+        values = list(values)
+    arr = np.asarray(values)
+    if type(values) is int or isinstance(values, np.ndarray) and arr.dtype.kind in "iu":
+        return arr
+    for value in np.asarray(values, dtype=object).ravel():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            shown = value.item() if isinstance(value, np.generic) else value
+            raise ValueError(f"{what} {shown!r} is not an integer")
+    return arr
 
 
 def _outcome_qubits(values: np.ndarray) -> int:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qflip
+from qflip import simulator
 from qflip.cli import main, parse_depths, parse_inputs, parse_preset, parse_spam
 from qflip.errors import ConfigError
 from qflip.records import Dataset
@@ -110,9 +111,20 @@ class TestParseSpam:
     def test_pairs(self):
         assert parse_spam("0.01/0.02,0.0/0.03") == [(0.01, 0.02), (0.0, 0.03)]
 
-    def test_pair_rejected_when_not_allowed(self):
-        with pytest.raises(ConfigError):
-            parse_spam("0.01/0.02", pairs_ok=False)
+    def test_pair_rejected_when_not_allowed(self, tmp_path, capsys):
+        # the grammar parses a pair anywhere; the simulator rejects one for prep
+        assert parse_spam("0.01/0.02,0.0") == [(0.01, 0.02), 0.0]
+        message = "preparation takes one probability per qubit, got (0.01, 0.02)"
+        with pytest.raises(ValueError) as caught:
+            simulator.GroundTruth(n=2, rates=[1.0, 0, 0, 0], prep=[(0.01, 0.02), 0.0])
+        assert str(caught.value) == message
+        code = run("simulate", "--preset", "iid_bitflip:0.01", "--n", 2, "--depths", 1,
+                   "--prep", "0.01/0.02,0.0", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad parameters for preset 'iid_bitflip': {message}\n"
+        )
+        assert not (tmp_path / "dataset.jsonl").exists()
 
     def test_garbage(self):
         with pytest.raises(ConfigError):

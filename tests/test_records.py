@@ -381,8 +381,14 @@ class TestCellMeans:
             ds.cell_means([1, 3], [3])
         with pytest.raises(CoverageError):
             ds.cell_means([1], [1])
-        with pytest.raises(ValueError, match="repeat"):
-            ds.cell_means([1], [0, 0])
+        # a batch keeps its order and its repeats: a repeated input or depth
+        # gives a repeated row, bit for bit
+        means = ds.cell_means([2, 1, 2], [3, 0, 3])
+        assert means.shape == (3, 3, 4)
+        once = ds.cell_means([1, 2], [0, 3])
+        for i, index in enumerate([3, 0, 3]):
+            for j, depth in enumerate([2, 1, 2]):
+                assert np.array_equal(means[i, j], once[[0, 3].index(index), [1, 2].index(depth)])
 
 
 class TestCodecEdgeCases:

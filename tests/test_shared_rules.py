@@ -119,6 +119,18 @@ EMPTY_SELECTIONS = {
     ),
     "predict_distribution": (lambda: channel.predict_distribution(MODEL, 1, []), "input states"),
     "NoiseModel.rows": (lambda: MODEL.rows(np.empty(0, int)), "input states"),
+    "generate_dataset depths": (
+        lambda: simulator.generate_dataset(simulator.iid_bitflip(2, 0.01), [], 1), "depths"
+    ),
+    "generate_dataset inputs": (
+        lambda: simulator.generate_dataset(simulator.iid_bitflip(2, 0.01), [1], 1, inputs=[]),
+        "input states",
+    ),
+    "generate_circuits": (lambda: simulator.generate_circuits(2, [], 1), "depths"),
+    "exact_distributions": (
+        lambda: simulator.exact_distributions(simulator.iid_bitflip(2, 0.01), 1, []),
+        "input states",
+    ),
 }
 
 
@@ -152,3 +164,162 @@ def test_per_qubit_products_keep_the_mask_loop_bits(n):
         paired[0b11] += 0.03
         paired /= 1.03
         assert np.array_equal(simulator.correlated_pair(n, q, 0.03).rates, paired)
+
+
+# every input at depths 0..3 from a device with readout and preparation
+# flips, and the model fitted to it
+DEVICE = simulator.iid_bitflip(2, 0.05, readout=[(0.02, 0.04), 0.03], prep=[0.01, 0.0])
+DATA = simulator.generate_dataset(DEVICE, range(4), 3, inputs=range(4), shots=32, seed=5)
+FITTED = estimation.estimate_model(DATA)[0]
+AVERAGES = [estimation.aggregate(DATA, depth, index) for depth in range(4) for index in range(4)]
+
+INDEX_ENTRY_POINTS = {
+    "NoiseModel.rows": lambda index: FITTED.rows([0, index]),
+    "predict_distribution": lambda index: channel.predict_distribution(FITTED, 1, index),
+    "Dataset.distributions": lambda index: DATA.distributions(1, [index]),
+    "Dataset.cell_means": lambda index: DATA.cell_means([1], [0, index]),
+    "estimate_model": lambda index: estimation.estimate_model(DATA, inputs=[index]),
+    "rb_series_from_dataset": lambda index: estimation.rb_series_from_dataset(DATA, index),
+    "evaluate_mitigation": lambda index: mitigation.evaluate_mitigation(
+        DATA, FITTED, [1], inputs=[index]
+    ),
+    "generate_dataset": lambda index: simulator.generate_dataset(DEVICE, [1], 1, inputs=[index]),
+    "exact_distributions": lambda index: simulator.exact_distributions(DEVICE, 1, [index]),
+    "GroundTruth override": lambda index: simulator.GroundTruth(
+        n=2, rates=DEVICE.rates, rates_by_input={index: DEVICE.rates}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value,shown", [(1.5, "1.5"), (True, "True"), ("1", "'1'"), (np.float64(1.0), "1.0")]
+)
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_basis_index_that_is_not_an_integer(entry, value, shown):
+    what = "override input" if entry == "GroundTruth override" else "input index"
+    with pytest.raises(ValueError) as caught:
+        INDEX_ENTRY_POINTS[entry](value)
+    assert str(caught.value) == f"{what} {shown} is not an integer"
+
+
+DEPTH_ENTRY_POINTS = {
+    "predict_distribution": lambda depth: channel.predict_distribution(FITTED, depth, 0),
+    "mitigation_matrix": lambda depth: channel.mitigation_matrix(FITTED, depth),
+    "apply_transition_power": lambda depth: channel.apply_transition_power(
+        DEVICE.rates, depth, np.eye(4)[0]
+    ),
+    "Dataset.distributions": lambda depth: DATA.distributions(depth, [0]),
+    "Dataset.cell_means": lambda depth: DATA.cell_means([1, depth], [0]),
+    "estimate_model": lambda depth: estimation.estimate_model(DATA, train_depths=[1, depth]),
+    "estimate_model_from_averages": lambda depth: estimation.estimate_model_from_averages(
+        2, AVERAGES, train_depths=[1, depth]
+    ),
+    "rb_series_from_dataset": lambda depth: estimation.rb_series_from_dataset(
+        DATA, depths=[depth]
+    ),
+    "evaluate_mitigation": lambda depth: mitigation.evaluate_mitigation(DATA, FITTED, [depth]),
+    "exact_distributions": lambda depth: simulator.exact_distributions(DEVICE, depth, [0]),
+    "generate_dataset": lambda depth: simulator.generate_dataset(DEVICE, [1, depth], 1),
+    "generate_circuits": lambda depth: simulator.generate_circuits(2, [depth], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (2.5, "depth 2.5 is not an integer"),
+        (True, "depth True is not an integer"),
+        ("1", "depth '1' is not an integer"),
+        (np.float64(2.0), "depth 2.0 is not an integer"),
+        (-1, "depth must be >= 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize("entry", DEPTH_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_depth_alike(entry, value, message):
+    with pytest.raises(ValueError) as caught:
+        DEPTH_ENTRY_POINTS[entry](value)
+    assert str(caught.value) == message
+
+
+def _model_bits(model):
+    return model.inputs.tolist(), model.rates.tobytes(), model.spam.tobytes()
+
+
+def _dataset_bits(dataset):
+    columns = ("depth", "input", "seq", "shots", "outcome", "count", "starts")
+    return [getattr(dataset, name).tobytes() for name in columns]
+
+
+# each call takes (depths, inputs); the entry points without an inputs
+# argument ignore it
+SELECTIONS = {
+    "estimate_model": lambda depths, inputs: _model_bits(
+        estimation.estimate_model(DATA, inputs=inputs, train_depths=depths)[0]
+    ),
+    "estimate_model_from_averages": lambda depths, inputs: _model_bits(
+        estimation.estimate_model_from_averages(2, AVERAGES, train_depths=depths)[0]
+    ),
+    "rb_series_from_dataset": lambda depths, inputs: estimation.rb_series_from_dataset(
+        DATA, depths=depths
+    ),
+    "evaluate_mitigation": lambda depths, inputs: mitigation.evaluate_mitigation(
+        DATA, FITTED, depths, inputs=inputs
+    ).rows,
+    "generate_dataset": lambda depths, inputs: _dataset_bits(
+        simulator.generate_dataset(DEVICE, depths, 2, inputs=inputs, shots=16, seed=3)
+    ),
+    "generate_circuits": lambda depths, inputs: simulator.generate_circuits(2, depths, 2),
+}
+
+
+@pytest.mark.parametrize("entry", SELECTIONS)
+def test_every_selection_is_its_sorted_distinct_values(entry):
+    call = SELECTIONS[entry]
+    assert call([3, 1, 3, 2], [3, 0, 3, 1]) == call([1, 2, 3], [0, 1, 3])
+    assert call(np.array([2, 1, 2]), (1, 1)) == call([1, 2], [1])
+    assert call({3, 2}, (index for index in [3, 1])) == call(range(2, 4), [1, 3])
+
+
+BATCHES = {
+    "NoiseModel.rows": lambda inputs: FITTED.rows(inputs),
+    "predict_distribution": lambda inputs: channel.predict_distribution(FITTED, 2, inputs),
+    "Dataset.distributions": lambda inputs: DATA.distributions(2, inputs),
+    "Dataset.cell_means": lambda inputs: DATA.cell_means([2, 1, 2], inputs),
+    "exact_distributions": lambda inputs: simulator.exact_distributions(DEVICE, 2, inputs),
+}
+
+
+@pytest.mark.parametrize("entry", BATCHES)
+def test_every_batch_keeps_its_order_and_repeats(entry):
+    call = BATCHES[entry]
+    batch = call([3, 0, 3, 1])
+    alone = [call([index]) for index in (3, 0, 3, 1)]
+    assert np.array_equal(batch, np.concatenate(alone))
+
+
+RATES_0 = np.eye(4)[0]
+PROBABILITIES = {
+    "iid_bitflip q": (lambda p: simulator.iid_bitflip(2, p), "flip probability"),
+    "correlated_pair q": (lambda p: simulator.correlated_pair(2, p, 0.01), "flip probability"),
+    "readout": (
+        lambda p: simulator.GroundTruth(n=2, rates=RATES_0, readout=p), "readout probability"
+    ),
+    "readout pair": (
+        lambda p: simulator.GroundTruth(n=2, rates=RATES_0, readout=[0.0, (0.01, p)]),
+        "readout probability",
+    ),
+    "spam_only epsilon": (lambda p: simulator.spam_only(2, p), "readout probability"),
+    "prep": (
+        lambda p: simulator.GroundTruth(n=2, rates=RATES_0, prep=[p, 0.0]),
+        "preparation probability",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, -0.01, float("nan")])
+@pytest.mark.parametrize("entry", PROBABILITIES)
+def test_every_device_probability_is_checked_alike(entry, value):
+    build, what = PROBABILITIES[entry]
+    with pytest.raises(ValueError) as caught:
+        build(value)
+    assert str(caught.value) == f"{what} must be in [0, 0.5), got {value}"

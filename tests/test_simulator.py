@@ -20,7 +20,7 @@ from oracles import (
     traced_peak,
 )
 from qflip import channel, clifford, simulator
-from qflip.errors import ConfigError
+from qflip.errors import ConfigError, CoverageError
 
 
 def kron_chain(mats):
@@ -376,12 +376,25 @@ class TestGenerateDataset:
         envelope = 4 * np.sqrt(exact * (1 - exact) / (circuits * shots))
         assert np.all(np.abs(mean - exact) <= envelope)
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, tmp_path):
         gt = simulator.iid_bitflip(1, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(CoverageError, match="empty selection of depths"):
             simulator.generate_dataset(gt, depths=[], circuits_per_depth=1)
-        with pytest.raises(ValueError):
-            simulator.generate_dataset(gt, depths=[1, 1], circuits_per_depth=1)
+        with pytest.raises(CoverageError, match="empty selection of input states"):
+            simulator.generate_dataset(gt, depths=[1], circuits_per_depth=1, inputs=[])
+        # a repeated depth or input is the selection without the repeat
+        repeated = simulator.generate_dataset(
+            gt, depths=[1, 1], circuits_per_depth=2, inputs=[1, 0, 1], shots=8, seed=3
+        )
+        single = simulator.generate_dataset(
+            gt, depths=[1], circuits_per_depth=2, inputs=[0, 1], shots=8, seed=3
+        )
+        repeated.write_jsonl(tmp_path / "repeated.jsonl")
+        single.write_jsonl(tmp_path / "single.jsonl")
+        assert (tmp_path / "repeated.jsonl").read_bytes() == (
+            tmp_path / "single.jsonl"
+        ).read_bytes()
+        assert len(repeated) == 4
         with pytest.raises(ValueError):
             simulator.generate_dataset(gt, depths=[1], circuits_per_depth=0)
         with pytest.raises(ValueError):
