@@ -451,6 +451,8 @@ class Dataset:
 
     def circuits(self, depth: int, input_index: int) -> int:
         """Number of records (circuits) in the (depth, input) cell."""
+        depth = check_depths(depth).item()
+        input_index = check_basis_indices(input_index, self.n).item()
         self.require([depth], [input_index])
         return len(self._cells[(depth, input_index)])
 

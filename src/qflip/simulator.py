@@ -20,7 +20,7 @@ from . import clifford
 from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError, require_selected, select
 from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers
-from .transforms import check_basis_indices, check_qubit_count, require_prob_dist
+from .transforms import check_basis_indices, check_qubit_count, check_seed, require_prob_dist
 
 __all__ = [
     "GroundTruth",
@@ -188,9 +188,72 @@ def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndar
     return exact_distributions(gt, depth, [input_index])[0]
 
 
-def _shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
-    # one stream per (depth, circuit); independent of list order and workers
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth, sequence_id)))
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> int:
+    """How many 32-bit words SeedSequence splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _hash(words: np.ndarray, const: int, mult: int, skip: int) -> np.ndarray:
+    """SeedSequence's hash of each row of the uint32 array words, row i
+    xored with the hash constant const * mult**(skip + i) and multiplied
+    by the next one."""
+    consts = [const * pow(mult, skip + i, 1 << 32) % (1 << 32) for i in range(len(words) + 1)]
+    consts = np.array(consts, np.uint32)[:, None]
+    out = (words ^ consts[:-1]) * consts[1:]
+    return out ^ out >> np.uint32(16)
+
+
+def _circuit_streams(seed: int, depth: int, count: int):
+    """Yield the random streams of one depth's circuits k = 0 .. count-1,
+    count <= 2**32: for circuit k, a Generator in the state of
+    ``default_rng(SeedSequence(seed, spawn_key=(depth, k)))``.
+
+    The same Generator comes each time with its PCG64 state set anew, so
+    draw from one stream before asking for the next. SeedSequence hashes
+    the seed and the depth alike for every circuit; only the last spawn
+    word, k, differs. So one SeedSequence per depth gives the entropy pool
+    before k, and one uint32 pass over every k mixes k in and expands the
+    pools to PCG64's four seed words, as generate_state(4, uint64) does;
+    pcg64_set_seed's two 128-bit LCG steps then run on Python ints.
+    """
+    prefix = np.random.SeedSequence(seed, spawn_key=(depth,))
+    size = prefix.pool_size
+    # the entropy before k is the seed's words, padded to the pool size,
+    # then the depth's: SeedSequence hashes the first pool_size words once
+    # each, then pool words once per ordered pair of distinct words, then
+    # each later word once per pool word
+    skip = size * size + size * (max(_uint32_words(seed), size) + _uint32_words(depth) - size)
+    keys = _hash(np.tile(np.arange(count, dtype=np.uint32), (size, 1)), _INIT_A, _MULT_A, skip)
+    mixed = np.uint32(_MIX_MULT_L) * prefix.pool[:, None] - np.uint32(_MIX_MULT_R) * keys
+    pools = mixed ^ mixed >> np.uint32(16)
+    # PCG64 takes four uint64 seed words: eight uint32 words, cycling
+    # through the pool, in little-endian pairs (state high, state low,
+    # sequence high, sequence low)
+    words = _hash(pools[np.arange(8) % size], _INIT_B, _MULT_B, 0)
+    seeds = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
+    bit_generator = np.random.PCG64(prefix)
+    rng = np.random.Generator(bit_generator)
+    for state_high, state_low, sequence_high, sequence_low in seeds:
+        # pcg64_set_seed: from state 0, one LCG step, add the initial
+        # state, one more step
+        inc = ((sequence_high << 64 | sequence_low) << 1 | 1) & _MASK128
+        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
@@ -203,8 +266,7 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     # every circuit's counts go into one block, so that the entries are
     # found, gathered and narrowed once per depth, not once per circuit
     block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
-    for k in range(circuits_per_depth):
-        rng = _shard_rng(seed, depth, k)
+    for k, rng in enumerate(_circuit_streams(seed, depth, circuits_per_depth)):
         # draw the circuit's gate ids first, as sample_identity_circuit does,
         # so generate_circuits reproduces it; depth 0 draws nothing
         rng.integers(0, clifford.GROUP_ORDER, size=(depth, gt.n))
@@ -233,12 +295,19 @@ def generate_dataset(
 ) -> Dataset:
     """Sample circuits_per_depth circuits at every depth and input state.
 
-    Deterministic per seed: every (depth, circuit) pair derives its own
-    random stream, so results are identical whether generation runs
-    serially or sharded across worker processes. Each depth's counts are
-    made in one dense block and kept only as the Dataset's compact
-    entries. depths and inputs are selections: sorted, repeats dropped.
+    Deterministic per seed, one integer >= 0: circuit k at depth m draws
+    from its own random stream, the one
+    ``default_rng(SeedSequence(seed, spawn_key=(m, k)))`` gives, first its
+    (m, n) gate ids, as generate_circuits does, then one multinomial over
+    the inputs in input order. So results are identical whether generation
+    runs serially or sharded across worker processes, and do not depend on
+    the other depths. The streams of a depth are seeded in one vectorized
+    pass, with no SeedSequence, PCG64 or Generator built per circuit. Each
+    depth's counts are made in one dense block and kept only as the
+    Dataset's compact entries. depths and inputs are selections: sorted,
+    repeats dropped.
     """
+    seed = check_seed(seed)
     depths, inputs = select(depths), select(inputs, gt.n)
     if circuits_per_depth < 1:
         raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
@@ -266,10 +335,10 @@ def generate_dataset(
 
 def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):
     """The identity circuits generate_dataset draws, in dataset order."""
+    seed = check_seed(seed)
     circuits = []
     for depth in select(depths):
-        for k in range(circuits_per_depth):
-            rng = _shard_rng(seed, depth, k)
+        for k, rng in enumerate(_circuit_streams(seed, depth, circuits_per_depth)):
             if depth == 0:
                 circuits.append(clifford.empty_circuit(n))
             else:

@@ -25,6 +25,7 @@ __all__ = [
     "check_qubit_count",
     "check_basis_indices",
     "check_depths",
+    "check_seed",
     "require_prob_dist",
 ]
 
@@ -71,6 +72,15 @@ def check_depths(depths) -> np.ndarray:
     if negative.any():
         raise ValueError(f"depth must be >= 0, got {arr[negative].flat[0]}")
     return arr.astype(np.int64, copy=False)
+
+
+def check_seed(seed) -> int:
+    """seed, a random seed, as a Python int; ValueError unless it is one
+    integer >= 0."""
+    value = _checked_integers(seed, "seed")
+    if value.ndim or value < 0:
+        raise ValueError(f"seed must be one integer >= 0, got {seed!r}")
+    return int(value)
 
 
 def _checked_integers(values, what: str) -> np.ndarray:

@@ -261,6 +261,13 @@ def per_input_exact_distribution(gt, depth: int, input_index: int) -> np.ndarray
     return state / state.sum()
 
 
+def shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
+    """The random stream of circuit sequence_id at depth, built for it
+    alone: one SeedSequence keyed by (depth, sequence_id), one PCG64, one
+    Generator."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth, sequence_id)))
+
+
 def per_input_true_noise_model(gt):
     """The planted model built as one InputChannel per basis input (its
     own rates, the shared spectral SPAM), then stacked by NoiseModel."""

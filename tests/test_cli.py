@@ -206,6 +206,13 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == "error: qubit count must be in [1, 12], got 0\n"
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run("simulate", "--preset", "iid_bitflip:0.1", "--n", 2,
+                   "--depths", "1", "--seed", -1, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be one integer >= 0, got -1\n"
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_bad_preset_parameter_exits_2(self, tmp_path):
         code = run("simulate", "--preset", "iid_bitflip:0.7", "--n", 2,
                    "--depths", "1", "--out", tmp_path)

@@ -377,6 +377,11 @@ class TestCellMeans:
             inputs=[0, 3], shots=16, seed=4,
         )
         assert ds.circuits(2, 3) == 2
+        # a depth or input that is not an integer is named, not truncated
+        # or looked up as a missing cell
+        for depth, index in [(1.5, 0), (1, 1.0), (1, True)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                ds.circuits(depth, index)
         with pytest.raises(CoverageError, match=r"m=3, in=11"):
             ds.cell_means([1, 3], [3])
         with pytest.raises(CoverageError):

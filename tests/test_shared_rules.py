@@ -178,6 +178,7 @@ INDEX_ENTRY_POINTS = {
     "predict_distribution": lambda index: channel.predict_distribution(FITTED, 1, index),
     "Dataset.distributions": lambda index: DATA.distributions(1, [index]),
     "Dataset.cell_means": lambda index: DATA.cell_means([1], [0, index]),
+    "Dataset.circuits": lambda index: DATA.circuits(1, index),
     "estimate_model": lambda index: estimation.estimate_model(DATA, inputs=[index]),
     "rb_series_from_dataset": lambda index: estimation.rb_series_from_dataset(DATA, index),
     "evaluate_mitigation": lambda index: mitigation.evaluate_mitigation(
@@ -210,6 +211,7 @@ DEPTH_ENTRY_POINTS = {
     ),
     "Dataset.distributions": lambda depth: DATA.distributions(depth, [0]),
     "Dataset.cell_means": lambda depth: DATA.cell_means([1, depth], [0]),
+    "Dataset.circuits": lambda depth: DATA.circuits(depth, 0),
     "estimate_model": lambda depth: estimation.estimate_model(DATA, train_depths=[1, depth]),
     "estimate_model_from_averages": lambda depth: estimation.estimate_model_from_averages(
         2, AVERAGES, train_depths=[1, depth]

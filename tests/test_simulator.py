@@ -9,6 +9,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_gate_matrix,
@@ -17,6 +19,7 @@ from oracles import (
     depolarized_measurement,
     per_input_exact_distribution,
     per_input_true_noise_model,
+    shard_rng,
     traced_peak,
 )
 from qflip import channel, clifford, simulator
@@ -402,6 +405,62 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             simulator.generate_dataset(gt, depths=[1], circuits_per_depth=1, inputs=[0], shots=0)
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (None, "seed None is not an integer"),
+            (True, "seed True is not an integer"),
+            (1.5, "seed 1.5 is not an integer"),
+            (-1, "seed must be one integer >= 0, got -1"),
+            ([1, 2], "seed must be one integer >= 0, got [1, 2]"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["generate_dataset", "generate_circuits"])
+    def test_seed_is_one_integer_at_least_zero(self, entry, seed, message, monkeypatch):
+        # checked before any work: nothing is seeded or sampled
+        def unreachable(*args, **kwargs):
+            raise AssertionError("seeded before the seed was checked")
+
+        monkeypatch.setattr(simulator, "_circuit_streams", unreachable)
+        monkeypatch.setattr(simulator, "exact_distributions", unreachable)
+        with pytest.raises(ValueError) as caught:
+            if entry == "generate_dataset":
+                simulator.generate_dataset(simulator.iid_bitflip(1, 0.1), [1], 2, seed=seed)
+            else:
+                simulator.generate_circuits(1, [1], 2, seed=seed)
+        assert str(caught.value) == message
+
+    def test_numpy_integer_and_wide_seeds_are_taken(self):
+        gt = simulator.iid_bitflip(1, 0.1)
+        for seed in (np.uint64(7), 2**100 + 7):
+            ds = simulator.generate_dataset(gt, [1], 2, shots=8, seed=seed)
+            for record in ds.records:
+                rng = shard_rng(int(seed), 1, record.sequence_id)
+                rng.integers(0, clifford.GROUP_ORDER, size=(1, 1))
+                sample = rng.multinomial(8, simulator.exact_distribution(gt, 1, 0))
+                assert record.counts == {i: int(c) for i, c in enumerate(sample) if c}
+
+    def test_each_depth_seeds_one_generator(self, monkeypatch):
+        built = {"SeedSequence": 0, "PCG64": 0, "Generator": 0}
+
+        def counted(name):
+            cls = getattr(np.random, name)
+
+            def build(*args, **kwargs):
+                built[name] += 1
+                return cls(*args, **kwargs)
+
+            return build
+
+        for name in built:
+            monkeypatch.setattr(np.random, name, counted(name))
+        gt = simulator.iid_bitflip(2, 0.05)
+        simulator.generate_dataset(gt, [0, 1, 5], 50, inputs=[0, 3], shots=16, seed=3)
+        assert built == {"SeedSequence": 3, "PCG64": 3, "Generator": 3}
+        built.update(dict.fromkeys(built, 0))
+        simulator.generate_circuits(2, [0, 1, 5], 50, seed=3)
+        assert built == {"SeedSequence": 3, "PCG64": 3, "Generator": 3}
+
     def test_generated_circuits_are_identities(self):
         circuits = simulator.generate_circuits(2, depths=[0, 3], circuits_per_depth=2, seed=4)
         assert len(circuits) == 4
@@ -418,7 +477,7 @@ class TestGenerateDataset:
             gt, depths=[0, 3], circuits_per_depth=2, inputs=[0, 1], shots=32, seed=4
         )
         for record in ds.records:
-            rng = simulator._shard_rng(4, record.depth, record.sequence_id)
+            rng = shard_rng(4, record.depth, record.sequence_id)
             circuit = circuits[2 * (record.depth > 0) + record.sequence_id]
             if record.depth:
                 assert circuit == clifford.sample_identity_circuit(2, record.depth, rng)
@@ -426,3 +485,39 @@ class TestGenerateDataset:
                 dist = simulator.exact_distribution(gt, record.depth, index)
                 sample = rng.multinomial(32, dist)
             assert record.counts == {i: int(c) for i, c in enumerate(sample) if c}
+
+
+def _derived_states(seed, depth, count):
+    return [rng.bit_generator.state for rng in simulator._circuit_streams(seed, depth, count)]
+
+
+class TestCircuitStreams:
+    """The one-pass seeding gives each circuit the PCG64 state that its own
+    SeedSequence(seed, spawn_key=(depth, k)) would."""
+
+    def test_numpy_pool_holds_four_words(self):
+        # the derivation mixes k into a four-word pool; a numpy that changes
+        # the pool size changes every stream
+        assert np.random.SeedSequence().pool_size == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1)),
+        depth=st.one_of(st.integers(0, 200), st.integers(2**32, 2**96)),
+        count=st.integers(1, 40),
+    )
+    def test_states_equal_per_circuit_seeding(self, seed, depth, count):
+        expected = [shard_rng(seed, depth, k).bit_generator.state for k in range(count)]
+        assert _derived_states(seed, depth, count) == expected
+
+    def test_states_equal_per_circuit_seeding_past_16_bits_of_k(self):
+        states = _derived_states(11, 30, 70_000)
+        for k in (0, 1, 65_535, 65_536, 69_999):
+            assert states[k] == shard_rng(11, 30, k).bit_generator.state
+
+    def test_seeds_past_the_pool_are_mixed_in(self):
+        # a seed of more than four words, and one spanning exactly four
+        for seed in (2**200 + 3, 2**127 + 1):
+            assert _derived_states(seed, 2, 3) == [
+                shard_rng(seed, 2, k).bit_generator.state for k in range(3)
+            ]
