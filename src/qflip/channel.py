@@ -186,7 +186,7 @@ class NoiseModel:
         wanted = check_basis_indices(input_indices, self.n).reshape(-1)
         require_selected(wanted, "input states")
         found = np.minimum(np.searchsorted(self.inputs, wanted), self.inputs.size - 1)
-        missing = np.unique(wanted[self.inputs[found] != wanted]).tolist()
+        missing = sorted(set(wanted[self.inputs[found] != wanted].tolist()))
         if missing:
             shown = format_missing(missing, lambda i: f"{i} ({index_to_bits(i, self.n)})")
             plural = "s" if len(missing) > 1 else ""

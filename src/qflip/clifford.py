@@ -3,13 +3,16 @@
 The group is generated by closure from the Hadamard and phase gates,
 quotienting global phase, with elements numbered in order of first
 appearance. Gate ids index a fixed canonical table; composition and
-inversion are table lookups. Circuits are m random layers of per-qubit
+inversion are table lookups. The tables are built the first time a gate
+is composed, inverted or looked up, not at import: a run that only draws
+gate ids needs GROUP_ORDER alone. Circuits are m random layers of per-qubit
 gates followed by one inverse layer that undoes each qubit's sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +30,11 @@ __all__ = [
 ]
 
 GROUP_ORDER = 24
+IDENTITY_ID = 0
+# the generators' ids in order of first appearance, checked when the
+# group is built
+HADAMARD_ID = 1
+PHASE_ID = 2
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -62,23 +70,18 @@ def _build_group() -> tuple[list[np.ndarray], dict[bytes, int]]:
                 elements.append(product)
     if len(elements) != GROUP_ORDER:
         raise RuntimeError(f"group closure produced {len(elements)} elements")
+    if (index[_key(_HADAMARD)], index[_key(_PHASE)]) != (HADAMARD_ID, PHASE_ID):
+        raise RuntimeError("the generators' ids moved")
     return elements, index
 
 
-_ELEMENTS, _INDEX = _build_group()
-
-IDENTITY_ID = 0
-HADAMARD_ID = _INDEX[_key(_HADAMARD)]
-PHASE_ID = _INDEX[_key(_PHASE)]
-
-
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    elements = np.stack(_ELEMENTS).reshape(GROUP_ORDER, 4)
-    products = _canonical(np.einsum("gij,hjk->ghik", _ELEMENTS, _ELEMENTS)).reshape(-1, 4)
+def _build_tables(group: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    elements = np.stack(group).reshape(GROUP_ORDER, 4)
+    products = _canonical(np.einsum("gij,hjk->ghik", group, group)).reshape(-1, 4)
     # real Frobenius inner products: 2 with the product's own element, at
     # most sqrt(2) with any other. Every temporary stays under 128 KiB: a
-    # larger one freed at import raises malloc's mmap threshold, which
-    # measured 2-5 MiB more peak RSS in a later run-all
+    # larger one freed raises malloc's mmap threshold, which measured
+    # 2-5 MiB more peak RSS in a later run-all
     overlap = np.einsum("pk,ek->pe", products.real, elements.real) + np.einsum(
         "pk,ek->pe", products.imag, elements.imag
     )
@@ -89,7 +92,12 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
     return compose_table, inverse_table
 
 
-_COMPOSE, _INVERSE = _build_tables()
+@cache
+def _group() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The elements, the composition table and the inverse table, built
+    on first use."""
+    elements, _ = _build_group()
+    return (elements, *_build_tables(elements))
 
 
 def _check_id(gate_id: int) -> int:
@@ -101,17 +109,17 @@ def _check_id(gate_id: int) -> int:
 
 def compose(g: int, h: int) -> int:
     """Group product g . h (h acts first on states)."""
-    return int(_COMPOSE[_check_id(g), _check_id(h)])
+    return int(_group()[1][_check_id(g), _check_id(h)])
 
 
 def inverse(g: int) -> int:
     """The id satisfying compose(g, inverse(g)) == IDENTITY_ID."""
-    return int(_INVERSE[_check_id(g)])
+    return int(_group()[2][_check_id(g)])
 
 
 def unitary(gate_id: int) -> np.ndarray:
     """Canonical 2x2 unitary for a gate id (phase-normalized, read-only copy)."""
-    return _ELEMENTS[_check_id(gate_id)].copy()
+    return _group()[0][_check_id(gate_id)].copy()
 
 
 @dataclass(frozen=True)

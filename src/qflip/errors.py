@@ -6,8 +6,6 @@ The CLI maps these onto process exit codes; library callers can catch
 QflipError to handle anything raised by this package.
 """
 
-import numpy as np
-
 from .transforms import check_basis_indices, check_depths
 
 
@@ -47,6 +45,6 @@ def select(values, n: int | None = None) -> list:
     or, given n, of basis indices of n qubits; CoverageError when it is
     empty, ValueError from ``check_depths`` or ``check_basis_indices``."""
     checked = check_depths(values) if n is None else check_basis_indices(values, n)
-    chosen = np.unique(checked).tolist()
+    chosen = sorted(set(checked.reshape(-1).tolist()))
     require_selected(chosen, "depths" if n is None else "input states")
     return chosen

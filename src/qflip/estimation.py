@@ -131,7 +131,10 @@ def fit_decay(spectra, depths) -> FitResult:
         raise ValueError(
             f"spectrum table shape {table.shape} does not match {len(depth_arr)} depths"
         )
-    if np.unique(depth_arr).size < len(depth_arr):
+    # two NaN depths repeat a value too: sorted, a NaN anywhere but last
+    # has another NaN after it
+    ordered = np.sort(depth_arr)
+    if np.any((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])):
         raise ValueError("training depths repeat a value")
     usable = table > FIT_FLOOR
     used = usable.sum(axis=0)

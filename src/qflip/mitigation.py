@@ -91,7 +91,7 @@ def _kl_bits(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
     packed = np.zeros(a.shape)
     packed[np.nonzero(mask)[0], np.cumsum(mask, axis=1)[mask] - 1] = terms
     totals = np.empty(len(a))
-    for count in np.unique(support):
+    for count in sorted(set(support.tolist())):
         chosen = support == count
         totals[chosen] = packed[chosen, :count].sum(axis=1)
     return totals

@@ -30,6 +30,7 @@ import math
 import os
 from collections import Counter, namedtuple
 from collections.abc import Sequence
+from functools import cache
 from itertools import chain, islice
 
 import numpy as np
@@ -54,11 +55,11 @@ _CSV_VALUES = 1 << 14
 # the checks add up each record's counts this many entries at a time; a
 # block makes a few int64 temporaries of its size
 _SUM_ENTRIES = 1 << 14
-# np.fromstring saturates an int64 past 2**63 - 1, so the block reader
-# takes only digit runs of up to 18 characters: values below this
-_PARSE_LIMIT = 10**18
-# a bytes.translate table that keeps the digits and turns every other byte into a space
-_DIGITS_ONLY = bytes(byte if 48 <= byte <= 57 else 32 for byte in range(256))
+# _render writes a number below 10**_TABLE_DIGITS as one row of a digit
+# table; the block reader takes numbers of up to _PARSE_DIGITS digits,
+# which all fit an int64, and leaves a longer one to the line reader
+_TABLE_DIGITS = 4
+_PARSE_DIGITS = 18
 
 # a JSON object decodes to a tuple of (key, value) pairs: a repeated key
 # stays visible, and an object is told apart from an array
@@ -114,7 +115,7 @@ def _record_blocks(starts: np.ndarray, entries: int) -> list[int]:
     """Record bounds of consecutive blocks of about ``entries`` count
     entries each, for entries grouped by record from offsets ``starts``."""
     cuts = np.searchsorted(starts, np.arange(entries, starts[-1], entries))
-    return np.unique(np.concatenate([[0], cuts, [len(starts) - 1]])).tolist()
+    return sorted({0, *cuts.tolist(), len(starts) - 1})
 
 
 def _sum_faults(count: np.ndarray, shots: np.ndarray, starts: np.ndarray):
@@ -527,64 +528,109 @@ class Dataset:
         return _read_lines(path) if dataset is None else dataset
 
 
-def _render(n, depth, input, seq, shots, outcome, count, starts) -> np.ndarray:
-    """The dataset lines of a block of records, as uint8 bytes; record r's
-    count entries are ``outcome``/``count[starts[r]:starts[r + 1]]``, at
-    least one per record. The only formatter of dataset lines.
+def _render(n, depth, input, seq, shots, outcome, count, starts) -> bytes:
+    """The dataset lines of a block of records; record r's count entries
+    are ``outcome``/``count[starts[r]:starts[r + 1]]``, at least one per
+    record. The only formatter of dataset lines.
 
-    Each count entry is one matrix row, each record head a few rows of the
-    same width, in file order; every field is right-aligned in a
-    fixed-width column, padded with 0 bytes. The lines are the matrix's
-    bytes with the 0 bytes dropped.
+    Each count entry is one matrix row: its separator (',', or '{' before
+    a record's first entry) and quoted key, gathered from one table row
+    per outcome, then its count's digits. Each record head is a few rows
+    of the same width, from '}}\\n' that closes the record before it to
+    '"counts":'. Every field is right-aligned in a fixed-width column,
+    padded with 0 bytes. Whole rows are put in file order as void items,
+    and the lines are the matrix's bytes with the 0 bytes dropped, less
+    the first head's '}}\\n' and with the last record's added.
     """
     records, entries = len(depth), len(outcome)
-    bits = _bit_table(n)
-    ends = np.zeros((entries, 3), np.uint8)
-    ends[:, 0] = ord(",")
-    ends[starts[1:] - 1] = np.frombuffer(b"}}\n", np.uint8)
-    tails = _side_by_side(entries, b'"', bits[outcome], b'":', _digits(count), ends)
-    heads = _side_by_side(
-        records, b'{"depth":', _digits(depth), b',"input":"', bits[input], b'","seq":',
-        _digits(seq), b',"shots":', _digits(shots), b',"counts":{',
+    digits = _digits(count)
+    key = n + 4
+    width = key + digits.shape[1]
+    row = np.dtype((np.void, width))
+    tails = np.empty(entries, [("key", f"V{key}"), ("count", f"V{digits.shape[1]}")])
+    index = outcome.astype(np.intp)
+    index[starts[:-1]] += 1 << n
+    tails["key"] = np.take(_entry_keys(n), index)
+    tails["count"] = digits.view(tails.dtype["count"]).ravel()
+    fields = (
+        b'}}\n{"depth":', _digits(depth), np.take(_input_keys(n), input, axis=0),
+        _digits(seq), b',"shots":', _digits(shots), b',"counts":',
     )
-    width = tails.shape[1]
-    height = -(-heads.shape[1] // width)
-    heads = np.pad(heads, ((0, 0), (0, height * width - heads.shape[1])))
-    is_head = np.zeros(records * height + entries, bool)
-    is_head[(np.arange(records) * height + starts[:-1])[:, None] + np.arange(height)] = True
-    rows = np.empty((len(is_head), width), np.uint8)
-    rows[is_head] = heads.reshape(-1, width)
-    rows[~is_head] = tails
-    return rows[rows != 0]
+    heads = _side_by_side(records, *fields, multiple=width)
+    height = heads.shape[1] // width
+    rows = np.empty(records * height + entries, row)
+    # record r's head rows start after r heads and the entries before it
+    firsts = starts[:-1] + np.arange(records) * height
+    np.put(rows, (firsts[:, None] + np.arange(height)).ravel(), heads.view(row))
+    shift = np.zeros(entries, np.intp)
+    shift[starts[:-1]] = height
+    np.put(rows, np.cumsum(shift) + np.arange(entries), tails.view(row))
+    return rows.tobytes().translate(None, b"\0")[3:] + b"}}\n"
 
 
-def _bit_table(n: int) -> np.ndarray:
+@cache
+def _bits(n: int) -> np.ndarray:
     """Row i: the n-character bitstring of basis index i, as ASCII bytes."""
     shifts = np.arange(n - 1, -1, -1)
-    return ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    bits = ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    bits.flags.writeable = False
+    return bits
+
+
+@cache
+def _entry_keys(n: int) -> np.ndarray:
+    """',"<bits>":' of each outcome i of n qubits as void item i, and
+    '{"<bits>":' as item 2**n + i."""
+    separators = np.repeat(np.frombuffer(b",{", np.uint8), 1 << n)[:, None]
+    keys = _side_by_side(2 << n, separators, b'"', np.tile(_bits(n), (2, 1)), b'":')
+    keys.flags.writeable = False
+    return keys.view(np.dtype((np.void, n + 4))).ravel()
+
+
+@cache
+def _input_keys(n: int) -> np.ndarray:
+    """Row i: ',"input":"<bits>","seq":' of input i of n qubits."""
+    keys = _side_by_side(1 << n, b',"input":"', _bits(n), b'","seq":')
+    keys.flags.writeable = False
+    return keys
+
+
+@cache
+def _digit_table(width: int) -> np.ndarray:
+    """Row v: the decimal digits of v < 10**width as ASCII bytes,
+    right-aligned; 0 bytes pad the left."""
+    values = np.arange(10**width, dtype=np.uint16)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.uint16)
+    table = (values // powers % 10 + ord("0")).astype(np.uint8)
+    table[np.maximum(values, 1) < powers] = 0
+    table.flags.writeable = False
+    return table
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
     """Each non-negative value's decimal digits as a row of ASCII bytes,
-    right-aligned in the width of the largest; 0 bytes pad the left."""
+    right-aligned in the width of the largest; 0 bytes pad the left.
+    Values below 10**_TABLE_DIGITS are table rows; a longer value is its
+    quotient's digits followed by its remainder's, '0'-filled."""
     width = len(str(values.max()))
-    out = np.zeros((len(values), width), np.uint8)
-    out[:, -1] = values % 10 + ord("0")
-    rest = values // 10
-    for column in range(width - 2, -1, -1):
-        out[:, column] = (rest % 10 + ord("0")) * (rest > 0)
-        rest = rest // 10
-    return out
+    if width <= _TABLE_DIGITS:
+        return np.take(_digit_table(width), values, axis=0)
+    high, low = np.divmod(values, 10**_TABLE_DIGITS)
+    long = (high > 0)[:, None]
+    low = np.take(_digit_table(_TABLE_DIGITS), low, axis=0)
+    return np.hstack([_digits(high) * long, np.where(long, np.maximum(low, ord("0")), low)])
 
 
-def _side_by_side(rows: int, *fields) -> np.ndarray:
-    """The fields as one (rows, total width) uint8 matrix; a bytes field
-    repeats on every row."""
+def _side_by_side(rows: int, *fields, multiple: int = 1) -> np.ndarray:
+    """The fields as one uint8 matrix of ``rows`` rows, its width rounded up
+    to a multiple of ``multiple`` with 0 bytes; a bytes field repeats on
+    every row."""
     fields = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
     edges = np.cumsum([0] + [field.shape[-1] for field in fields]).tolist()
-    out = np.empty((rows, edges[-1]), np.uint8)
+    out = np.empty((rows, -(-edges[-1] // multiple) * multiple), np.uint8)
     for field, lo, hi in zip(fields, edges, edges[1:]):
         out[:, lo:hi] = field
+    out[:, edges[-1]:] = 0
     return out
 
 
@@ -647,48 +693,89 @@ def _parse_block(n: int, block: bytes) -> tuple | None:
     outcome and count of a block of whole lines; None unless _render gives
     the block back byte for byte with each record's outcomes increasing.
 
-    Numbers are the block's digit runs; the colons after the five field
-    names count each line's entries, and a bitstring is read as a decimal
-    number whose digit k is bit k.
+    A line's colons end its five field names, then each entry's key. Each
+    number is read from the bytes between the colon before it and the
+    field name or separator after it; each bitstring from the n bytes
+    after '"input":"' or before an entry's '":'.
     """
     if not block.endswith(b"\n"):
         return None
-    text = np.frombuffer(block, np.uint8)
+    # 0 bytes after the block, so the span of up to _PARSE_DIGITS bytes
+    # from any position in the block lies in text
+    text = np.frombuffer(block + bytes(_PARSE_DIGITS), np.uint8)
     newlines = np.flatnonzero(text == ord("\n"))
     colons = np.flatnonzero(text == ord(":"))
-    lengths = np.bincount(np.searchsorted(newlines, colons), minlength=len(newlines)) - 5
-    values = np.fromstring(block.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
-    tokens = 4 + 2 * lengths
-    if lengths.min() < 1 or len(values) != tokens.sum() or values.max() >= _PARSE_LIMIT:
+    # line i's colons are colons[firsts[i]:line_ends[i]]
+    line_ends = np.searchsorted(colons, newlines)
+    firsts = np.concatenate([[0], line_ends[:-1]])
+    lengths = line_ends - firsts - 5
+    if lengths.min() < 1:
         return None
-    firsts = np.cumsum(tokens) - tokens
-    depth, bits, seq, shots = (values[firsts + field] for field in range(4))
-    in_entries = np.ones(len(values), bool)
-    in_entries[firsts[:, None] + np.arange(4)] = False
-    keys, count = values[in_entries].reshape(-1, 2).T
-    # a narrow copy, so the block's keys are freed once they are decoded;
-    # blocks of other dtypes concatenate to the widest
+    depth_at, input_at, seq_at, shots_at, counts_at = (colons[firsts + k] for k in range(5))
+    in_entries = np.ones(len(colons), bool)
+    in_entries[firsts[:, None] + np.arange(5)] = False
+    keys = colons[in_entries]
+    # an entry's count ends at the ',"' before the next key, or at '}}\n'
+    ends = np.empty(len(keys), np.intp)
+    ends[:-1] = keys[1:] - n - 3
+    ends[np.cumsum(lengths) - 1] = newlines - 2
+    numbers = [
+        _numbers(text, depth_at + 1, input_at - len(b',"input"')),
+        _numbers(text, seq_at + 1, shots_at - len(b',"shots"')),
+        _numbers(text, shots_at + 1, counts_at - len(b',"counts"')),
+        _numbers(text, keys + 1, ends),
+    ]
+    if any(column is None for column in numbers):
+        return None
+    depth, seq, shots, count = numbers
+    # a narrow copy; blocks of other dtypes concatenate to the widest
     count = count.astype(count_dtype(max(shots.max(), count.max())))
-    input = _bits_to_index(bits, n)
-    outcome = _bits_to_index(keys, n).astype(OUTCOME_DTYPE)
+    input = _indices(text, input_at + 2, n)
+    outcome = _indices(text, keys - n - 1, n).astype(OUTCOME_DTYPE)
     starts = np.concatenate([[0], np.cumsum(lengths)])
     same_record = np.ones(len(outcome) - 1, bool)
     same_record[starts[1:-1] - 1] = False
     if np.any(same_record & (outcome[1:] <= outcome[:-1])):
         return None
-    if not np.array_equal(_render(n, depth, input, seq, shots, outcome, count, starts), text):
+    if _render(n, depth, input, seq, shots, outcome, count, starts) != block:
         return None
     return depth, input, seq, shots, lengths, outcome, count
 
 
-def _bits_to_index(values: np.ndarray, n: int) -> np.ndarray:
-    """Basis indices of n-bit strings read as decimal numbers: bit k is set
-    where decimal digit k is not 0."""
-    index = np.zeros_like(values)
-    for k in range(n):
-        values, digit = np.divmod(values, 10)
-        index += np.minimum(digit, 1) << k
-    return index
+def _spans(text: np.ndarray, firsts: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes of text from each of firsts, one row each: the
+    rows of a void view whose items overlap."""
+    items = np.ndarray((len(text) - width + 1,), np.dtype((np.void, width)), text, strides=(1,))
+    return items[firsts].view(np.uint8).reshape(-1, width)
+
+
+def _numbers(text: np.ndarray, firsts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The decimal numbers text[firsts[i]:ends[i]] as int64; None unless
+    each has 1 to _PARSE_DIGITS bytes, all of them digits."""
+    lengths = ends - firsts
+    if lengths.min() < 1 or lengths.max() > _PARSE_DIGITS:
+        return None
+    width = int(lengths.max())
+    digits = _spans(text, firsts, width) - np.uint8(ord("0"))
+    # row l: 255 on the first l of width bytes, 0 on those after them
+    masks = (np.arange(width) < np.arange(width + 1)[:, None]).astype(np.uint8) * 255
+    digits &= np.take(masks, lengths, axis=0)
+    if digits.max() > 9:
+        return None
+    values = digits[:, 0].astype(np.int64)
+    for column in digits.T[1:]:
+        values *= 10
+        values += column
+    # each number was read as if padded with zeros to width digits
+    return values // 10 ** (width - lengths)
+
+
+def _indices(text: np.ndarray, firsts: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices of the n-byte bitstrings of text at firsts: bit k is
+    set where byte n - 1 - k is '1'."""
+    bits = _spans(text, firsts, n) == ord("1")
+    # exact: a float dot product is exact below 2**53
+    return (bits @ 2.0 ** np.arange(n - 1, -1, -1)).astype(np.int64)
 
 
 def _read_lines(path) -> Dataset:

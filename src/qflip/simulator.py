@@ -11,7 +11,6 @@ symmetric (eps01 == eps10) and an approximation otherwise.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +304,8 @@ def generate_dataset(
     pass, with no SeedSequence, PCG64 or Generator built per circuit. Each
     depth's counts are made in one dense block and kept only as the
     Dataset's compact entries. depths and inputs are selections: sorted,
-    repeats dropped.
+    repeats dropped. workers None or 1 runs serially; above 1, depths are
+    sharded over that many processes.
     """
     seed = check_seed(seed)
     depths, inputs = select(depths), select(inputs, gt.n)
@@ -313,8 +313,13 @@ def generate_dataset(
         raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     shard_args = [(gt, depth, circuits_per_depth, inputs, shots, seed) for depth in depths]
     if workers is not None and workers > 1 and len(shard_args) > 1:
+        # imported here: the pool module costs every serial run its import
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_depth_columns, *zip(*shard_args)))
     else:

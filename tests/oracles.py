@@ -228,6 +228,19 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     return np.allclose(a, phase * b, atol=tol)
 
 
+def clifford_closure() -> list:
+    """The single-qubit Clifford group up to global phase, from the
+    identity by right products with H then S, each element numbered on
+    first appearance, compared by equal_up_to_phase."""
+    elements = [IDENTITY_2x2]
+    for current in elements:
+        for generator in (HADAMARD_2x2, PHASE_2x2):
+            product = current @ generator
+            if not any(equal_up_to_phase(product, seen) for seen in elements):
+                elements.append(product)
+    return elements
+
+
 def depolarized_measurement(state: np.ndarray, alpha: float) -> np.ndarray:
     """Computational-basis outcome distribution of a single-qubit
     depolarizing channel rho -> (1-alpha) rho + alpha I/2 applied to a
@@ -307,6 +320,74 @@ def record_to_json(record, n: int) -> str:
         },
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def render_lines(n, depth, input, seq, shots, outcome, count, starts) -> bytes:
+    """Dataset lines of a block of records, as the codec's first byte
+    kernel made them: each count entry one matrix row, each record head a
+    few rows of the same width, every field right-aligned in a fixed-width
+    column padded with 0 bytes, the lines the matrix's bytes with the 0
+    bytes dropped."""
+    records, entries = len(depth), len(outcome)
+    bits = bit_table(n)
+    ends = np.zeros((entries, 3), np.uint8)
+    ends[:, 0] = ord(",")
+    ends[starts[1:] - 1] = np.frombuffer(b"}}\n", np.uint8)
+    tails = _side_by_side(entries, b'"', bits[outcome], b'":', decimal_digits(count), ends)
+    heads = _side_by_side(
+        records, b'{"depth":', decimal_digits(depth), b',"input":"', bits[input], b'","seq":',
+        decimal_digits(seq), b',"shots":', decimal_digits(shots), b',"counts":{',
+    )
+    width = tails.shape[1]
+    height = -(-heads.shape[1] // width)
+    heads = np.pad(heads, ((0, 0), (0, height * width - heads.shape[1])))
+    is_head = np.zeros(records * height + entries, bool)
+    is_head[(np.arange(records) * height + starts[:-1])[:, None] + np.arange(height)] = True
+    rows = np.empty((len(is_head), width), np.uint8)
+    rows[is_head] = heads.reshape(-1, width)
+    rows[~is_head] = tails
+    return rows[rows != 0].tobytes()
+
+
+def bit_table(n: int) -> np.ndarray:
+    """Row i: the n-character bitstring of basis index i, as ASCII bytes."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+
+
+def decimal_digits(values: np.ndarray) -> np.ndarray:
+    """Each non-negative value's decimal digits as a row of ASCII bytes,
+    right-aligned in the width of the largest, by repeated division;
+    0 bytes pad the left."""
+    width = len(str(values.max()))
+    out = np.zeros((len(values), width), np.uint8)
+    out[:, -1] = values % 10 + ord("0")
+    rest = values // 10
+    for column in range(width - 2, -1, -1):
+        out[:, column] = (rest % 10 + ord("0")) * (rest > 0)
+        rest = rest // 10
+    return out
+
+
+def _side_by_side(rows: int, *fields) -> np.ndarray:
+    """The fields as one (rows, total width) uint8 matrix; a bytes field
+    repeats on every row."""
+    fields = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
+    edges = np.cumsum([0] + [field.shape[-1] for field in fields]).tolist()
+    out = np.empty((rows, edges[-1]), np.uint8)
+    for field, lo, hi in zip(fields, edges, edges[1:]):
+        out[:, lo:hi] = field
+    return out
+
+
+def bits_to_index(values: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices of n-bit strings read as decimal numbers: bit k is set
+    where decimal digit k is not 0."""
+    index = np.zeros_like(values)
+    for k in range(n):
+        values, digit = np.divmod(values, 10)
+        index += np.minimum(digit, 1) << k
+    return index
 
 
 def csv_writer_file(path, header, columns, rows) -> None:

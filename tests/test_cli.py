@@ -213,6 +213,23 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: seed must be one integer >= 0, got -1\n"
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        code = run("simulate", "--preset", "iid_bitflip:0.1", "--n", 2,
+                   "--depths", "1,2", "--workers", workers, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_workers_write_the_serial_bytes(self, tmp_path):
+        args = ("simulate", "--preset", "iid_bitflip:0.05", "--n", 2, "--inputs", "all",
+                "--depths", "0..3", "--K", 4, "--seed", 8, "--shots", 50)
+        assert run(*args, "--out", tmp_path / "serial") == 0
+        assert run(*args, "--workers", 2, "--out", tmp_path / "pool") == 0
+        for name in ("dataset.jsonl", "profile.json"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "pool" / name).read_bytes() == serial
+
     def test_bad_preset_parameter_exits_2(self, tmp_path):
         code = run("simulate", "--preset", "iid_bitflip:0.7", "--n", 2,
                    "--depths", "1", "--out", tmp_path)
@@ -784,6 +801,47 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    @pytest.fixture(scope="class")
+    def model_path(self, run_dir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("startup")
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl", "--train", "1..4",
+                   "--out", path)
+        assert code == 0
+        return path / "model.json"
+
+    @pytest.mark.parametrize("command", ["simulate", "characterize", "predict", "mitigate",
+                                         "run-all"])
+    def test_commands_load_no_masked_arrays_or_process_pool(
+        self, run_dir, model_path, tmp_path, command
+    ):
+        # numpy.ma cost every command 11-20 ms and concurrent.futures about
+        # 6 ms; nothing a serial run does needs either, nor the Clifford tables
+        dataset, model = run_dir / "dataset.jsonl", model_path
+        argv = {
+            "simulate": ["--preset", "iid_bitflip:0.05", "--n", 2, "--depths", "0..3", "--K", 2,
+                         "--shots", 20, "--inputs", "all"],
+            "characterize": ["--dataset", dataset, "--train", "1..4", "--rb", "--pavg"],
+            "predict": ["--model", model, "--depths", "2,4", "--dataset", dataset],
+            "mitigate": ["--model", model, "--dataset", dataset, "--test", "2,3", "--pavg"],
+            "run-all": ["--preset", "iid_bitflip:0.05", "--n", 2, "--K", 2, "--shots", 20,
+                        "--train", "1..3", "--test", "2,5", "--rb", "--pavg"],
+        }[command]
+        probe = (
+            "import sys\n"
+            "from qflip import clifford\n"
+            "from qflip.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "loaded = [m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules]\n"
+            "print(loaded, clifford._group.cache_info().currsize)\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, command, *map(str, argv), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[] 0"
 
     def test_no_subcommand_exits_2(self):
         result = subprocess.run(

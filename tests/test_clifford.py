@@ -1,3 +1,7 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from qflip.clifford import (
     unitary,
 )
 
-from oracles import IDENTITY_2x2, equal_up_to_phase
+from oracles import IDENTITY_2x2, clifford_closure, equal_up_to_phase
 
 
 def compose_unitaries(gate_ids):
@@ -140,4 +144,39 @@ def test_module_regenerates_same_ids():
     # rebuilding from scratch yields the same table
     elements, _ = clifford._build_group()
     for gid, mat in enumerate(elements):
-        assert np.array_equal(mat, clifford._ELEMENTS[gid])
+        assert np.array_equal(mat, unitary(gid))
+
+
+class TestTablesOnFirstUse:
+    """The tables are built when first used, and are the ones the module
+    built at import before."""
+
+    # sha256 of the int8 composition table as the import-time build made it
+    COMPOSE_SHA256 = "eab2efdab85fd8419ff7f310d571e6e059af8d570ad85061b42f42b02ecad399"
+    INVERSES = [0, 1, 10, 11, 13, 5, 8, 9, 6, 7, 2, 3, 12, 4, 21, 22, 16, 17, 18, 19, 20, 14, 15, 23]
+
+    def test_tables_are_unchanged(self):
+        table = np.array([[compose(g, h) for h in range(GROUP_ORDER)] for g in range(GROUP_ORDER)])
+        assert hashlib.sha256(table.astype(np.int8).tobytes()).hexdigest() == self.COMPOSE_SHA256
+        assert [inverse(g) for g in range(GROUP_ORDER)] == self.INVERSES
+        assert (IDENTITY_ID, HADAMARD_ID, PHASE_ID) == (0, 1, 2)
+
+    def test_unitaries_follow_the_closure_order(self):
+        closure = clifford_closure()
+        assert len(closure) == GROUP_ORDER
+        for gate_id, element in enumerate(closure):
+            u = unitary(gate_id)
+            assert equal_up_to_phase(u, element)
+            # phase-normalized: the first nonzero entry is real positive
+            first = u.flat[np.argmax(np.abs(u.ravel()) > 1e-9)]
+            assert abs(first.imag) < 1e-12 and first.real > 0
+
+    def test_import_does_not_build_the_group(self):
+        probe = (
+            "import qflip, qflip.cli\n"
+            "from qflip import clifford\n"
+            "print(clifford._group.cache_info().currsize, clifford.GROUP_ORDER)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "24"]

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bits_to_index,
     csv_writer_file,
     dataset_of,
+    decimal_digits,
     json_dump_file,
     record_to_json,
+    render_lines,
     stacked_cell_means,
     traced_peak,
 )
@@ -793,6 +796,109 @@ class TestBlockCodec:
         parsed = records._read_rendered(path)
         assert parsed is not None
         assert read_outcome(lambda _: parsed, path) == read_outcome(records._read_lines, path)
+
+
+def values_of_digits(rng, size: int, most: int) -> np.ndarray:
+    """size int64 values, each of 1 to ``most`` decimal digits, the digit
+    counts uniform; 19 digits reach 2**63 - 1."""
+    digits = rng.integers(1, most + 1, size).tolist()
+    return np.array([
+        rng.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, 2**63 - 1), endpoint=True)
+        for d in digits
+    ], np.int64)
+
+
+@st.composite
+def kernel_columns(draw):
+    """_render's arguments: n = 1..12, 1 to 4 records of 1 to 2**n count
+    entries, and depth, seq, shots and count values of 1 to 19 digits."""
+    n = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.one_of(st.just(1 << n), st.integers(1, 1 << n)), min_size=1,
+                            max_size=4))
+    most = {column: draw(st.integers(1, 19)) for column in ("depth", "seq", "shots", "count")}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records_, entries = len(lengths), sum(lengths)
+    count = values_of_digits(rng, entries, most["count"])
+    outcome = np.concatenate([np.sort(rng.choice(1 << n, size, replace=False)) for size in lengths])
+    return (
+        n, values_of_digits(rng, records_, most["depth"]), rng.integers(0, 1 << n, records_),
+        values_of_digits(rng, records_, most["seq"]), values_of_digits(rng, records_, most["shots"]),
+        outcome.astype(records.OUTCOME_DTYPE), count.astype(records.count_dtype(count.max())),
+        np.concatenate([[0], np.cumsum(lengths)]),
+    )
+
+
+class TestCodecKernels:
+    """The table-gather kernels give the bytes and values of the division
+    kernels they replaced (oracles.render_lines and bits_to_index)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(columns=kernel_columns())
+    def test_render_and_parse_match_the_reference(self, columns):
+        n, depth, input, seq, shots, outcome, count, starts = columns
+        rendered = records._render(*columns)
+        assert rendered == render_lines(*columns)
+        parsed = records._parse_block(n, rendered)
+        if max(depth.max(), seq.max(), shots.max(), count.max()) >= 10**18:
+            assert parsed is None
+            return
+        expected = (depth, input, seq, shots, np.diff(starts), outcome, count)
+        assert [column.tolist() for column in parsed] == [column.tolist() for column in expected]
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_values_at_the_table_edges(self, n):
+        values = np.array([0, 9, 10, 99, 100, 9999, 10**4, 10**4 + 1, 99999, 10**8, 10**18 - 1,
+                           10**18, 2**63 - 1], np.int64)
+        size = len(values)
+        columns = (
+            n, values, np.arange(size) % (1 << n), values[::-1].copy(), values,
+            np.full(size, (1 << n) - 1, records.OUTCOME_DTYPE), values, np.arange(size + 1),
+        )
+        assert records._render(*columns) == render_lines(*columns)
+        for width in range(1, records._TABLE_DIGITS + 1):
+            table = records._digit_table(width)
+            assert table.tobytes() == decimal_digits(np.arange(10**width)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_bitstrings_read_as_the_decimal_reading(self, n):
+        rng = np.random.default_rng(n)
+        index = np.concatenate([[0, (1 << n) - 1], rng.integers(0, 1 << n, 200)])
+        text = np.frombuffer("".join(f"{i:0{n}b}" for i in index).encode() + bytes(n), np.uint8)
+        decimal = np.array([int(f"{i:0{n}b}") for i in index], np.int64)
+        got = records._indices(text, np.arange(len(index)) * n, n)
+        assert got.tolist() == bits_to_index(decimal, n).tolist() == index.tolist()
+
+    @pytest.mark.parametrize(
+        "old,new,outcome",
+        [
+            (b'"seq":0,', b'"seq":0x,',
+             ":2: malformed dataset record: Expecting ',' delimiter: line 1 column 32 (char 31)"),
+            (b'"depth":20', b'"depth":020',
+             ":4: malformed dataset record: Expecting ',' delimiter: line 1 column 11 (char 10)"),
+            (b'"01":7', b'"01":07',
+             ":4: malformed dataset record: Expecting ',' delimiter: line 1 column 60 (char 59)"),
+            (b'"shots":5,"counts":{"00":1', b'"shots": 5,"counts":{"00":1', None),
+            (b'"01":7}}', b'"01":7}',
+             ":4: malformed dataset record: Expecting ',' delimiter: line 1 column 61 (char 60)"),
+            (b'{"00":3,"11":2}', b'{"11":2,"00":3}', None),
+        ],
+        ids=["stray letter", "leading zero", "leading zero count", "space", "missing brace",
+             "outcomes out of order"],
+    )
+    def test_mutated_block_is_left_to_the_line_reader(self, tmp_path, old, new, outcome):
+        assert CANONICAL.count(old) == 1
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(CANONICAL.replace(old, new))
+        assert records._read_rendered(path) is None
+        got = read_outcome(records.Dataset.read_jsonl, path)
+        assert got == read_outcome(records._read_lines, path)
+        if outcome is None:
+            # the line reader takes the spelling and gives the canonical file's columns
+            canonical = tmp_path / "canonical.jsonl"
+            canonical.write_bytes(CANONICAL)
+            assert got == read_outcome(records._read_rendered, canonical)
+        else:
+            assert got == f"{path}{outcome}"
 
 
 CANONICAL = (

@@ -5,6 +5,7 @@ matrices with np.kron and compare against the simulator's spectral and
 per-qubit application paths.
 """
 
+import concurrent.futures
 from functools import reduce
 
 import numpy as np
@@ -429,6 +430,31 @@ class TestGenerateDataset:
             else:
                 simulator.generate_circuits(1, [1], 2, seed=seed)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers, monkeypatch):
+        # checked before any work, as circuits per depth and shots are
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before workers was checked")
+
+        monkeypatch.setattr(simulator, "_depth_columns", unreachable)
+        gt = simulator.iid_bitflip(1, 0.1)
+        with pytest.raises(ValueError) as caught:
+            simulator.generate_dataset(gt, [1, 2], 2, workers=workers)
+        assert str(caught.value) == f"workers must be >= 1, got {workers}"
+
+    def test_none_and_one_worker_run_serially(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+        gt = simulator.iid_bitflip(1, 0.1)
+        kwargs = dict(depths=[1, 2], circuits_per_depth=2, shots=8, seed=4)
+        default = simulator.generate_dataset(gt, **kwargs)
+        for workers in (None, 1):
+            ds = simulator.generate_dataset(gt, workers=workers, **kwargs)
+            for column in ("depth", "input", "seq", "shots", "starts", "outcome", "count"):
+                np.testing.assert_array_equal(getattr(ds, column), getattr(default, column))
 
     def test_numpy_integer_and_wide_seeds_are_taken(self):
         gt = simulator.iid_bitflip(1, 0.1)
