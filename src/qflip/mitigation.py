@@ -73,17 +73,19 @@ def jsd(p, q):
         rows = slice(lo, lo + step)
         p_part = np.maximum(p_rows[rows], 0.0)
         q_part = np.maximum(q_rows[rows], 0.0)
-        mid = p_part + q_part
-        mid *= 0.5
-        scores[rows] = 0.5 * (_kl_bits(p_part, mid) + _kl_bits(q_part, mid))
+        total = p_part + q_part
+        scores[rows] = 0.5 * (_kl_bits(p_part, total) + _kl_bits(q_part, total))
     return float(scores[0]) if p_arr.ndim == 1 else scores.reshape(p_arr.shape[:-1])
 
 
-def _kl_bits(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """sum(a * log2(a / mid)) over the support of a, per row of ``(rows, 2**n)``."""
+def _kl_bits(a: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """sum(a * log2(a / mid)) over the support of a, per row of ``(rows, 2**n)``,
+    where mid = total / 2."""
     mask = a > 0.0
     terms = a[mask]
-    terms *= np.log2(terms / mid[mask])
+    # 2a / total, not a / (total / 2): halving a subnormal total can round
+    # it to 0, while doubling is exact, so normal values give the same bits
+    terms *= np.log2(2.0 * terms / total[mask])
     # pack each row's support terms to its front and add up the first
     # `support` of them: np.sum's pairwise order depends on the length, so
     # this adds each row exactly as a 1-d sum over its support would

@@ -187,72 +187,22 @@ def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndar
     return exact_distributions(gt, depth, [input_index])[0]
 
 
-# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# count entries (circuits x inputs x outcomes), or gate ids, drawn per
+# numpy call, unless one circuit holds more: a call's int64 result stays
+# within 128 KiB, one n=7 circuit's counts over all 128 inputs, however
+# many circuits a depth has
+_DRAW_ENTRIES = 1 << 14
 
 
-def _uint32_words(value: int) -> int:
-    """How many 32-bit words SeedSequence splits a non-negative int into."""
-    return max(1, -(-value.bit_length() // 32))
+def _depth_rng(seed: int, depth: int) -> np.random.Generator:
+    """The random stream of one depth, the one
+    ``default_rng(SeedSequence(seed, spawn_key=(depth,)))`` gives."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(depth,))))
 
 
-def _hash(words: np.ndarray, const: int, mult: int, skip: int) -> np.ndarray:
-    """SeedSequence's hash of each row of the uint32 array words, row i
-    xored with the hash constant const * mult**(skip + i) and multiplied
-    by the next one."""
-    consts = [const * pow(mult, skip + i, 1 << 32) % (1 << 32) for i in range(len(words) + 1)]
-    consts = np.array(consts, np.uint32)[:, None]
-    out = (words ^ consts[:-1]) * consts[1:]
-    return out ^ out >> np.uint32(16)
-
-
-def _circuit_streams(seed: int, depth: int, count: int):
-    """Yield the random streams of one depth's circuits k = 0 .. count-1,
-    count <= 2**32: for circuit k, a Generator in the state of
-    ``default_rng(SeedSequence(seed, spawn_key=(depth, k)))``.
-
-    The same Generator comes each time with its PCG64 state set anew, so
-    draw from one stream before asking for the next. SeedSequence hashes
-    the seed and the depth alike for every circuit; only the last spawn
-    word, k, differs. So one SeedSequence per depth gives the entropy pool
-    before k, and one uint32 pass over every k mixes k in and expands the
-    pools to PCG64's four seed words, as generate_state(4, uint64) does;
-    pcg64_set_seed's two 128-bit LCG steps then run on Python ints.
-    """
-    prefix = np.random.SeedSequence(seed, spawn_key=(depth,))
-    size = prefix.pool_size
-    # the entropy before k is the seed's words, padded to the pool size,
-    # then the depth's: SeedSequence hashes the first pool_size words once
-    # each, then pool words once per ordered pair of distinct words, then
-    # each later word once per pool word
-    skip = size * size + size * (max(_uint32_words(seed), size) + _uint32_words(depth) - size)
-    keys = _hash(np.tile(np.arange(count, dtype=np.uint32), (size, 1)), _INIT_A, _MULT_A, skip)
-    mixed = np.uint32(_MIX_MULT_L) * prefix.pool[:, None] - np.uint32(_MIX_MULT_R) * keys
-    pools = mixed ^ mixed >> np.uint32(16)
-    # PCG64 takes four uint64 seed words: eight uint32 words, cycling
-    # through the pool, in little-endian pairs (state high, state low,
-    # sequence high, sequence low)
-    words = _hash(pools[np.arange(8) % size], _INIT_B, _MULT_B, 0)
-    seeds = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
-    bit_generator = np.random.PCG64(prefix)
-    rng = np.random.Generator(bit_generator)
-    for state_high, state_low, sequence_high, sequence_low in seeds:
-        # pcg64_set_seed: from state 0, one LCG step, add the initial
-        # state, one more step
-        inc = ((sequence_high << 64 | sequence_low) << 1 | 1) & _MASK128
-        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+def _circuits_per_call(entries_per_circuit: int) -> int:
+    """How many circuits one draw of entries_per_circuit entries each takes."""
+    return max(1, _DRAW_ENTRIES // max(1, entries_per_circuit))
 
 
 def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
@@ -260,17 +210,28 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     count). Records run through the circuits, each over every input;
     record r's count entries are the next lengths[r] (outcome, count)
     pairs, by increasing outcome, in the dtypes the Dataset stores.
+
+    The depth's stream draws every circuit's (depth, n) gate ids first, as
+    generate_circuits does, and drops them; then every record's counts,
+    circuit-major, each circuit's rows in input order. Each draw is split
+    into calls of at most _DRAW_ENTRIES entries, or of one circuit, which
+    changes no value.
     """
     dists = exact_distributions(gt, depth, inputs)
+    rng = _depth_rng(seed, depth)
+    step = _circuits_per_call(depth * gt.n)
+    for lo in range(0, circuits_per_depth, step):
+        circuits = min(step, circuits_per_depth - lo)
+        rng.integers(0, clifford.GROUP_ORDER, size=(circuits, depth, gt.n))
     # every circuit's counts go into one block, so that the entries are
     # found, gathered and narrowed once per depth, not once per circuit
     block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
-    for k, rng in enumerate(_circuit_streams(seed, depth, circuits_per_depth)):
-        # draw the circuit's gate ids first, as sample_identity_circuit does,
-        # so generate_circuits reproduces it; depth 0 draws nothing
-        rng.integers(0, clifford.GROUP_ORDER, size=(depth, gt.n))
-        # one row per input, drawn in input order from the circuit's stream
-        block[k] = rng.multinomial(shots, dists)
+    step = _circuits_per_call(dists.size)
+    for lo in range(0, circuits_per_depth, step):
+        rows = block[lo : lo + step]
+        # shots as a (circuits, inputs) array broadcasts against dists, so
+        # dists is not copied once per circuit
+        rows[...] = rng.multinomial(np.full(rows.shape[:2], shots), dists)
     block = block.reshape(-1, gt.size)
     entries = np.flatnonzero(block)
     outcome = (entries % gt.size).astype(OUTCOME_DTYPE)
@@ -294,18 +255,16 @@ def generate_dataset(
 ) -> Dataset:
     """Sample circuits_per_depth circuits at every depth and input state.
 
-    Deterministic per seed, one integer >= 0: circuit k at depth m draws
-    from its own random stream, the one
-    ``default_rng(SeedSequence(seed, spawn_key=(m, k)))`` gives, first its
-    (m, n) gate ids, as generate_circuits does, then one multinomial over
-    the inputs in input order. So results are identical whether generation
+    Deterministic per seed, one integer >= 0: depth m draws from its own
+    random stream, the one ``default_rng(SeedSequence(seed, spawn_key=(m,)))``
+    gives, first every circuit's (m, n) gate ids, as generate_circuits
+    does, then every record's counts, circuit by circuit, each circuit's
+    inputs in input order. So results are identical whether generation
     runs serially or sharded across worker processes, and do not depend on
-    the other depths. The streams of a depth are seeded in one vectorized
-    pass, with no SeedSequence, PCG64 or Generator built per circuit. Each
-    depth's counts are made in one dense block and kept only as the
-    Dataset's compact entries. depths and inputs are selections: sorted,
-    repeats dropped. workers None or 1 runs serially; above 1, depths are
-    sharded over that many processes.
+    the other depths. Each depth's counts are made in one dense block and
+    kept only as the Dataset's compact entries. depths and inputs are
+    selections: sorted, repeats dropped. workers None or 1 runs serially;
+    above 1, depths are sharded over that many processes.
     """
     seed = check_seed(seed)
     depths, inputs = select(depths), select(inputs, gt.n)
@@ -339,11 +298,14 @@ def generate_dataset(
 
 
 def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):
-    """The identity circuits generate_dataset draws, in dataset order."""
+    """The identity circuits generate_dataset draws, in dataset order: at
+    each depth, sample_identity_circuit once per circuit on that depth's
+    stream."""
     seed = check_seed(seed)
     circuits = []
     for depth in select(depths):
-        for k, rng in enumerate(_circuit_streams(seed, depth, circuits_per_depth)):
+        rng = _depth_rng(seed, depth)
+        for k in range(circuits_per_depth):
             if depth == 0:
                 circuits.append(clifford.empty_circuit(n))
             else:

@@ -274,11 +274,27 @@ def per_input_exact_distribution(gt, depth: int, input_index: int) -> np.ndarray
     return state / state.sum()
 
 
-def shard_rng(seed: int, depth: int, sequence_id: int) -> np.random.Generator:
-    """The random stream of circuit sequence_id at depth, built for it
-    alone: one SeedSequence keyed by (depth, sequence_id), one PCG64, one
-    Generator."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth, sequence_id)))
+def depth_rng(seed: int, depth: int) -> np.random.Generator:
+    """The random stream of one depth, built by numpy's default_rng."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth,)))
+
+
+def depth_draws(gt, seed: int, depth: int, circuits: int, inputs, shots: int):
+    """One depth's gate ids and counts drawn one circuit, then one record,
+    per numpy call: each circuit's (depth, n) ids, then each circuit's
+    records in input order, one multinomial row each. Gives the list of
+    id arrays and the list of {outcome: count} dicts, in record order."""
+    from qflip.clifford import GROUP_ORDER
+    from qflip.simulator import exact_distribution
+
+    rng = depth_rng(seed, depth)
+    ids = [rng.integers(0, GROUP_ORDER, size=(depth, gt.n)) for _ in range(circuits)]
+    counts = []
+    for _ in range(circuits):
+        for index in inputs:
+            sample = rng.multinomial(shots, exact_distribution(gt, depth, index))
+            counts.append({outcome: int(c) for outcome, c in enumerate(sample) if c})
+    return ids, counts
 
 
 def per_input_true_noise_model(gt):

@@ -30,10 +30,10 @@ ARGV = [
 ]
 
 PINS = {
-    "dataset.jsonl": "0d0656d0707a38ea9e8480593e17130254f601841561d713c8fe51ab5ee0c24e",
-    "model.json": "ecc3bfb56364b923897473a760b3f6761e87f885fa1d1a45b3e41c10d9eb44a0",
-    "report.csv": "ef0c6cfc01f26ed94d468b1c98b4e600e4eda0840f9967299eb3d9ea522aea7f",
-    "predictions.csv": "80b6acfaa2c16fb76d59e35050e50d650ee5d358d81a2e12d82ee72db2088acb",
+    "dataset.jsonl": "226da59f24f82f05e09fe72e2d2fcd7410c878e3bd058d08d68423b422d618a5",
+    "model.json": "431397f3d27445ec65b9c55777b552ff0fef973e1b13552e812d39fe8627a0bd",
+    "report.csv": "e7bc5c8030e5b94bb6331970c1309259fbf94db8acdfceca18deb24465c1ef60",
+    "predictions.csv": "b2cba4b7c083093e3718e7dd773399d1310938044d91fd5b2ec8d2071eb03a8e",
     "profile.json": "b98b6cfb14e27ac3c6bbe217226a186865cfb558b101a5ecebc662e2b59ea1f2",
 }
 
@@ -55,12 +55,12 @@ ARGV_N4 = [
 ]
 
 PINS_N4 = {
-    "dataset.jsonl": "736555503485439608505443524d3f2152300dce0d3b570f3d26ade215a81c8f",
-    "model.json": "cfdaa4d2ee81740d9c75268ee4d3dd5b504a86cc2e9c784ec14525a6be60b1ca",
-    "report.csv": "c8eb7ba9d2c9ceacd1d59db8ae8655e4790dde4ee6392fcba219ae2297d05a4a",
-    "predictions.csv": "4c7a49d333550357a5a5c009a0b34a0eeb8a576903d6263c336e0563a31c2df2",
-    "rb.json": "b55399761a46e024c553c19fce5e13cccb87e139c57c8fdd5bcd675e578a889f",
-    "diagnostics_1011.csv": "e9442dd8f3274b26df22b26977d7596ea10ff788a04895bd92ea5255b2d0c743",
+    "dataset.jsonl": "a032cc1c74dad47347c2f1c76246464d800a2cd5ba0884aefa92358166f7a58e",
+    "model.json": "2f5f1afaabe97f149233338d8d4d741e44522bed59e2ff2ce979a531df2e0af8",
+    "report.csv": "15a8ed88109bc278954073c9ebc3370127b8e54ce129ff65612ee54d9414aefc",
+    "predictions.csv": "3c3b6dba42feaae80d8994484d1ec705e85b0b38a61c6dd9ff16d37fe983f20c",
+    "rb.json": "b669bc50d6eac3ecfe5a7d3ea6c807333372bd07d0b5ffd0e76e99017c3ac4f5",
+    "diagnostics_1011.csv": "cc45cfaf68f3b5f863d300ad94261d46c8a8b6b9096a5afb1625f86387e49912",
     "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
 }
 
@@ -120,12 +120,12 @@ STAGED_N3 = [
 ]
 
 PINS_STAGED_N3 = {
-    "dataset.jsonl": "7ff0fd0a33bf50153697aef96566905b55cf4913428b5d44654365a5378a6df2",
-    "model.json": "cf35107d9fa3c69de81b4a1edf5e223e4b5c123d408ee3b971543c41072d4277",
-    "predictions.csv": "970a0f7ed881af5a915c07418d5c2eb21852e0392268de8563f9f85f02e17b16",
-    "diagnostics_000.csv": "72534000bfb7854bfb16d080374e42571fc87d6164466593b0e4031e1a527a6b",
-    "diagnostics_011.csv": "eeb3e8bf948d21217b7c44d82f48bea5bdfabd620fa34d2ac06232d0c27ad396",
-    "diagnostics_101.csv": "0b6b8a2d88e792b01b05409ff2cd5d582dd513709bdea331b1a3eabef74d0c9c",
+    "dataset.jsonl": "c4adb94588212e312f367cded8d67009012161cca239d48a615cd3b69ce99af8",
+    "model.json": "f62a485fbb2511fe670695f6927528b046c93ea63fdf9fd0ba6b9a203e2a3054",
+    "predictions.csv": "9148a3118f5cedaa11acc4cdb6536bb236d55b6921ef0edc556333d3b8bc9349",
+    "diagnostics_000.csv": "52aa83f9bd1f4891d93ada85dc6529b56609b0eaaf0e0da0d1223d6fa480c638",
+    "diagnostics_011.csv": "06d0517a7b4580d7d386e316d7844e624d03aab74cf548e8ac8aed38c71b0d17",
+    "diagnostics_101.csv": "f1cb2917237b0327c061a8c8ae9aa14bcaf96be914f67ddf9fbf9358ee8c1e48",
     "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
 
@@ -169,9 +169,9 @@ STAGED_PAVG_N3 = [
 ]
 
 PINS_STAGED_PAVG_N3 = {
-    "model.json": "00e502a7a492350e5d84b8b9edbea60d0c72a58b4c4ec58af6163cbb5a17b60c",
-    "rb.json": "81f658e15d858e1257b3b4151bc4f3d9d536ababe7cbd453c994064d233b6987",
-    "diagnostics_111.csv": "667ebcc8c18aa40b4c37f802be2a8d7acc051a0425a9c9ddfcea29cd96285a20",
+    "model.json": "feebcd5e3cba0a75944adcd1e27fcff80e2290071e24d9fead564fc305c5d9be",
+    "rb.json": "357daab0dd39916f111ae216e8ee993a55bc22b8e25f95a4a915192c4dae4fa8",
+    "diagnostics_111.csv": "e28e133f8cf9afedd040c967cadcf88238d6c3ebf9cea21a4446d023c4707fcc",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
 }
 

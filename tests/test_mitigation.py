@@ -59,6 +59,15 @@ class TestJsd:
             q = random_simplex(rng, 2)
             assert 0.0 <= mitigation.jsd(p, q) <= 1.0
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
+    def test_subnormal_entry_scores_half_its_mass(self, tiny):
+        # the midpoint of tiny and 0 underflows at the smallest subnormal;
+        # the score is tiny * log2(2) / 2, rounded (to 0 at the smallest),
+        # with no division by zero
+        with np.errstate(divide="raise", invalid="raise"):
+            got = mitigation.jsd([1.0, tiny], [1.0, 0.0])
+        assert got == 0.5 * tiny
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             mitigation.jsd([0.5, 0.5], [0.25, 0.25, 0.25, 0.25])

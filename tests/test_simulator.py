@@ -10,17 +10,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (
     dense_gate_matrix,
     dense_power_apply,
     dense_wht_matrix,
+    depth_draws,
     depolarized_measurement,
     per_input_exact_distribution,
     per_input_true_noise_model,
-    shard_rng,
     traced_peak,
 )
 from qflip import channel, clifford, simulator
@@ -422,7 +420,7 @@ class TestGenerateDataset:
         def unreachable(*args, **kwargs):
             raise AssertionError("seeded before the seed was checked")
 
-        monkeypatch.setattr(simulator, "_circuit_streams", unreachable)
+        monkeypatch.setattr(simulator, "_depth_rng", unreachable)
         monkeypatch.setattr(simulator, "exact_distributions", unreachable)
         with pytest.raises(ValueError) as caught:
             if entry == "generate_dataset":
@@ -460,11 +458,8 @@ class TestGenerateDataset:
         gt = simulator.iid_bitflip(1, 0.1)
         for seed in (np.uint64(7), 2**100 + 7):
             ds = simulator.generate_dataset(gt, [1], 2, shots=8, seed=seed)
-            for record in ds.records:
-                rng = shard_rng(int(seed), 1, record.sequence_id)
-                rng.integers(0, clifford.GROUP_ORDER, size=(1, 1))
-                sample = rng.multinomial(8, simulator.exact_distribution(gt, 1, 0))
-                assert record.counts == {i: int(c) for i, c in enumerate(sample) if c}
+            _, counts = depth_draws(gt, int(seed), 1, 2, [0], 8)
+            assert [record.counts for record in ds.records] == counts
 
     def test_each_depth_seeds_one_generator(self, monkeypatch):
         built = {"SeedSequence": 0, "PCG64": 0, "Generator": 0}
@@ -497,53 +492,26 @@ class TestGenerateDataset:
                 for gate in circuit.qubit_sequence(q):
                     net = clifford.compose(gate, net)
                 assert net == clifford.IDENTITY_ID
-        # each record's stream draws its circuit's gate ids before the shots
+        # each depth's stream draws its circuits' gate ids, then every
+        # record's counts, circuit by circuit and each in input order
         gt = simulator.iid_bitflip(2, 0.05, readout=0.02)
         ds = simulator.generate_dataset(
             gt, depths=[0, 3], circuits_per_depth=2, inputs=[0, 1], shots=32, seed=4
         )
-        for record in ds.records:
-            rng = shard_rng(4, record.depth, record.sequence_id)
-            circuit = circuits[2 * (record.depth > 0) + record.sequence_id]
-            if record.depth:
-                assert circuit == clifford.sample_identity_circuit(2, record.depth, rng)
-            for index in range(record.input_index + 1):
-                dist = simulator.exact_distribution(gt, record.depth, index)
-                sample = rng.multinomial(32, dist)
-            assert record.counts == {i: int(c) for i, c in enumerate(sample) if c}
-
-
-def _derived_states(seed, depth, count):
-    return [rng.bit_generator.state for rng in simulator._circuit_streams(seed, depth, count)]
-
-
-class TestCircuitStreams:
-    """The one-pass seeding gives each circuit the PCG64 state that its own
-    SeedSequence(seed, spawn_key=(depth, k)) would."""
-
-    def test_numpy_pool_holds_four_words(self):
-        # the derivation mixes k into a four-word pool; a numpy that changes
-        # the pool size changes every stream
-        assert np.random.SeedSequence().pool_size == 4
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1)),
-        depth=st.one_of(st.integers(0, 200), st.integers(2**32, 2**96)),
-        count=st.integers(1, 40),
-    )
-    def test_states_equal_per_circuit_seeding(self, seed, depth, count):
-        expected = [shard_rng(seed, depth, k).bit_generator.state for k in range(count)]
-        assert _derived_states(seed, depth, count) == expected
-
-    def test_states_equal_per_circuit_seeding_past_16_bits_of_k(self):
-        states = _derived_states(11, 30, 70_000)
-        for k in (0, 1, 65_535, 65_536, 69_999):
-            assert states[k] == shard_rng(11, 30, k).bit_generator.state
-
-    def test_seeds_past_the_pool_are_mixed_in(self):
-        # a seed of more than four words, and one spanning exactly four
-        for seed in (2**200 + 3, 2**127 + 1):
-            assert _derived_states(seed, 2, 3) == [
-                shard_rng(seed, 2, k).bit_generator.state for k in range(3)
+        for depth, drawn in ((0, circuits[:2]), (3, circuits[2:])):
+            ids, counts = depth_draws(gt, 4, depth, 2, [0, 1], 32)
+            assert [circuit.layers for circuit in drawn] == [
+                tuple(map(tuple, grid.tolist())) for grid in ids
             ]
+            assert [r.counts for r in ds.records if r.depth == depth] == counts
+
+    @pytest.mark.parametrize("entries", [1, 40, 1 << 30])
+    def test_draws_do_not_depend_on_the_call_size(self, entries, monkeypatch, tmp_path):
+        # one circuit per call, a few with a remainder, and one call per
+        # draw; m * n is odd at depths 1 and 5, so calls split 64-bit words
+        gt = simulator.iid_bitflip(3, 0.05, readout=0.02)
+        kwargs = dict(depths=[0, 1, 5], circuits_per_depth=7, inputs=[0, 3, 6], shots=64, seed=9)
+        simulator.generate_dataset(gt, **kwargs).write_jsonl(tmp_path / "default.jsonl")
+        monkeypatch.setattr(simulator, "_DRAW_ENTRIES", entries)
+        simulator.generate_dataset(gt, **kwargs).write_jsonl(tmp_path / "split.jsonl")
+        assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
