@@ -364,9 +364,15 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
 
 
 def _mitigation_methods(dataset: Dataset, pooled: bool) -> list:
+    # the MEM baseline joins when depth 0 calibrates every input
     methods = [UNMITIGATED]
     if 0 in dataset.depths():
-        methods.append(MEM)
+        try:
+            dataset.require([0], range(dataset.size))
+        except CoverageError as exc:
+            print(f"warning: MEM left out: {exc}", file=sys.stderr)
+        else:
+            methods.append(MEM)
     methods.append(PROPOSED)
     if pooled:
         methods.append(PROPOSED_PAVG)

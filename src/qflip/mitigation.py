@@ -1,16 +1,20 @@
 """Error mitigation and scoring.
 
-Mitigation inverts the depth-m prediction matrix on each circuit's
-empirical distribution and projects back onto the simplex. The classical
-readout-calibration baseline (depth-0 confusion matrix, MEM) is built from
-gate-free records. Quality is scored with the Jensen-Shannon divergence
-in bits against the ideal output of an identity circuit, averaged over
-circuits per (depth, input) and over everything per depth.
+Every method is one entry of CORRECTIONS: a builder that runs once per
+evaluation with ``(dataset, model)`` and gives, per test depth, a
+correction ``rows -> (rows, flag)`` on the depth's ``(records, 2**n)``
+empirical distributions. The matrix methods invert a system on every row
+and project back onto the simplex: proposed the depth-m prediction
+matrix, MEM the readout-calibration baseline (depth-0 confusion matrix)
+built from gate-free records. Quality is scored with the Jensen-Shannon
+divergence in bits against the ideal output of an identity circuit,
+averaged over circuits per (depth, input) and over everything per depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "PROPOSED",
     "PROPOSED_PAVG",
     "METHOD_ORDER",
+    "CORRECTIONS",
     "DEFAULT_METHODS",
     "COND_LIMIT",
     "ILL_CONDITIONED_FLAG",
@@ -40,7 +45,6 @@ UNMITIGATED = "unmitigated"
 MEM = "MEM"
 PROPOSED = "proposed"
 PROPOSED_PAVG = "proposed_pavg"
-METHOD_ORDER = (UNMITIGATED, MEM, PROPOSED, PROPOSED_PAVG)
 DEFAULT_METHODS = (UNMITIGATED, MEM, PROPOSED)
 
 # above this 1-norm condition number the factorized solve is distrusted
@@ -114,21 +118,29 @@ def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
     return solutions, True
 
 
-def _score_rows(outputs: np.ndarray, truth: np.ndarray, project: bool) -> np.ndarray:
-    """JSD of each row of ``(records, 2**n)`` outputs, projected onto the
-    simplex first if project, against the basis state truth[row]. Rows go
-    about _JSD_ENTRIES entries at a time, each block scored against
-    one-hot rows made for it alone."""
+def _score_rows(outputs: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """JSD of each row of ``(records, 2**n)`` outputs against the basis
+    state truth[row]. Rows go about _JSD_ENTRIES entries at a time, each
+    block scored against one-hot rows made for it alone."""
     scores = np.empty(len(outputs))
     step = max(1, _JSD_ENTRIES // outputs.shape[1])
     for lo in range(0, len(outputs), step):
         block = outputs[lo:lo + step]
-        if project:
-            block = simplex_project(block)
         ideal = np.zeros(block.shape)
         ideal[np.arange(len(block)), truth[lo:lo + step]] = 1.0
         scores[lo:lo + step] = jsd(ideal, block)
     return scores
+
+
+def _invert(system: MitigationMatrix, rows: np.ndarray) -> tuple[np.ndarray, str]:
+    """Matrix correction: solve system @ x = row for all rows in one call, then
+    project them in place, _JSD_ENTRIES entries at a time; flag any fallback."""
+    solved, fallback = _solve_columns(system.matrix, rows.T, system.condition)
+    rows = solved.T
+    step = max(1, _JSD_ENTRIES // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        rows[lo:lo + step] = simplex_project(rows[lo:lo + step])
+    return rows, ILL_CONDITIONED_FLAG if fallback else ""
 
 
 def mitigate(mit: MitigationMatrix, noisy) -> np.ndarray:
@@ -136,8 +148,7 @@ def mitigate(mit: MitigationMatrix, noisy) -> np.ndarray:
     noisy = np.asarray(noisy, dtype=float)
     if noisy.shape != (mit.size,):
         raise ValueError(f"distribution shape {noisy.shape} does not match {mit.size}")
-    solution, _ = _solve_columns(mit.matrix, noisy, mit.condition)
-    return simplex_project(solution)
+    return _invert(mit, noisy[None])[0][0]
 
 
 def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
@@ -147,6 +158,32 @@ def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
     needs every basis input at depth 0.
     """
     return MitigationMatrix(0, dataset.cell_means([0], range(dataset.size))[:, 0].T)
+
+
+def _as_measured(dataset: Dataset, model: NoiseModel | None):
+    return lambda depth: lambda rows: (rows, "")
+
+
+def _readout_inverse(dataset: Dataset, model: NoiseModel | None):
+    correction = partial(_invert, build_mem_matrix(dataset))
+    return lambda depth: correction
+
+
+def _prediction_inverse(dataset: Dataset, model: NoiseModel | None):
+    if model is None:
+        raise ValueError("model-based methods need a fitted model")
+    return lambda depth: partial(_invert, mitigation_matrix(model, depth))
+
+
+# method name -> builder(dataset, model), run once per evaluation, giving
+# per test depth a correction rows -> (rows, flag); report order is key order
+CORRECTIONS = {
+    UNMITIGATED: _as_measured,
+    MEM: _readout_inverse,
+    PROPOSED: _prediction_inverse,
+    PROPOSED_PAVG: lambda dataset, model: _prediction_inverse(dataset, model and pool_rates(model)),
+}
+METHOD_ORDER = tuple(CORRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -191,14 +228,13 @@ def evaluate_mitigation(
 ) -> MitigationReport:
     """Score each method per circuit and aggregate.
 
-    Per record: mitigate its empirical distribution (method-dependent) and
-    take the JSD against the input basis state. proposed inverts the
-    model's mitigation matrix, proposed_pavg that of ``pool_rates(model)``,
-    pooled once per call. Each depth and method solves every record in one
-    multi-right-hand-side call, then projects and scores the solutions a
-    block of records at a time. Rows report mean/std over
-    circuits per (depth, input, method), plus pooled "all" rows per
-    (depth, method). Ill-conditioned or fallback solves set the flag.
+    Each method's builder in CORRECTIONS runs once, so the MEM system and
+    ``pool_rates(model)`` are built once per call. Per depth, every method
+    corrects all of the depth's records at once (a matrix method in one
+    multi-right-hand-side solve), and the corrected rows are scored a
+    block of records at a time by their JSD against the input basis state.
+    Rows report mean/std over circuits per (depth, input, method), plus
+    pooled "all" rows per (depth, method), with the correction's flag.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHOD_ORDER]
@@ -206,57 +242,29 @@ def evaluate_mitigation(
         raise ValueError(f"unknown methods {unknown}; choose from {METHOD_ORDER}")
     if not methods:
         raise ValueError("need at least one method")
-    if model is None and (PROPOSED in methods or PROPOSED_PAVG in methods):
-        raise ValueError("model-based methods need a fitted model")
+    ordered = sorted(methods, key=METHOD_ORDER.index)
+    builders = {method: CORRECTIONS[method](dataset, model) for method in ordered}
     depths = [d for d in dataset.depths() if d > 0] if test_depths is None else select(test_depths)
     inputs = dataset.input_indices() if inputs is None else select(inputs, dataset.n)
     dataset.require(depths, inputs)
-    mem_matrix = build_mem_matrix(dataset) if MEM in methods else None
-    models = {PROPOSED: model}
-    if PROPOSED_PAVG in methods:
-        models[PROPOSED_PAVG] = pool_rates(model)
 
-    ordered = sorted(methods, key=METHOD_ORDER.index)
     rows = []
     for depth in depths:
         sizes = [dataset.circuits(depth, index) for index in inputs]
         truth = np.repeat(inputs, sizes)
         raw = dataset.distributions(depth, inputs)
         scores, flags = {}, {}
-        for method in ordered:
-            flags[method] = ""
-            if method == UNMITIGATED:
-                scores[method] = _score_rows(raw, truth, project=False)
-                continue
-            system = mem_matrix if method == MEM else mitigation_matrix(models[method], depth)
-            solved, fallback = _solve_columns(system.matrix, raw.T, system.condition)
-            if fallback:
-                flags[method] = ILL_CONDITIONED_FLAG
-            scores[method] = _score_rows(solved.T, truth, project=True)
-            del solved
-        per_input = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) for m in ordered}
-        for position, index in enumerate(inputs):
+        for method, builder in builders.items():
+            corrected, flags[method] = builder(depth)(raw)
+            scores[method] = _score_rows(corrected, truth)
+            del corrected
+        # each input's cell in input order, then the pooled "all" row
+        cells = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) + [scores[m]] for m in ordered}
+        labels = [index_to_bits(index, dataset.n) for index in inputs] + ["all"]
+        for position, label in enumerate(labels):
             for method in ordered:
-                values = per_input[method][position]
-                rows.append(
-                    ReportRow(
-                        depth=depth,
-                        input_label=index_to_bits(index, dataset.n),
-                        method=method,
-                        mean_jsd=float(values.mean()),
-                        std_jsd=float(values.std()),
-                        flags=flags[method],
-                    )
-                )
-        for method in ordered:
-            rows.append(
-                ReportRow(
-                    depth=depth,
-                    input_label="all",
-                    method=method,
-                    mean_jsd=float(scores[method].mean()),
-                    std_jsd=float(scores[method].std()),
-                    flags=flags[method],
-                )
-            )
+                values = cells[method][position]
+                rows.append(ReportRow(
+                    depth, label, method, float(values.mean()), float(values.std()), flags[method]
+                ))
     return MitigationReport(n=dataset.n, rows=rows)

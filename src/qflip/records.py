@@ -351,9 +351,11 @@ def _cell_index(n, depth, input_index, seq) -> dict:
             f"input={index_to_bits(int(i[j]), n)}, seq={s[j]})"
         )
     firsts = np.concatenate([[0], np.flatnonzero(~same_cell) + 1])
+    ends = np.append(firsts[1:], len(by_cell))
+    by_cell.flags.writeable = False
+    cells = zip(d[firsts].tolist(), i[firsts].tolist())
     return {
-        (int(d[first]), int(i[first])): positions
-        for first, positions in zip(firsts, np.split(by_cell, firsts[1:]))
+        cell: by_cell[first:end] for cell, first, end in zip(cells, firsts.tolist(), ends.tolist())
     }
 
 

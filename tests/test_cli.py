@@ -618,6 +618,27 @@ class TestMitigate:
         # depth-0 data present, so the MEM baseline rides along
         assert methods == {"unmitigated", "MEM", "proposed", "proposed_pavg"}
 
+    def test_partial_calibration_leaves_mem_out(self, model_path, run_dir, tmp_path, capsys):
+        # depth 3 for every input, but depth 0 for input 00 alone
+        keep = {(0, "00"), (3, "00"), (3, "01"), (3, "10"), (3, "11")}
+        dataset = tmp_path / "partial.jsonl"
+        with open(run_dir / "dataset.jsonl") as source, open(dataset, "w") as target:
+            for line in source:
+                record = {} if line.startswith("#") else json.loads(line)
+                if (record.get("depth"), record.get("input")) in keep:
+                    target.write(line)
+        capsys.readouterr()
+        code = run("mitigate", "--model", model_path, "--dataset", dataset,
+                   "--test", "3", "--out", tmp_path)
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "MEM" in line] == [
+            "warning: MEM left out: dataset is missing records for "
+            "(m=0, in=01), (m=0, in=10), (m=0, in=11)"
+        ]
+        methods = {row[2] for row in read_csv_rows(tmp_path / "report.csv")[1:]}
+        assert methods == {"unmitigated", "proposed"}
+
     def test_proposed_beats_unmitigated(self, model_path, run_dir, tmp_path):
         run("mitigate", "--model", model_path,
             "--dataset", run_dir / "dataset.jsonl", "--test", "6", "--out", tmp_path)

@@ -189,6 +189,64 @@ class TestMitigate:
             mitigation.mitigate(mit, [0.5, 0.25, 0.25])
 
 
+class TestCorrectionSeam:
+    """Every method is a builder in CORRECTIONS giving, per depth, a
+    correction rows -> (rows, flag)."""
+
+    def test_method_order_is_the_table_order(self):
+        assert mitigation.METHOD_ORDER == tuple(mitigation.CORRECTIONS)
+
+    @pytest.mark.parametrize(
+        "rates,depth,flag",
+        [([0.75, 0.25], 1, ""), ([0.75, 0.25], 30, "ill_conditioned"),
+         ([0.5, 0.5], 3, "ill_conditioned")],
+        ids=["well_conditioned", "above_cond_limit", "singular"],
+    )
+    def test_mitigate_is_the_correction_on_one_row(self, rates, depth, flag):
+        chan = channel.InputChannel(rates=rates, spam=[1.0, 1.0])
+        model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
+        mit = channel.mitigation_matrix(model, depth)
+        correct = mitigation.CORRECTIONS[mitigation.PROPOSED](None, model)(depth)
+        row = np.array([0.625, 0.375])
+        corrected, got_flag = correct(row[None])
+        assert got_flag == flag
+        assert corrected.shape == (1, 2)
+        assert mitigation.mitigate(mit, row).tobytes() == corrected[0].tobytes()
+
+    def test_unmitigated_returns_the_rows(self):
+        rows = np.array([[0.25, 0.75]])
+        corrected, flag = mitigation.CORRECTIONS[mitigation.UNMITIGATED](None, None)(4)(rows)
+        assert corrected is rows and flag == ""
+
+    def test_shared_systems_are_built_once_per_call(self, monkeypatch):
+        gt = simulator.iid_bitflip(2, 0.01, readout=0.02)
+        ds = simulator.generate_dataset(
+            gt, depths=range(6), circuits_per_depth=3, inputs=range(4), shots=64, seed=10
+        )
+        model = simulator.true_noise_model(gt)
+        calls = []
+        for name in ("build_mem_matrix", "pool_rates", "mitigation_matrix"):
+            def counted(*args, _name=name, _fn=getattr(mitigation, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(mitigation, name, counted)
+        report = mitigation.evaluate_mitigation(
+            ds, model=model, test_depths=range(1, 6), methods=mitigation.METHOD_ORDER
+        )
+        assert len(report.rows) == 5 * 5 * 4
+        assert calls.count("build_mem_matrix") == 1
+        assert calls.count("pool_rates") == 1
+        # proposed and proposed_pavg build their own system at each depth
+        assert calls.count("mitigation_matrix") == 2 * 5
+
+    def test_mem_on_a_partial_calibration_raises(self):
+        # depth 1 for both inputs, depth 0 for input 0 alone
+        ds = dataset_of(1, [(0, 0, 0, 8, {0: 8})] + [(1, i, 0, 8, {i: 8}) for i in range(2)])
+        with pytest.raises(CoverageError, match=r"\(m=0, in=1\)"):
+            mitigation.evaluate_mitigation(ds, methods=(mitigation.MEM,))
+
+
 class TestMemMatrix:
     def test_noiseless_device_gives_identity(self):
         gt = simulator.iid_bitflip(2, 0.0)

@@ -274,6 +274,18 @@ class TestDataset:
         with pytest.raises(ValueError, match="counts sum to 3, expected shots=4"):
             records.Dataset(2, [1], [0], [0], [4], [1], [1], [3])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5)),
+                    unique=True))
+    def test_cell_index_lists_each_cells_records_in_seq_order(self, triples):
+        depth, input_index, seq = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        index = records._cell_index(2, depth, input_index, seq)
+        expected = {}
+        for position in sorted(range(len(triples)), key=lambda p: triples[p][2]):
+            expected.setdefault(triples[position][:2], []).append(position)
+        assert {cell: positions.tolist() for cell, positions in index.items()} == expected
+        assert not any(positions.flags.writeable for positions in index.values())
+
     def test_rejects_non_integer_columns(self):
         with pytest.raises(ValueError, match="shots must be a 64-bit integer, got 3.9"):
             records.Dataset(2, [1], [0], [0], [3.9], [1], [1], [3])
