@@ -53,6 +53,8 @@ RB_AMPLITUDE_MAX = 1.5
 RB_ALPHA_MIN = 1e-6
 RB_ALPHA_GRID = 1001
 RB_ALPHA_TOL = 1e-12
+# alphas scored per _rb_profile call while searching the grid
+_RB_GRID_BLOCK = 64
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -270,7 +272,13 @@ def rb_fit(series: dict, n: int) -> RbResult:
         return _rb_profile(np.array([alpha]), depths, values)[0][0]
 
     grid = np.linspace(RB_ALPHA_MIN, 1.0, RB_ALPHA_GRID)
-    best = int(np.argmin(_rb_profile(grid, depths, values)[0]))
+    # a block of alphas at a time, so that the (candidates, alphas, depths)
+    # residuals of the whole grid are never held at once
+    grid_rss = np.concatenate([
+        _rb_profile(grid[lo : lo + _RB_GRID_BLOCK], depths, values)[0]
+        for lo in range(0, grid.size, _RB_GRID_BLOCK)
+    ])
+    best = int(np.argmin(grid_rss))
     low, high = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
     inner_low = high - _INV_GOLDEN * (high - low)
     inner_high = low + _INV_GOLDEN * (high - low)

@@ -12,6 +12,7 @@ symmetric (eps01 == eps10) and an approximation otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -205,6 +206,16 @@ def _circuits_per_call(entries_per_circuit: int) -> int:
     return max(1, _DRAW_ENTRIES // max(1, entries_per_circuit))
 
 
+@cache
+def _flip_order(n: int) -> np.ndarray:
+    """The 2**n flip patterns by increasing popcount, then by index, in the
+    narrowest unsigned dtype that holds them; read-only, built once per n."""
+    # sorted is stable, so patterns of one popcount stay in index order
+    order = np.array(sorted(range(1 << n), key=int.bit_count), np.min_scalar_type((1 << n) - 1))
+    order.flags.writeable = False
+    return order
+
+
 def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     """One depth's records as columns: (seq, input, lengths, outcome,
     count). Records run through the circuits, each over every input;
@@ -216,6 +227,16 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     circuit-major, each circuit's rows in input order. Each draw is split
     into calls of at most _DRAW_ENTRIES entries, or of one circuit, which
     changes no value.
+
+    Input x's multinomial row lists its outcomes most likely first: its
+    k-th category is outcome x ^ order[k], where order, _flip_order(n),
+    sorts the flip patterns by popcount, then by index. numpy draws a row
+    as one binomial per category in category order and stops once every
+    shot is placed, so at n=7 (flip rate 0.002 per qubit and layer,
+    readout 0.01, depths 0..30) a row takes 48.7 binomial draws on
+    average instead of 117.7 in outcome order. The counts are put back in
+    outcome order. The gate ids are drawn as before, so generate_circuits
+    still gives each record's circuit.
     """
     dists = exact_distributions(gt, depth, inputs)
     rng = _depth_rng(seed, depth)
@@ -223,6 +244,18 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     for lo in range(0, circuits_per_depth, step):
         circuits = min(step, circuits_per_depth - lo)
         rng.integers(0, clifford.GROUP_ORDER, size=(circuits, depth, gt.n))
+    # forward[i, k], the flat position in dists of input i's outcome
+    # inputs[i] ^ order[k]; back, its inverse, takes a call's counts from
+    # category order to outcome order. Both are kept narrow, but built in
+    # int64: a run loads numpy's int64 loops anyway, while a first uint8
+    # or uint16 XOR maps about 0.1 MiB more of its code into the process
+    forward = np.arange(0, dists.size, gt.size)[:, None]
+    forward = forward + (np.asarray(inputs)[:, None] ^ _flip_order(gt.n))
+    flat = np.min_scalar_type(dists.size - 1)
+    forward = forward.astype(flat)
+    back = np.empty_like(forward)
+    back.reshape(-1)[forward.reshape(-1)] = np.arange(dists.size, dtype=flat)
+    dists = dists.reshape(-1)[forward]
     # every circuit's counts go into one block, so that the entries are
     # found, gathered and narrowed once per depth, not once per circuit
     block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
@@ -232,6 +265,8 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
         # shots as a (circuits, inputs) array broadcasts against dists, so
         # dists is not copied once per circuit
         rows[...] = rng.multinomial(np.full(rows.shape[:2], shots), dists)
+        # category order to outcome order, a narrow copy of the call's rows
+        rows[...] = np.take(rows.reshape(len(rows), -1), back, axis=1)
     block = block.reshape(-1, gt.size)
     entries = np.flatnonzero(block)
     outcome = (entries % gt.size).astype(OUTCOME_DTYPE)
@@ -259,7 +294,11 @@ def generate_dataset(
     random stream, the one ``default_rng(SeedSequence(seed, spawn_key=(m,)))``
     gives, first every circuit's (m, n) gate ids, as generate_circuits
     does, then every record's counts, circuit by circuit, each circuit's
-    inputs in input order. So results are identical whether generation
+    inputs in input order. Input x's counts are one multinomial row over
+    the outcomes x ^ order[k], its likeliest outcomes first (order sorts
+    the flip patterns by popcount, then by index), which at n=7 takes
+    about 49 binomial draws per row where outcome order takes about 118;
+    see _depth_columns. So results are identical whether generation
     runs serially or sharded across worker processes, and do not depend on
     the other depths. Each depth's counts are made in one dense block and
     kept only as the Dataset's compact entries. depths and inputs are

@@ -210,6 +210,44 @@ def rb_rss(series: dict, amplitude: float, offset: float, alpha: float) -> float
     return float(np.sum((amplitude * alpha**depths + offset - values) ** 2))
 
 
+def one_pass_rb_fit(series: dict, n: int):
+    """estimation.rb_fit with its whole alpha grid scored by one
+    _rb_profile call; the same golden-section refinement follows."""
+    from qflip import estimation
+
+    depths = np.array(sorted(series), dtype=float)
+    values = np.array([series[m] for m in sorted(series)], dtype=float)
+    if np.ptp(values) < 1e-12:
+        return estimation.RbResult(0.0, float(values[0]), 1.0, 0.0, degenerate=True)
+
+    def rss_at(alpha):
+        return estimation._rb_profile(np.array([alpha]), depths, values)[0][0]
+
+    golden = estimation._INV_GOLDEN
+    grid = np.linspace(estimation.RB_ALPHA_MIN, 1.0, estimation.RB_ALPHA_GRID)
+    best = int(np.argmin(estimation._rb_profile(grid, depths, values)[0]))
+    low, high = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    inner_low, inner_high = high - golden * (high - low), low + golden * (high - low)
+    rss_low, rss_high = rss_at(inner_low), rss_at(inner_high)
+    while high - low > estimation.RB_ALPHA_TOL:
+        if rss_low < rss_high:
+            high, inner_high, rss_high = inner_high, inner_low, rss_low
+            inner_low = high - golden * (high - low)
+            rss_low = rss_at(inner_low)
+        else:
+            low, inner_low, rss_low = inner_low, inner_high, rss_high
+            inner_high = low + golden * (high - low)
+            rss_high = rss_at(inner_high)
+    finalists = np.array([grid[best], inner_low, inner_high])
+    rss, amplitudes, offsets = estimation._rb_profile(finalists, depths, values)
+    pick = int(np.argmin(rss))
+    alpha = float(finalists[pick])
+    size = 1 << n
+    return estimation.RbResult(
+        float(amplitudes[pick]), float(offsets[pick]), alpha, (size - 1) * (1.0 - alpha) / size
+    )
+
+
 # --- 2x2 unitary algebra for the Clifford checks ---------------------------
 
 HADAMARD_2x2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -279,11 +317,17 @@ def depth_rng(seed: int, depth: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(depth,)))
 
 
+def flip_order(n: int) -> list:
+    """The 2**n flip patterns by increasing popcount, then by index."""
+    return sorted(range(1 << n), key=lambda pattern: (popcount(pattern), pattern))
+
+
 def depth_draws(gt, seed: int, depth: int, circuits: int, inputs, shots: int):
     """One depth's gate ids and counts drawn one circuit, then one record,
     per numpy call: each circuit's (depth, n) ids, then each circuit's
-    records in input order, one multinomial row each. Gives the list of
-    id arrays and the list of {outcome: count} dicts, in record order."""
+    records in input order, one multinomial row each, whose k-th category
+    is outcome input ^ flip_order(n)[k]. Gives the list of id arrays and
+    the list of {outcome: count} dicts, in record order."""
     from qflip.clifford import GROUP_ORDER
     from qflip.simulator import exact_distribution
 
@@ -292,8 +336,9 @@ def depth_draws(gt, seed: int, depth: int, circuits: int, inputs, shots: int):
     counts = []
     for _ in range(circuits):
         for index in inputs:
-            sample = rng.multinomial(shots, exact_distribution(gt, depth, index))
-            counts.append({outcome: int(c) for outcome, c in enumerate(sample) if c})
+            outcomes = [index ^ pattern for pattern in flip_order(gt.n)]
+            sample = rng.multinomial(shots, exact_distribution(gt, depth, index)[outcomes])
+            counts.append({outcome: int(c) for outcome, c in zip(outcomes, sample) if c})
     return ids, counts
 
 

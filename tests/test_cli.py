@@ -550,11 +550,11 @@ class TestModelFileChecks:
             lambda p: json.dumps({**p, "inputs": {**p["inputs"], str(2**70): p["inputs"]["0"]}}),
             f"input index {2**70} out of range for n=2",
         ),
-        # the sum is printed as a plain float, not as a numpy repr
+        # the sum is printed as a plain float, not as a numpy repr; these
+        # rates sum to 1.25 exactly, whatever the fitted model holds
         "rates not summing to 1": (
-            lambda p: _with_entry(p, "1", p=[p["inputs"]["1"]["p"][0] + 0.2,
-                                             *p["inputs"]["1"]["p"][1:]]),
-            "distribution sums to 1.2",
+            lambda p: _with_entry(p, "1", p=[0.5, 0.25, 0.25, 0.25]),
+            "distribution sums to 1.25, expected 1",
         ),
         # the length is checked before the sum, so the error names it
         "rates of the wrong length": (

@@ -5,6 +5,8 @@ compare with the planted parameters; exactness tests feed the pipeline
 zero-noise pseudo-data and demand near machine-precision round trips.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from oracles import (
     curve_fit_rb,
     dataset_of,
     dense_wht_matrix,
+    one_pass_rb_fit,
     polyfit_decay,
     rb_rss,
     traced_peak,
@@ -460,6 +463,24 @@ class TestRb:
         assert 0.0 <= result.amplitude <= 1.5
         assert 0.0 <= result.offset <= 1.0
         assert 1e-6 <= result.alpha <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        alpha=st.floats(0.0, 1.0),
+        amplitude=st.floats(0.0, 2.0),
+        offset=st.floats(-0.2, 1.2),
+        noise=st.sampled_from([0.0, 1e-3, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+        depths=st.lists(st.integers(0, 400), min_size=3, max_size=60, unique=True),
+    )
+    def test_blocked_grid_matches_the_one_pass_search(
+        self, n, alpha, amplitude, offset, noise, seed, depths
+    ):
+        # the grid is scored a block of alphas at a time; every bit of the
+        # result is the one a single pass over the grid gives
+        series = noisy_rb_series(seed, alpha, amplitude, offset, noise, depths)
+        assert astuple(estimation.rb_fit(series, n)) == astuple(one_pass_rb_fit(series, n))
 
     def test_parameters_stay_in_bounds(self):
         # the unbounded optimum has offset < 0 and amplitude > 1.5

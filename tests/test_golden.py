@@ -30,10 +30,10 @@ ARGV = [
 ]
 
 PINS = {
-    "dataset.jsonl": "226da59f24f82f05e09fe72e2d2fcd7410c878e3bd058d08d68423b422d618a5",
-    "model.json": "431397f3d27445ec65b9c55777b552ff0fef973e1b13552e812d39fe8627a0bd",
-    "report.csv": "e7bc5c8030e5b94bb6331970c1309259fbf94db8acdfceca18deb24465c1ef60",
-    "predictions.csv": "b2cba4b7c083093e3718e7dd773399d1310938044d91fd5b2ec8d2071eb03a8e",
+    "dataset.jsonl": "03f7278da43fdb12de49fb14a324bde61e3fd51ae6a67a66431204ceafe2e764",
+    "model.json": "25b951b9e42c7fe27e054e5ecaf89cab8b1f2088d974b043ef3237f6c3658e03",
+    "report.csv": "8d9661059208d83ed9367e5f880df40b1247310aa14db1261dd465528e790593",
+    "predictions.csv": "ed66c06d5f2ca0356f661edb6b4fdcce63bef9da9ee50768cc68b6c55818f03e",
     "profile.json": "b98b6cfb14e27ac3c6bbe217226a186865cfb558b101a5ecebc662e2b59ea1f2",
 }
 
@@ -55,12 +55,12 @@ ARGV_N4 = [
 ]
 
 PINS_N4 = {
-    "dataset.jsonl": "a032cc1c74dad47347c2f1c76246464d800a2cd5ba0884aefa92358166f7a58e",
-    "model.json": "2f5f1afaabe97f149233338d8d4d741e44522bed59e2ff2ce979a531df2e0af8",
-    "report.csv": "15a8ed88109bc278954073c9ebc3370127b8e54ce129ff65612ee54d9414aefc",
-    "predictions.csv": "3c3b6dba42feaae80d8994484d1ec705e85b0b38a61c6dd9ff16d37fe983f20c",
-    "rb.json": "b669bc50d6eac3ecfe5a7d3ea6c807333372bd07d0b5ffd0e76e99017c3ac4f5",
-    "diagnostics_1011.csv": "cc45cfaf68f3b5f863d300ad94261d46c8a8b6b9096a5afb1625f86387e49912",
+    "dataset.jsonl": "48c3200196baa18502f7f31bb07ffa59e4760b7e057dc7d0ee71e12fca5ebc46",
+    "model.json": "3068823a4b18a9507bb23145f33482d041e6caeb44bc407d8d8e4412d92c95ba",
+    "report.csv": "e551842808d1be80f3efc83721dccefe68d5f6ab33a7e7f560a43be98755f98f",
+    "predictions.csv": "693f01427c9da4722d80cd833776b1f8de90b9c10d5f5ccdd7c758c46df91d8d",
+    "rb.json": "8f89cf5198c55b0558438464339b2408f524ee0c85d4e62252962be7df84bc76",
+    "diagnostics_1011.csv": "fac28ee66086af456a18064b94973cf778c6b2f1d651aed3fbaae1f3bff221da",
     "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
 }
 
@@ -120,12 +120,12 @@ STAGED_N3 = [
 ]
 
 PINS_STAGED_N3 = {
-    "dataset.jsonl": "c4adb94588212e312f367cded8d67009012161cca239d48a615cd3b69ce99af8",
-    "model.json": "f62a485fbb2511fe670695f6927528b046c93ea63fdf9fd0ba6b9a203e2a3054",
-    "predictions.csv": "9148a3118f5cedaa11acc4cdb6536bb236d55b6921ef0edc556333d3b8bc9349",
-    "diagnostics_000.csv": "52aa83f9bd1f4891d93ada85dc6529b56609b0eaaf0e0da0d1223d6fa480c638",
-    "diagnostics_011.csv": "06d0517a7b4580d7d386e316d7844e624d03aab74cf548e8ac8aed38c71b0d17",
-    "diagnostics_101.csv": "f1cb2917237b0327c061a8c8ae9aa14bcaf96be914f67ddf9fbf9358ee8c1e48",
+    "dataset.jsonl": "45c076f05f1df17dad113c614aa51fbce17ea490e61b28020d100f40008f5142",
+    "model.json": "329a841dbd2d65ea5618a5dbdebe61c5565ec02852008c5cbcefdac2dac37583",
+    "predictions.csv": "2b2d02a8867aee2bf3069ca09a7036cd4b87ec61834b816df61e2c352d30b090",
+    "diagnostics_000.csv": "2f627c0b2bc9b0b052e2b39cbf9c371fb0b9610686ff89171ae6c5722467a0f8",
+    "diagnostics_011.csv": "4d88f3ffbd9ba5c428cdbaf7f53b4b41c7317d330a27b2ad4a22dc94166b94a2",
+    "diagnostics_101.csv": "6606052f00dcb86a3197df49f39e6095b4e18df7d20228dcd74f97c45ad6a999",
     "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
 
@@ -169,9 +169,9 @@ STAGED_PAVG_N3 = [
 ]
 
 PINS_STAGED_PAVG_N3 = {
-    "model.json": "feebcd5e3cba0a75944adcd1e27fcff80e2290071e24d9fead564fc305c5d9be",
-    "rb.json": "357daab0dd39916f111ae216e8ee993a55bc22b8e25f95a4a915192c4dae4fa8",
-    "diagnostics_111.csv": "e28e133f8cf9afedd040c967cadcf88238d6c3ebf9cea21a4446d023c4707fcc",
+    "model.json": "dc47da9cae8b97e341ea65644850b3faf8ef3fd7fc5d07f31383535b4867d9cf",
+    "rb.json": "764f5e0a83b07d5fb4d97c2eba733fe0187d595f460f45e004e5109c889daaf6",
+    "diagnostics_111.csv": "c968f872b36a8fe642e2ebbae19c4c0b643f51f617f43b1fc32c2dc3024d90b9",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
 }
 

@@ -17,8 +17,10 @@ from oracles import (
     dense_wht_matrix,
     depth_draws,
     depolarized_measurement,
+    flip_order,
     per_input_exact_distribution,
     per_input_true_noise_model,
+    popcount,
     traced_peak,
 )
 from qflip import channel, clifford, simulator
@@ -377,6 +379,44 @@ class TestGenerateDataset:
         mean = totals / (circuits * shots)
         envelope = 4 * np.sqrt(exact * (1 - exact) / (circuits * shots))
         assert np.all(np.abs(mean - exact) <= envelope)
+
+    def test_counts_follow_the_exact_law(self):
+        # 4,000 circuits over every input of an n=3 device with prep and
+        # asymmetric readout: each of the 64 (input, outcome) mean counts
+        # stays within 4.5 standard errors of shots * p, a bound a correct
+        # sampler breaks with probability below 64 * 6.8e-6 = 4.4e-4
+        gt = simulator.iid_bitflip(3, 0.03, readout=[(0.02, 0.05), (0.04, 0.01), 0.03], prep=0.01)
+        circuits, shots, depth = 4000, 64, 3
+        ds = simulator.generate_dataset(
+            gt, [depth], circuits, inputs=range(8), shots=shots, seed=21
+        )
+        exact = simulator.exact_distributions(gt, depth, range(8))
+        mean = ds.cell_means([depth], range(8))[:, 0] * shots
+        sigma = np.sqrt(shots * exact * (1 - exact) / circuits)
+        assert np.all(exact > 0)
+        assert np.max(np.abs(mean - shots * exact) / sigma) < 4.5
+
+    def test_counts_match_the_per_record_oracle(self):
+        # at n=4 the flip order is not its own inverse, so a count put back
+        # through the order instead of its inverse lands on a wrong outcome
+        gt = simulator.iid_bitflip(4, 0.08, readout=[(0.02, 0.05), 0.01, 0.03, (0.04, 0.0)], prep=0.02)
+        ds = simulator.generate_dataset(
+            gt, depths=[0, 2], circuits_per_depth=3, inputs=[0, 5, 11], shots=256, seed=6
+        )
+        for depth in (0, 2):
+            _, counts = depth_draws(gt, 6, depth, 3, [0, 5, 11], 256)
+            assert [r.counts for r in ds.records if r.depth == depth] == counts
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_flip_order_is_a_permutation_by_popcount(self, n):
+        order = simulator._flip_order(n)
+        assert sorted(order.tolist()) == list(range(1 << n))
+        weights = [popcount(pattern) for pattern in order.tolist()]
+        assert weights == sorted(weights)
+        assert order.tolist() == flip_order(n)
+        assert order.dtype == np.min_scalar_type((1 << n) - 1)
+        assert not order.flags.writeable
+        assert simulator._flip_order(n) is order
 
     def test_argument_validation(self, tmp_path):
         gt = simulator.iid_bitflip(1, 0.1)
