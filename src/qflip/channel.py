@@ -231,8 +231,8 @@ def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
 class MitigationMatrix:
     """Columns are predicted distributions per input state at one depth.
 
-    The matrix is kept C-contiguous, and ``condition`` is its 1-norm
-    condition number (inf when the solver finds it singular).
+    The matrix is square and kept C-contiguous, and ``condition`` is its
+    1-norm condition number (inf for a singular matrix).
     """
 
     depth: int
@@ -241,10 +241,11 @@ class MitigationMatrix:
 
     def __post_init__(self):
         matrix = np.ascontiguousarray(self.matrix)
-        try:
-            condition = float(np.linalg.cond(matrix, 1))
-        except np.linalg.LinAlgError:
-            condition = float("inf")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+            raise ValueError(
+                f"need a non-empty square mitigation matrix, got shape {matrix.shape}"
+            )
+        condition = float(np.linalg.cond(matrix, 1))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "condition", condition)
 

@@ -75,19 +75,15 @@ def _build_group() -> tuple[list[np.ndarray], dict[bytes, int]]:
     return elements, index
 
 
-def _build_tables(group: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    elements = np.stack(group).reshape(GROUP_ORDER, 4)
-    products = _canonical(np.einsum("gij,hjk->ghik", group, group)).reshape(-1, 4)
-    # real Frobenius inner products: 2 with the product's own element, at
-    # most sqrt(2) with any other. Every temporary stays under 128 KiB: a
-    # larger one freed raises malloc's mmap threshold, which measured
-    # 2-5 MiB more peak RSS in a later run-all
-    overlap = np.einsum("pk,ek->pe", products.real, elements.real) + np.einsum(
-        "pk,ek->pe", products.imag, elements.imag
-    )
-    if not np.all(overlap.max(axis=1) > 2 - 1e-6):
-        raise RuntimeError("the group is not closed under composition")
-    compose_table = overlap.argmax(axis=1).astype(np.int8).reshape(GROUP_ORDER, GROUP_ORDER)
+def _build_tables(group: list[np.ndarray], index: dict[bytes, int]) -> tuple[np.ndarray, ...]:
+    """The composition table, entry [g, h] the id of g @ h looked up in the
+    closure's own index, and the inverse table read off it."""
+    try:
+        compose_table = np.array(
+            [[index[_key(g @ h)] for h in group] for g in group], dtype=np.int8
+        )
+    except KeyError:
+        raise RuntimeError("the group is not closed under composition") from None
     inverse_table = np.argmax(compose_table == IDENTITY_ID, axis=1).astype(np.int8)
     return compose_table, inverse_table
 
@@ -96,8 +92,8 @@ def _build_tables(group: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _group() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The elements, the composition table and the inverse table, built
     on first use."""
-    elements, _ = _build_group()
-    return (elements, *_build_tables(elements))
+    elements, index = _build_group()
+    return (elements, *_build_tables(elements, index))
 
 
 def _check_id(gate_id: int) -> int:

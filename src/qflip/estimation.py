@@ -23,7 +23,7 @@ from .channel import (
 )
 from .errors import select
 from .records import Dataset, require_cells, write_csv
-from .transforms import fwht_in_place, xor_permute
+from .transforms import check_depths, check_qubit_count, fwht_in_place, xor_permute
 
 __all__ = [
     "DepthAverage",
@@ -115,7 +115,8 @@ class FitResult:
 def fit_decay(spectra, depths) -> FitResult:
     """Fit spam * eigenvalue**m to each column of a spectrum table.
 
-    Row j of the ``(depths, 2**n)`` table is the spectrum at depths[j].
+    Row j of the ``(depths, 2**n)`` table is the spectrum at depths[j];
+    the depths are distinct and follow the shared depth rule.
     Per coefficient, depths whose value exceeds FIT_FLOOR enter an
     ordinary least squares of log(value) on depth. All columns are solved
     at once in closed form from sums centred on each column's mean usable
@@ -126,17 +127,15 @@ def fit_decay(spectra, depths) -> FitResult:
     residual; points_used flags them. Coefficient 0 is pinned to 1.
     """
     table = np.asarray(spectra, dtype=float)
-    depth_arr = np.asarray(depths, dtype=float)
+    depth_arr = check_depths(depths).astype(float)
     if depth_arr.ndim != 1 or len(depth_arr) < 2:
         raise ValueError(f"need at least 2 training depths, got {depth_arr.size}")
     if table.ndim != 2 or len(table) != len(depth_arr):
         raise ValueError(
             f"spectrum table shape {table.shape} does not match {len(depth_arr)} depths"
         )
-    # two NaN depths repeat a value too: sorted, a NaN anywhere but last
-    # has another NaN after it
     ordered = np.sort(depth_arr)
-    if np.any((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])):
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("training depths repeat a value")
     usable = table > FIT_FLOOR
     used = usable.sum(axis=0)
@@ -253,13 +252,18 @@ def rb_fit(series: dict, n: int) -> RbResult:
     the best (amplitude, offset) has a closed form, so only alpha is
     searched, on a grid and then by golden section around the best grid
     point. gate_error r = (2**n - 1) (1 - alpha) / 2**n. degenerate means
-    a constant series: alpha = 1, r = 0, amplitude 0.
+    a constant series: alpha = 1, r = 0, amplitude 0. The series maps
+    depths to finite values; n and the depths follow the shared rules.
     """
+    size = 1 << check_qubit_count(n)
     if len(series) < 3:
         raise ValueError(f"need at least 3 depths for the scalar fit, got {len(series)}")
-    depths = np.array(sorted(series), dtype=float)
-    values = np.array([series[m] for m in sorted(series)], dtype=float)
-    size = 1 << n
+    ordered = sorted(check_depths(list(series)).tolist())
+    depths = np.array(ordered, dtype=float)
+    values = np.array([series[m] for m in ordered], dtype=float)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"value at depth {ordered[bad]} is not finite, got {values[bad]}")
     if np.ptp(values) < 1e-12:
         return RbResult(
             amplitude=0.0,

@@ -60,10 +60,11 @@ def jsd(p, q):
     """Jensen-Shannon divergence in bits; 0 for equal, 1 for disjoint.
 
     1-d distributions give a float. ``(..., 2**n)`` arrays are scored row
-    by row along the last axis and give an array of the leading shape, each
-    entry equal to the 1-d score of its row. Rows are scored about
-    _JSD_ENTRIES entries at a time, so the temporaries stay a few times
-    that size whatever the batch.
+    by row along the last axis and give an array of the leading shape. Each
+    row's score is one C-ordered sum over its 2**n terms, whatever the
+    input's layout, so it equals the 1-d score of that row. Rows are
+    scored about _JSD_ENTRIES entries at a time, so the temporaries stay a
+    few times that size whatever the batch.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
@@ -83,24 +84,17 @@ def jsd(p, q):
 
 
 def _kl_bits(a: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """sum(a * log2(a / mid)) over the support of a, per row of ``(rows, 2**n)``,
-    where mid = total / 2."""
-    mask = a > 0.0
-    terms = a[mask]
+    """sum(a * log2(a / mid)) per row of ``(rows, 2**n)``, where mid =
+    total / 2, as one sum over all 2**n terms, 0 off the support of a.
+
+    The terms array is C-ordered whatever the layout of a, so each row is
+    added in the order a 1-d sum over its 2**n terms uses.
+    """
     # 2a / total, not a / (total / 2): halving a subnormal total can round
     # it to 0, while doubling is exact, so normal values give the same bits
-    terms *= np.log2(2.0 * terms / total[mask])
-    # pack each row's support terms to its front and add up the first
-    # `support` of them: np.sum's pairwise order depends on the length, so
-    # this adds each row exactly as a 1-d sum over its support would
-    support = np.count_nonzero(mask, axis=1)
-    packed = np.zeros(a.shape)
-    packed[np.nonzero(mask)[0], np.cumsum(mask, axis=1)[mask] - 1] = terms
-    totals = np.empty(len(a))
-    for count in sorted(set(support.tolist())):
-        chosen = support == count
-        totals[chosen] = packed[chosen, :count].sum(axis=1)
-    return totals
+    terms = np.log2(np.divide(2.0 * a, total, out=np.ones(a.shape), where=a > 0.0))
+    terms *= a
+    return terms.sum(axis=1)
 
 
 def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):

@@ -108,18 +108,31 @@ def xor_permutation_matrix(n: int, basis_index: int) -> np.ndarray:
     return pi
 
 
-def masked_jsd(p, q) -> float:
-    """Jensen-Shannon divergence in bits of two 1-d distributions, summing
-    each KL term over the boolean-masked support (the per-record form)."""
+def _kl_terms(p, q) -> list:
+    """(terms, support) of p and of q: each KL term a * log2(a / mid) is
+    computed on the boolean-masked support of a and set to 0 off it."""
     p = np.maximum(np.asarray(p, dtype=float), 0.0)
     q = np.maximum(np.asarray(q, dtype=float), 0.0)
     mid = 0.5 * (p + q)
-
-    def kl_bits(a):
+    pairs = []
+    for a in (p, q):
         mask = a > 0.0
-        return float(np.sum(a[mask] * np.log2(a[mask] / mid[mask])))
+        terms = np.zeros(a.shape)
+        terms[mask] = a[mask] * np.log2(a[mask] / mid[mask])
+        pairs.append((terms, mask))
+    return pairs
 
-    return 0.5 * (kl_bits(p) + kl_bits(q))
+
+def masked_jsd(p, q) -> float:
+    """Jensen-Shannon divergence in bits of two 1-d distributions (the
+    per-record form): each KL sum adds all 2**n terms by one np.sum."""
+    return 0.5 * sum(float(np.sum(terms)) for terms, _ in _kl_terms(p, q))
+
+
+def support_jsd(p, q) -> float:
+    """masked_jsd with each KL sum taken over the support alone, so the
+    terms are added in another order: equal to rounding, not bit for bit."""
+    return 0.5 * sum(float(np.sum(terms[mask])) for terms, mask in _kl_terms(p, q))
 
 
 def per_record_mitigation_rows(dataset, depths, inputs, systems, cond_limit):

@@ -322,6 +322,14 @@ class TestMitigationMatrix:
             assert np.array_equal(built.matrix, np.eye(4))
             assert built.condition == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (2, 2, 2)])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError) as caught:
+            channel.MitigationMatrix(0, np.full(shape, 0.5))
+        assert str(caught.value) == (
+            f"need a non-empty square mitigation matrix, got shape {shape}"
+        )
+
     def test_single_qubit_no_spam(self):
         chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 1.0])
         model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})

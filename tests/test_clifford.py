@@ -161,6 +161,12 @@ class TestTablesOnFirstUse:
         assert [inverse(g) for g in range(GROUP_ORDER)] == self.INVERSES
         assert (IDENTITY_ID, HADAMARD_ID, PHASE_ID) == (0, 1, 2)
 
+    def test_a_product_missing_from_the_index_is_not_closed(self):
+        elements, index = clifford._build_group()
+        del index[clifford._key(elements[-1])]
+        with pytest.raises(RuntimeError, match="not closed under composition"):
+            clifford._build_tables(elements, index)
+
     def test_unitaries_follow_the_closure_order(self):
         closure = clifford_closure()
         assert len(closure) == GROUP_ORDER

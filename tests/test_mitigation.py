@@ -11,13 +11,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
-from oracles import dataset_of, masked_jsd, per_record_mitigation_rows, traced_peak
+from oracles import (
+    dataset_of,
+    masked_jsd,
+    per_record_mitigation_rows,
+    support_jsd,
+    traced_peak,
+)
 
 
 def random_simplex(rng, size):
@@ -92,6 +98,7 @@ class TestBatchedJsd:
         seed=st.integers(0, 2**32 - 1),
         chunk=st.sampled_from([1, 20, 1 << 14]),
     )
+    @example(n=7, rows=12, seed=0, chunk=1 << 14)
     def test_rows_match_one_dimensional_scores(self, n, rows, seed, chunk):
         rng = np.random.default_rng(seed)
         p = distribution_batch(rng, rows, 2**n)
@@ -99,13 +106,28 @@ class TestBatchedJsd:
         # rows are scored in chunks of about `chunk` entries
         with mock.patch.object(mitigation, "_JSD_ENTRIES", chunk):
             batch = mitigation.jsd(p, q)
+            # a Fortran-ordered batch, as a solve's transposed output is,
+            # is added row by row in the same order
+            fortran = mitigation.jsd(np.asfortranarray(p), np.asfortranarray(q))
         assert batch.shape == (rows,)
+        assert np.array_equal(fortran, batch)
         for i in range(rows):
             single = mitigation.jsd(p[i], q[i])
             assert type(single) is float
             assert batch[i] == single == masked_jsd(p[i], q[i])
         stacked = mitigation.jsd(p.reshape(1, rows, -1), q.reshape(1, rows, -1))
         assert np.array_equal(stacked, batch[None, :])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_full_row_sum_agrees_with_the_support_sum(self, n, seed):
+        # the kernel adds each row's 2**n terms, 0 off the support; a sum
+        # over the support alone differs from it by rounding only
+        rng = np.random.default_rng(seed)
+        p, q = distribution_batch(rng, 2, 2**n)
+        full = masked_jsd(p, q)
+        assert mitigation.jsd(p, q) == full
+        assert abs(full - support_jsd(p, q)) <= 1e-14
 
     def test_peak_is_a_few_times_one_batch(self):
         rng = np.random.default_rng(4)

@@ -18,6 +18,7 @@ QUBIT_COUNT_ENTRY_POINTS = {
         n, {0: channel.InputChannel(rates=[1.0, 0.0], spam=[1.0, 1.0])}
     ),
     "GroundTruth": lambda n: simulator.GroundTruth(n=n, rates=[1.0, 0.0]),
+    "rb_fit": lambda n: estimation.rb_fit({1: 0.9, 2: 0.8, 3: 0.75}, n),
 }
 
 
@@ -223,6 +224,9 @@ DEPTH_ENTRY_POINTS = {
     "exact_distributions": lambda depth: simulator.exact_distributions(DEVICE, depth, [0]),
     "generate_dataset": lambda depth: simulator.generate_dataset(DEVICE, [1, depth], 1),
     "generate_circuits": lambda depth: simulator.generate_circuits(2, [depth], 1),
+    # keys that True (== 1) and 2.0 (== 2) do not collide with
+    "fit_decay": lambda depth: estimation.fit_decay(np.ones((3, 2)), [3, 4, depth]),
+    "rb_fit": lambda depth: estimation.rb_fit({3: 0.9, 4: 0.8, depth: 0.7}, 1),
 }
 
 
@@ -241,6 +245,13 @@ def test_every_entry_point_rejects_a_depth_alike(entry, value, message):
     with pytest.raises(ValueError) as caught:
         DEPTH_ENTRY_POINTS[entry](value)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rb_fit_rejects_a_value_that_is_not_finite(value):
+    with pytest.raises(ValueError) as caught:
+        estimation.rb_fit({1: 0.9, 2: value, 3: 0.8}, 1)
+    assert str(caught.value) == f"value at depth 2 is not finite, got {value}"
 
 
 def _model_bits(model):
