@@ -152,7 +152,8 @@ class NoiseModel:
     """
 
     def __init__(self, n: int, channels: Mapping[int, InputChannel]):
-        size = 1 << check_qubit_count(n)
+        n = check_qubit_count(n)
+        size = 1 << n
         order = sorted(channels)
         if not order:
             raise ValueError("model has no input-state channels")

@@ -128,9 +128,12 @@ def _score_rows(outputs: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def _invert(system: MitigationMatrix, rows: np.ndarray) -> tuple[np.ndarray, str]:
     """Matrix correction: solve system @ x = row for all rows in one call, then
-    project them in place, _JSD_ENTRIES entries at a time; flag any fallback."""
+    project them in place, _JSD_ENTRIES entries at a time; flag any fallback.
+    The rows are C-ordered, so projection and scoring walk each row's
+    entries in memory order."""
     solved, fallback = _solve_columns(system.matrix, rows.T, system.condition)
-    rows = solved.T
+    rows = np.ascontiguousarray(solved.T)
+    del solved
     step = max(1, _JSD_ENTRIES // rows.shape[1])
     for lo in range(0, len(rows), step):
         rows[lo:lo + step] = simplex_project(rows[lo:lo + step])

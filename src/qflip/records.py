@@ -384,7 +384,7 @@ class Dataset:
     """
 
     def __init__(self, n: int, depth, input, seq, shots, lengths, outcome, count):
-        check_qubit_count(n)
+        n = check_qubit_count(n)
         depth, input, seq, shots, starts, outcome, count = _check_fields(
             depth, input, seq, shots, lengths, outcome, count
         )
@@ -466,16 +466,18 @@ class Dataset:
         depth = check_depths(depth).item()
         inputs = check_basis_indices(inputs, self.n).tolist()
         self.require([depth], inputs)
-        return self._rows(np.concatenate([self._cells[depth, index] for index in inputs]))
+        positions = np.concatenate([self._cells[depth, index] for index in inputs])
+        return self._rows(positions, np.arange(len(positions)), len(positions))
 
     def cell_means(self, depths, inputs) -> np.ndarray:
         """Mean normalized counts per cell as an ``(inputs, depths, 2**n)`` table.
 
         Entry ``[i, j]`` adds the rows of ``distributions(depths[j],
-        [inputs[i]])`` one at a time in sequence-id order (a depth's rows sit
-        in a zero-padded ``(inputs, circuits, 2**n)`` block by rank in their
-        cell, summed along the circuit axis) and divides by their number.
-        One depth at a time, never from the whole dataset at once.
+        [inputs[i]])`` one at a time in sequence-id order and divides by
+        their number. A depth's rows are written straight into a
+        zero-padded ``(inputs, circuits, 2**n)`` block, each at its rank in
+        its cell, and the block is summed along the circuit axis. One depth
+        at a time, never from the whole dataset at once.
         """
         depths = check_depths(depths).tolist()
         inputs = check_basis_indices(inputs, self.n).tolist()
@@ -484,24 +486,27 @@ class Dataset:
         for j, depth in enumerate(depths):
             cells = [self._cells[depth, index] for index in inputs]
             circuits = np.array([len(positions) for positions in cells])
-            owner = np.repeat(np.arange(len(inputs)), circuits)
-            rank = np.arange(len(owner)) - np.repeat(np.cumsum(circuits) - circuits, circuits)
-            block = np.zeros((len(inputs), circuits.max(), self.size))
-            block[owner, rank] = self._rows(np.concatenate(cells))
+            width = circuits.max()
+            # record k of input i's cell goes to row i * width + k
+            slots = np.arange(circuits.sum()) + np.repeat(
+                np.arange(len(inputs)) * width - np.cumsum(circuits) + circuits, circuits
+            )
+            block = self._rows(np.concatenate(cells), slots, len(inputs) * width)
+            block = block.reshape(len(inputs), width, self.size)
             means[:, j] = block.sum(axis=1) / circuits[:, None]
         return means
 
-    def _rows(self, positions: np.ndarray) -> np.ndarray:
-        """Normalized counts of the records at positions, one dense row each."""
+    def _rows(self, positions: np.ndarray, slots: np.ndarray, height: int) -> np.ndarray:
+        """A zero ``(height, 2**n)`` array whose row ``slots[k]`` holds the
+        normalized counts of the record at ``positions[k]``."""
         first = self.starts[positions]
         lengths = self.starts[positions + 1] - first
         entries = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
         entries += np.arange(len(entries))
-        rows = np.zeros((len(positions), self.size))
-        rows[np.repeat(np.arange(len(positions)), lengths), self.outcome[entries]] = (
-            self.count[entries]
+        rows = np.zeros((height, self.size))
+        rows[np.repeat(slots, lengths), self.outcome[entries]] = (
+            self.count[entries] / np.repeat(self.shots[positions].astype(float), lengths)
         )
-        rows /= self.shots[positions].astype(float)[:, None]
         return rows
 
     def write_jsonl(self, path, header: str | None = None) -> None:

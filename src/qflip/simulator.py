@@ -79,7 +79,7 @@ class GroundTruth:
     rates_by_input: dict | None = None
 
     def __post_init__(self):
-        check_qubit_count(self.n)
+        object.__setattr__(self, "n", check_qubit_count(self.n))
         object.__setattr__(self, "rates", self._checked_rates(self.rates, "rates"))
         object.__setattr__(self, "readout", _per_qubit(self.readout, self.n, "readout", True))
         object.__setattr__(self, "prep", _per_qubit(self.prep, self.n, "preparation", False))
@@ -268,12 +268,14 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
         # category order to outcome order, a narrow copy of the call's rows
         rows[...] = np.take(rows.reshape(len(rows), -1), back, axis=1)
     block = block.reshape(-1, gt.size)
-    entries = np.flatnonzero(block)
-    outcome = (entries % gt.size).astype(OUTCOME_DTYPE)
+    # a bool mask, not the narrow counts themselves, is what numpy scans fast
+    nonzero = block != 0
+    entries = np.flatnonzero(nonzero)
+    outcome = (entries & (gt.size - 1)).astype(OUTCOME_DTYPE)
     return (
         np.repeat(np.arange(circuits_per_depth), len(inputs)),
         np.tile(inputs, circuits_per_depth),
-        np.count_nonzero(block, axis=1),
+        np.count_nonzero(nonzero, axis=1),
         outcome,
         block.reshape(-1)[entries],
     )

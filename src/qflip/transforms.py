@@ -34,6 +34,9 @@ MAX_QUBITS = 12
 PROB_SUM_TOL = 1e-9
 PROB_NEG_TOL = 1e-9
 
+# fwht_in_place transforms about this many entries at a time
+_FWHT_ENTRIES = 1 << 15
+
 
 def num_qubits(values: np.ndarray) -> int:
     """Return n for a length-2**n vector, validating the length.
@@ -46,11 +49,13 @@ def num_qubits(values: np.ndarray) -> int:
     return _outcome_qubits(values)
 
 
-def check_qubit_count(n: int) -> int:
-    """n itself; ValueError unless 1 <= n <= MAX_QUBITS."""
-    if not 1 <= n <= MAX_QUBITS:
+def check_qubit_count(n) -> int:
+    """n as a Python int; ValueError unless it is one integer, not a bool
+    or a float, with 1 <= n <= MAX_QUBITS."""
+    value = _checked_integers(n, "qubit count")
+    if value.ndim or not 1 <= value <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    return n
+    return int(value)
 
 
 def check_basis_indices(indices, n: int, what: str = "input index") -> np.ndarray:
@@ -146,21 +151,32 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
 def fwht_in_place(values: np.ndarray) -> np.ndarray:
     """``fwht`` of a writeable C-contiguous float64 array, written over it
-    and returned, bit for bit as ``fwht`` gives it. The only temporary
-    holds half of the array."""
+    and returned, bit for bit as ``fwht`` gives it.
+
+    The vectors go _FWHT_ENTRIES entries at a time, at least one vector
+    per block. Each block is copied to a ``(2**n, vectors)`` layout, so
+    that the butterflies over ``half`` entries work on contiguous runs of
+    ``half * vectors`` values, and copied back. The temporaries hold one
+    block and half of one, whatever the size of the array.
+    """
     size = 1 << _outcome_qubits(values)
     if values.dtype != np.float64 or not values.flags.c_contiguous or not values.flags.writeable:
         raise ValueError("fwht_in_place needs a writeable C-contiguous float64 array")
-    half = 1
-    while half < size:
-        # blocks of 2 * half never straddle two vectors of the batch
-        pairs = values.reshape(-1, 2, half)
-        low, high = pairs[:, 0, :], pairs[:, 1, :]
-        odd = low - high
-        low += high
-        high[...] = odd
-        del odd  # before the next step makes its own
-        half *= 2
+    vectors = values.reshape(-1, size)
+    step = max(1, _FWHT_ENTRIES // size)
+    for lo in range(0, len(vectors), step):
+        block = np.ascontiguousarray(vectors[lo:lo + step].T)
+        half = 1
+        while half < size:
+            # outcome rows i and i + half of each run of 2 * half rows
+            pairs = block.reshape(-1, 2, half * block.shape[1])
+            low, high = pairs[:, 0], pairs[:, 1]
+            odd = low - high
+            low += high
+            high[...] = odd
+            del odd  # before the next step makes its own
+            half *= 2
+        vectors[lo:lo + step] = block.T
     return values
 
 

@@ -41,6 +41,23 @@ def dense_wht_matrix(n: int) -> np.ndarray:
     )
 
 
+def radix2_fwht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each vector along the last
+    axis, on a copy: the radix-2 butterfly over the whole array in its own
+    layout, stage half = 1, 2, 4, ..., each pair (low, high) becoming
+    (low + high, low - high)."""
+    out = np.array(values, dtype=float, order="C")
+    half = 1
+    while half < out.shape[-1]:
+        pairs = out.reshape(-1, 2, half)
+        low, high = pairs[:, 0, :], pairs[:, 1, :]
+        odd = low - high
+        low += high
+        high[...] = odd
+        half *= 2
+    return out
+
+
 def dense_gate_matrix(rates: np.ndarray) -> np.ndarray:
     """M[i, j] = rates[i ^ j], built entry by entry."""
     size = len(rates)
@@ -133,6 +150,16 @@ def support_jsd(p, q) -> float:
     """masked_jsd with each KL sum taken over the support alone, so the
     terms are added in another order: equal to rounding, not bit for bit."""
     return 0.5 * sum(float(np.sum(terms[mask])) for terms, mask in _kl_terms(p, q))
+
+
+def transposed_solve_projection(matrix, rows) -> np.ndarray:
+    """Each row solved through matrix by np.linalg.solve on the stacked
+    columns, then projected onto the simplex in the solve's own layout:
+    the Fortran-ordered transpose of its output."""
+    from qflip.transforms import simplex_project
+
+    solved = np.linalg.solve(matrix, np.asarray(rows).T)
+    return simplex_project(solved.T)
 
 
 def per_record_mitigation_rows(dataset, depths, inputs, systems, cond_limit):
@@ -483,12 +510,21 @@ def json_dump_file(path, payload) -> None:
 
 def stacked_cell_means(dataset, depths, inputs) -> np.ndarray:
     """(inputs, depths, 2**n) table of cell means, each an axis-0 sum of
-    the cell's rows divided by their count, one cell at a time."""
+    the cell's rows divided by their count, one cell at a time. A row is
+    a record's counts put into a dense zero row, then divided by its shots,
+    the records taken from dataset.records in sequence-id order."""
     table = []
     for index in inputs:
         row = []
         for depth in depths:
-            rows = dataset.distributions(depth, [index])
+            cell = sorted(
+                (r for r in dataset.records if (r.depth, r.input_index) == (depth, index)),
+                key=lambda r: r.sequence_id,
+            )
+            rows = np.zeros((len(cell), dataset.size))
+            for dense, record in zip(rows, cell):
+                dense[list(record.counts)] = list(record.counts.values())
+                dense /= record.shots
             row.append(rows.sum(axis=0) / len(rows))
         table.append(row)
     return np.array(table)

@@ -23,6 +23,7 @@ from oracles import (
     per_record_mitigation_rows,
     support_jsd,
     traced_peak,
+    transposed_solve_projection,
 )
 
 
@@ -204,6 +205,22 @@ class TestMitigate:
         got = mitigation.mitigate(mit, [0.5, 0.5])
         assert abs(got.sum() - 1.0) < 1e-12
         assert got.min() >= 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 7), rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=7, rows=300, seed=0)
+    def test_corrected_rows_are_c_ordered_with_the_transposed_bits(self, n, rows, seed):
+        # projection and scoring walk C-ordered rows; the values are those
+        # of projecting the solve's Fortran-ordered transpose
+        rng = np.random.default_rng(seed)
+        size = 2**n
+        matrix = 0.8 * np.eye(size) + 0.2 * distribution_batch(rng, size, size).T
+        system = channel.MitigationMatrix(depth=1, matrix=matrix)
+        noisy = distribution_batch(rng, rows, size)
+        corrected, flag = mitigation._invert(system, noisy)
+        assert flag == ""
+        assert corrected.flags.c_contiguous
+        assert corrected.tobytes() == transposed_solve_projection(matrix, noisy).tobytes()
 
     def test_shape_mismatch(self):
         mit = channel.MitigationMatrix(depth=1, matrix=np.eye(2))

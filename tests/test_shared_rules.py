@@ -10,6 +10,7 @@ from qflip import channel, estimation, mitigation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
 from qflip.records import Dataset
+from qflip.transforms import check_qubit_count
 
 QUBIT_COUNT_ENTRY_POINTS = {
     "Dataset": lambda n: Dataset(n, [], [], [], [], [], [], []),
@@ -19,6 +20,8 @@ QUBIT_COUNT_ENTRY_POINTS = {
     ),
     "GroundTruth": lambda n: simulator.GroundTruth(n=n, rates=[1.0, 0.0]),
     "rb_fit": lambda n: estimation.rb_fit({1: 0.9, 2: 0.8, 3: 0.75}, n),
+    "iid_bitflip": lambda n: simulator.iid_bitflip(n, 0.01),
+    "check_qubit_count": check_qubit_count,
 }
 
 
@@ -35,6 +38,23 @@ def test_every_entry_point_rejects_a_qubit_count_alike(entry, n, tmp_path, capsy
         with pytest.raises(ValueError) as caught:
             QUBIT_COUNT_ENTRY_POINTS[entry](n)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "n,shown", [(2.0, "2.0"), (True, "True"), (np.float64(3.0), "3.0"), ("2", "'2'")]
+)
+@pytest.mark.parametrize("entry", QUBIT_COUNT_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_qubit_count_that_is_not_an_integer(entry, n, shown):
+    with pytest.raises(ValueError) as caught:
+        QUBIT_COUNT_ENTRY_POINTS[entry](n)
+    assert str(caught.value) == f"qubit count {shown} is not an integer"
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)])
+def test_a_qubit_count_is_returned_as_a_python_int(n):
+    assert type(check_qubit_count(n)) is int
+    assert type(simulator.iid_bitflip(n, 0.01).n) is int
+    assert type(Dataset(n, [], [], [], [], [], [], []).n) is int
 
 
 @pytest.mark.parametrize(

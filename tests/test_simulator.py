@@ -406,6 +406,16 @@ class TestGenerateDataset:
         for depth in (0, 2):
             _, counts = depth_draws(gt, 6, depth, 3, [0, 5, 11], 256)
             assert [r.counts for r in ds.records if r.depth == depth] == counts
+        # at n=7 a record's 128 counts are the widest rows the sampler
+        # scans for its entries
+        gt = simulator.iid_bitflip(7, 0.02, readout=0.01)
+        inputs = [0, 1, 77, 127]
+        ds = simulator.generate_dataset(
+            gt, depths=[0, 3], circuits_per_depth=2, inputs=inputs, shots=1024, seed=9
+        )
+        for depth in (0, 3):
+            _, counts = depth_draws(gt, 9, depth, 2, inputs, 1024)
+            assert [r.counts for r in ds.records if r.depth == depth] == counts
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_flip_order_is_a_permutation_by_popcount(self, n):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qflip import transforms
 from qflip.transforms import (
     fwht,
     fwht_in_place,
@@ -16,6 +17,7 @@ from qflip.transforms import (
 from oracles import (
     dense_wht_matrix,
     grid_simplex_minimizer,
+    radix2_fwht,
     traced_peak,
     threshold_simplex_project,
     xor_permutation_matrix,
@@ -123,6 +125,48 @@ class TestFwhtInPlace:
             fwht_in_place(frozen)
 
 
+class TestFwhtBlocks:
+    """fwht_in_place runs the radix-2 butterfly on blocks of vectors in a
+    transposed layout; every bit must be the whole-array butterfly's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        leading=st.lists(st.integers(1, 24), max_size=2),
+        scale=st.floats(0.01, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_radix2_butterfly(self, n, leading, scale, seed):
+        assume(np.prod(leading, dtype=int) << n <= 1 << 17)
+        values = np.random.default_rng(seed).normal(scale=scale, size=(*leading, 2**n))
+        expected = radix2_fwht(values)
+        assert fwht_in_place(values) is values
+        assert values.tobytes() == expected.tobytes()
+
+    # vectors per block at n=7: the batches end just before, at and just
+    # after a block, and just after the fifth
+    PER_BLOCK = transforms._FWHT_ENTRIES >> 7
+
+    @pytest.mark.parametrize("rows", [PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1, 5 * PER_BLOCK + 1])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 1e3])
+    def test_block_boundaries_at_n7(self, rows, scale):
+        rng = np.random.default_rng(rows)
+        for shape in [(rows, 128), (1, rows, 128)]:
+            values = rng.normal(scale=scale, size=shape)
+            expected = radix2_fwht(values)
+            fwht_in_place(values)
+            assert values.tobytes() == expected.tobytes()
+
+    def test_temporaries_are_a_few_blocks(self):
+        # the whole-array butterfly's temporary is half the array, 2 MiB
+        # here; a block is 256 KiB, and the finiteness check's bools 512 KiB
+        values = np.random.default_rng(3).normal(size=(512, 1024))
+        expected = radix2_fwht(values)
+        _, peak = traced_peak(lambda: fwht_in_place(values))
+        assert peak <= 4 * transforms._FWHT_ENTRIES * values.itemsize
+        assert values.tobytes() == expected.tobytes()
+
+
 class TestFwhtInverse:
     def test_single_qubit_by_hand(self):
         assert np.allclose(fwht_inverse(np.array([1.0, 0.8])), [0.9, 0.1])
@@ -214,6 +258,18 @@ class TestXorPermute:
 
 
 class TestSimplexProject:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_a_fortran_ordered_batch_projects_as_its_c_ordered_copy(self, n, rows, seed):
+        # a solve's transposed output is Fortran-ordered; the mitigation
+        # path projects a C-ordered copy of it
+        batch = np.random.default_rng(seed).normal(scale=0.3, size=(2**n, rows)).T
+        assert batch.flags.f_contiguous
+        assert (
+            simplex_project(batch).tobytes()
+            == simplex_project(np.ascontiguousarray(batch)).tobytes()
+        )
+
     def test_already_on_simplex_unchanged(self):
         v = np.array([0.2, 0.3, 0.5])
         assert np.array_equal(simplex_project(v), v)
