@@ -234,9 +234,10 @@ def _positive_depths(dataset: Dataset) -> list:
     return depths or dataset.depths()
 
 
-def _ground_truth_params(s: Settings):
-    """Shared simulate/run-all front end: preset, geometry, sampling plan.
-    The plan is what profile.json and the config digest record of it."""
+def _ground_truth_params(s: Settings, inputs: str):
+    """Shared simulate/run-all front end: preset, geometry, sampling plan
+    over the input states that inputs names. The plan is what profile.json
+    and the config digest record of it."""
     name, params = parse_preset(s.require("preset"))
     n = s.integer("n", required=True)
     for key in ("readout", "prep"):
@@ -250,7 +251,7 @@ def _ground_truth_params(s: Settings):
         "K": s.integer("K", DEFAULT_CIRCUITS_PER_DEPTH),
         "shots": s.integer("shots", DEFAULT_SHOTS),
         "seed": s.integer("seed", 0),
-        "inputs": parse_inputs(s.raw("inputs", "0"), gt.size),
+        "inputs": parse_inputs(inputs, gt.size),
     }
     return gt, plan
 
@@ -301,18 +302,15 @@ def _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=
     model, fits = estimate_model(dataset, inputs=inputs, train_depths=train)
     if pooled:
         model = pool_rates(model)
-    meta = _meta_line(dataset.n, seed, digest)
     model_path = os.path.join(outdir, "model.json")
     write_model(
         model_path,
         model,
         meta={"seed": seed, "config_sha256": digest, "train_depths": train},
     )
-    for index in sorted(fits):
-        bits = index_to_bits(index, dataset.n)
-        write_diagnostics(
-            os.path.join(outdir, f"diagnostics_{bits}.csv"), fits[index], meta=meta
-        )
+    write_diagnostics(
+        os.path.join(outdir, "diagnostics.csv"), fits, meta=_meta_line(dataset.n, seed, digest)
+    )
     print(f"wrote model to {model_path} (train depths {train[0]}..{train[-1]})")
     if gt is not None:
         _print_truth_distance(model, gt)
@@ -402,7 +400,7 @@ def _mitigate_into(dataset, model, outdir, test, inputs, pooled, seed, digest) -
 
 
 def cmd_simulate(s: Settings) -> int:
-    gt, plan = _ground_truth_params(s)
+    gt, plan = _ground_truth_params(s, s.raw("inputs", "0"))
     depths = parse_depths(s.require("depths"))
     digest = _config_hash({**plan, "command": "simulate", "depths": depths})
     _simulate_to_dir(gt, plan, depths, s.integer("workers"), s.out_dir(), digest)
@@ -479,10 +477,8 @@ def cmd_mitigate(s: Settings) -> int:
 
 
 def cmd_run_all(s: Settings) -> int:
-    gt, plan = _ground_truth_params(s)
-    if s.raw("inputs") is None:
-        # mitigation needs every basis input characterized
-        plan["inputs"] = list(range(gt.size))
+    # mitigation needs every basis input characterized
+    gt, plan = _ground_truth_params(s, "all")
     train = parse_depths(s.require("train"))
     test = parse_depths(s.require("test"))
     _warn_overlap(train, test)
@@ -579,12 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_METHOD)
     cmd.set_defaults(func=cmd_mitigate)
 
-    cmd = sub.add_parser("run-all", help="simulate, characterize, predict, mitigate")
+    cmd = sub.add_parser(
+        "run-all", help="simulate, characterize, predict, mitigate, over every input state"
+    )
     _add_common(cmd)
     _add_device(cmd)
     cmd.add_argument("--train", help="training depths, e.g. 1..30")
     cmd.add_argument("--test", help="test depths, e.g. 10,30,50,70,90")
-    cmd.add_argument("--inputs", help="input states (default: all)")
     cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_METHOD)
     cmd.add_argument("--rb", action="store_const", const=True, help="also fit the RB baseline")
     cmd.set_defaults(func=cmd_run_all)

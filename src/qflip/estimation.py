@@ -12,6 +12,7 @@ the survival probability is included as a baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .channel import (
     rates_from_eigenvalues,
 )
 from .errors import select
-from .records import Dataset, require_cells, write_csv
+from .records import Dataset, index_to_bits, require_cells, write_csv
 from .transforms import check_depths, check_qubit_count, fwht_in_place, xor_permute
 
 __all__ = [
@@ -353,14 +354,25 @@ def _divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     )
 
 
-def write_diagnostics(path, fit: FitResult, meta: str | None = None) -> None:
-    """Fit diagnostics CSV: coefficient,A,lambda,points_used,residual."""
-    rows = zip(
-        range(len(fit.spam)),
-        fit.spam.tolist(),
-        fit.eigenvalues.tolist(),
-        fit.points_used.tolist(),
-        fit.residual.tolist(),
-    )
-    columns = ["coefficient", "A", "lambda", "points_used", "residual"]
-    write_csv(path, meta, columns, "%d,%.12g,%.12g,%d,%.12g", rows)
+def write_diagnostics(path, fits: dict, meta: str | None = None) -> None:
+    """Fit diagnostics CSV of a ``{input index: FitResult}`` mapping, as
+    estimate_model returns it: columns input,coefficient,A,lambda,
+    points_used,residual, one row per input and Walsh coefficient, by
+    increasing input and then coefficient. input is the n-bit string of
+    the index, n being log2 of the number of coefficients of each fit."""
+
+    def rows():
+        for index in sorted(fits):
+            fit = fits[index]
+            size = len(fit.spam)
+            yield from zip(
+                repeat(index_to_bits(index, size.bit_length() - 1)),
+                range(size),
+                fit.spam.tolist(),
+                fit.eigenvalues.tolist(),
+                fit.points_used.tolist(),
+                fit.residual.tolist(),
+            )
+
+    columns = ["input", "coefficient", "A", "lambda", "points_used", "residual"]
+    write_csv(path, meta, columns, "%s,%d,%.12g,%.12g,%d,%.12g", rows())

@@ -17,9 +17,10 @@ The other artifact files are read and written here too: ``read_json`` and
 for the CSV reports, whose '# ' header line is written as the dataset's is.
 Both writers render their files by hand, in batches, byte for byte as
 the json module (indent=2, sort_keys=True) and ``csv.writer`` would.
-``holds_numbers`` is the number rule of the JSON payloads, and
-``require_cells`` the empty-selection and missing-cell errors of datasets
-and averages alike.
+Every writer opens its file through ``_create``, which replaces an
+existing file rather than truncating it. ``holds_numbers`` is the number
+rule of the JSON payloads, and ``require_cells`` the empty-selection and
+missing-cell errors of datasets and averages alike.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def write_json(path, payload) -> None:
     json module writes it with indent=2 and sort_keys=True: 2-space indent,
     sorted keys, floats in repr form and NaN/Infinity as json spells them.
     Object keys must be strings."""
-    with open(path, "w") as handle:
+    with _create(path) as handle:
         handle.write(_json_text(payload, "\n"))
         handle.write("\n")
 
@@ -289,11 +290,21 @@ def write_csv(path, header: str | None, columns, fmt: str, rows) -> None:
     line = fmt + "\r\n"
     step = max(1, _CSV_VALUES // len(columns))
     rows = iter(rows)
-    with open(path, "w", newline="") as handle:
+    with _create(path) as handle:
         handle.write(_header_line(header))
         handle.write(",".join(columns) + "\r\n")
         while chunk := list(islice(rows, step)):
             handle.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
+
+
+def _create(path, binary: bool = False):
+    """A new file at path, open for writing an artifact: text mode writes
+    each line end as given. An existing file is unlinked first, never
+    truncated, so a reader that holds it keeps its bytes, and the
+    filesystem need not flush the old blocks before the new ones land."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "xb") if binary else open(path, "x", newline="")
 
 
 def _header_line(header: str | None) -> str:
@@ -513,7 +524,7 @@ class Dataset:
         """Write records in canonical order; header becomes a '#' comment."""
         starts = self.starts
         bounds = _record_blocks(starts, _WRITE_ENTRIES)
-        with open(path, "wb") as handle:
+        with _create(path, binary=True) as handle:
             handle.write(_header_line(header).encode())
             for lo, hi in zip(bounds, bounds[1:]):
                 first, last = starts[lo], starts[hi]

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import contextlib
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -260,8 +262,10 @@ class TestCharacterize:
         )
         assert code == 0
         assert (tmp_path / "model.json").exists()
-        for bits in ("00", "01", "10", "11"):
-            assert (tmp_path / f"diagnostics_{bits}.csv").exists()
+        # one diagnostics table covers every fitted input
+        assert sorted(p.name for p in tmp_path.glob("diagnostics*")) == ["diagnostics.csv"]
+        rows = read_csv_rows(tmp_path / "diagnostics.csv")
+        assert sorted({row[0] for row in rows[1:]}) == ["00", "01", "10", "11"]
         # the sibling profile makes ground truth available
         out = capsys.readouterr().out
         assert "L1(p_hat, p_true)" in out
@@ -285,9 +289,12 @@ class TestCharacterize:
     def test_diagnostics_schema(self, run_dir, tmp_path):
         run("characterize", "--dataset", run_dir / "dataset.jsonl",
             "--train", "1..8", "--out", tmp_path)
-        rows = read_csv_rows(tmp_path / "diagnostics_00.csv")
-        assert rows[0] == ["coefficient", "A", "lambda", "points_used", "residual"]
-        assert len(rows) == 1 + 4
+        rows = read_csv_rows(tmp_path / "diagnostics.csv")
+        assert rows[0] == ["input", "coefficient", "A", "lambda", "points_used", "residual"]
+        # by increasing input, then coefficient
+        assert [row[:2] for row in rows[1:]] == [
+            [bits, str(k)] for bits in ("00", "01", "10", "11") for k in range(4)
+        ]
 
     def test_rb_flag_writes_fit(self, run_dir, tmp_path):
         code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
@@ -378,7 +385,7 @@ class TestCharacterize:
         code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
                    "--profile", profile, "--out", tmp_path)
         assert code == 0
-        assert "seed=none" in (tmp_path / "diagnostics_00.csv").read_text()
+        assert "seed=none" in (tmp_path / "diagnostics.csv").read_text()
 
     def test_profile_qubit_count_is_checked_before_the_device_is_built(
         self, run_dir, tmp_path, capsys
@@ -775,6 +782,64 @@ class TestRunAll:
                           "model = m.json\nprofile = p.json\n")
         assert run("run-all", "--config", config, "--out", tmp_path / "o") == 0
         assert run("simulate", "--config", config, "--out", tmp_path / "s") == 0
+
+    SMALL = ("run-all", "--preset", "iid_bitflip:0.02", "--K", 2, "--shots", 32,
+             "--train", "1..3", "--test", "5")
+    ARTIFACTS = ["dataset.jsonl", "diagnostics.csv", "model.json", "predictions.csv",
+                 "profile.json", "report.csv"]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("rb", [False, True])
+    def test_writes_exactly_its_artifacts(self, tmp_path, n, rb):
+        flags = ["--rb"] if rb else []
+        assert run(*self.SMALL, "--n", n, "--seed", 3, *flags, "--out", tmp_path) == 0
+        expected = self.ARTIFACTS + (["rb.json"] if rb else [])
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+
+    def test_rerun_into_the_same_directory_keeps_every_byte(self, tmp_path):
+        def digests():
+            return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in tmp_path.iterdir()}
+
+        argv = (*self.SMALL, "--n", 2, "--seed", 3, "--rb", "--pavg", "--out", tmp_path)
+        assert run(*argv) == 0
+        first = digests()
+        assert run(*argv) == 0
+        assert digests() == first
+
+    def test_rerun_replaces_artifacts_that_a_reader_holds(self, tmp_path):
+        # each artifact is replaced, not truncated: a handle opened on the
+        # old file still reads the old bytes after a rerun rewrites it
+        argv = (*self.SMALL, "--n", 2, "--out", tmp_path)
+        assert run(*argv, "--seed", 1) == 0
+        names = ["dataset.jsonl", "report.csv", "model.json"]
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+        with contextlib.ExitStack() as stack:
+            held = {name: stack.enter_context(open(tmp_path / name, "rb")) for name in names}
+            assert run(*argv, "--seed", 2) == 0
+            for name in names:
+                assert held[name].read() == old[name], name
+                assert (tmp_path / name).read_bytes() != old[name], name
+
+    def test_inputs_option_is_rejected(self, tmp_path, capsys):
+        # run-all fits every input: a subset would stop at mitigation
+        with pytest.raises(SystemExit) as exit_info:
+            run(*self.SMALL, "--n", 2, "--inputs", "0", "--out", tmp_path / "o")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --inputs 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_inputs_key_is_left_to_the_other_commands(self, tmp_path):
+        config = tmp_path / "shared.cfg"
+        config.write_text("preset = iid_bitflip:0.02\nn = 2\nK = 2\nshots = 32\n"
+                          "train = 1..3\ntest = 5\ndepths = 1..3\ninputs = 0\n")
+        assert run("run-all", "--config", config, "--out", tmp_path / "o") == 0
+        profile = json.loads((tmp_path / "o" / "profile.json").read_text())
+        assert profile["inputs"] == [0, 1, 2, 3]
+        model = json.loads((tmp_path / "o" / "model.json").read_text())
+        assert sorted(model["inputs"]) == ["0", "1", "2", "3"]
+        assert run("simulate", "--config", config, "--out", tmp_path / "s") == 0
+        assert json.loads((tmp_path / "s" / "profile.json").read_text())["inputs"] == [0]
 
 
 class TestErrorExits:

@@ -515,12 +515,14 @@ class TestDiagnosticsCsv:
         series = {m: np.array([1.0, 0.9 * 0.95**m]) for m in range(1, 11)}
         fit = fit_series(series)
         path = tmp_path / "diag.csv"
-        estimation.write_diagnostics(path, fit)
+        estimation.write_diagnostics(path, {1: fit, 0: fit})
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "coefficient,A,lambda,points_used,residual"
-        assert len(lines) == 3
-        fields = lines[2].split(",")
-        assert int(fields[0]) == 1
-        assert float(fields[1]) == pytest.approx(0.9, abs=1e-9)
-        assert float(fields[2]) == pytest.approx(0.95, abs=1e-9)
-        assert int(fields[3]) == 10
+        assert lines[0] == "input,coefficient,A,lambda,points_used,residual"
+        # by increasing input, then coefficient
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]
+        ]
+        fields = lines[4].split(",")
+        assert float(fields[2]) == pytest.approx(0.9, abs=1e-9)
+        assert float(fields[3]) == pytest.approx(0.95, abs=1e-9)
+        assert int(fields[4]) == 10

@@ -35,6 +35,7 @@ PINS = {
     "report.csv": "8d9661059208d83ed9367e5f880df40b1247310aa14db1261dd465528e790593",
     "predictions.csv": "ed66c06d5f2ca0356f661edb6b4fdcce63bef9da9ee50768cc68b6c55818f03e",
     "profile.json": "b98b6cfb14e27ac3c6bbe217226a186865cfb558b101a5ecebc662e2b59ea1f2",
+    "diagnostics.csv": "e77c72a8c71377b8b783ff41a4de86b6a5d397f149058675f398e7dde37a85a4",
 }
 
 # every input of n=4, correlated flips, asymmetric readout pairs per qubit
@@ -45,7 +46,6 @@ ARGV_N4 = [
     "--K", "3",
     "--shots", "128",
     "--seed", "13",
-    "--inputs", "all",
     "--readout", "0.02/0.04,0.01/0.03,0.03/0.01,0.015/0.025",
     "--prep", "0.01",
     "--train", "1..8",
@@ -60,7 +60,7 @@ PINS_N4 = {
     "report.csv": "e551842808d1be80f3efc83721dccefe68d5f6ab33a7e7f560a43be98755f98f",
     "predictions.csv": "693f01427c9da4722d80cd833776b1f8de90b9c10d5f5ccdd7c758c46df91d8d",
     "rb.json": "8f89cf5198c55b0558438464339b2408f524ee0c85d4e62252962be7df84bc76",
-    "diagnostics_1011.csv": "fac28ee66086af456a18064b94973cf778c6b2f1d651aed3fbaae1f3bff221da",
+    "diagnostics.csv": "f7d635eb5daee224746125739dacfc128b7aa36bf56d7a59e53ff76d1a01c9cd",
     "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
 }
 
@@ -123,9 +123,7 @@ PINS_STAGED_N3 = {
     "dataset.jsonl": "45c076f05f1df17dad113c614aa51fbce17ea490e61b28020d100f40008f5142",
     "model.json": "329a841dbd2d65ea5618a5dbdebe61c5565ec02852008c5cbcefdac2dac37583",
     "predictions.csv": "2b2d02a8867aee2bf3069ca09a7036cd4b87ec61834b816df61e2c352d30b090",
-    "diagnostics_000.csv": "2f627c0b2bc9b0b052e2b39cbf9c371fb0b9610686ff89171ae6c5722467a0f8",
-    "diagnostics_011.csv": "4d88f3ffbd9ba5c428cdbaf7f53b4b41c7317d330a27b2ad4a22dc94166b94a2",
-    "diagnostics_101.csv": "6606052f00dcb86a3197df49f39e6095b4e18df7d20228dcd74f97c45ad6a999",
+    "diagnostics.csv": "e433c9ae72c047847cf856742d7175cb3bc498cc0cb22e4ea105f186ed4e8c60",
     "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
 
@@ -171,7 +169,7 @@ STAGED_PAVG_N3 = [
 PINS_STAGED_PAVG_N3 = {
     "model.json": "dc47da9cae8b97e341ea65644850b3faf8ef3fd7fc5d07f31383535b4867d9cf",
     "rb.json": "764f5e0a83b07d5fb4d97c2eba733fe0187d595f460f45e004e5109c889daaf6",
-    "diagnostics_111.csv": "c968f872b36a8fe642e2ebbae19c4c0b643f51f617f43b1fc32c2dc3024d90b9",
+    "diagnostics.csv": "393e5a206f450e9aed27476ca7cf3617a8893d374fff43a10d89e2fe480eb4a1",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
 }
 

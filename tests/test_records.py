@@ -1008,6 +1008,28 @@ class TestArtifactWriters:
             with open(got, "rb") as mine, open(want, "rb") as theirs:
                 assert mine.read() == theirs.read()
 
+    # one writer per artifact kind; tag sets what the file holds
+    WRITERS = {
+        "dataset.jsonl": lambda path, tag: (
+            dataset_of(1, [(tag, 0, 0, 1, {0: 1})]).write_jsonl(path)
+        ),
+        "report.csv": lambda path, tag: records.write_csv(path, "h", ["depth"], "%d", [(tag,)]),
+        "model.json": lambda path, tag: records.write_json(path, {"depth": tag}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_rewrite_replaces_the_file_instead_of_truncating_it(self, tmp_path, name):
+        write = self.WRITERS[name]
+        path, fresh = tmp_path / name, tmp_path / f"fresh-{name}"
+        write(path, 1)
+        old = path.read_bytes()
+        with open(path, "rb") as held:
+            write(path, 23)
+            # a reader that opened the old file still reads its bytes
+            assert held.read() == old
+        write(fresh, 23)
+        assert path.read_bytes() == fresh.read_bytes() != old
+
     def test_json_keys_must_be_strings(self, tmp_path):
         with pytest.raises(TypeError, match="keys must be strings"):
             records.write_json(tmp_path / "bad.json", {"inputs": {1: [0.5]}})
