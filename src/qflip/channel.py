@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing, require_selected
-from .records import holds_numbers, index_to_bits, read_json, write_json
+from .records import holds_numbers, index_to_bits, read_json, recorded_seed, write_json
 from .transforms import (
     check_basis_indices,
     check_depths,
@@ -290,8 +290,8 @@ def model_to_json(model: NoiseModel) -> dict:
 
 def model_from_json(payload: dict) -> NoiseModel:
     """The model of a ``model_to_json`` payload. Each entry's "p" and "A"
-    must hold JSON numbers. An optional "meta" must be an object, and its
-    "train_depths", if present, a list of integers."""
+    must hold JSON numbers. An optional "meta" must be an object whose
+    optional "train_depths" is a list of integers and "seed" an integer or null."""
     try:
         n = payload["n"]
         raw_inputs = payload["inputs"]
@@ -307,6 +307,7 @@ def model_from_json(payload: dict) -> NoiseModel:
     train = meta.get("train_depths", [])
     if not isinstance(train, list) or any(type(depth) is not int for depth in train):
         raise ValueError(f"model meta train_depths must be a list of integers, got {train!r}")
+    recorded_seed(meta, "model meta")
     channels = {}
     for key, entry in raw_inputs.items():
         try:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channel import pool_rates, predict_distribution, read_model, write_model
+from .channel import predict_distribution, read_model, write_model
 from .errors import ConfigError, CoverageError, NumericError
 from .estimation import (
     estimate_model,
@@ -33,7 +33,7 @@ from .mitigation import (
     evaluate_mitigation,
     jsd,
 )
-from .records import Dataset, index_to_bits, read_json, write_csv, write_json
+from .records import Dataset, index_to_bits, read_json, remove_artifact, write_csv, write_json
 from .simulator import (
     DEFAULT_CIRCUITS_PER_DEPTH,
     DEFAULT_SHOTS,
@@ -277,7 +277,7 @@ def _simulate_to_dir(gt, plan, depths, workers, outdir, digest, **extra_profile)
     return dataset, dataset_path
 
 
-def _load_profile(s: Settings, dataset_path):
+def _load_profile(s: Settings, dataset_path, n):
     """Planted ground truth when available: --profile or a sibling file."""
     path = s.raw("profile")
     if path is None:
@@ -286,9 +286,12 @@ def _load_profile(s: Settings, dataset_path):
             return None, None
     payload = read_json(path, "profile")
     try:
-        return ground_truth_from_profile(payload)
+        gt, seed = ground_truth_from_profile(payload)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if gt.n != n:
+        raise ConfigError(f"{path}: profile has n={gt.n} but dataset has n={n}")
+    return gt, seed
 
 
 def _print_truth_distance(model, gt) -> None:
@@ -298,10 +301,8 @@ def _print_truth_distance(model, gt) -> None:
         print(f"L1(p_hat, p_true) input {bits}: {gap:.6f}")
 
 
-def _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=None):
+def _characterize_into(dataset, outdir, train, inputs, seed, digest, gt=None):
     model, fits = estimate_model(dataset, inputs=inputs, train_depths=train)
-    if pooled:
-        model = pool_rates(model)
     model_path = os.path.join(outdir, "model.json")
     write_model(
         model_path,
@@ -317,7 +318,13 @@ def _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=
     return model, fits
 
 
-def _rb_into(dataset, outdir, train, input_index, seed, digest) -> None:
+def _rb_into(dataset, outdir, train, fits, seed, digest, wanted: bool) -> None:
+    """rb.json: the first fitted input's RB fit, or, unless wanted, no file."""
+    path = os.path.join(outdir, "rb.json")
+    if not wanted:
+        remove_artifact(path)
+        return
+    input_index = min(fits)
     series = rb_series_from_dataset(dataset, input_index=input_index, depths=train)
     result = rb_fit(series, dataset.n)
     payload = {
@@ -331,7 +338,6 @@ def _rb_into(dataset, outdir, train, input_index, seed, digest) -> None:
         "gate_error": result.gate_error,
         "degenerate": result.degenerate,
     }
-    path = os.path.join(outdir, "rb.json")
     write_json(path, payload)
     flag = " (degenerate fit)" if result.degenerate else ""
     print(f"RB baseline: alpha={result.alpha:.6f} gate_error={result.gate_error:.6f}{flag}")
@@ -414,22 +420,18 @@ def cmd_characterize(s: Settings) -> int:
     train = parse_depths(train_text) if train_text is not None else _positive_depths(dataset)
     inputs_text = s.raw("inputs")
     inputs = parse_inputs(inputs_text, 1 << dataset.n) if inputs_text is not None else None
-    pooled = s.boolean("pavg")
-    gt, gt_seed = _load_profile(s, dataset_path)
-    seed = s.integer("seed", gt_seed)
+    gt, seed = _load_profile(s, dataset_path, dataset.n)
     cfg = {
         "command": "characterize",
         "dataset": os.path.basename(dataset_path),
         "train": train,
         "inputs": inputs,
-        "pavg": pooled,
         "seed": seed,
     }
     digest = _config_hash(cfg)
     outdir = s.out_dir()
-    _, fits = _characterize_into(dataset, outdir, train, inputs, pooled, seed, digest, gt=gt)
-    if s.boolean("rb"):
-        _rb_into(dataset, outdir, train, sorted(fits)[0], seed, digest)
+    _, fits = _characterize_into(dataset, outdir, train, inputs, seed, digest, gt=gt)
+    _rb_into(dataset, outdir, train, fits, seed, digest, s.boolean("rb"))
     return 0
 
 
@@ -444,7 +446,7 @@ def cmd_predict(s: Settings) -> int:
     dataset = None
     if s.raw("dataset") is not None:
         dataset = _read_dataset(s.raw("dataset"), model)
-    seed = s.integer("seed", meta.get("seed"))
+    seed = meta.get("seed")
     cfg = {"command": "predict", "depths": depths, "inputs": inputs, "seed": seed}
     digest = _config_hash(cfg)
     path = os.path.join(s.out_dir(), "predictions.csv")
@@ -463,14 +465,8 @@ def cmd_mitigate(s: Settings) -> int:
     inputs = parse_inputs(inputs_text, model.size) if inputs_text is not None else None
     pooled = s.boolean("pavg")
     _warn_overlap(meta.get("train_depths", []), test)
-    seed = s.integer("seed", meta.get("seed"))
-    cfg = {
-        "command": "mitigate",
-        "test": test,
-        "inputs": inputs,
-        "pavg": pooled,
-        "seed": seed,
-    }
+    seed = meta.get("seed")
+    cfg = {"command": "mitigate", "test": test, "inputs": inputs, "pavg": pooled, "seed": seed}
     digest = _config_hash(cfg)
     _mitigate_into(dataset, model, s.out_dir(), test, inputs, pooled, seed, digest)
     return 0
@@ -493,11 +489,8 @@ def cmd_run_all(s: Settings) -> int:
         gt, plan, depths, s.integer("workers"), outdir, digest, train=train, test=test
     )
     seed = plan["seed"]
-    model, fits = _characterize_into(
-        dataset, outdir, train, None, False, seed, digest, gt=gt
-    )
-    if s.boolean("rb"):
-        _rb_into(dataset, outdir, train, sorted(fits)[0], seed, digest)
+    model, fits = _characterize_into(dataset, outdir, train, None, seed, digest, gt=gt)
+    _rb_into(dataset, outdir, train, fits, seed, digest, s.boolean("rb"))
     _write_predictions(
         os.path.join(outdir, "predictions.csv"),
         model,
@@ -526,8 +519,6 @@ def _add_device(cmd) -> None:
     cmd.add_argument("--workers", help="parallel worker processes")
 
 
-# --pavg of characterize, and of mitigate and run-all
-_PAVG_FIT = "write the model with each input's rates pooled to their mean; SPAM stays per input"
 _PAVG_METHOD = "also score proposed_pavg: proposed on the model with its rates pooled"
 
 
@@ -551,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--train", help="training depths (default: all positive depths)")
     cmd.add_argument("--inputs", help="input states to fit (default: all present)")
     cmd.add_argument("--profile", help="ground-truth profile JSON (default: sibling file)")
-    cmd.add_argument("--seed", help="seed recorded in artifacts")
-    cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_FIT)
     cmd.add_argument("--rb", action="store_const", const=True, help="also fit the RB baseline")
     cmd.set_defaults(func=cmd_characterize)
 
@@ -562,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--depths", help="depths to predict, e.g. 40,70,100")
     cmd.add_argument("--inputs", help="input states (default: all in the model)")
     cmd.add_argument("--dataset", help="optional dataset; adds a JSD column")
-    cmd.add_argument("--seed", help="seed recorded in artifacts")
     cmd.set_defaults(func=cmd_predict)
 
     cmd = sub.add_parser("mitigate", help="score mitigation methods on test depths")
@@ -571,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--dataset", help="JSON-lines dataset path")
     cmd.add_argument("--test", help="test depths (default: all positive depths)")
     cmd.add_argument("--inputs", help="input states (default: all present)")
-    cmd.add_argument("--seed", help="seed recorded in artifacts")
     cmd.add_argument("--pavg", action="store_const", const=True, help=_PAVG_METHOD)
     cmd.set_defaults(func=cmd_mitigate)
 

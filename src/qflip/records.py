@@ -19,8 +19,9 @@ Both writers render their files by hand, in batches, byte for byte as
 the json module (indent=2, sort_keys=True) and ``csv.writer`` would.
 Every writer opens its file through ``_create``, which replaces an
 existing file rather than truncating it. ``holds_numbers`` is the number
-rule of the JSON payloads, and ``require_cells`` the empty-selection and
-missing-cell errors of datasets and averages alike.
+rule of the JSON payloads, ``recorded_seed`` their seed rule, and
+``require_cells`` the empty-selection and missing-cell errors of datasets
+and averages alike.
 """
 
 from __future__ import annotations
@@ -242,6 +243,14 @@ def holds_numbers(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def recorded_seed(payload: dict, what: str):
+    """payload's "seed": a JSON integer, or absent or null for none."""
+    seed = payload.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"{what} seed must be an integer, got {seed!r}")
+    return seed
+
+
 def write_json(path, payload) -> None:
     """Write payload as JSON with a final newline, byte for byte as the
     json module writes it with indent=2 and sort_keys=True: 2-space indent,
@@ -302,9 +311,14 @@ def _create(path, binary: bool = False):
     each line end as given. An existing file is unlinked first, never
     truncated, so a reader that holds it keeps its bytes, and the
     filesystem need not flush the old blocks before the new ones land."""
+    remove_artifact(path)
+    return open(path, "xb") if binary else open(path, "x", newline="")
+
+
+def remove_artifact(path) -> None:
+    """Unlink the file at path if there is one."""
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
-    return open(path, "xb") if binary else open(path, "x", newline="")
 
 
 def _header_line(header: str | None) -> str:

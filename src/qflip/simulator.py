@@ -19,7 +19,7 @@ import numpy as np
 from . import clifford
 from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError, require_selected, select
-from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers
+from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers, recorded_seed
 from .transforms import check_basis_indices, check_qubit_count, check_seed, require_prob_dist
 
 __all__ = [
@@ -455,7 +455,5 @@ def ground_truth_from_profile(payload: dict):
     for key, value in params.items():
         if not holds_numbers(value):
             raise ConfigError(f"malformed profile: parameter {key!r} is not a number: {value!r}")
-    seed = payload.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise ConfigError(f"malformed profile: seed must be an integer, got {seed!r}")
+    seed = recorded_seed(payload, "malformed profile:")
     return build_preset(name, n, **params), seed

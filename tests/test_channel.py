@@ -450,7 +450,7 @@ class TestPoolRates:
             assert got.spam.tobytes() == model.channel(index).spam.tobytes()
 
     def test_partial_model_averages_over_its_own_inputs(self):
-        # the inputs characterize --inputs 1,2,4,7 --pavg pools at n=3
+        # a model of inputs 1, 2, 4 and 7 at n=3, as characterize --inputs 1,2,4,7 fits
         rng = np.random.default_rng(43)
         channels = {index: random_channel(rng, 3) for index in (1, 2, 4, 7)}
         model = channel.NoiseModel(n=3, channels=channels)

@@ -12,7 +12,7 @@ import pytest
 
 import qflip
 from qflip import simulator
-from qflip.cli import main, parse_depths, parse_inputs, parse_preset, parse_spam
+from qflip.cli import build_parser, main, parse_depths, parse_inputs, parse_preset, parse_spam
 from qflip.errors import ConfigError
 from qflip.records import Dataset
 
@@ -428,6 +428,29 @@ class TestCharacterize:
             f"error: {profile}: malformed profile: parameter 'q' is not a number: {shown}\n"
         )
 
+    def test_profile_of_another_width_exits_2_before_writing(self, run_dir, tmp_path, capsys):
+        # the truth distance once failed to broadcast after model.json was written
+        profile = tmp_path / "p.json"
+        profile.write_text('{"preset": "iid_bitflip", "n": 3, "params": {"q": 0.05}}')
+        out = tmp_path / "out"
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--profile", profile, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {profile}: profile has n=3 but dataset has n=2\n"
+        )
+        assert not (out / "model.json").exists()
+
+    def test_run_without_rb_removes_an_older_rb_fit(self, run_dir, tmp_path):
+        argv = ("characterize", "--dataset", run_dir / "dataset.jsonl", "--train", "1..8",
+                "--out", tmp_path)
+        assert run(*argv, "--rb") == 0
+        assert (tmp_path / "rb.json").exists()
+        assert run(*argv) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "diagnostics.csv", "model.json"
+        ]
+
     def test_broken_sibling_profile_names_its_file(self, run_dir, tmp_path, capsys):
         # the profile next to the dataset is read without being asked for
         (tmp_path / "dataset.jsonl").write_bytes((run_dir / "dataset.jsonl").read_bytes())
@@ -563,6 +586,19 @@ class TestModelFileChecks:
             lambda p: _with_entry(p, "1", p=[0.5, 0.25, 0.25, 0.25]),
             "distribution sums to 1.25, expected 1",
         ),
+        # predict and mitigate write the model's seed into their headers
+        "seed not an integer": (
+            lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": "7; rm -rf"}}),
+            "model meta seed must be an integer, got '7; rm -rf'",
+        ),
+        "fractional seed": (
+            lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": 2.5}}),
+            "model meta seed must be an integer, got 2.5",
+        ),
+        "boolean seed": (
+            lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": True}}),
+            "model meta seed must be an integer, got True",
+        ),
         # the length is checked before the sum, so the error names it
         "rates of the wrong length": (
             lambda p: _with_entry(p, "2", p=p["inputs"]["2"]["p"][:-1]),
@@ -605,6 +641,14 @@ class TestModelFileChecks:
         assert str(caught.value).startswith(f"{model}: ")
         assert message in str(caught.value)
         assert "np." not in str(caught.value)
+
+    @pytest.mark.parametrize("meta", [{"seed": None}, {}])
+    def test_a_null_or_absent_seed_is_recorded_as_none(self, payload, tmp_path, meta):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**payload, "meta": meta}))
+        assert qflip.read_model(model)[1] == meta
+        assert run("predict", "--model", model, "--depths", "2", "--out", tmp_path) == 0
+        assert (tmp_path / "predictions.csv").read_text().startswith("# n=2 seed=none ")
 
 
 class TestMitigate:
@@ -796,6 +840,13 @@ class TestRunAll:
         expected = self.ARTIFACTS + (["rb.json"] if rb else [])
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
 
+    def test_run_without_rb_removes_an_older_rb_fit(self, tmp_path):
+        # its config digest would no longer match the model's
+        argv = (*self.SMALL, "--n", 2, "--seed", 3, "--out", tmp_path)
+        assert run(*argv, "--rb") == 0
+        assert run(*argv) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(self.ARTIFACTS)
+
     def test_rerun_into_the_same_directory_keeps_every_byte(self, tmp_path):
         def digests():
             return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -840,6 +891,75 @@ class TestRunAll:
         assert sorted(model["inputs"]) == ["0", "1", "2", "3"]
         assert run("simulate", "--config", config, "--out", tmp_path / "s") == 0
         assert json.loads((tmp_path / "s" / "profile.json").read_text())["inputs"] == [0]
+
+
+# ---------------------------------------------------------------- options
+
+
+class TestOptions:
+    """Each option means one thing: --seed draws the random streams of
+    simulate and run-all, and --pavg adds the proposed_pavg method of
+    mitigate and run-all. The other commands have neither."""
+
+    OPTIONS = {
+        "simulate": {"config", "depths", "inputs", "K", "n", "out", "prep", "preset",
+                     "readout", "seed", "shots", "workers"},
+        "characterize": {"config", "dataset", "inputs", "out", "profile", "rb", "train"},
+        "predict": {"config", "dataset", "depths", "inputs", "model", "out"},
+        "mitigate": {"config", "dataset", "inputs", "model", "out", "pavg", "test"},
+        "run-all": {"config", "K", "n", "out", "pavg", "prep", "preset", "rb", "readout",
+                    "seed", "shots", "test", "train", "workers"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_has_exactly_its_options(self, command):
+        # every option is optional, so the command alone parses
+        parsed = vars(build_parser().parse_args([command]))
+        assert set(parsed) - {"command", "func", "options"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("characterize", ["--seed", "3"]), ("predict", ["--seed", "3"]),
+         ("mitigate", ["--seed", "3"]), ("characterize", ["--pavg"])],
+    )
+    def test_removed_option_is_rejected(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, *flag, "--out", tmp_path / "o")
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_shared_config_keeps_the_seed_and_the_per_input_model(self, tmp_path):
+        # seed and pavg were once read by characterize, predict and mitigate
+        # too: the data's seed 7 was restamped 11 and the model pooled, so
+        # proposed and proposed_pavg scored the same model
+        config = tmp_path / "shared.cfg"
+        config.write_text("seed = 11\npavg = yes\n")
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(
+            "simulate", "--config", config, "--preset", "iid_bitflip:0.05", "--n", 2,
+            "--depths", "0..6", "--K", 10, "--shots", 200, "--seed", 7, "--inputs", "all",
+            "--readout", "0.02", "--out", data,
+        ) == 0
+        dataset, model = data / "dataset.jsonl", out / "model.json"
+        commands = [
+            ["characterize", "--dataset", dataset, "--train", "1..6", "--rb"],
+            ["predict", "--model", model, "--depths", "3", "--dataset", dataset],
+            ["mitigate", "--model", model, "--dataset", dataset, "--test", "4"],
+        ]
+        for argv in commands:
+            assert run(*argv, "--config", config, "--out", out) == 0
+        assert dataset.read_text().startswith("# qflip dataset n=2 seed=7 ")
+        for name in ("diagnostics.csv", "predictions.csv", "report.csv"):
+            assert (out / name).read_text().startswith("# n=2 seed=7 "), name
+        payload = json.loads(model.read_text())
+        assert payload["meta"]["seed"] == 7
+        assert json.loads((out / "rb.json").read_text())["seed"] == 7
+        rates = [entry["p"] for entry in payload["inputs"].values()]
+        assert all(row != rates[0] for row in rates[1:])
+        scores = {row[2]: row[3:] for row in read_csv_rows(out / "report.csv")[1:]
+                  if row[1] == "all"}
+        assert scores["proposed"] != scores["proposed_pavg"]
 
 
 class TestErrorExits:
@@ -907,7 +1027,7 @@ class TestConsoleEntry:
         argv = {
             "simulate": ["--preset", "iid_bitflip:0.05", "--n", 2, "--depths", "0..3", "--K", 2,
                          "--shots", 20, "--inputs", "all"],
-            "characterize": ["--dataset", dataset, "--train", "1..4", "--rb", "--pavg"],
+            "characterize": ["--dataset", dataset, "--train", "1..4", "--rb"],
             "predict": ["--model", model, "--depths", "2,4", "--dataset", dataset],
             "mitigate": ["--model", model, "--dataset", dataset, "--test", "2,3", "--pavg"],
             "run-all": ["--preset", "iid_bitflip:0.05", "--n", 2, "--K", 2, "--shots", 20,

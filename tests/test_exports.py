@@ -52,7 +52,7 @@ def test_no_module_imports_another_modules_private_name():
         "qubit count must be in", "unknown preset", "out of range for", "(m=",
         "counts sum to", "exceeds shots=", "spam[0] must be 1", "no channel for",
         "empty selection of", "is not an integer", "must be in [0, 0.5)",
-        "takes one probability per qubit",
+        "takes one probability per qubit", "seed must be an integer, got",
     ],
 )
 def test_each_shared_rule_message_is_written_once(message):

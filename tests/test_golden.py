@@ -1,6 +1,6 @@
 """Golden sha256 pins for the artifacts of small fixed pipelines: two
 run-all configs, one staged simulate, characterize, predict chain and one
-staged characterize with pooled rates and the RB fit.
+staged characterize of some inputs with the RB fit.
 
 The bytes of these artifacts are part of the package's contract: a
 refactor of grouping, sampling or scoring must leave them unchanged. When
@@ -121,9 +121,9 @@ STAGED_N3 = [
 
 PINS_STAGED_N3 = {
     "dataset.jsonl": "45c076f05f1df17dad113c614aa51fbce17ea490e61b28020d100f40008f5142",
-    "model.json": "329a841dbd2d65ea5618a5dbdebe61c5565ec02852008c5cbcefdac2dac37583",
+    "model.json": "e4517711ddf562db217bc190cff6ac03eded0cd74b0f88e6a4f7bc2135b280ff",
     "predictions.csv": "2b2d02a8867aee2bf3069ca09a7036cd4b87ec61834b816df61e2c352d30b090",
-    "diagnostics.csv": "e433c9ae72c047847cf856742d7175cb3bc498cc0cb22e4ea105f186ed4e8c60",
+    "diagnostics.csv": "4d74bd4a73adfe62e81c2a7f2b0e624381b8996f9a2ab0309d13a92d75668cc9",
     "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
 
@@ -141,8 +141,7 @@ def test_staged_artifact_bytes_are_pinned(run_dir_staged, name):
     assert sha256(run_dir_staged / name) == PINS_STAGED_N3[name]
 
 
-# fit-time pooling: characterize four inputs, none of them 0, with --pavg
-# (rates pooled over the fitted inputs) and --rb (fit on the first of them)
+# characterize four inputs, none of them 0, with --rb (fit on the first of them)
 STAGED_PAVG_N3 = [
     [
         "simulate",
@@ -161,15 +160,14 @@ STAGED_PAVG_N3 = [
         "--dataset", "{out}/dataset.jsonl",
         "--inputs", "1,2,4,7",
         "--train", "2..8",
-        "--pavg",
         "--rb",
     ],
 ]
 
 PINS_STAGED_PAVG_N3 = {
-    "model.json": "dc47da9cae8b97e341ea65644850b3faf8ef3fd7fc5d07f31383535b4867d9cf",
-    "rb.json": "764f5e0a83b07d5fb4d97c2eba733fe0187d595f460f45e004e5109c889daaf6",
-    "diagnostics.csv": "393e5a206f450e9aed27476ca7cf3617a8893d374fff43a10d89e2fe480eb4a1",
+    "model.json": "97eced90bb72b16314c88192194a04dcb17b449fd1ed13184b7d2d346a974bae",
+    "rb.json": "b8fbdc224ea3829dfdb92289e33bbfcbcb3f7c2813cab34ad5293d3e51a96a45",
+    "diagnostics.csv": "7ad5f8a28ed8edf54c1301dfd73638704c4dd3a2f6f3d902eac239fa6be7a244",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
 }
 
