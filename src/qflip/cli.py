@@ -11,38 +11,55 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
 
 import numpy as np
 
-from .channel import predict_distribution, read_model, write_model
 from .errors import ConfigError, CoverageError, NumericError
-from .estimation import (
-    estimate_model,
-    rb_fit,
-    rb_series_from_dataset,
-    write_diagnostics,
-)
-from .mitigation import (
-    MEM,
-    PROPOSED,
-    PROPOSED_PAVG,
-    UNMITIGATED,
-    evaluate_mitigation,
-    jsd,
-)
 from .records import Dataset, index_to_bits, read_json, remove_artifact, write_csv, write_json
-from .simulator import (
-    DEFAULT_CIRCUITS_PER_DEPTH,
-    DEFAULT_SHOTS,
-    build_preset,
-    generate_dataset,
-    ground_truth_from_profile,
-    lookup_preset,
-)
 from .transforms import check_basis_indices
+
+# stage module -> the names the commands use from it. Each is an attribute
+# of this module that __getattr__ imports on first access (PEP 562), and
+# the commands reach it as _stages.<name>: a command loads only the stage
+# modules it runs, and a wrapper set on qflip.cli.<name> (as
+# perfbench/traced_qflip.py sets them) is what the command calls
+_STAGE_NAMES = {
+    "simulator": (
+        "DEFAULT_CIRCUITS_PER_DEPTH",
+        "DEFAULT_SHOTS",
+        "build_preset",
+        "generate_dataset",
+        "ground_truth_from_profile",
+        "lookup_preset",
+    ),
+    "estimation": ("estimate_model", "rb_fit", "rb_series_from_dataset", "write_diagnostics"),
+    "channel": ("predict_distribution", "read_model", "write_model"),
+    "mitigation": (
+        "MEM",
+        "PROPOSED",
+        "PROPOSED_PAVG",
+        "UNMITIGATED",
+        "evaluate_mitigation",
+        "jsd",
+    ),
+}
+_STAGE_OF = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _STAGE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+_stages = sys.modules[__name__]
 
 __all__ = ["main", "build_parser", "parse_depths", "parse_inputs", "parse_preset"]
 
@@ -104,7 +121,7 @@ def parse_preset(text: str):
     """Preset grammar: name or name:value[:value...], positional params."""
     parts = str(text).split(":")
     name = parts[0].strip()
-    _, types = lookup_preset(name)
+    _, types = _stages.lookup_preset(name)
     values = [p.strip() for p in parts[1:]]
     if len(values) > len(types):
         raise ConfigError(
@@ -243,13 +260,13 @@ def _ground_truth_params(s: Settings, inputs: str):
     for key in ("readout", "prep"):
         if s.raw(key) is not None:
             params[key] = parse_spam(s.raw(key))
-    gt = build_preset(name, n, **params)
+    gt = _stages.build_preset(name, n, **params)
     plan = {
         "preset": name,
         "params": params,
         "n": n,
-        "K": s.integer("K", DEFAULT_CIRCUITS_PER_DEPTH),
-        "shots": s.integer("shots", DEFAULT_SHOTS),
+        "K": s.integer("K", _stages.DEFAULT_CIRCUITS_PER_DEPTH),
+        "shots": s.integer("shots", _stages.DEFAULT_SHOTS),
         "seed": s.integer("seed", 0),
         "inputs": parse_inputs(inputs, gt.size),
     }
@@ -257,7 +274,7 @@ def _ground_truth_params(s: Settings, inputs: str):
 
 
 def _simulate_to_dir(gt, plan, depths, workers, outdir, digest, **extra_profile):
-    dataset = generate_dataset(
+    dataset = _stages.generate_dataset(
         gt,
         depths,
         circuits_per_depth=plan["K"],
@@ -286,7 +303,7 @@ def _load_profile(s: Settings, dataset_path, n):
             return None, None
     payload = read_json(path, "profile")
     try:
-        gt, seed = ground_truth_from_profile(payload)
+        gt, seed = _stages.ground_truth_from_profile(payload)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if gt.n != n:
@@ -302,14 +319,14 @@ def _print_truth_distance(model, gt) -> None:
 
 
 def _characterize_into(dataset, outdir, train, inputs, seed, digest, gt=None):
-    model, fits = estimate_model(dataset, inputs=inputs, train_depths=train)
+    model, fits = _stages.estimate_model(dataset, inputs=inputs, train_depths=train)
     model_path = os.path.join(outdir, "model.json")
-    write_model(
+    _stages.write_model(
         model_path,
         model,
         meta={"seed": seed, "config_sha256": digest, "train_depths": train},
     )
-    write_diagnostics(
+    _stages.write_diagnostics(
         os.path.join(outdir, "diagnostics.csv"), fits, meta=_meta_line(dataset.n, seed, digest)
     )
     print(f"wrote model to {model_path} (train depths {train[0]}..{train[-1]})")
@@ -325,8 +342,8 @@ def _rb_into(dataset, outdir, train, fits, seed, digest, wanted: bool) -> None:
         remove_artifact(path)
         return
     input_index = min(fits)
-    series = rb_series_from_dataset(dataset, input_index=input_index, depths=train)
-    result = rb_fit(series, dataset.n)
+    series = _stages.rb_series_from_dataset(dataset, input_index=input_index, depths=train)
+    result = _stages.rb_fit(series, dataset.n)
     payload = {
         "n": dataset.n,
         "seed": seed,
@@ -352,11 +369,11 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
 
     def rows():
         for depth in depths:
-            predicted = predict_distribution(model, depth, inputs)
+            predicted = _stages.predict_distribution(model, depth, inputs)
             scores = [()] * len(inputs)
             if dataset is not None:
                 observed = dataset.cell_means([depth], inputs)[:, 0]
-                scores = [(score,) for score in jsd(observed, predicted).tolist()]
+                scores = [(score,) for score in _stages.jsd(observed, predicted).tolist()]
             for index, score, row in zip(inputs, scores, predicted):
                 yield (depth, labels[index], *score, *row.tolist())
 
@@ -369,17 +386,17 @@ def _write_predictions(path, model, depths, inputs, dataset=None, meta=None) -> 
 
 def _mitigation_methods(dataset: Dataset, pooled: bool) -> list:
     # the MEM baseline joins when depth 0 calibrates every input
-    methods = [UNMITIGATED]
+    methods = [_stages.UNMITIGATED]
     if 0 in dataset.depths():
         try:
             dataset.require([0], range(dataset.size))
         except CoverageError as exc:
             print(f"warning: MEM left out: {exc}", file=sys.stderr)
         else:
-            methods.append(MEM)
-    methods.append(PROPOSED)
+            methods.append(_stages.MEM)
+    methods.append(_stages.PROPOSED)
     if pooled:
-        methods.append(PROPOSED_PAVG)
+        methods.append(_stages.PROPOSED_PAVG)
     return methods
 
 
@@ -392,7 +409,7 @@ def _warn_overlap(train, test) -> None:
 
 def _mitigate_into(dataset, model, outdir, test, inputs, pooled, seed, digest) -> None:
     methods = _mitigation_methods(dataset, pooled)
-    report = evaluate_mitigation(
+    report = _stages.evaluate_mitigation(
         dataset, model=model, test_depths=test, inputs=inputs, methods=methods
     )
     path = os.path.join(outdir, "report.csv")
@@ -436,7 +453,7 @@ def cmd_characterize(s: Settings) -> int:
 
 
 def cmd_predict(s: Settings) -> int:
-    model, meta = read_model(s.require("model"))
+    model, meta = _stages.read_model(s.require("model"))
     depths = parse_depths(s.require("depths"))
     inputs_text = s.raw("inputs")
     if inputs_text is not None:
@@ -457,7 +474,7 @@ def cmd_predict(s: Settings) -> int:
 
 
 def cmd_mitigate(s: Settings) -> int:
-    model, meta = read_model(s.require("model"))
+    model, meta = _stages.read_model(s.require("model"))
     dataset = _read_dataset(s.require("dataset"), model)
     test_text = s.raw("test")
     test = parse_depths(test_text) if test_text is not None else _positive_depths(dataset)

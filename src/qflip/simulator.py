@@ -16,11 +16,13 @@ from functools import cache
 
 import numpy as np
 
-from . import clifford
 from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError, require_selected, select
 from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers, recorded_seed
 from .transforms import check_basis_indices, check_qubit_count, check_seed, require_prob_dist
+
+# the two functions that draw gate ids import clifford, so a command that
+# only reads a profile through this module (characterize) never loads it
 
 __all__ = [
     "GroundTruth",
@@ -238,12 +240,14 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     outcome order. The gate ids are drawn as before, so generate_circuits
     still gives each record's circuit.
     """
+    from .clifford import GROUP_ORDER
+
     dists = exact_distributions(gt, depth, inputs)
     rng = _depth_rng(seed, depth)
     step = _circuits_per_call(depth * gt.n)
     for lo in range(0, circuits_per_depth, step):
         circuits = min(step, circuits_per_depth - lo)
-        rng.integers(0, clifford.GROUP_ORDER, size=(circuits, depth, gt.n))
+        rng.integers(0, GROUP_ORDER, size=(circuits, depth, gt.n))
     # forward[i, k], the flat position in dists of input i's outcome
     # inputs[i] ^ order[k]; back, its inverse, takes a call's counts from
     # category order to outcome order. Both are kept narrow, but built in
@@ -342,6 +346,8 @@ def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):
     """The identity circuits generate_dataset draws, in dataset order: at
     each depth, sample_identity_circuit once per circuit on that depth's
     stream."""
+    from . import clifford
+
     seed = check_seed(seed)
     circuits = []
     for depth in select(depths):
@@ -451,7 +457,7 @@ def ground_truth_from_profile(payload: dict):
         raise ConfigError(f"malformed profile: preset must be a string, got {name!r}")
     params = payload.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError("profile params must be an object")
+        raise ConfigError(f"malformed profile: params must be an object, got {params!r}")
     for key, value in params.items():
         if not holds_numbers(value):
             raise ConfigError(f"malformed profile: parameter {key!r} is not a number: {value!r}")

@@ -77,6 +77,10 @@ class TestParseInputs:
         with pytest.raises(ConfigError):
             parse_inputs("first", 4)
 
+    def test_empty(self):
+        with pytest.raises(ConfigError, match="empty input list"):
+            parse_inputs(",", 4)
+
 
 class TestParsePreset:
     def test_with_value(self):
@@ -131,6 +135,10 @@ class TestParseSpam:
     def test_garbage(self):
         with pytest.raises(ConfigError):
             parse_spam("tiny")
+
+    def test_empty(self):
+        with pytest.raises(ConfigError, match="bad error-probability value ','"):
+            parse_spam(",")
 
 
 # ---------------------------------------------------------------- simulate
@@ -364,6 +372,8 @@ class TestCharacterize:
              "seed must be an integer, got '7'"),
             ('{"preset": "iid_bitflip", "n": 2, "seed": true}',
              "seed must be an integer, got True"),
+            ('{"preset": "iid_bitflip", "n": 2, "params": [0.05]}',
+             "params must be an object, got [0.05]"),
         ],
     )
     def test_malformed_profile_payload_names_its_file(
@@ -977,6 +987,24 @@ class TestErrorExits:
         assert capsys.readouterr().err == f"error: {flag} expects an integer, got 'five'\n"
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ("", ["--inputs", ","], "empty input list"),
+            ("", ["--readout", ","], "bad error-probability value ','"),
+            ("n = 1\n= 5\n", [], "{config}:2: empty key"),
+        ],
+        ids=["empty inputs", "empty readout", "config line without a key"],
+    )
+    def test_bad_text_exits_2_before_writing(self, tmp_path, capsys, config, flags, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        code = run("simulate", "--preset", "iid_bitflip:0.05", "--n", 1, "--depths", "1",
+                   "--config", path, *flags, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -1016,13 +1044,9 @@ class TestConsoleEntry:
         assert code == 0
         return path / "model.json"
 
-    @pytest.mark.parametrize("command", ["simulate", "characterize", "predict", "mitigate",
-                                         "run-all"])
-    def test_commands_load_no_masked_arrays_or_process_pool(
-        self, run_dir, model_path, tmp_path, command
-    ):
-        # numpy.ma cost every command 11-20 ms and concurrent.futures about
-        # 6 ms; nothing a serial run does needs either, nor the Clifford tables
+    def run_fresh(self, run_dir, model_path, out, command, report) -> str:
+        """Run command in a fresh interpreter; what the expression report
+        prints after it, from a probe that imports only qflip.cli."""
         dataset, model = run_dir / "dataset.jsonl", model_path
         argv = {
             "simulate": ["--preset", "iid_bitflip:0.05", "--n", 2, "--depths", "0..3", "--K", 2,
@@ -1035,19 +1059,61 @@ class TestConsoleEntry:
         }[command]
         probe = (
             "import sys\n"
-            "from qflip import clifford\n"
             "from qflip.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "loaded = [m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules]\n"
-            "print(loaded, clifford._group.cache_info().currsize)\n"
+            f"print({report})\n"
             "sys.exit(code)\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", probe, command, *map(str, argv), "--out", str(tmp_path)],
+            [sys.executable, "-c", probe, command, *map(str, argv), "--out", str(out)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[] 0"
+        return result.stdout.splitlines()[-1]
+
+    COMMANDS = ["simulate", "characterize", "predict", "mitigate", "run-all"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_commands_load_no_masked_arrays_or_process_pool(
+        self, run_dir, model_path, tmp_path, command
+    ):
+        # numpy.ma cost every command 11-20 ms and concurrent.futures about
+        # 6 ms; nothing a serial run does needs either, nor the Clifford tables
+        report = (
+            "[m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules], "
+            "sys.modules['qflip.clifford']._group.cache_info().currsize "
+            "if 'qflip.clifford' in sys.modules else 0"
+        )
+        assert self.run_fresh(run_dir, model_path, tmp_path, command, report) == "[] 0"
+
+    # the stage modules each command loads besides cli, errors, records and
+    # transforms; characterize reads the dataset's sibling profile.json
+    # through simulator, but draws no gates, so it skips clifford
+    STAGES = {
+        "simulate": ["channel", "clifford", "simulator"],
+        "characterize": ["channel", "estimation", "simulator"],
+        "predict": ["channel", "mitigation"],
+        "mitigate": ["channel", "mitigation"],
+        "run-all": ["channel", "clifford", "estimation", "mitigation", "simulator"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_commands_load_only_the_stages_they_run(self, run_dir, model_path, tmp_path, command):
+        # every process compiles each module it imports when no bytecode is
+        # cached, about 10 ms per thousand lines
+        report = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('qflip.'))"
+        loaded = self.run_fresh(run_dir, model_path, tmp_path, command, report)
+        expected = sorted(["cli", "errors", "records", "transforms", *self.STAGES[command]])
+        assert loaded == repr(expected)
+
+    def test_import_loads_no_submodule(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qflip; print([m for m in sys.modules if m.startswith('qflip.')])"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_no_subcommand_exits_2(self):
         result = subprocess.run(

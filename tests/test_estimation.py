@@ -37,6 +37,12 @@ def make_record(depth, input_index, counts, sequence_id=0):
 
 
 class TestAggregate:
+    def test_average_needs_a_circuit(self):
+        with pytest.raises(ValueError, match="need at least one circuit"):
+            estimation.DepthAverage(
+                depth=1, input_index=0, distribution=np.array([1.0, 0.0]), circuits_used=0
+            )
+
     def test_single_record(self):
         ds = dataset_of(1, [make_record(1, 0, {0: 8})])
         avg = estimation.aggregate(ds, 1, 0)

@@ -1,12 +1,15 @@
 """Every exported name resolves, so deleting an API cannot leave a
 dangling entry in an ``__all__`` list, no module reaches into another
-module's private names, each shared rule's message is written once, and
-each artifact format has one renderer."""
+module's private names, each shared rule's message is written once, each
+artifact format has one renderer, and the package resolves its public
+names on first use."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,65 @@ def test_every_exported_name_resolves():
         if not hasattr(module, export)
     ]
     assert dangling == []
+
+
+# qflip.__all__ as the package listed it when it imported every submodule
+PUBLIC = {
+    "fwht", "fwht_inverse", "xor_permute", "simplex_project",
+    "eigenvalues_from_rates", "rates_from_eigenvalues", "gate_error_matrix", "spam_matrix",
+    "InputChannel", "NoiseModel", "predict_distribution", "MitigationMatrix",
+    "mitigation_matrix", "pool_rates", "model_to_json", "model_from_json", "read_model",
+    "write_model", "Dataset", "index_to_bits", "GroundTruth", "iid_bitflip", "depolarizing",
+    "correlated_pair", "spam_only", "build_preset", "ground_truth_from_profile",
+    "exact_distribution", "exact_distributions", "generate_dataset", "generate_circuits",
+    "true_noise_model", "DepthAverage", "FitResult", "RbResult", "aggregate", "spectralize",
+    "fit_decay", "exact_averages", "estimate_model", "estimate_model_from_averages",
+    "rb_series_from_dataset", "rb_fit", "write_diagnostics", "jsd", "mitigate",
+    "build_mem_matrix", "MitigationReport", "evaluate_mitigation", "QflipError",
+    "ConfigError", "CoverageError", "NumericError", "__version__",
+}
+
+
+def fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter, where no qflip name has
+    been read yet."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+class TestLazyPackage:
+    """``import qflip`` imports no submodule; each public name is imported
+    from its submodule the first time it is read."""
+
+    def test_all_keeps_the_public_names(self):
+        assert len(qflip.__all__) == len(PUBLIC)
+        assert set(qflip.__all__) == PUBLIC
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC - {"__version__"}))
+    def test_each_name_is_its_submodules_object(self, name):
+        value = getattr(qflip, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("qflip.")
+        assert getattr(home, name) is value
+
+    def test_dir_lists_every_export(self):
+        listed = fresh("import qflip; print(sorted(set(qflip.__all__) - set(dir(qflip))))")
+        assert listed == "[]"
+
+    def test_star_import_binds_every_export(self):
+        bound = fresh(
+            "import qflip\n"
+            "namespace = {}\n"
+            "exec('from qflip import *', namespace)\n"
+            "print(all(namespace[name] is getattr(qflip, name) for name in qflip.__all__))"
+        )
+        assert bound == "True"
+
+    def test_unknown_name_raises_attribute_error_naming_qflip(self):
+        with pytest.raises(AttributeError, match="module 'qflip' has no attribute 'nope'"):
+            getattr(qflip, "nope")
+        assert not hasattr(qflip, "nope")
 
 
 def test_no_module_imports_another_modules_private_name():

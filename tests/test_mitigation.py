@@ -562,6 +562,8 @@ class TestEvaluate:
         model, _ = estimation.estimate_model(ds)
         with pytest.raises(ValueError):
             mitigation.evaluate_mitigation(ds, model=model, methods=("bogus",))
+        with pytest.raises(ValueError, match="need at least one method"):
+            mitigation.evaluate_mitigation(ds, model=model, methods=[])
         with pytest.raises(ValueError):
             mitigation.evaluate_mitigation(ds, model=None, methods=(mitigation.PROPOSED,))
         with pytest.raises(CoverageError):

@@ -743,8 +743,10 @@ class TestBlockCodec:
         )
         path = tmp_path / "data.jsonl"
         ds.write_jsonl(path)
-        assert path.stat().st_size > records._READ_BYTES
-        parsed = records._read_rendered(path)
+        block = 1 << 16
+        assert path.stat().st_size > block
+        with mock.patch.object(records, "_READ_BYTES", block):
+            parsed = records._read_rendered(path)
         assert parsed is not None
         assert read_outcome(lambda _: parsed, path) == read_outcome(records._read_lines, path)
 

@@ -97,6 +97,8 @@ class TestPresets:
             simulator.correlated_pair(2, 0.1, 0.1, 1, 1)
         with pytest.raises(ValueError):
             simulator.correlated_pair(2, 0.1, 0.1, 0, 5)
+        with pytest.raises(ValueError, match=r"correlated mass must be in \[0, 1\), got 1.0"):
+            simulator.correlated_pair(2, 0.1, 1.0)
         with pytest.raises(ValueError):
             simulator.spam_only(2, 0.7)
 
@@ -117,6 +119,8 @@ class TestPresets:
         np.testing.assert_allclose(gt.rates, simulator.iid_bitflip(2, 0.1).rates)
         with pytest.raises(ConfigError):
             simulator.ground_truth_from_profile({"n": 2})
+        with pytest.raises(ConfigError, match=r"params must be an object, got \[0.1\]"):
+            simulator.ground_truth_from_profile({"preset": "iid_bitflip", "n": 2, "params": [0.1]})
 
 
 class TestGroundTruth:
@@ -136,6 +140,8 @@ class TestGroundTruth:
             simulator.GroundTruth(n=1, rates=[1.0, 0.0], prep=-0.1)
         with pytest.raises(ValueError):
             simulator.GroundTruth(n=2, rates=[1.0, 0.0], readout=0.1)
+        with pytest.raises(ValueError, match="expected 2 readout entries, got 3"):
+            simulator.GroundTruth(n=2, rates=[1.0, 0, 0, 0], readout=[0.01, 0.02, 0.03])
 
     def test_per_input_rate_overrides(self):
         gt = simulator.GroundTruth(
