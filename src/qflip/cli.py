@@ -36,7 +36,13 @@ _STAGE_NAMES = {
         "ground_truth_from_profile",
         "lookup_preset",
     ),
-    "estimation": ("estimate_model", "rb_fit", "rb_series_from_dataset", "write_diagnostics"),
+    "estimation": (
+        "estimate_model",
+        "rb_fit",
+        "rb_series_from_dataset",
+        "require_fit_depths",
+        "write_diagnostics",
+    ),
     "channel": ("predict_distribution", "read_model", "write_model"),
     "mitigation": (
         "MEM",
@@ -335,6 +341,13 @@ def _characterize_into(dataset, outdir, train, inputs, seed, digest, gt=None):
     return model, fits
 
 
+def _check_train(train, rb: bool) -> None:
+    """What the fits raise for too few training depths, before a file is written."""
+    _stages.require_fit_depths(len(train))
+    if rb:
+        _stages.require_fit_depths(len(train), rb=True)
+
+
 def _rb_into(dataset, outdir, train, fits, seed, digest, wanted: bool) -> None:
     """rb.json: the first fitted input's RB fit, or, unless wanted, no file."""
     path = os.path.join(outdir, "rb.json")
@@ -435,6 +448,7 @@ def cmd_characterize(s: Settings) -> int:
     dataset = _read_dataset(dataset_path)
     train_text = s.raw("train")
     train = parse_depths(train_text) if train_text is not None else _positive_depths(dataset)
+    _check_train(train, s.boolean("rb"))
     inputs_text = s.raw("inputs")
     inputs = parse_inputs(inputs_text, 1 << dataset.n) if inputs_text is not None else None
     gt, seed = _load_profile(s, dataset_path, dataset.n)
@@ -493,6 +507,7 @@ def cmd_run_all(s: Settings) -> int:
     # mitigation needs every basis input characterized
     gt, plan = _ground_truth_params(s, "all")
     train = parse_depths(s.require("train"))
+    _check_train(train, s.boolean("rb"))
     test = parse_depths(s.require("test"))
     _warn_overlap(train, test)
     # depth 0 rides along as the MEM calibration stage

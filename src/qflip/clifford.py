@@ -16,6 +16,8 @@ from functools import cache
 
 import numpy as np
 
+from .transforms import check_qubit_count, check_size
+
 __all__ = [
     "GROUP_ORDER",
     "IDENTITY_ID",
@@ -150,11 +152,8 @@ class IdentityCircuit:
 def sample_identity_circuit(
     n: int, depth: int, rng: np.random.Generator, seed: int | None = None
 ) -> IdentityCircuit:
-    """Draw m*n gates uniformly and append the per-qubit inverse layer."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if depth < 1:
-        raise ValueError("depth must be >= 1 (use empty_circuit for depth 0)")
+    """Draw depth >= 1 layers of n uniform gates, then the per-qubit inverse layer."""
+    n, depth = check_qubit_count(n), check_size(depth, "depth")
     grid = rng.integers(0, GROUP_ORDER, size=(depth, n))
     inverse_layer = []
     for q in range(n):
@@ -173,6 +172,5 @@ def sample_identity_circuit(
 
 def empty_circuit(n: int) -> IdentityCircuit:
     """The gate-free depth-0 circuit (prepare and immediately measure)."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    n = check_qubit_count(n)
     return IdentityCircuit(n=n, depth=0, layers=(), inverse_layer=(IDENTITY_ID,) * n)

@@ -33,6 +33,7 @@ __all__ = [
     "FIT_FLOOR",
     "aggregate",
     "spectralize",
+    "require_fit_depths",
     "fit_decay",
     "estimate_model",
     "estimate_model_from_averages",
@@ -48,6 +49,11 @@ FIT_FLOOR = 1e-6
 # estimate_model fits a block of inputs whose cell means number about this
 # many values (inputs x depths x 2**n) at a time
 _FIT_ENTRIES = 1 << 17
+
+# the fewest depths that fit_decay (a slope and an intercept) and rb_fit
+# (amplitude, offset and alpha) take
+MIN_FIT_DEPTHS = 2
+MIN_RB_DEPTHS = 3
 
 # rb_fit bounds and alpha search: grid size and golden-section stopping width
 RB_AMPLITUDE_MAX = 1.5
@@ -113,6 +119,15 @@ class FitResult:
     residual: np.ndarray
 
 
+def require_fit_depths(count: int, rb: bool = False) -> None:
+    """ValueError unless count distinct depths are enough for fit_decay,
+    or with rb for rb_fit."""
+    if rb and count < MIN_RB_DEPTHS:
+        raise ValueError(f"need at least {MIN_RB_DEPTHS} depths for the scalar fit, got {count}")
+    if not rb and count < MIN_FIT_DEPTHS:
+        raise ValueError(f"need at least {MIN_FIT_DEPTHS} training depths, got {count}")
+
+
 def fit_decay(spectra, depths) -> FitResult:
     """Fit spam * eigenvalue**m to each column of a spectrum table.
 
@@ -129,11 +144,10 @@ def fit_decay(spectra, depths) -> FitResult:
     """
     table = np.asarray(spectra, dtype=float)
     depth_arr = check_depths(depths).astype(float)
-    if depth_arr.ndim != 1 or len(depth_arr) < 2:
-        raise ValueError(f"need at least 2 training depths, got {depth_arr.size}")
-    if table.ndim != 2 or len(table) != len(depth_arr):
+    require_fit_depths(depth_arr.size)
+    if depth_arr.ndim != 1 or table.ndim != 2 or len(table) != len(depth_arr):
         raise ValueError(
-            f"spectrum table shape {table.shape} does not match {len(depth_arr)} depths"
+            f"spectrum table shape {table.shape} does not match {depth_arr.size} depths"
         )
     ordered = np.sort(depth_arr)
     if np.any(ordered[1:] == ordered[:-1]):
@@ -257,8 +271,7 @@ def rb_fit(series: dict, n: int) -> RbResult:
     depths to finite values; n and the depths follow the shared rules.
     """
     size = 1 << check_qubit_count(n)
-    if len(series) < 3:
-        raise ValueError(f"need at least 3 depths for the scalar fit, got {len(series)}")
+    require_fit_depths(len(series), rb=True)
     ordered = sorted(check_depths(list(series)).tolist())
     depths = np.array(ordered, dtype=float)
     values = np.array([series[m] for m in ordered], dtype=float)

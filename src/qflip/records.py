@@ -18,10 +18,10 @@ for the CSV reports, whose '# ' header line is written as the dataset's is.
 Both writers render their files by hand, in batches, byte for byte as
 the json module (indent=2, sort_keys=True) and ``csv.writer`` would.
 Every writer opens its file through ``_create``, which replaces an
-existing file rather than truncating it. ``holds_numbers`` is the number
-rule of the JSON payloads, ``recorded_seed`` their seed rule, and
-``require_cells`` the empty-selection and missing-cell errors of datasets
-and averages alike.
+existing file rather than truncating it, and removes what it wrote if
+the writing raises. ``holds_numbers`` is the number rule of the JSON
+payloads, ``recorded_seed`` their seed rule, and ``require_cells`` the
+empty-selection and missing-cell errors of datasets and averages alike.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing, require_selected
-from .transforms import check_basis_indices, check_depths, check_qubit_count
+from .transforms import check_basis_indices, check_depths, check_qubit_count, integer_array
 
 __all__ = ["Dataset", "Record", "RecordError", "index_to_bits"]
 
-_INT64 = range(-(1 << 63), 1 << 63)
 # the stored outcome dtype: it holds every basis index up to MAX_QUBITS
 OUTCOME_DTYPE = np.dtype(np.int16)
 
@@ -84,29 +83,10 @@ class RecordError(ValueError):
         self.position = position
 
 
-def _integers(column):
-    """The column as an integer array (an integer array as given, without
-    a copy; anything else as int64), and {position: value} of its entries
-    that are not 64-bit integers (stored as 0)."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind in "iu" and np.can_cast(column.dtype, np.int64):
-            return column.reshape(-1), {}
-        column = column.reshape(-1).tolist()
-    if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, column))):
-        with contextlib.suppress(OverflowError):
-            return np.array(column, dtype=np.int64), {}
-    values = [v.item() if isinstance(v, np.generic) else v for v in column]
-    wrong = {i: v for i, v in enumerate(values) if type(v) is not int or v not in _INT64}
-    return np.array([0 if i in wrong else v for i, v in enumerate(values)], dtype=np.int64), wrong
-
-
 def count_dtype(shots: int) -> np.dtype:
     """The narrowest signed integer dtype that holds ``shots``, and so every
-    count of a record of at most that many shots."""
-    return next(
-        np.dtype(kind) for kind in (np.int8, np.int16, np.int32, np.int64)
-        if shots <= np.iinfo(kind).max
-    )
+    count of a record of at most that many shots: the one -shots - 1 needs."""
+    return np.min_scalar_type(-shots - 1)
 
 
 def _owners(starts: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -158,11 +138,11 @@ def _check_fields(depth, input_index, seq, shots, lengths, outcome, count):
     record that breaks a rule, with the message of the first rule it breaks
     in the order listed.
     """
-    lengths, wrong = _integers(lengths)
+    columns = (lengths, depth, input_index, seq, shots, outcome, count)
+    arrays, (wrong, *wrongs) = zip(*map(integer_array, columns))
+    lengths, depth, input_index, seq, shots, outcome, count = (a.reshape(-1) for a in arrays)
     if wrong or lengths.min(initial=0) < 0:
         raise ValueError("count entry lengths must be non-negative integers")
-    columns = (depth, input_index, seq, shots, outcome, count)
-    (depth, input_index, seq, shots, outcome, count), wrongs = zip(*map(_integers, columns))
     size = len(depth)
     if not size == len(input_index) == len(seq) == len(shots) == len(lengths):
         raise ValueError("per-record columns differ in length")
@@ -308,13 +288,20 @@ def write_csv(path, header: str | None, columns, fmt: str, rows) -> None:
             handle.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
+@contextlib.contextmanager
 def _create(path, binary: bool = False):
     """A new file at path, open for writing an artifact: text mode writes
     each line end as given. An existing file is unlinked first, never
     truncated, so a reader that holds it keeps its bytes, and the
-    filesystem need not flush the old blocks before the new ones land."""
+    filesystem need not flush the old blocks before the new ones land.
+    A write that raises removes the file, so no partial artifact stays."""
     remove_artifact(path)
-    return open(path, "xb") if binary else open(path, "x", newline="")
+    try:
+        with open(path, "xb") if binary else open(path, "x", newline="") as handle:
+            yield handle
+    except BaseException:
+        remove_artifact(path)
+        raise
 
 
 def remove_artifact(path) -> None:

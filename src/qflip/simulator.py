@@ -19,7 +19,8 @@ import numpy as np
 from .channel import InputChannel, NoiseModel, apply_transition_power
 from .errors import ConfigError, require_selected, select
 from .records import OUTCOME_DTYPE, Dataset, count_dtype, holds_numbers, recorded_seed
-from .transforms import check_basis_indices, check_qubit_count, check_seed, require_prob_dist
+from .transforms import check_basis_indices, check_qubit_count, check_seed, check_size
+from .transforms import integer_array, require_prob_dist
 
 # the two functions that draw gate ids import clifford, so a command that
 # only reads a profile through this module (characterize) never loads it
@@ -313,18 +314,16 @@ def generate_dataset(
     """
     seed = check_seed(seed)
     depths, inputs = select(depths), select(inputs, gt.n)
-    if circuits_per_depth < 1:
-        raise ValueError(f"circuits per depth must be >= 1, got {circuits_per_depth}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    circuits_per_depth = check_size(circuits_per_depth, "circuits per depth")
+    shots = check_size(shots, "shots")
+    workers = None if workers is None else check_size(workers, "workers")
     shard_args = [(gt, depth, circuits_per_depth, inputs, shots, seed) for depth in depths]
     if workers is not None and workers > 1 and len(shard_args) > 1:
         # imported here: the pool module costs every serial run its import
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool that forks starts all its workers at once: no more than shards
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(shard_args))) as pool:
             shards = list(pool.map(_depth_columns, *zip(*shard_args)))
     else:
         shards = list(map(_depth_columns, *zip(*shard_args)))
@@ -349,6 +348,7 @@ def generate_circuits(n: int, depths, circuits_per_depth: int, seed: int = 0):
     from . import clifford
 
     seed = check_seed(seed)
+    circuits_per_depth = check_size(circuits_per_depth, "circuits per depth")
     circuits = []
     for depth in select(depths):
         rng = _depth_rng(seed, depth)
@@ -398,7 +398,7 @@ def correlated_pair(
     if not 0.0 <= q_corr < 1.0:
         raise ValueError(f"correlated mass must be in [0, 1), got {q_corr}")
     rates = _per_qubit_product(n, (1.0 - q, q))
-    if first == second or not (0 <= first < n and 0 <= second < n):
+    if integer_array([first, second])[1] or first == second or {first, second} - set(range(n)):
         raise ValueError(f"need two distinct qubits in range, got {(first, second)}")
     pattern = (1 << first) | (1 << second)
     rates[pattern] += q_corr

@@ -23,6 +23,7 @@ __all__ = [
     "simplex_project",
     "num_qubits",
     "check_qubit_count",
+    "check_size",
     "check_basis_indices",
     "check_depths",
     "check_seed",
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 MAX_QUBITS = 12
+_INT64 = range(-(1 << 63), 1 << 63)
 
 PROB_SUM_TOL = 1e-9
 PROB_NEG_TOL = 1e-9
@@ -50,58 +52,79 @@ def num_qubits(values: np.ndarray) -> int:
 
 
 def check_qubit_count(n) -> int:
-    """n as a Python int; ValueError unless it is one integer, not a bool
-    or a float, with 1 <= n <= MAX_QUBITS."""
-    value = _checked_integers(n, "qubit count")
-    if value.ndim or not 1 <= value <= MAX_QUBITS:
+    """n as a Python int; ValueError unless it is one integer in [1, MAX_QUBITS]."""
+    arr, outside = _checked(n, "qubit count", 1, MAX_QUBITS + 1)
+    if arr.ndim or outside is not None:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    return int(value)
+    return int(arr)
+
+
+def check_size(value, what: str) -> int:
+    """value, a count such as shots, as a Python int; ValueError unless it
+    is one integer in [1, 2**63)."""
+    arr, _ = _checked(value, what, 1)
+    if arr.ndim:
+        raise ValueError(f"{what} must be one integer, got {value!r}")
+    return int(arr)
 
 
 def check_basis_indices(indices, n: int, what: str = "input index") -> np.ndarray:
-    """The basis indices as an int64 array; ValueError names the first
-    non-integer or the first outside [0, 2**n), calling it what. The range
-    is checked before the conversion, so an index past int64 is named too."""
-    arr = _checked_integers(indices, what)
-    outside = (arr < 0) | (arr >= 1 << n)
-    if outside.any():
-        raise ValueError(f"{what} {arr[outside].flat[0]} out of range for n={n}")
-    return arr.astype(np.int64, copy=False)
+    """The indices as int64; ValueError names the first non-integer or one outside [0, 2**n)."""
+    arr, outside = _checked(indices, what, 0, 1 << n)
+    if outside is not None:
+        raise ValueError(f"{what} {outside} out of range for n={n}")
+    return arr
 
 
 def check_depths(depths) -> np.ndarray:
-    """The depths, counts of gate layers, as an int64 array; ValueError
-    names the first one that is a non-integer or negative."""
-    arr = _checked_integers(depths, "depth")
-    negative = arr < 0
-    if negative.any():
-        raise ValueError(f"depth must be >= 0, got {arr[negative].flat[0]}")
-    return arr.astype(np.int64, copy=False)
+    """The depths as int64; ValueError names the first non-integer or one outside [0, 2**63)."""
+    return _checked(depths, "depth", 0)[0]
 
 
 def check_seed(seed) -> int:
-    """seed, a random seed, as a Python int; ValueError unless it is one
-    integer >= 0."""
-    value = _checked_integers(seed, "seed")
-    if value.ndim or value < 0:
+    """seed as a Python int; ValueError unless it is one integer >= 0, of any size."""
+    arr, outside = _checked(seed, "seed", 0, 1 << 63)
+    if arr.ndim or outside is not None and outside < 0:
         raise ValueError(f"seed must be one integer >= 0, got {seed!r}")
-    return int(value)
+    return int(arr) if outside is None else outside
 
 
-def _checked_integers(values, what: str) -> np.ndarray:
-    """values, an integer or an iterable of them such as a set, as an array;
-    ValueError names the first entry that is a bool, float, str or other
-    non-integer, in a sequence's own entries: [1, True]."""
+def integer_array(values):
+    """(arr, wrong): values (an integer, an iterable as 1-d, or an array) as
+    int64 of its shape, a numpy integer array int64 holds as given, and {flat
+    position: entry} of the entries, set to 0, that are not 64-bit integers."""
     if isinstance(values, Iterable) and not isinstance(values, (str, np.ndarray)):
-        values = list(values)
-    arr = np.asarray(values)
-    if type(values) is int or isinstance(values, np.ndarray) and arr.dtype.kind in "iu":
-        return arr
-    for value in np.asarray(values, dtype=object).ravel():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            shown = value.item() if isinstance(value, np.generic) else value
-            raise ValueError(f"{what} {shown!r} is not an integer")
-    return arr
+        values = np.fromiter(values, object)
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
+        return values, {}
+    entries = values.reshape(-1).tolist()
+    if set(map(type, entries)) <= {int} and all(map(_INT64.__contains__, entries)):
+        return np.array(entries, dtype=np.int64).reshape(values.shape), {}
+    entries = [value.item() if isinstance(value, np.generic) else value for value in entries]
+    wrong = {i: v for i, v in enumerate(entries) if type(v) is not int or v not in _INT64}
+    arr = np.array([0 if i in wrong else v for i, v in enumerate(entries)], dtype=np.int64)
+    return arr.reshape(values.shape), wrong
+
+
+def _checked(values, what: str, low: int, high: int | None = None):
+    """(integer_array(values) as int64, its first entry outside [low, high) or None); ValueError
+    names the first non-integer, calling it what, and without high one outside [low, 2**63)."""
+    if type(values) is int and low <= values < (high or 1 << 63):
+        return np.array(values), None
+    arr, wrong = integer_array(values)
+    for value in wrong.values():
+        if type(value) is not int:
+            raise ValueError(f"{what} {value!r} is not an integer")
+    outside = np.flatnonzero((arr < low) | (arr >= high) if high else arr < low)[:1].tolist()
+    position = min([*outside, *wrong], default=None)
+    if position is None:
+        return arr.astype(np.int64, copy=False), None
+    first = wrong.get(position, arr.flat[position].item())
+    if high is None:
+        bound = f">= {low}" if first < low else "below 2**63"
+        raise ValueError(f"{what} must be {bound}, got {first}")
+    return arr, first
 
 
 def _outcome_qubits(values: np.ndarray) -> int:

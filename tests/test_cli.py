@@ -312,6 +312,16 @@ class TestCharacterize:
         assert 0.0 < payload["alpha"] <= 1.0
         assert payload["degenerate"] is False
 
+    def test_too_few_depths_for_rb_exit_2_before_writing(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
+                   "--train", "1..2", "--rb", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 3 depths for the scalar fit, got 2\n"
+        )
+        assert not any(out.glob("*"))
+
     def test_missing_depth_exits_3_and_names_cell(self, run_dir, tmp_path, capsys):
         code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
                    "--train", "1..12", "--out", tmp_path)
@@ -516,6 +526,27 @@ class TestPredict:
         assert code == 3
         assert "no channel for input state 2 (10)" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "depths,spam,message",
+        [
+            (f"1,{2**63}", 1.0, f"depth must be below 2**63, got {2**63}"),
+            (f"{2**64}", 1.0, f"depth must be below 2**63, got {2**64}"),
+            ("1,2", 1e308, "vector entries too large to project onto the simplex"),
+        ],
+        ids=["depth 2**63", "depth 2**64", "spam past the simplex"],
+    )
+    def test_failed_row_exits_2_without_a_file(
+        self, model_path, tmp_path, capsys, depths, spam, message
+    ):
+        payload = json.loads(model_path.read_text())
+        model = tmp_path / "big.json"
+        model.write_text(_with_entry(payload, "0", A=[1.0, spam, 1.0, 1.0]))
+        out = tmp_path / "predict"
+        code = run("predict", "--model", model, "--depths", depths, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_broken_model_names_its_file(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -849,6 +880,23 @@ class TestRunAll:
         assert run(*self.SMALL, "--n", n, "--seed", 3, *flags, "--out", tmp_path) == 0
         expected = self.ARTIFACTS + (["rb.json"] if rb else [])
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+
+    @pytest.mark.parametrize(
+        "train,flags,message",
+        [
+            ("1", [], "need at least 2 training depths, got 1"),
+            ("1", ["--rb"], "need at least 2 training depths, got 1"),
+            ("1..2", ["--rb"], "need at least 3 depths for the scalar fit, got 2"),
+        ],
+    )
+    def test_too_few_training_depths_exit_2_before_writing(
+        self, tmp_path, capsys, train, flags, message
+    ):
+        code = run("run-all", "--preset", "iid_bitflip:0.02", "--n", 2, "--K", 2,
+                   "--shots", 32, "--train", train, "--test", "5", *flags, "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.glob("*"))
 
     def test_run_without_rb_removes_an_older_rb_fit(self, tmp_path):
         # its config digest would no longer match the model's

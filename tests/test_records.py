@@ -1,8 +1,10 @@
 """Dataset record validation and JSONL wire-format tests."""
 
+import contextlib
 import os
 import re
 import tempfile
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -1031,6 +1033,28 @@ class TestArtifactWriters:
             assert held.read() == old
         write(fresh, 23)
         assert path.read_bytes() == fresh.read_bytes() != old
+
+    # a writer that raises after it has created its file: the dataset's and
+    # the CSV's after their header line
+    FAILING_WRITES = {
+        "dataset.jsonl": (
+            "_render", lambda path: dataset_of(1, [(1, 0, 0, 1, {0: 1})]).write_jsonl(path)
+        ),
+        "report.csv": (None, lambda path: records.write_csv(
+            path, "h", ["depth"], "%d", chain([(1,)], map(int, ["x"]))
+        )),
+        "model.json": ("_json_text", lambda path: records.write_json(path, {"depth": 1})),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAILING_WRITES))
+    def test_a_write_that_raises_leaves_no_file(self, tmp_path, name):
+        path = tmp_path / name
+        self.WRITERS[name](path, 1)
+        failing, write = self.FAILING_WRITES[name]
+        patch = mock.patch.object(records, failing, side_effect=ValueError("failed"))
+        with patch if failing else contextlib.nullcontext(), pytest.raises(ValueError):
+            write(path)
+        assert not path.exists()
 
     def test_json_keys_must_be_strings(self, tmp_path):
         with pytest.raises(TypeError, match="keys must be strings"):

@@ -4,13 +4,15 @@ gives the bits the former copies gave."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dataset_of, mask_loop_product, traced_peak
-from qflip import channel, estimation, mitigation, simulator
+from qflip import channel, clifford, estimation, mitigation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
 from qflip.records import Dataset
-from qflip.transforms import check_qubit_count
+from qflip.transforms import check_depths, check_qubit_count, integer_array
 
 QUBIT_COUNT_ENTRY_POINTS = {
     "Dataset": lambda n: Dataset(n, [], [], [], [], [], [], []),
@@ -22,6 +24,11 @@ QUBIT_COUNT_ENTRY_POINTS = {
     "rb_fit": lambda n: estimation.rb_fit({1: 0.9, 2: 0.8, 3: 0.75}, n),
     "iid_bitflip": lambda n: simulator.iid_bitflip(n, 0.01),
     "check_qubit_count": check_qubit_count,
+    "sample_identity_circuit": lambda n: clifford.sample_identity_circuit(
+        n, 1, np.random.default_rng(0)
+    ),
+    "empty_circuit": clifford.empty_circuit,
+    "generate_circuits": lambda n: simulator.generate_circuits(n, [0, 1], 1),
 }
 
 
@@ -258,6 +265,9 @@ DEPTH_ENTRY_POINTS = {
         ("1", "depth '1' is not an integer"),
         (np.float64(2.0), "depth 2.0 is not an integer"),
         (-1, "depth must be >= 0, got -1"),
+        (2**63, f"depth must be below 2**63, got {2**63}"),
+        (2**70, f"depth must be below 2**63, got {2**70}"),
+        (np.uint64(2**63), f"depth must be below 2**63, got {2**63}"),
     ],
 )
 @pytest.mark.parametrize("entry", DEPTH_ENTRY_POINTS)
@@ -356,3 +366,156 @@ def test_every_device_probability_is_checked_alike(entry, value):
     with pytest.raises(ValueError) as caught:
         build(value)
     assert str(caught.value) == f"{what} must be in [0, 0.5), got {value}"
+
+
+@pytest.mark.parametrize("entry", [*SELECTIONS, "check_depths"])
+def test_a_uint64_depth_array_past_int64_is_named_not_wrapped(entry):
+    depths = np.array([1, 2**63], np.uint64)
+    with pytest.raises(ValueError) as caught:
+        check_depths(depths) if entry == "check_depths" else SELECTIONS[entry](depths, [0])
+    assert str(caught.value) == f"depth must be below 2**63, got {2**63}"
+
+
+# what each call names its size; the calls take one depth, so none can
+# start a process pool
+SIZE_ENTRY_POINTS = {
+    "generate_dataset K": (
+        lambda size: simulator.generate_dataset(DEVICE, [1], size), "circuits per depth"
+    ),
+    "generate_dataset shots": (
+        lambda size: simulator.generate_dataset(DEVICE, [1], 1, shots=size), "shots"
+    ),
+    "generate_dataset workers": (
+        lambda size: simulator.generate_dataset(DEVICE, [1], 1, workers=size), "workers"
+    ),
+    "generate_circuits K": (
+        lambda size: simulator.generate_circuits(2, [1], size), "circuits per depth"
+    ),
+    "qflip simulate --K": ("--K", "circuits per depth"),
+    "qflip simulate --shots": ("--shots", "shots"),
+    "qflip simulate --workers": ("--workers", "workers"),
+}
+# a command-line option is read as an integer, so only the integers reach
+# the commands
+SIZES = [
+    (1.5, "{what} 1.5 is not an integer"),
+    (True, "{what} True is not an integer"),
+    (np.float64(2.0), "{what} 2.0 is not an integer"),
+    (2**63, f"{{what}} must be below 2**63, got {2**63}"),
+    (2**70, f"{{what}} must be below 2**63, got {2**70}"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,value,message",
+    [
+        (entry, value, message)
+        for entry in SIZE_ENTRY_POINTS
+        for value, message in SIZES
+        if type(value) is int or not entry.startswith("qflip")
+    ],
+)
+def test_every_entry_point_rejects_a_size_alike(entry, value, message, tmp_path, capsys):
+    call, what = SIZE_ENTRY_POINTS[entry]
+    message = message.format(what=what)
+    if entry.startswith("qflip"):
+        code = main(["simulate", "--preset", "iid_bitflip:0.01", "--n", "2", "--depths", "1",
+                     call, str(value), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.glob("*"))
+    else:
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_generate_circuits_rejects_a_count_below_one(size):
+    with pytest.raises(ValueError) as caught:
+        simulator.generate_circuits(2, [1], size)
+    assert str(caught.value) == f"circuits per depth must be >= 1, got {size}"
+
+
+@pytest.mark.parametrize("first,second", [(1.5, 0), (True, 0), (np.float64(1.0), 0), ("1", 0)])
+def test_correlated_pair_takes_only_integer_qubits(first, second):
+    with pytest.raises(ValueError) as caught:
+        simulator.correlated_pair(2, 0.01, 0.01, first, second)
+    assert str(caught.value) == f"need two distinct qubits in range, got {(first, second)}"
+
+
+def _is_int64(entry) -> bool:
+    """The plain-Python rule: an int, or a numpy integer, from -2**63 up to
+    2**63 - 1; a bool is not one."""
+    if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, (int, np.integer)):
+        return False
+    return -(2**63) <= int(entry) < 2**63
+
+
+def _shown(entry):
+    return entry.item() if isinstance(entry, np.generic) else entry
+
+
+EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, 0]
+SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(EDGES),
+    st.booleans(),
+    st.builds(np.bool_, st.booleans()),
+    st.floats(allow_nan=False),
+    st.builds(np.float64, st.floats(-1e3, 1e3)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.uint64, st.integers(0, 2**64 - 1)),
+    st.builds(np.int8, st.integers(-128, 127)),
+    st.text(max_size=2),
+    st.none(),
+)
+ENTRIES = st.one_of(SCALARS, st.lists(SCALARS, max_size=2))
+INTEGER_ARRAYS = st.one_of(
+    st.lists(st.integers(0, 2**64 - 1), max_size=4).map(lambda v: np.array(v, np.uint64)),
+    st.lists(st.integers(-128, 127), max_size=4).map(lambda v: np.array(v, np.int8)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4).map(
+        lambda v: np.array(v, np.int64).reshape(2, 2)
+    ),
+)
+OTHER_ARRAYS = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), max_size=4).map(np.array),
+    st.lists(st.booleans(), max_size=4).map(np.array),
+    st.lists(st.text(max_size=1), max_size=4).map(np.array),
+)
+VALUES = st.one_of(
+    ENTRIES,
+    st.lists(ENTRIES, max_size=6),
+    st.lists(ENTRIES, max_size=6).map(tuple),
+    st.sets(st.integers(-(2**65), 2**65), max_size=6),
+    INTEGER_ARRAYS,
+    OTHER_ARRAYS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=VALUES)
+def test_integer_array_follows_the_plain_python_rule(values):
+    if isinstance(values, np.ndarray):
+        shape, entries = values.shape, list(values.reshape(-1))
+    elif isinstance(values, (list, tuple, set)):
+        entries = list(values)
+        shape = (len(entries),)
+    else:
+        shape, entries = (), [values]
+    wrong = {i: entry for i, entry in enumerate(entries) if not _is_int64(entry)}
+    expected = [0 if i in wrong else int(entry) for i, entry in enumerate(entries)]
+
+    arr, got = integer_array(values)
+    assert arr.shape == shape
+    assert arr.reshape(-1).tolist() == expected
+    assert {i: repr(value) for i, value in got.items()} == {
+        i: repr(_shown(entry)) for i, entry in wrong.items()
+    }
+    kind = np.asarray(values).dtype if isinstance(values, (np.ndarray, np.integer)) else None
+    if kind is not None and kind.kind in "iu" and np.can_cast(kind, np.int64):
+        # an integer array that int64 holds is taken uncopied, a numpy
+        # integer as an array of its own type
+        assert arr is values or arr.dtype == kind
+    else:
+        assert arr.dtype == np.int64

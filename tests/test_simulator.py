@@ -510,6 +510,27 @@ class TestGenerateDataset:
             for column in ("depth", "input", "seq", "shots", "starts", "outcome", "count"):
                 np.testing.assert_array_equal(getattr(ds, column), getattr(default, column))
 
+    def test_a_pool_starts_no_more_workers_than_depths(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            # a stand-in that records its size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        gt = simulator.iid_bitflip(1, 0.1)
+        simulator.generate_dataset(gt, [1, 2, 3], 2, shots=8, workers=2**40)
+        assert started == [3]
+
     def test_numpy_integer_and_wide_seeds_are_taken(self):
         gt = simulator.iid_bitflip(1, 0.1)
         for seed in (np.uint64(7), 2**100 + 7):
