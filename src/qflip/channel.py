@@ -37,6 +37,7 @@ from .transforms import (
     fwht,
     fwht_inverse,
     num_qubits,
+    require_finite,
     require_prob_dist,
     simplex_project,
 )
@@ -168,8 +169,7 @@ class NoiseModel:
         rates = np.array([channels[index].rates for index in order], dtype=float)
         spam = np.array([channels[index].spam for index in order], dtype=float)
         require_prob_dist(rates)
-        if not np.all(np.isfinite(spam)):
-            raise ValueError("vector entries must be finite")
+        require_finite(spam)
         _check_spam_head(spam)
         spam[:, 0] = 1.0
         for arr in (inputs, rates, spam):
@@ -291,23 +291,22 @@ def model_to_json(model: NoiseModel) -> dict:
 def model_from_json(payload: dict) -> NoiseModel:
     """The model of a ``model_to_json`` payload. Each entry's "p" and "A"
     must hold JSON numbers. An optional "meta" must be an object whose
-    optional "train_depths" is a list of integers and "seed" an integer or null."""
+    optional "train_depths" is a list of depths and "seed" a seed or null."""
     try:
         n = payload["n"]
         raw_inputs = payload["inputs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc
-    if type(n) is not int:
-        raise ValueError(f"malformed model payload: n must be an integer, got {n!r}")
     if not isinstance(raw_inputs, dict) or not raw_inputs:
         raise ValueError("model payload has no inputs")
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"model meta must be an object, got {meta!r}")
     train = meta.get("train_depths", [])
-    if not isinstance(train, list) or any(type(depth) is not int for depth in train):
+    if not isinstance(train, list):
         raise ValueError(f"model meta train_depths must be a list of integers, got {train!r}")
-    recorded_seed(meta, "model meta")
+    check_depths(train)
+    recorded_seed(meta)
     channels = {}
     for key, entry in raw_inputs.items():
         try:

@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, NumericError
+from .errors import ConfigError, CoverageError, NumericError, select
 from .records import Dataset, index_to_bits, read_json, remove_artifact, write_csv, write_json
-from .transforms import check_basis_indices
+from .transforms import check_basis_indices, check_depths
 
 # stage module -> the names the commands use from it. Each is an attribute
 # of this module that __getattr__ imports on first access (PEP 562), and
@@ -70,57 +70,58 @@ _stages = sys.modules[__name__]
 __all__ = ["main", "build_parser", "parse_depths", "parse_inputs", "parse_preset"]
 
 
-def parse_depths(text) -> list:
-    """Depth grammar: comma-separated ints and inclusive a..b ranges."""
-    depths = set()
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
+def _read_integer(text: str) -> int:
+    """text as an int: an optional sign, then ASCII digits; ValueError otherwise."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+def _as_config_error(check, *args):
+    """check(*args), a ValueError it raises raised as a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _integer_list(text, what: str, usage: str, ranges: bool = False) -> list:
+    """The integers of comma-separated text, in order; with ranges, a token
+    lo..hi names lo through hi, its ends checked as depths before it is
+    expanded. ConfigError names a bad token or an empty list."""
+    values = []
+    for token in [t.strip() for t in str(text).split(",") if t.strip()]:
         try:
-            if ".." in token:
-                lo, hi = token.split("..")
-                lo, hi = int(lo), int(hi)
+            if ranges and ".." in token:
+                lo, hi = (_read_integer(end.strip()) for end in token.split(".."))
                 if lo > hi:
                     raise ValueError
-                depths.update(range(lo, hi + 1))
             else:
-                depths.add(int(token))
+                lo = hi = _read_integer(token)
         except ValueError:
-            raise ConfigError(
-                f"bad depth token {token!r}; use forms like 0,5,10 or 1..30"
-            ) from None
-    if not depths:
-        raise ConfigError("empty depth list")
-    if min(depths) < 0:
-        raise ConfigError("depths must be >= 0")
-    return sorted(depths)
+            raise ConfigError(f"bad {what} token {token!r}; use {usage}") from None
+        if lo < hi:
+            _as_config_error(check_depths, [lo, hi])
+        values.extend(range(lo, hi + 1))
+    if not values:
+        raise ConfigError(f"empty {what} list")
+    return values
+
+
+def parse_depths(text) -> list:
+    """Depth grammar: comma-separated ints and inclusive a..b ranges."""
+    depths = _integer_list(text, "depth", "forms like 0,5,10 or 1..30", ranges=True)
+    return _as_config_error(select, depths)
 
 
 def parse_inputs(text, size: int) -> list:
     """Input-state grammar: 'all' or comma-separated basis indices."""
-    text = str(text).strip()
-    if text.lower() == "all":
+    if str(text).strip().lower() == "all":
         return list(range(size))
-    indices = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            index = int(token)
-        except ValueError:
-            raise ConfigError(
-                f"bad input token {token!r}; use decimal basis indices or 'all'"
-            ) from None
-        try:
-            check_basis_indices(index, size.bit_length() - 1, "input state")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        indices.add(index)
-    if not indices:
-        raise ConfigError("empty input list")
-    return sorted(indices)
+    inputs = _integer_list(text, "input", "decimal basis indices or 'all'")
+    n = size.bit_length() - 1
+    return select(_as_config_error(check_basis_indices, inputs, n, "input state"), n)
 
 
 def parse_preset(text: str):
@@ -136,7 +137,7 @@ def parse_preset(text: str):
     params = {}
     for (key, kind), value in zip(types.items(), values):
         try:
-            params[key] = kind(value)
+            params[key] = _read_integer(value) if kind is int else kind(value)
         except ValueError:
             raise ConfigError(f"bad value {value!r} for preset parameter {key}") from None
     return name, params
@@ -210,8 +211,8 @@ class Settings:
         if value is None:
             return default
         try:
-            return int(value)
-        except (TypeError, ValueError):
+            return _read_integer(str(value).strip())
+        except ValueError:
             raise ConfigError(f"--{key} expects an integer, got {value!r}") from None
 
     def boolean(self, key) -> bool:
@@ -511,7 +512,7 @@ def cmd_run_all(s: Settings) -> int:
     test = parse_depths(s.require("test"))
     _warn_overlap(train, test)
     # depth 0 rides along as the MEM calibration stage
-    depths = sorted(set(train) | set(test) | {0})
+    depths = select([0, *train, *test])
     pooled = s.boolean("pavg")
     digest = _config_hash(
         {**plan, "command": "run-all", "train": train, "test": test, "pavg": pooled}

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .transforms import check_qubit_count, check_size
+from .transforms import check_qubit_count, check_size, integer_array
 
 __all__ = [
     "GROUP_ORDER",
@@ -99,10 +99,10 @@ def _group() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
 
 
 def _check_id(gate_id: int) -> int:
-    gate_id = int(gate_id)
-    if not 0 <= gate_id < GROUP_ORDER:
-        raise ValueError(f"gate id {gate_id} out of range [0, {GROUP_ORDER})")
-    return gate_id
+    arr, wrong = integer_array(gate_id)
+    if wrong or arr.ndim or not 0 <= arr < GROUP_ORDER:
+        raise ValueError(f"gate id {gate_id!r} out of range [0, {GROUP_ORDER})")
+    return arr.item()
 
 
 def compose(g: int, h: int) -> int:

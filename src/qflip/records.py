@@ -38,7 +38,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigError, CoverageError, format_missing, require_selected
-from .transforms import check_basis_indices, check_depths, check_qubit_count, integer_array
+from .transforms import (
+    check_basis_indices, check_depths, check_qubit_count, check_seed, integer_array
+)
 
 __all__ = ["Dataset", "Record", "RecordError", "index_to_bits"]
 
@@ -225,12 +227,10 @@ def holds_numbers(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def recorded_seed(payload: dict, what: str):
-    """payload's "seed": a JSON integer, or absent or null for none."""
+def recorded_seed(payload: dict):
+    """payload's "seed": None when it is absent or null, else as check_seed takes it."""
     seed = payload.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"{what} seed must be an integer, got {seed!r}")
-    return seed
+    return None if seed is None else check_seed(seed)
 
 
 def write_json(path, payload) -> None:
@@ -349,9 +349,11 @@ def require_cells(depths, inputs, present, n: int, what: str) -> None:
         raise CoverageError(f"{what} {shown}")
 
 
-def _cell_index(n, depth, input_index, seq) -> dict:
+def _cell_index(n, depth, input_index, seq, given) -> dict:
     """(depth, input) -> positions of the cell's records in sequence-id
-    order; raises ValueError on a repeated (depth, input, seq) triple."""
+    order. A repeated (depth, input, seq) triple raises a RecordError at
+    the first record that repeats the triple of an earlier one, in the
+    order the records were given: record r was given at given[r]."""
     if not len(depth):
         return {}
     by_cell = np.lexsort((seq, input_index, depth))
@@ -359,10 +361,13 @@ def _cell_index(n, depth, input_index, seq) -> dict:
     same_cell = (d[1:] == d[:-1]) & (i[1:] == i[:-1])
     repeated = np.flatnonzero(same_cell & (s[1:] == s[:-1]))
     if repeated.size:
-        j = repeated[0]
-        raise ValueError(
+        # the sorts are stable: of two equal triples, the second came later
+        later = given[by_cell[repeated + 1]]
+        j = repeated[np.argmin(later)]
+        raise RecordError(
             f"duplicate record (depth={d[j]}, "
-            f"input={index_to_bits(int(i[j]), n)}, seq={s[j]})"
+            f"input={index_to_bits(int(i[j]), n)}, seq={s[j]})",
+            int(later.min()),
         )
     firsts = np.concatenate([[0], np.flatnonzero(~same_cell) + 1])
     ends = np.append(firsts[1:], len(by_cell))
@@ -440,7 +445,7 @@ class Dataset:
         self.outcome, self.count, self.starts = outcome, count, starts
         for column in (depth, input, seq, shots, outcome, count, starts):
             column.flags.writeable = False
-        self._cells = _cell_index(n, depth, input, seq)
+        self._cells = _cell_index(n, depth, input, seq, order)
 
     @property
     def size(self) -> int:

@@ -244,6 +244,11 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     from .clifford import GROUP_ORDER
 
     dists = exact_distributions(gt, depth, inputs)
+    # every circuit's counts go into one block, so that the entries are
+    # found, gathered and narrowed once per depth, not once per circuit.
+    # It is made first: numpy rejects a shape past the address space before
+    # any draw, where the gate-id calls would run through every circuit
+    block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
     rng = _depth_rng(seed, depth)
     step = _circuits_per_call(depth * gt.n)
     for lo in range(0, circuits_per_depth, step):
@@ -261,9 +266,6 @@ def _depth_columns(gt, depth, circuits_per_depth, inputs, shots, seed):
     back = np.empty_like(forward)
     back.reshape(-1)[forward.reshape(-1)] = np.arange(dists.size, dtype=flat)
     dists = dists.reshape(-1)[forward]
-    # every circuit's counts go into one block, so that the entries are
-    # found, gathered and narrowed once per depth, not once per circuit
-    block = np.empty((circuits_per_depth, len(inputs), gt.size), count_dtype(shots))
     step = _circuits_per_call(dists.size)
     for lo in range(0, circuits_per_depth, step):
         rows = block[lo : lo + step]
@@ -451,8 +453,6 @@ def ground_truth_from_profile(payload: dict):
         n = payload["n"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed profile: {exc}") from exc
-    if type(n) is not int:
-        raise ConfigError(f"malformed profile: n must be an integer, got {n!r}")
     if not isinstance(name, str):
         raise ConfigError(f"malformed profile: preset must be a string, got {name!r}")
     params = payload.get("params", {})
@@ -461,5 +461,5 @@ def ground_truth_from_profile(payload: dict):
     for key, value in params.items():
         if not holds_numbers(value):
             raise ConfigError(f"malformed profile: parameter {key!r} is not a number: {value!r}")
-    seed = recorded_seed(payload, "malformed profile:")
+    seed = recorded_seed(payload)
     return build_preset(name, n, **params), seed

@@ -27,6 +27,7 @@ __all__ = [
     "check_basis_indices",
     "check_depths",
     "check_seed",
+    "require_finite",
     "require_prob_dist",
 ]
 
@@ -93,7 +94,10 @@ def integer_array(values):
     """(arr, wrong): values (an integer, an iterable as 1-d, or an array) as
     int64 of its shape, a numpy integer array int64 holds as given, and {flat
     position: entry} of the entries, set to 0, that are not 64-bit integers."""
-    if isinstance(values, Iterable) and not isinstance(values, (str, np.ndarray)):
+    if isinstance(values, str):
+        # np.asarray would drop a str's trailing NUL characters
+        values = np.array(values, object)
+    elif isinstance(values, Iterable) and not isinstance(values, np.ndarray):
         values = np.fromiter(values, object)
     values = np.asarray(values)
     if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
@@ -135,9 +139,14 @@ def _outcome_qubits(values: np.ndarray) -> int:
     if size < 2 or size & (size - 1) != 0:
         raise ValueError(f"vector length {size} is not a power of two >= 2")
     n = check_qubit_count(size.bit_length() - 1)
+    require_finite(values)
+    return n
+
+
+def require_finite(values) -> None:
+    """ValueError unless every entry of values is finite."""
     if not np.all(np.isfinite(values)):
         raise ValueError("vector entries must be finite")
-    return n
 
 
 def require_prob_dist(values: np.ndarray) -> np.ndarray:
@@ -244,8 +253,7 @@ def simplex_project(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
+    require_finite(arr)
     desc = np.flip(np.sort(arr, axis=-1), axis=-1)
     cumulative = np.cumsum(desc, axis=-1)
     counts = np.arange(1, arr.shape[-1] + 1)

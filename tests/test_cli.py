@@ -59,6 +59,23 @@ class TestParseDepths:
         with pytest.raises(ConfigError):
             parse_depths(",")
 
+    def test_integers_are_ascii_digits_with_an_optional_sign(self):
+        assert parse_depths(" +3 , 1 .. 2,07") == [1, 2, 3, 7]
+        for token in ["1_0", "３", "٣", "+-1", "1..+", "0x1", "1e2"]:
+            with pytest.raises(ConfigError) as caught:
+                parse_depths(f"1,{token}")
+            assert str(caught.value) == (
+                f"bad depth token {token!r}; use forms like 0,5,10 or 1..30"
+            )
+
+    def test_range_ends_are_checked_before_the_range_is_expanded(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_depths(f"0..{2**63}")
+        assert str(caught.value) == f"depth must be below 2**63, got {2**63}"
+        with pytest.raises(ConfigError) as caught:
+            parse_depths("-3..2")
+        assert str(caught.value) == "depth must be >= 0, got -3"
+
 
 class TestParseInputs:
     def test_all(self):
@@ -80,6 +97,15 @@ class TestParseInputs:
     def test_empty(self):
         with pytest.raises(ConfigError, match="empty input list"):
             parse_inputs(",", 4)
+
+    def test_indices_are_ascii_digits(self):
+        assert parse_inputs("+3, 03", 4) == [3]
+        for token in ["１", "1_0", "0..1"]:
+            with pytest.raises(ConfigError) as caught:
+                parse_inputs(token, 4)
+            assert str(caught.value) == (
+                f"bad input token {token!r}; use decimal basis indices or 'all'"
+            )
 
 
 class TestParsePreset:
@@ -105,6 +131,12 @@ class TestParsePreset:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_preset("iid_bitflip:high")
+
+    @pytest.mark.parametrize("value", ["1_0", "１", "1.0"])
+    def test_integer_parameters_are_ascii_digits(self, value):
+        with pytest.raises(ConfigError) as caught:
+            parse_preset(f"correlated_pair:0.01:0.05:{value}:0")
+        assert str(caught.value) == f"bad value {value!r} for preset parameter first"
 
 
 class TestParseSpam:
@@ -229,6 +261,18 @@ class TestSimulate:
                    "--depths", "1,2", "--workers", workers, "--out", tmp_path)
         assert code == 2
         assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_an_impossible_K_exits_2_at_once(self, tmp_path):
+        # the counts block is made before any gate id is drawn, and numpy
+        # turns away a shape past the address space before it allocates
+        result = subprocess.run(
+            [sys.executable, "-m", "qflip", "simulate", "--preset", "iid_bitflip:0.01",
+             "--n", "1", "--depths", "1", "--K", str(2**62), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: array is too big"), result.stderr
         assert not (tmp_path / "dataset.jsonl").exists()
 
     def test_workers_write_the_serial_bytes(self, tmp_path):
@@ -371,19 +415,17 @@ class TestCharacterize:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ('{"preset": "nope"}', "'n'"),
-            ('{"preset": [1], "n": 2}', "preset must be a string, got [1]"),
-            ('{"preset": "iid_bitflip", "n": 2.7}', "n must be an integer, got 2.7"),
-            ('{"preset": "iid_bitflip", "n": true}', "n must be an integer, got True"),
+            ('{"preset": "nope"}', "malformed profile: 'n'"),
+            ('{"preset": [1], "n": 2}', "malformed profile: preset must be a string, got [1]"),
+            # n and the seed follow the qubit-count and seed rules
+            ('{"preset": "iid_bitflip", "n": 2.7}', "qubit count 2.7 is not an integer"),
+            ('{"preset": "iid_bitflip", "n": true}', "qubit count True is not an integer"),
             # a seed that is not an integer was once written into every header
-            ('{"preset": "iid_bitflip", "n": 2, "seed": 2.5}',
-             "seed must be an integer, got 2.5"),
-            ('{"preset": "iid_bitflip", "n": 2, "seed": "7"}',
-             "seed must be an integer, got '7'"),
-            ('{"preset": "iid_bitflip", "n": 2, "seed": true}',
-             "seed must be an integer, got True"),
+            ('{"preset": "iid_bitflip", "n": 2, "seed": 2.5}', "seed 2.5 is not an integer"),
+            ('{"preset": "iid_bitflip", "n": 2, "seed": "7"}', "seed '7' is not an integer"),
+            ('{"preset": "iid_bitflip", "n": 2, "seed": true}', "seed True is not an integer"),
             ('{"preset": "iid_bitflip", "n": 2, "params": [0.05]}',
-             "params must be an object, got [0.05]"),
+             "malformed profile: params must be an object, got [0.05]"),
         ],
     )
     def test_malformed_profile_payload_names_its_file(
@@ -394,7 +436,7 @@ class TestCharacterize:
         code = run("characterize", "--dataset", run_dir / "dataset.jsonl",
                    "--profile", profile, "--out", tmp_path)
         assert code == 2
-        assert capsys.readouterr().err == f"error: {profile}: malformed profile: {message}\n"
+        assert capsys.readouterr().err == f"error: {profile}: {message}\n"
 
     @pytest.mark.parametrize("seed", ["", ', "seed": null'])
     def test_profile_seed_may_be_absent(self, run_dir, tmp_path, seed):
@@ -546,7 +588,8 @@ class TestPredict:
         code = run("predict", "--model", model, "--depths", depths, "--out", out)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(out.iterdir()) == []
+        # a depth past int64 is rejected as it is parsed, before --out exists
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_broken_model_names_its_file(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -599,9 +642,11 @@ class TestModelFileChecks:
             "train_depths must be a list of integers",
         ),
         "fractional n": (
-            lambda p: json.dumps({**p, "n": 2.7}), "n must be an integer, got 2.7"
+            lambda p: json.dumps({**p, "n": 2.7}), "qubit count 2.7 is not an integer"
         ),
-        "boolean n": (lambda p: json.dumps({**p, "n": True}), "n must be an integer, got True"),
+        "boolean n": (
+            lambda p: json.dumps({**p, "n": True}), "qubit count True is not an integer"
+        ),
         "two keys for one input": (
             lambda p: json.dumps({**p, "inputs": {**p["inputs"], "03": p["inputs"]["3"]}}),
             "input '03': expected the key '3'",
@@ -630,15 +675,15 @@ class TestModelFileChecks:
         # predict and mitigate write the model's seed into their headers
         "seed not an integer": (
             lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": "7; rm -rf"}}),
-            "model meta seed must be an integer, got '7; rm -rf'",
+            "seed '7; rm -rf' is not an integer",
         ),
         "fractional seed": (
             lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": 2.5}}),
-            "model meta seed must be an integer, got 2.5",
+            "seed 2.5 is not an integer",
         ),
         "boolean seed": (
             lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": True}}),
-            "model meta seed must be an integer, got True",
+            "seed True is not an integer",
         ),
         # the length is checked before the sum, so the error names it
         "rates of the wrong length": (

@@ -108,13 +108,38 @@ def test_no_module_imports_another_modules_private_name():
     assert imports == []
 
 
+def test_only_transforms_asks_whether_a_value_is_an_int():
+    """``type(value) is int`` is the integer rule's own test; another
+    module that makes it holds a private copy of the rule."""
+    package = pathlib.Path(qflip.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "transforms.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+            and side.func.id == "type"
+            for side in (node.left, *node.comparators)
+        )
+        and any(
+            isinstance(side, ast.Name) and side.id == "int"
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "message",
     [
         "qubit count must be in", "unknown preset", "out of range for", "(m=",
         "counts sum to", "exceeds shots=", "spam[0] must be 1", "no channel for",
         "empty selection of", "is not an integer", "must be in [0, 0.5)",
-        "takes one probability per qubit", "seed must be an integer, got",
+        "takes one probability per qubit", "seed must be one integer >= 0, got",
+        "vector entries must be finite",
     ],
 )
 def test_each_shared_rule_message_is_written_once(message):

@@ -281,7 +281,7 @@ class TestDataset:
                     unique=True))
     def test_cell_index_lists_each_cells_records_in_seq_order(self, triples):
         depth, input_index, seq = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-        index = records._cell_index(2, depth, input_index, seq)
+        index = records._cell_index(2, depth, input_index, seq, np.arange(len(depth)))
         expected = {}
         for position in sorted(range(len(triples)), key=lambda p: triples[p][2]):
             expected.setdefault(triples[position][:2], []).append(position)
@@ -345,8 +345,25 @@ class TestDataset:
         path = tmp_path / "data.jsonl"
         line = '{"depth":1,"input":"01","seq":4,"shots":2,"counts":{"00":2}}\n'
         path.write_text(line + line.replace('"seq":4', '"seq":5') + line)
-        with pytest.raises(ValueError, match=r"data\.jsonl: duplicate record .*seq=4"):
+        # the message names line 3, which repeats line 1
+        with pytest.raises(
+            ValueError, match=r"data\.jsonl:3: malformed dataset record: duplicate record .*seq=4"
+        ):
             records.Dataset.read_jsonl(path)
+
+    def test_a_repeated_record_is_named_at_the_first_line_that_repeats(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        lines = [
+            '{"depth":2,"input":"0","seq":0,"shots":2,"counts":{"0":2}}\n',
+            '{"depth":1,"input":"0","seq":1,"shots":2,"counts":{"0":2}}\n',
+        ]
+        # lines 3 and 4 repeat lines 1 and 2; the canonical order puts depth 1 first
+        path.write_text("".join(lines * 2))
+        with pytest.raises(ValueError) as caught:
+            records.Dataset.read_jsonl(path)
+        assert str(caught.value) == (
+            f"{path}:3: malformed dataset record: duplicate record (depth=2, input=0, seq=0)"
+        )
 
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -2,6 +2,8 @@
 rejects a bad value with the same message, and the one implementation
 gives the bits the former copies gave."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from qflip import channel, clifford, estimation, mitigation, simulator
 from qflip.cli import main, parse_preset
 from qflip.errors import ConfigError, CoverageError
 from qflip.records import Dataset
-from qflip.transforms import check_depths, check_qubit_count, integer_array
+from qflip.transforms import check_depths, check_qubit_count, check_seed, integer_array
 
 QUBIT_COUNT_ENTRY_POINTS = {
     "Dataset": lambda n: Dataset(n, [], [], [], [], [], [], []),
@@ -519,3 +521,209 @@ def test_integer_array_follows_the_plain_python_rule(values):
         assert arr is values or arr.dtype == kind
     else:
         assert arr.dtype == np.int64
+
+
+# ---------------------------------------------------------------- one value,
+# every entry point that reads it: the library, model.json, profile.json,
+# and the command line as a flag and as a config-file entry
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """A one-qubit run-all output: dataset.jsonl, profile.json, model.json."""
+    root = tmp_path_factory.mktemp("run")
+    assert main(["run-all", "--preset", "iid_bitflip:0.05", "--n", "1", "--K", "2",
+                 "--shots", "16", "--train", "1..4", "--test", "5", "--out", str(root)]) == 0
+    return root
+
+
+# each command's options, less the one under test
+COMMANDS = {
+    "simulate": {"preset": "iid_bitflip:0.05", "n": "1", "depths": "1"},
+    "run-all": {"preset": "iid_bitflip:0.05", "n": "1", "train": "1..4", "test": "5"},
+    "characterize": {"dataset": "{run}/dataset.jsonl", "train": "1..4"},
+    "predict": {"model": "{run}/model.json", "depths": "5"},
+    "mitigate": {"model": "{run}/model.json", "dataset": "{run}/dataset.jsonl", "test": "5"},
+}
+
+
+def _message(argv, out, capsys) -> str:
+    """The error qflip prints for argv, which must exit 2 and leave no
+    artifact in out."""
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert not out.exists() or not any(out.iterdir())
+    return err[len("error: "):-1]
+
+
+def _text(command, option, via):
+    """Entry point: option of command as the given text, by flag or config file."""
+
+    def enter(value, run, tmp_path, capsys):
+        options = {key: text.format(run=run) for key, text in COMMANDS[command].items()}
+        options.pop(option, None)
+        argv = [command, *(part for key, text in options.items() for part in (f"--{key}", text))]
+        if via == "flag":
+            argv += [f"--{option}", value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{option} = {value}\n")
+            argv += ["--config", config]
+        return _message(argv, tmp_path / "out", capsys)
+
+    enter.option = option
+    return enter
+
+
+def _json_file(name, edit, command=None):
+    """Entry point: a copy of the run's name file with edit(payload, value)
+    applied, read by the library or, given command, by qflip command."""
+
+    def enter(value, run, tmp_path, capsys):
+        payload = json.loads((run / name).read_text())
+        edit(payload, value)
+        if command is None and name == "profile.json":
+            with pytest.raises(ValueError) as caught:
+                simulator.ground_truth_from_profile(payload)
+            return str(caught.value)
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        if command is None:
+            with pytest.raises(ConfigError) as caught:
+                channel.read_model(path)
+            message = str(caught.value)
+        else:
+            # --model or --profile names the edited file
+            options = {**COMMANDS[command], name.removesuffix(".json"): str(path)}
+            argv = [command, *(part for key, text in options.items()
+                               for part in (f"--{key}", text.format(run=run)))]
+            message = _message(argv, tmp_path / "out", capsys)
+        assert message.startswith(f"{path}: "), message
+        return message[len(f"{path}: "):]
+
+    return enter
+
+
+def _library(call):
+    def enter(value, run, tmp_path, capsys):
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        return str(caught.value)
+
+    return enter
+
+
+def _set_meta(key):
+    def edit(payload, value):
+        payload["meta"][key] = [1, value] if key == "train_depths" else value
+
+    return edit
+
+
+def _set(key):
+    def edit(payload, value):
+        payload[key] = value
+
+    return edit
+
+
+def _text_entries(commands, option):
+    return {
+        f"qflip {command} {'--' + option if via == 'flag' else option + ' ='}": _text(
+            command, option, via
+        )
+        for command in commands
+        for via in ("flag", "config")
+    }
+
+
+SEED_ENTRY_POINTS = {
+    "check_seed": _library(check_seed),
+    "generate_dataset": _library(
+        lambda seed: simulator.generate_dataset(DEVICE, [1], 1, seed=seed)
+    ),
+    "generate_circuits": _library(
+        lambda seed: simulator.generate_circuits(2, [1], 1, seed=seed)
+    ),
+    "read_model meta": _json_file("model.json", _set_meta("seed")),
+    "qflip predict model.json meta": _json_file("model.json", _set_meta("seed"), "predict"),
+    "qflip mitigate model.json meta": _json_file("model.json", _set_meta("seed"), "mitigate"),
+    "ground_truth_from_profile": _json_file("profile.json", _set("seed")),
+    "qflip characterize profile.json": _json_file("profile.json", _set("seed"), "characterize"),
+    **_text_entries(["simulate", "run-all"], "seed"),
+}
+QUBIT_COUNT_READERS = {
+    "check_qubit_count": _library(check_qubit_count),
+    "build_preset": _library(lambda n: simulator.build_preset("iid_bitflip", n, q=0.01)),
+    "read_model": _json_file("model.json", _set("n")),
+    "qflip predict model.json": _json_file("model.json", _set("n"), "predict"),
+    "ground_truth_from_profile": _json_file("profile.json", _set("n")),
+    "qflip characterize profile.json": _json_file("profile.json", _set("n"), "characterize"),
+    **_text_entries(["simulate", "run-all"], "n"),
+}
+DEPTH_LISTS = {
+    **_text_entries(["simulate", "predict"], "depths"),
+    **_text_entries(["characterize", "run-all"], "train"),
+    **_text_entries(["mitigate", "run-all"], "test"),
+}
+TRAIN_DEPTH_ENTRY_POINTS = {
+    "check_depths": _library(lambda depth: check_depths([1, depth])),
+    "estimate_model": _library(
+        lambda depth: estimation.estimate_model(DATA, train_depths=[1, 2, depth])
+    ),
+    "read_model meta": _json_file("model.json", _set_meta("train_depths")),
+    "qflip predict model.json meta": _json_file(
+        "model.json", _set_meta("train_depths"), "predict"
+    ),
+    "qflip mitigate model.json meta": _json_file(
+        "model.json", _set_meta("train_depths"), "mitigate"
+    ),
+    **DEPTH_LISTS,
+}
+GATE_ID_ENTRY_POINTS = {
+    "compose first": _library(lambda gate: clifford.compose(gate, 0)),
+    "compose second": _library(lambda gate: clifford.compose(0, gate)),
+    "inverse": _library(clifford.inverse),
+    "unitary": _library(clifford.unitary),
+}
+# row -> (the value, the message of its rule, the entry points that read it)
+ONE_RULE_ROWS = {
+    "seed -5": (-5, "seed must be one integer >= 0, got -5", SEED_ENTRY_POINTS),
+    "seed 2.5": (2.5, "seed 2.5 is not an integer", SEED_ENTRY_POINTS),
+    "seed True": (True, "seed True is not an integer", SEED_ENTRY_POINTS),
+    "n 2.7": (2.7, "qubit count 2.7 is not an integer", QUBIT_COUNT_READERS),
+    "train depth -3": (-3, "depth must be >= 0, got -3", TRAIN_DEPTH_ENTRY_POINTS),
+    "train depth 2**70": (
+        2**70, f"depth must be below 2**63, got {2**70}", TRAIN_DEPTH_ENTRY_POINTS
+    ),
+    "--K 1_0": (
+        "1_0", "--K expects an integer, got '1_0'", _text_entries(["simulate", "run-all"], "K")
+    ),
+    "--depths ３": ("３", "bad depth token '３'; use forms like 0,5,10 or 1..30", DEPTH_LISTS),
+    "--seed ٣": (
+        "٣", "--seed expects an integer, got '٣'", _text_entries(["simulate", "run-all"], "seed")
+    ),
+    # the range's ends are checked before the range is expanded
+    "--depths 0..2**63": (
+        f"0..{2**63}", f"depth must be below 2**63, got {2**63}", DEPTH_LISTS
+    ),
+    "compose(1.5, 0)": (1.5, "gate id 1.5 out of range [0, 24)", GATE_ID_ENTRY_POINTS),
+}
+
+
+@pytest.mark.parametrize(
+    "row,entry", [(row, entry) for row, spec in ONE_RULE_ROWS.items() for entry in spec[2]]
+)
+def test_each_value_gets_one_message_at_every_entry_point(
+    row, entry, run_files, tmp_path, capsys
+):
+    value, message, entries = ONE_RULE_ROWS[row]
+    enter = entries[entry]
+    option = getattr(enter, "option", None)
+    if option is not None:
+        # the command line reads text: text that is not an integer is
+        # turned away by the text rule, before any other rule sees it
+        if not isinstance(value, str) and type(value) is not int:
+            message = f"--{option} expects an integer, got {str(value)!r}"
+        value = str(value)
+    assert enter(value, run_files, tmp_path, capsys) == message
