@@ -114,15 +114,27 @@ def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
 
 def _score_rows(outputs: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """JSD of each row of ``(records, 2**n)`` outputs against the basis
-    state truth[row]. Rows go about _JSD_ENTRIES entries at a time, each
-    block scored against one-hot rows made for it alone."""
+    state truth[row], bit for bit ``jsd(one_hot, row)``, with no one-hot
+    rows made. Rows go about _JSD_ENTRIES entries at a time, and
+    require_prob_dist checks each block as jsd would.
+
+    Off the truth the mixture is the row's own entry q, so its term
+    q * log2(2q / q) is q exactly (0 at q = 0). At the truth, with t the
+    row's entry, the row's term is t * log2(2t / (1 + t)) and the one-hot
+    side's whole sum is log2(2 / (1 + t)). Each row's terms are still one
+    C-ordered sum over its 2**n entries, as in _kl_bits.
+    """
     scores = np.empty(len(outputs))
     step = max(1, _JSD_ENTRIES // outputs.shape[1])
     for lo in range(0, len(outputs), step):
-        block = outputs[lo:lo + step]
-        ideal = np.zeros(block.shape)
-        ideal[np.arange(len(block)), truth[lo:lo + step]] = 1.0
-        scores[lo:lo + step] = jsd(ideal, block)
+        block = require_prob_dist(outputs[lo:lo + step])
+        terms = np.maximum(block, 0.0, out=np.empty(block.shape))
+        at = (np.arange(len(block)), truth[lo:lo + step])
+        mass = terms[at]
+        total = 1.0 + mass
+        ratio = np.divide(2.0 * mass, total, out=np.ones(len(mass)), where=mass > 0.0)
+        terms[at] = np.log2(ratio) * mass
+        scores[lo:lo + step] = 0.5 * (np.log2(2.0 / total) + terms.sum(axis=1))
     return scores
 
 
@@ -216,6 +228,33 @@ class MitigationReport:
         write_csv(path, meta, columns, "%d,%s,%s,%.12g,%.12g,%s", rows)
 
 
+def _cell_moments(scores: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of each row of ``(methods, records)`` scores over each
+    cell of sizes[i] consecutive records, then over all of them, as
+    ``(methods, cells + 1)`` arrays.
+
+    The cells of one size are gathered into one ``(methods, cells, size)``
+    array and reduced along its last axis in one mean and one std call;
+    each cell's values are then one contiguous row, so it gets the bits of
+    its own ``values.mean()`` and ``values.std()``.
+    """
+    starts = np.cumsum([0] + sizes[:-1])
+    by_size = {}
+    for position, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(position)
+    means = np.empty((len(scores), len(sizes) + 1))
+    stds = np.empty_like(means)
+    for size, positions in by_size.items():
+        # take, not scores[:, index]: that mixed index gives a strided
+        # array, whose sums along a cell are not the cell's own sum
+        cells = np.take(scores, starts[positions][:, None] + np.arange(size), axis=1)
+        means[:, positions] = cells.mean(axis=2)
+        stds[:, positions] = cells.std(axis=2)
+    means[:, -1] = scores.mean(axis=1)
+    stds[:, -1] = scores.std(axis=1)
+    return means, stds
+
+
 def evaluate_mitigation(
     dataset: Dataset,
     model: NoiseModel | None = None,
@@ -229,9 +268,11 @@ def evaluate_mitigation(
     ``pool_rates(model)`` are built once per call. Per depth, every method
     corrects all of the depth's records at once (a matrix method in one
     multi-right-hand-side solve), and the corrected rows are scored a
-    block of records at a time by their JSD against the input basis state.
-    Rows report mean/std over circuits per (depth, input, method), plus
-    pooled "all" rows per (depth, method), with the correction's flag.
+    block of records at a time by their JSD against the input basis state
+    (_score_rows, with no one-hot rows). Rows report mean/std over circuits
+    per (depth, input, method), plus pooled "all" rows per (depth, method),
+    with the correction's flag; _cell_moments takes the cells of one size
+    in one mean and one std call, with the bits of each cell's own.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHOD_ORDER]
@@ -250,18 +291,18 @@ def evaluate_mitigation(
         sizes = [dataset.circuits(depth, index) for index in inputs]
         truth = np.repeat(inputs, sizes)
         raw = dataset.distributions(depth, inputs)
-        scores, flags = {}, {}
-        for method, builder in builders.items():
+        scores, flags = np.empty((len(ordered), len(truth))), {}
+        for k, (method, builder) in enumerate(builders.items()):
             corrected, flags[method] = builder(depth)(raw)
-            scores[method] = _score_rows(corrected, truth)
+            scores[k] = _score_rows(corrected, truth)
             del corrected
         # each input's cell in input order, then the pooled "all" row
-        cells = {m: np.split(scores[m], np.cumsum(sizes)[:-1]) + [scores[m]] for m in ordered}
+        means, stds = _cell_moments(scores, sizes)
         labels = [index_to_bits(index, dataset.n) for index in inputs] + ["all"]
         for position, label in enumerate(labels):
-            for method in ordered:
-                values = cells[method][position]
+            for k, method in enumerate(ordered):
                 rows.append(ReportRow(
-                    depth, label, method, float(values.mean()), float(values.std()), flags[method]
+                    depth, label, method, float(means[k, position]),
+                    float(stds[k, position]), flags[method],
                 ))
     return MitigationReport(n=dataset.n, rows=rows)

@@ -193,9 +193,10 @@ def exact_distribution(gt: GroundTruth, depth: int, input_index: int) -> np.ndar
 
 # count entries (circuits x inputs x outcomes), or gate ids, drawn per
 # numpy call, unless one circuit holds more: a call's int64 result stays
-# within 128 KiB, one n=7 circuit's counts over all 128 inputs, however
-# many circuits a depth has
-_DRAW_ENTRIES = 1 << 14
+# within 1 MiB, eight n=7 circuits' counts over all 128 inputs, however
+# many circuits a depth has. Each call costs tens of microseconds before
+# it draws, so at n=7, K=10 a depth's counts take 2 calls, not 10
+_DRAW_ENTRIES = 1 << 17
 
 
 def _depth_rng(seed: int, depth: int) -> np.random.Generator:

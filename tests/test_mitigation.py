@@ -17,6 +17,7 @@ from scipy.spatial.distance import jensenshannon
 
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
+from qflip.transforms import PROB_NEG_TOL
 from oracles import (
     dataset_of,
     masked_jsd,
@@ -156,6 +157,92 @@ class TestBatchedJsd:
         with pytest.raises(ValueError) as swapped:
             mitigation.jsd(q, p)
         assert str(swapped.value) == str(single.value)
+
+
+def one_hot_scores(rows, truth):
+    """jsd of each row against its one-hot truth row, the dense way."""
+    return mitigation.jsd(np.eye(rows.shape[1])[truth], rows)
+
+
+class TestOneHotScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        blocks=st.integers(0, 3),
+        extra=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 20, 100, 1 << 14]),
+    )
+    @example(n=7, blocks=1, extra=1, seed=0, chunk=1 << 14)
+    @example(n=1, blocks=3, extra=-1, seed=1, chunk=20)
+    def test_rows_match_dense_one_hot_scores(self, n, blocks, extra, seed, chunk):
+        size = 2**n
+        step = max(1, chunk // size)
+        # a row count on either side of a scoring block's edge
+        rows = max(1, blocks * step + extra)
+        rng = np.random.default_rng(seed)
+        q = distribution_batch(rng, rows, size)
+        truth = rng.integers(0, size, rows)
+        # a point mass at the truth, then a zero at the truth on a row with
+        # mass elsewhere
+        point = rng.integers(0, rows)
+        q[point] = np.eye(size)[truth[point]]
+        spread = np.flatnonzero(q.max(axis=1) < 1.0)
+        if len(spread):
+            q[spread[0], truth[spread[0]]] = 0.0
+            q[spread[0]] /= q[spread[0]].sum()
+        # subnormal or slightly negative entries in place of some zeros,
+        # the zero at the truth among them; each row's largest entry gives
+        # back what they add
+        tiny = rng.choice([5e-324, 1e-320, 2.2e-308, -PROB_NEG_TOL, -1e-12, -0.0])
+        picked = (q == 0.0) & (rng.uniform(size=q.shape) < 0.3)
+        if len(spread) and rng.uniform() < 0.5:
+            picked[spread[0], truth[spread[0]]] = True
+        q[picked] = tiny
+        q[np.arange(rows), q.argmax(axis=1)] -= picked.sum(axis=1) * tiny
+        with mock.patch.object(mitigation, "_JSD_ENTRIES", chunk):
+            dense = one_hot_scores(q, truth)
+            got = mitigation._score_rows(q, truth)
+            fortran = mitigation._score_rows(np.asfortranarray(q), truth)
+        assert got.tobytes() == dense.tobytes()
+        assert fortran.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("chunk", [8, 1 << 14])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[1.1, -0.1, 0.0, 0.0], [1.0, -2e-9, 0.0, 0.0], [0.7, 0.4, 0.0, 0.0],
+         [0.5, np.nan, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0]],
+        ids=["negative", "below-tolerance", "sum", "nan", "inf"],
+    )
+    def test_bad_row_raises_the_dense_error(self, bad_row, chunk, monkeypatch):
+        monkeypatch.setattr(mitigation, "_JSD_ENTRIES", chunk)
+        rng = np.random.default_rng(9)
+        q = distribution_batch(rng, 6, 4)
+        q[4] = bad_row
+        truth = rng.integers(0, 4, 6)
+        with pytest.raises(ValueError) as dense:
+            one_hot_scores(q, truth)
+        with pytest.raises(ValueError) as got:
+            mitigation._score_rows(q, truth)
+        assert str(got.value) == str(dense.value)
+
+
+class TestCellMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+        methods=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[285, 3, 285], methods=2, seed=0)
+    def test_each_cell_gets_its_own_mean_and_std(self, sizes, methods, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=(methods, sum(sizes))) ** rng.uniform(1, 20)
+        means, stds = mitigation._cell_moments(scores, sizes)
+        for row in range(methods):
+            cells = np.split(scores[row], np.cumsum(sizes)[:-1]) + [scores[row]]
+            assert means[row].tobytes() == np.array([v.mean() for v in cells]).tobytes()
+            assert stds[row].tobytes() == np.array([v.std() for v in cells]).tobytes()
 
 
 class TestMitigate:
@@ -525,6 +612,47 @@ class TestEvaluate:
         # the depth's rows, the solver's copy and the solutions take three;
         # dense one-hot truth rows and a whole-depth projection took 7.5
         assert peak < 4 * raw
+
+    def test_cells_of_different_sizes_report_their_own_moments(self):
+        # cells of 1 to 3 circuits, so the cells of one depth differ in size
+        gt = simulator.iid_bitflip(3, 0.03, readout=0.02, prep=0.01)
+        model = simulator.true_noise_model(gt)
+        rng = np.random.default_rng(12)
+        records = [
+            (depth, index, seq, 64, {
+                outcome: int(c)
+                for outcome, c in enumerate(rng.multinomial(
+                    64, simulator.exact_distribution(gt, depth, index)))
+                if c
+            })
+            for depth in (0, 3, 7)
+            for index in range(8)
+            for seq in range(1 + (index + depth) % 3)
+        ]
+        ds = dataset_of(3, records)
+        report = mitigation.evaluate_mitigation(ds, model=model, methods=mitigation.METHOD_ORDER)
+        builders = {m: mitigation.CORRECTIONS[m](ds, model) for m in mitigation.METHOD_ORDER}
+        expected = []
+        for depth in (3, 7):
+            sizes = [ds.circuits(depth, index) for index in range(8)]
+            assert sorted(set(sizes)) == [1, 2, 3]
+            truth = np.repeat(np.arange(8), sizes)
+            raw = ds.distributions(depth, range(8))
+            cells = {}
+            for method, builder in builders.items():
+                scores = one_hot_scores(builder(depth)(raw)[0], truth)
+                cells[method] = np.split(scores, np.cumsum(sizes)[:-1]) + [scores]
+            labels = [format(index, "03b") for index in range(8)] + ["all"]
+            for position, label in enumerate(labels):
+                for method in mitigation.METHOD_ORDER:
+                    values = cells[method][position]
+                    expected.append((depth, label, method, values.mean(), values.std()))
+        got = [(r.depth, r.input_label, r.method, r.mean_jsd, r.std_jsd) for r in report.rows]
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert row[:3] == want[:3]
+            assert np.float64(row[3]).tobytes() == np.float64(want[3]).tobytes(), row
+            assert np.float64(row[4]).tobytes() == np.float64(want[4]).tobytes(), row
 
     def test_ill_conditioned_depth_takes_least_squares(self, monkeypatch):
         # lambda = 0.5 per layer: depth 1 is well conditioned, depth 30 has

@@ -592,3 +592,39 @@ class TestGenerateDataset:
         monkeypatch.setattr(simulator, "_DRAW_ENTRIES", entries)
         simulator.generate_dataset(gt, **kwargs).write_jsonl(tmp_path / "split.jsonl")
         assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
+
+
+class TestWideDrawCalls:
+    # the wide-n7 benchmark's dataset: 31 depths x 10 circuits x 128 inputs
+    WIDE = dict(depths=range(31), circuits_per_depth=10, inputs=range(128), shots=1024, seed=11)
+    COLUMNS = ("depth", "input", "seq", "shots", "starts", "outcome", "count")
+
+    @staticmethod
+    def counted_draw(monkeypatch, entries):
+        """The wide dataset drawn at _DRAW_ENTRIES = entries, and how many
+        multinomial calls drew its counts."""
+        calls = []
+
+        class CountingGenerator(np.random.Generator):
+            def multinomial(self, *args, **kwargs):
+                calls.append(1)
+                return super().multinomial(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        monkeypatch.setattr(simulator, "_DRAW_ENTRIES", entries)
+        gt = simulator.iid_bitflip(7, 0.002, readout=0.01)
+        return simulator.generate_dataset(gt, **TestWideDrawCalls.WIDE), len(calls)
+
+    def test_draw_split_changes_no_count_and_pins_the_calls(self, monkeypatch):
+        default, calls = self.counted_draw(monkeypatch, simulator._DRAW_ENTRIES)
+        # eight circuits of 128 x 128 entries per call: 8 + 2 per depth
+        assert simulator._DRAW_ENTRIES == 1 << 17
+        assert calls == 2 * 31
+        # 2**14 entries are one circuit's counts over all 128 inputs, and
+        # 1 entry still draws one whole circuit per call
+        for entries in (1 << 14, 1):
+            split, calls = self.counted_draw(monkeypatch, entries)
+            assert calls == 10 * 31
+            for name in self.COLUMNS:
+                assert np.array_equal(getattr(split, name), getattr(default, name)), name
+                assert getattr(split, name).dtype == getattr(default, name).dtype, name
