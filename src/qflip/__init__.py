@@ -15,7 +15,6 @@ _EXPORTS = {
     "transforms": ("fwht", "fwht_inverse", "xor_permute", "simplex_project"),
     "channel": (
         "eigenvalues_from_rates",
-        "rates_from_eigenvalues",
         "gate_error_matrix",
         "spam_matrix",
         "InputChannel",

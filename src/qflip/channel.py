@@ -6,18 +6,19 @@ and measurement (SPAM) factor. Both matrices are diagonalized by the
 Walsh-Hadamard transform, so every operation here works on length-2**n
 vectors in O(n * 2**n):
 
-  * ``rates``: probabilities of each n-bit flip pattern per gate layer
+  * ``rates``: the weight of each n-bit flip pattern per gate layer
     (index 1 flips qubit 0, the rightmost bit of the displayed string);
   * ``eigenvalues``: the WHT of the rates, one attenuation per parity
     coefficient, raised to the m-th power for depth m;
   * ``spam``: the per-coefficient SPAM attenuation, entry 0 fixed at 1.
 
-A NoiseModel stores these per characterized input as rows of ``(inputs,
-2**n)`` arrays, and predictions batch over inputs: one spectral
-prediction gives a row per input, each equal to its one-input result, and
-builds all 2**n columns of a mitigation matrix at once. Dense matrices are
-only materialized on demand for inspection and for the mitigation system;
-predictions always go through the spectral route.
+A fitted model's rates are ``W^-1 lambda``: they sum to 1, may hold small
+negative entries, and their spectrum lies in [-1, 1]. A NoiseModel keeps
+all three per characterized input as ``(inputs, 2**n)`` rows. Predictions
+read its spectrum and batch over inputs: one gives a row per input, each
+equal to its one-input result, and builds all 2**n columns of a
+mitigation matrix at once. Dense matrices are only materialized on demand
+for inspection and for the mitigation system.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, CoverageError, format_missing, require_selected
 from .records import holds_numbers, index_to_bits, read_json, recorded_seed, write_json
 from .transforms import (
+    PROB_SUM_TOL,
     check_basis_indices,
     check_depths,
     check_qubit_count,
@@ -39,6 +41,7 @@ from .transforms import (
     num_qubits,
     require_finite,
     require_prob_dist,
+    require_unit_sum,
     simplex_project,
 )
 
@@ -47,7 +50,6 @@ __all__ = [
     "NoiseModel",
     "MitigationMatrix",
     "eigenvalues_from_rates",
-    "rates_from_eigenvalues",
     "gate_error_matrix",
     "spam_matrix",
     "apply_transition_power",
@@ -64,22 +66,18 @@ SPAM_HEAD_TOL = 1e-9
 
 
 def eigenvalues_from_rates(rates: np.ndarray) -> np.ndarray:
-    """WHT spectrum of a flip-pattern distribution; entry 0 is exactly 1.
+    """WHT spectrum of flip-pattern rates; entry 0 is exactly 1.
 
-    A ``(..., 2**n)`` array gives one spectrum per distribution.
+    A ``(..., 2**n)`` array gives one spectrum per row. Each row must be
+    finite and sum to 1, and its spectrum lie in [-1, 1], both within
+    PROB_SUM_TOL; it may hold negative entries, as W^-1 of a fit does.
     """
-    spectrum = fwht(require_prob_dist(rates))
+    spectrum = fwht(require_unit_sum(rates))
+    outside = spectrum[np.abs(spectrum) > 1.0 + PROB_SUM_TOL]
+    if outside.size:
+        raise ValueError(f"rates spectrum has entry {float(outside[0])!r} outside [-1, 1]")
     spectrum[..., 0] = 1.0
     return spectrum
-
-
-def rates_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
-    """Inverse of ``eigenvalues_from_rates`` followed by simplex projection.
-
-    Exact (projection is the identity) when the spectrum came from a
-    distribution; otherwise returns the nearest valid distribution.
-    """
-    return simplex_project(fwht_inverse(np.asarray(eigenvalues, dtype=float)))
 
 
 def gate_error_matrix(rates: np.ndarray) -> np.ndarray:
@@ -117,24 +115,23 @@ def apply_transition_power(rates: np.ndarray, depth: int, vec: np.ndarray) -> np
 
     Spectral route: WHT, elementwise eigenvalue power, inverse WHT; never
     forms the dense matrix. depth == 0 returns vec unchanged. vec may be a
-    ``(..., 2**n)`` batch of vectors; rates is then one distribution for
-    all of them or one per vector, and every vector gets the
+    ``(..., 2**n)`` batch of vectors; rates is then one row for all of
+    them or one per vector, and every vector gets the
     floating-point result it gets alone.
     """
-    arr = require_prob_dist(rates)
+    spectrum = eigenvalues_from_rates(rates)
     depth = check_depths(depth).item()
     target = np.asarray(vec, dtype=float)
-    if arr.ndim > target.ndim or target.shape[target.ndim - arr.ndim:] != arr.shape:
-        raise ValueError(f"vector shape {target.shape} does not match rates {arr.shape}")
+    if spectrum.ndim > target.ndim or target.shape[target.ndim - spectrum.ndim:] != spectrum.shape:
+        raise ValueError(f"vector shape {target.shape} does not match rates {spectrum.shape}")
     if depth == 0:
         return target.copy()
-    spectrum = eigenvalues_from_rates(arr) ** depth
-    return fwht_inverse(spectrum * fwht(target))
+    return fwht_inverse(spectrum**depth * fwht(target))
 
 
-# fitted noise parameters for one basis input state: rates, the
-# flip-pattern distribution applied per gate layer, and spam, the
-# per-coefficient SPAM attenuation (WHT diagonal) with spam[0] == 1
+# fitted noise parameters for one basis input state: rates, W^-1 lambda per
+# gate layer (sums to 1, may hold small negative entries, spectrum within
+# [-1, 1]), and spam, the SPAM attenuation per WHT coefficient, spam[0] == 1
 InputChannel = namedtuple("InputChannel", "rates spam")
 
 
@@ -144,10 +141,12 @@ class NoiseModel:
     ``NoiseModel(n, channels)`` builds one from a mapping of basis input
     index -> InputChannel. ``inputs`` holds the k characterized basis
     inputs in increasing order; row r of the read-only ``(k, 2**n)``
-    arrays ``rates`` and ``spam`` belongs to ``inputs[r]``, and
-    ``channel(index)`` reads one row back. Every rates row is a
-    distribution, spam is finite, and each spam[0] within SPAM_HEAD_TOL of
-    1 is stored as exactly 1. A model need not cover all 2**n inputs;
+    arrays ``rates``, ``eigenvalues`` and ``spam`` belongs to
+    ``inputs[r]``, and ``channel(index)`` reads one row back. A rates row
+    sums to 1 and may hold small negative entries, but its spectrum, the
+    eigenvalues row computed once here, lies in [-1, 1]. spam is finite,
+    and each spam[0] within SPAM_HEAD_TOL of 1 is stored as exactly 1. A
+    model need not cover all 2**n inputs;
     ``rows`` raises CoverageError for an input it does not cover, and
     mitigation matrices need them all.
     """
@@ -168,13 +167,14 @@ class NoiseModel:
         inputs = check_basis_indices(order, n)
         rates = np.array([channels[index].rates for index in order], dtype=float)
         spam = np.array([channels[index].spam for index in order], dtype=float)
-        require_prob_dist(rates)
+        eigenvalues = eigenvalues_from_rates(rates)
         require_finite(spam)
         _check_spam_head(spam)
         spam[:, 0] = 1.0
-        for arr in (inputs, rates, spam):
+        for arr in (inputs, rates, eigenvalues, spam):
             arr.flags.writeable = False
         self.n, self.inputs, self.rates, self.spam = n, inputs, rates, spam
+        self.eigenvalues = eigenvalues
 
     @property
     def size(self) -> int:
@@ -206,15 +206,13 @@ class NoiseModel:
 def predict_distribution(model: NoiseModel, depth: int, input_index) -> np.ndarray:
     """Predicted outcome distribution after depth gate layers on one input.
 
-    Spectrally: project(W^-1 (spam * eigenvalues**depth * W e_in)). The
-    projection only acts when fitted SPAM values push entries slightly
-    negative; for exact models it is the identity. A sequence of input
-    indices gives one row per input, each equal to its one-input result.
+    Spectrally: project(W^-1 (spam * eigenvalues**depth * W e_in)) with the
+    model's eigenvalues; the projection is the identity unless fitted
+    values push entries negative. A sequence of input indices gives one
+    row per input, each equal to its one-input result.
     """
     rows = model.rows(input_index)
-    predicted = _predict(
-        model.spam[rows], eigenvalues_from_rates(model.rates[rows]), depth, model.inputs[rows]
-    )
+    predicted = _predict(model.spam[rows], model.eigenvalues[rows], depth, model.inputs[rows])
     return predicted[0] if np.ndim(input_index) == 0 else predicted
 
 
@@ -263,7 +261,7 @@ def mitigation_matrix(model: NoiseModel, depth: int) -> MitigationMatrix:
     so callers can flag ill-conditioned inversions.
     """
     model.rows(range(model.size))  # names every input the model lacks
-    predicted = _predict(model.spam, eigenvalues_from_rates(model.rates), depth, model.inputs)
+    predicted = _predict(model.spam, model.eigenvalues, depth, model.inputs)
     return MitigationMatrix(depth, predicted.T)
 
 
@@ -272,7 +270,8 @@ def pool_rates(model: NoiseModel) -> NoiseModel:
     model's own inputs; each input keeps its SPAM.
 
     Each per-input rate vector already lives in the input-0 flip frame
-    (estimation aligns them), so a plain arithmetic mean is correct.
+    (estimation aligns them), so a plain arithmetic mean is correct; the
+    WHT is linear, so it is also the mean spectrum, within [-1, 1].
     """
     rates = model.rates.mean(axis=0)
     rows = zip(model.input_indices(), model.spam)

@@ -4,9 +4,10 @@ Pipeline: average the per-circuit empirical distributions into an
 (inputs, depths, 2**n) table of cell means for a block of inputs, xor-align
 each row to its input and Walsh-transform the block at once, fit each input's spectral
 coefficients to exponential decays A * lambda**m by least squares in the
-log domain, then map the fitted eigenvalues back to flip-pattern rates and
-project onto the simplex. A randomized-benchmarking style scalar fit of
-the survival probability is included as a baseline.
+log domain, then keep each input's rates as W^-1 lambda, unprojected: they
+sum to 1, may hold small negative entries, and their spectrum lies in
+[-1, 1]. A randomized-benchmarking style scalar fit of the survival
+probability is included as a baseline.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (
-    InputChannel,
-    NoiseModel,
-    predict_distribution,
-    rates_from_eigenvalues,
-)
+from .channel import InputChannel, NoiseModel, predict_distribution
 from .errors import select
 from .records import Dataset, index_to_bits, require_cells, write_csv
-from .transforms import check_depths, check_qubit_count, fwht_in_place, xor_permute
+from .transforms import check_depths, check_qubit_count, fwht_in_place, fwht_inverse, xor_permute
 
 __all__ = [
     "DepthAverage",
@@ -235,7 +231,7 @@ def _fit_table(means, inputs, depths) -> list:
 
 def _model_from_fits(n, inputs, fits):
     """(model, diagnostics) of the inputs' fits, in input order."""
-    rates = rates_from_eigenvalues(np.stack([fit.eigenvalues for fit in fits]))
+    rates = fwht_inverse(np.stack([fit.eigenvalues for fit in fits]))
     spam = np.stack([fit.spam for fit in fits])
     channels = dict(zip(inputs, map(InputChannel, rates, spam)))
     return NoiseModel(n, channels), dict(zip(inputs, fits))

@@ -29,6 +29,7 @@ __all__ = [
     "check_seed",
     "require_finite",
     "require_prob_dist",
+    "require_unit_sum",
 ]
 
 MAX_QUBITS = 12
@@ -150,18 +151,23 @@ def require_finite(values) -> None:
 
 
 def require_prob_dist(values: np.ndarray) -> np.ndarray:
-    """Validate a probability distribution over bit patterns.
-
-    Entries must be >= -PROB_NEG_TOL and sum to 1 within PROB_SUM_TOL.
-    A ``(..., 2**n)`` array is a batch of distributions along its last
-    axis; a batch with one invalid row raises the error that row raises
-    alone.
+    """Validate a probability distribution over bit patterns: the rule of
+    ``require_unit_sum``, and entries >= -PROB_NEG_TOL. A ``(..., 2**n)``
+    array is a batch of distributions along its last axis; a batch with
+    one invalid row raises the error that row raises alone.
     Returns the input as a float array (copy only if conversion is needed).
     """
-    arr = np.asarray(values, dtype=float)
-    _outcome_qubits(arr)
+    arr = require_unit_sum(values)
     if arr.min() < -PROB_NEG_TOL:
         raise ValueError(f"distribution has negative entry {arr.min():g}")
+    return arr
+
+
+def require_unit_sum(values) -> np.ndarray:
+    """values as a float array; ValueError unless each vector along its
+    last axis has length 2**n, is finite and sums to 1 within PROB_SUM_TOL."""
+    arr = np.asarray(values, dtype=float)
+    _outcome_qubits(arr)
     totals = arr.sum(axis=-1)
     bad = np.abs(totals - 1.0) > PROB_SUM_TOL
     if np.any(bad):

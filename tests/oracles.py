@@ -564,7 +564,6 @@ def per_column_mitigation_matrix(model, depth) -> np.ndarray:
     """Mitigation matrix built one column (one input's prediction) at a
     time, from the model's channels, each column with its own 1-d
     spectrum."""
-    from qflip.channel import eigenvalues_from_rates
     from qflip.transforms import fwht, fwht_inverse, simplex_project
 
     size = model.size
@@ -573,7 +572,9 @@ def per_column_mitigation_matrix(model, depth) -> np.ndarray:
         chan = model.channel(index)
         indicator = np.zeros(size)
         indicator[index] = 1.0
-        spectrum = chan.spam * eigenvalues_from_rates(chan.rates) ** depth * fwht(indicator)
+        eigenvalues = fwht(chan.rates)
+        eigenvalues[0] = 1.0
+        spectrum = chan.spam * eigenvalues**depth * fwht(indicator)
         columns[:, index] = simplex_project(fwht_inverse(spectrum))
     return columns
 

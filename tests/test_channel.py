@@ -21,7 +21,7 @@ from oracles import (
 )
 from qflip import channel
 from qflip.errors import CoverageError
-from qflip.transforms import fwht, simplex_project
+from qflip.transforms import fwht, fwht_inverse, simplex_project
 
 
 def random_rates(rng, n):
@@ -109,7 +109,7 @@ class TestEigenvalueMaps:
         rates = random_rates(rng, n)
         spectrum = channel.eigenvalues_from_rates(rates)
         np.testing.assert_allclose(spectrum, dense_wht_matrix(n) @ rates, atol=1e-12)
-        back = channel.rates_from_eigenvalues(spectrum)
+        back = fwht_inverse(spectrum)
         np.testing.assert_allclose(back, rates, rtol=0, atol=1e-10)
 
 
@@ -221,6 +221,65 @@ class TestModelTypes:
             model.channel(1)
 
 
+class TestRatesSpectrum:
+    """A rates row is W^-1 of a gate spectrum: finite, summing to 1, with
+    its spectrum in [-1, 1]. It may hold negative entries, as the rates of a
+    fitted model do, and the model keeps that spectrum as its eigenvalues."""
+
+    SPECTRUM = [1.0, 0.9, 0.9, 0.7]
+
+    def signed_rates(self):
+        rates = fwht_inverse(np.array(self.SPECTRUM))
+        assert rates.min() < 0.0
+        return rates
+
+    def test_accepts_negative_entries_with_a_spectrum_in_range(self):
+        rates = self.signed_rates()
+        model = channel.NoiseModel(2, {0: channel.InputChannel(rates, np.ones(4))})
+        assert model.rates[0].tobytes() == rates.tobytes()
+        assert model.eigenvalues[0, 0] == 1.0
+        np.testing.assert_allclose(model.eigenvalues[0], self.SPECTRUM, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_eigenvalues_are_the_spectra_of_the_rates(self, n):
+        model = random_model(np.random.default_rng(60 + n), n)
+        for model in (model, channel.pool_rates(model)):
+            for rates, eigenvalues in zip(model.rates, model.eigenvalues):
+                assert eigenvalues.tobytes() == channel.eigenvalues_from_rates(rates).tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 7])
+    def test_transition_power_takes_signed_rates(self, depth):
+        rates, vec = self.signed_rates(), np.array([0.1, 0.2, 0.3, 0.4])
+        got = channel.apply_transition_power(rates, depth, vec)
+        oracle = dense_power_apply(dense_gate_matrix(rates), depth, vec)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    def test_rejects_a_spectrum_outside_the_unit_interval(self):
+        with pytest.raises(ValueError) as caught:
+            one_input_model([1.5, -0.5], [1.0, 0.8])
+        assert str(caught.value) == "rates spectrum has entry 2.0 outside [-1, 1]"
+
+    def test_model_file_with_negative_rates_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        payload = {"n": 2, "inputs": {"0": {"p": self.signed_rates().tolist(), "A": [1.0] * 4}}}
+        path.write_text(json.dumps(payload))
+        model, _ = channel.read_model(path)
+        assert model.rates[0].tobytes() == self.signed_rates().tobytes()
+
+    def test_reads_a_file_with_projected_rates(self, tmp_path):
+        # rates projected onto the simplex, as earlier versions wrote them:
+        # non-negative, with exact zeros where the projection clipped
+        path = tmp_path / "model.json"
+        entry = {"p": [0.96, 0.02, 0.02, 0.0], "A": [1.0, 0.94, 0.94, 0.8836]}
+        path.write_text(json.dumps({"n": 2, "inputs": {"0": entry, "3": entry},
+                                    "meta": {"seed": 5, "train_depths": [1, 2, 3]}}))
+        model, meta = channel.read_model(path)
+        assert meta == {"seed": 5, "train_depths": [1, 2, 3]}
+        assert model.input_indices() == [0, 3]
+        assert model.rates.tolist() == [entry["p"]] * 2
+        np.testing.assert_allclose(model.eigenvalues[0], [1.0, 0.96, 0.96, 0.92], atol=1e-15)
+
+
 class TestModelArrays:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -244,7 +303,7 @@ class TestModelArrays:
 
     def test_arrays_and_views_are_read_only(self):
         model = random_model(np.random.default_rng(3), 2)
-        for arr in (model.inputs, model.rates, model.spam, *model.channel(1)):
+        for arr in (model.inputs, model.rates, model.eigenvalues, model.spam, *model.channel(1)):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

@@ -672,6 +672,11 @@ class TestModelFileChecks:
             lambda p: _with_entry(p, "1", p=[0.5, 0.25, 0.25, 0.25]),
             "distribution sums to 1.25, expected 1",
         ),
+        # rates may hold negative entries, but their spectrum lies in [-1, 1]
+        "rates spectrum outside [-1, 1]": (
+            lambda p: _with_entry(p, "1", p=[1.5, -0.5, 0.0, 0.0]),
+            "rates spectrum has entry 2.0 outside [-1, 1]",
+        ),
         # predict and mitigate write the model's seed into their headers
         "seed not an integer": (
             lambda p: json.dumps({**p, "meta": {**p["meta"], "seed": "7; rm -rf"}}),

@@ -24,6 +24,7 @@ from oracles import (
 )
 from qflip import channel, estimation, simulator
 from qflip.errors import CoverageError
+from qflip.transforms import fwht, fwht_inverse
 
 
 def fit_series(series, train_depths=None):
@@ -412,6 +413,64 @@ class TestEstimateModel:
                 errors.append(np.abs(model.channel(0).rates - gt.rates).sum())
             mean_errors.append(np.mean(errors))
         assert mean_errors[0] >= mean_errors[1] >= mean_errors[2]
+
+
+@pytest.fixture(scope="module")
+def q02_fits():
+    """The README example's device (n=5, iid q=0.02, readout 0.03) and the
+    (model, diagnostics) of input 0, K=50, 1024 shots, trained on depths
+    1..30, for seeds 1-40."""
+    gt = simulator.iid_bitflip(5, 0.02, readout=0.03)
+    fits = [
+        estimation.estimate_model(
+            simulator.generate_dataset(gt, range(1, 31), 50, inputs=[0], shots=1024, seed=seed)
+        )
+        for seed in range(1, 41)
+    ]
+    return gt, fits
+
+
+class TestFittedSpectrum:
+    """The model keeps the decay fit's spectrum: its rates are W^-1 of the
+    fitted eigenvalues, with no projection onto the simplex, which on this
+    device put a weight-1 bias of about -2.3e-3 into every prediction."""
+
+    def test_rates_are_the_inverse_transform_of_the_fit(self, q02_fits):
+        _, fits = q02_fits
+        model, diagnostics = fits[0]
+        fitted = diagnostics[0].eigenvalues
+        assert model.rates[0].tobytes() == fwht_inverse(fitted).tobytes()
+        assert model.rates.min() < 0.0  # a projection would have clipped these
+        np.testing.assert_allclose(model.eigenvalues[0], fitted, rtol=0, atol=1e-15)
+
+    def test_weight_one_eigenvalues_are_unbiased(self, q02_fits):
+        gt, fits = q02_fits
+        weight_one = [1 << qubit for qubit in range(gt.n)]
+        truth = fwht(gt.rates)[weight_one]
+        errors = np.array([(model.eigenvalues[0, weight_one] - truth).mean() for model, _ in fits])
+        se = errors.std(ddof=1) / np.sqrt(errors.size)
+        assert abs(errors.mean()) < 3.0 * se
+
+    @pytest.mark.parametrize("depth", [10, 40])
+    def test_held_out_predictions_are_close_to_the_truth(self, q02_fits, depth):
+        gt, fits = q02_fits
+        truth = simulator.exact_distributions(gt, depth, [0])[0]
+        distances = [
+            0.5 * np.abs(channel.predict_distribution(model, depth, 0) - truth).sum()
+            for model, _ in fits[:20]
+        ]
+        # the projected model read 1.9e-2 at m=10 and 1.6e-2 at m=40
+        assert np.mean(distances) < 6e-3
+
+    def test_model_file_round_trip_is_bit_identical(self, q02_fits, tmp_path):
+        model, _ = q02_fits[1][0]
+        channel.write_model(tmp_path / "model.json", model)
+        back, _ = channel.read_model(tmp_path / "model.json")
+        assert back.rates.tobytes() == model.rates.tobytes()
+        assert back.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        for depth in (0, 10, 40):
+            got = channel.predict_distribution(back, depth, 0)
+            assert got.tobytes() == channel.predict_distribution(model, depth, 0).tobytes()
 
 
 def noisy_rb_series(seed, alpha, amplitude, offset, noise, depths):

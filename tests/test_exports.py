@@ -36,7 +36,7 @@ def test_every_exported_name_resolves():
 # qflip.__all__ as the package listed it when it imported every submodule
 PUBLIC = {
     "fwht", "fwht_inverse", "xor_permute", "simplex_project",
-    "eigenvalues_from_rates", "rates_from_eigenvalues", "gate_error_matrix", "spam_matrix",
+    "eigenvalues_from_rates", "gate_error_matrix", "spam_matrix",
     "InputChannel", "NoiseModel", "predict_distribution", "MitigationMatrix",
     "mitigation_matrix", "pool_rates", "model_to_json", "model_from_json", "read_model",
     "write_model", "Dataset", "index_to_bits", "GroundTruth", "iid_bitflip", "depolarizing",

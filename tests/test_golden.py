@@ -56,9 +56,9 @@ ARGV_N4 = [
 
 PINS_N4 = {
     "dataset.jsonl": "48c3200196baa18502f7f31bb07ffa59e4760b7e057dc7d0ee71e12fca5ebc46",
-    "model.json": "3068823a4b18a9507bb23145f33482d041e6caeb44bc407d8d8e4412d92c95ba",
-    "report.csv": "e551842808d1be80f3efc83721dccefe68d5f6ab33a7e7f560a43be98755f98f",
-    "predictions.csv": "693f01427c9da4722d80cd833776b1f8de90b9c10d5f5ccdd7c758c46df91d8d",
+    "model.json": "97dd4de64fd757ccfaa54affe540556b6d6da362e8249687c9145c4e8570b7ce",
+    "report.csv": "5918b0887168de4eacc50c14122787a82094a04fe9f6ba5f03aa46a5f6fe9b27",
+    "predictions.csv": "1cb734d38664548f0fec64dbf3820bf15928ce5a3748b4f2b4257dc3f015373e",
     "rb.json": "8f89cf5198c55b0558438464339b2408f524ee0c85d4e62252962be7df84bc76",
     "diagnostics.csv": "f7d635eb5daee224746125739dacfc128b7aa36bf56d7a59e53ff76d1a01c9cd",
     "profile.json": "9dac0303df3610c0dabe94263f3aea35c263366c78010434c41d8754501a81c7",
@@ -121,8 +121,8 @@ STAGED_N3 = [
 
 PINS_STAGED_N3 = {
     "dataset.jsonl": "45c076f05f1df17dad113c614aa51fbce17ea490e61b28020d100f40008f5142",
-    "model.json": "e4517711ddf562db217bc190cff6ac03eded0cd74b0f88e6a4f7bc2135b280ff",
-    "predictions.csv": "2b2d02a8867aee2bf3069ca09a7036cd4b87ec61834b816df61e2c352d30b090",
+    "model.json": "1f58f3b63092046ae9bb74074bcedd36e1d3d727a8df568124b10f04d2453172",
+    "predictions.csv": "80142b60da811eefaad88d8c2a304ba68d04ad9f209791b83a763c7fa012e381",
     "diagnostics.csv": "4d74bd4a73adfe62e81c2a7f2b0e624381b8996f9a2ab0309d13a92d75668cc9",
     "profile.json": "4fb4dc8f35f85d9c65dc65e08e29aec4b47bf7dff31c1c71d364e343991bd9b4",
 }
@@ -165,7 +165,7 @@ STAGED_PAVG_N3 = [
 ]
 
 PINS_STAGED_PAVG_N3 = {
-    "model.json": "97eced90bb72b16314c88192194a04dcb17b449fd1ed13184b7d2d346a974bae",
+    "model.json": "4bd735053219476fc0a0c031af9b85204287134ace49796ba1edd78b65b51b02",
     "rb.json": "b8fbdc224ea3829dfdb92289e33bbfcbcb3f7c2813cab34ad5293d3e51a96a45",
     "diagnostics.csv": "7ad5f8a28ed8edf54c1301dfd73638704c4dd3a2f6f3d902eac239fa6be7a244",
     "profile.json": "354cf52b1669a91d09cdfd10ceaf26eb2ffa3a32634144b8cd92913b8d5c87c5",
