@@ -40,7 +40,6 @@ from .transforms import (
     fwht_inverse,
     num_qubits,
     require_finite,
-    require_prob_dist,
     require_unit_sum,
     simplex_project,
 )
@@ -83,11 +82,13 @@ def eigenvalues_from_rates(rates: np.ndarray) -> np.ndarray:
 def gate_error_matrix(rates: np.ndarray) -> np.ndarray:
     """Dense per-gate transition matrix T[i, j] = rates[i ^ j].
 
-    Symmetric and column-stochastic; diagonalized by the WHT with
-    eigenvalues ``eigenvalues_from_rates(rates)``. For computation prefer
+    Symmetric, and its columns sum to 1; its entries may be negative, as a
+    fitted model's rates may. rates must pass ``eigenvalues_from_rates``,
+    whose spectrum diagonalizes T through the WHT. For computation prefer
     ``apply_transition_power``; this dense form is for inspection.
     """
-    arr = require_prob_dist(rates)
+    arr = np.asarray(rates, dtype=float)
+    eigenvalues_from_rates(arr)
     idx = np.arange(1 << num_qubits(arr))
     return arr[idx[:, None] ^ idx[None, :]]
 
@@ -230,23 +231,36 @@ def _predict(spam, eigenvalues, depth: int, inputs) -> np.ndarray:
 class MitigationMatrix:
     """Columns are predicted distributions per input state at one depth.
 
-    The matrix is square and kept C-contiguous, and ``condition`` is its
-    1-norm condition number (inf for a singular matrix).
+    The matrix is square, finite and a read-only C-ordered copy, factored
+    once: ``inverse`` is its read-only inverse (None if singular), and
+    ``condition`` the 1-norm condition number np.linalg.cond(matrix, 1)
+    gives, from that inverse (inf if singular or not finite).
     """
 
     depth: int
     matrix: np.ndarray = field(repr=False)
     condition: float = field(init=False)
+    inverse: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = np.ascontiguousarray(self.matrix)
+        matrix = np.array(self.matrix, dtype=float, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
             raise ValueError(
                 f"need a non-empty square mitigation matrix, got shape {matrix.shape}"
             )
-        condition = float(np.linalg.cond(matrix, 1))
+        require_finite(matrix)
+        matrix.flags.writeable = False
+        try:
+            inverse = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            inverse, condition = None, np.inf
+        else:
+            inverse.flags.writeable = False
+            with np.errstate(all="ignore"):
+                condition = float(np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1))
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "condition", condition if np.isfinite(condition) else np.inf)
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def size(self) -> int:

@@ -3,10 +3,12 @@
 Every method is one entry of CORRECTIONS: a builder that runs once per
 evaluation with ``(dataset, model)`` and gives, per test depth, a
 correction ``rows -> (rows, flag)`` on the depth's ``(records, 2**n)``
-empirical distributions. The matrix methods invert a system on every row
-and project back onto the simplex: proposed the depth-m prediction
-matrix, MEM the readout-calibration baseline (depth-0 confusion matrix)
-built from gate-free records. Quality is scored with the Jensen-Shannon
+empirical distributions. The matrix methods multiply every row by the
+inverse of a system and project back onto the simplex: proposed the
+depth-m prediction matrix, MEM the readout-calibration baseline (depth-0
+confusion matrix) built from gate-free records. Each system is factored
+once, by one inversion, so MEM pays it once per evaluation and proposed
+once per depth. Quality is scored with the Jensen-Shannon
 divergence in bits against the ideal output of an identity circuit,
 averaged over circuits per (depth, input) and over everything per depth.
 """
@@ -47,7 +49,7 @@ PROPOSED = "proposed"
 PROPOSED_PAVG = "proposed_pavg"
 DEFAULT_METHODS = (UNMITIGATED, MEM, PROPOSED)
 
-# above this 1-norm condition number the factorized solve is distrusted
+# above this 1-norm condition number the product with the inverse is distrusted
 # and the pseudo-inverse path is taken (and flagged in reports)
 COND_LIMIT = 1e8
 ILL_CONDITIONED_FLAG = "ill_conditioned"
@@ -97,21 +99,6 @@ def _kl_bits(a: np.ndarray, total: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _solve_columns(matrix: np.ndarray, rhs: np.ndarray, condition: float):
-    """Solve matrix @ x = rhs column-wise; returns (solutions, fallback_used)."""
-    if np.isfinite(condition) and condition <= COND_LIMIT:
-        try:
-            solutions = np.linalg.solve(matrix, rhs)
-            if np.all(np.isfinite(solutions)):
-                return solutions, False
-        except np.linalg.LinAlgError:
-            pass
-    solutions = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(solutions)):
-        raise NumericError("mitigation solve failed even via least squares")
-    return solutions, True
-
-
 def _score_rows(outputs: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """JSD of each row of ``(records, 2**n)`` outputs against the basis
     state truth[row], bit for bit ``jsd(one_hot, row)``, with no one-hot
@@ -139,13 +126,16 @@ def _score_rows(outputs: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _invert(system: MitigationMatrix, rows: np.ndarray) -> tuple[np.ndarray, str]:
-    """Matrix correction: solve system @ x = row for all rows in one call, then
-    project them in place, _JSD_ENTRIES entries at a time; flag any fallback.
-    The rows are C-ordered, so projection and scoring walk each row's
-    entries in memory order."""
-    solved, fallback = _solve_columns(system.matrix, rows.T, system.condition)
-    rows = np.ascontiguousarray(solved.T)
-    del solved
+    """Matrix correction: all rows times the system's inverse in one product,
+    then projected in place, _JSD_ENTRIES entries at a time. Above COND_LIMIT
+    least squares solves the rows instead, and the result is flagged."""
+    fallback = system.condition > COND_LIMIT
+    if fallback:
+        rows = np.linalg.lstsq(system.matrix, rows.T, rcond=None)[0].T
+        if not np.all(np.isfinite(rows)):
+            raise NumericError("mitigation solve failed even via least squares")
+    else:
+        rows = rows @ system.inverse.T
     step = max(1, _JSD_ENTRIES // rows.shape[1])
     for lo in range(0, len(rows), step):
         rows[lo:lo + step] = simplex_project(rows[lo:lo + step])
@@ -153,11 +143,12 @@ def _invert(system: MitigationMatrix, rows: np.ndarray) -> tuple[np.ndarray, str
 
 
 def mitigate(mit: MitigationMatrix, noisy) -> np.ndarray:
-    """Invert the mitigation system on one observed distribution."""
+    """Invert the mitigation system on one observed distribution, which
+    must pass require_prob_dist."""
     noisy = np.asarray(noisy, dtype=float)
     if noisy.shape != (mit.size,):
         raise ValueError(f"distribution shape {noisy.shape} does not match {mit.size}")
-    return _invert(mit, noisy[None])[0][0]
+    return _invert(mit, require_prob_dist(noisy)[None])[0][0]
 
 
 def build_mem_matrix(dataset: Dataset) -> MitigationMatrix:
@@ -265,9 +256,10 @@ def evaluate_mitigation(
     """Score each method per circuit and aggregate.
 
     Each method's builder in CORRECTIONS runs once, so the MEM system and
-    ``pool_rates(model)`` are built once per call. Per depth, every method
-    corrects all of the depth's records at once (a matrix method in one
-    multi-right-hand-side solve), and the corrected rows are scored a
+    ``pool_rates(model)`` are built once per call: one inversion per
+    system, which the MEM system pays once per evaluation. Per depth, every
+    method corrects all of the depth's records at once (a matrix method in
+    one product with its system's inverse), and the corrected rows are scored a
     block of records at a time by their JSD against the input basis state
     (_score_rows, with no one-hot rows). Rows report mean/std over circuits
     per (depth, input, method), plus pooled "all" rows per (depth, method),

@@ -254,9 +254,14 @@ class TestRatesSpectrum:
         oracle = dense_power_apply(dense_gate_matrix(rates), depth, vec)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
-    def test_rejects_a_spectrum_outside_the_unit_interval(self):
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rates: one_input_model(rates, [1.0, 0.8]), channel.gate_error_matrix],
+        ids=["model", "gate_error_matrix"],
+    )
+    def test_rejects_a_spectrum_outside_the_unit_interval(self, build):
         with pytest.raises(ValueError) as caught:
-            one_input_model([1.5, -0.5], [1.0, 0.8])
+            build([1.5, -0.5])
         assert str(caught.value) == "rates spectrum has entry 2.0 outside [-1, 1]"
 
     def test_model_file_with_negative_rates_loads(self, tmp_path):
@@ -388,6 +393,27 @@ class TestMitigationMatrix:
         assert str(caught.value) == (
             f"need a non-empty square mitigation matrix, got shape {shape}"
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_matrix_that_is_not_finite(self, bad):
+        # rejected where it enters: neither its inverse nor least squares
+        # on it gives a number
+        matrix = np.eye(2)
+        matrix[0, 1] = bad
+        with pytest.raises(ValueError) as caught:
+            channel.MitigationMatrix(0, matrix)
+        assert str(caught.value) == "vector entries must be finite"
+
+    def test_keeps_its_one_factorization_read_only(self):
+        # the inverse stays the matrix's: the caller's array is copied, and
+        # neither the copy nor the inverse can be written
+        matrix = np.array([[0.9, 0.2], [0.1, 0.8]])
+        built = channel.MitigationMatrix(0, matrix)
+        matrix[0, 0] = 0.5
+        assert built.matrix[0, 0] == 0.9
+        assert built.inverse.tobytes() == np.linalg.inv(built.matrix).tobytes()
+        assert not built.matrix.flags.writeable
+        assert not built.inverse.flags.writeable
 
     def test_single_qubit_no_spam(self):
         chan = channel.InputChannel(rates=[0.9, 0.1], spam=[1.0, 1.0])

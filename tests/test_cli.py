@@ -814,11 +814,12 @@ class TestMitigate:
     def test_failed_solve_exits_4_without_a_report(
         self, model_path, run_dir, tmp_path, capsys, monkeypatch
     ):
-        def no_solution(matrix, rhs, *args, **kwargs):
-            return np.full(np.shape(rhs), np.nan)
-
-        monkeypatch.setattr(np.linalg, "solve", no_solution)
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: (no_solution(*args),))
+        # a NaN inverse leaves no finite condition number, so the product
+        # path hands every system to least squares, which fails too
+        monkeypatch.setattr(np.linalg, "inv", lambda matrix: np.full(np.shape(matrix), np.nan))
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda matrix, rhs, **kw: (np.full(np.shape(rhs), np.nan),)
+        )
         out = tmp_path / "out"
         code = run("mitigate", "--model", model_path,
                    "--dataset", run_dir / "dataset.jsonl", "--test", "4", "--out", out)

@@ -443,6 +443,21 @@ class TestFittedSpectrum:
         assert model.rates.min() < 0.0  # a projection would have clipped these
         np.testing.assert_allclose(model.eigenvalues[0], fitted, rtol=0, atol=1e-15)
 
+    def test_gate_error_matrix_takes_the_fitted_rates(self, q02_fits):
+        # seed 1's rates hold negative entries, and the dense matrix is
+        # still diagonal in the Walsh basis, with the model's spectrum
+        _, fits = q02_fits
+        model, _ = fits[0]
+        rates = model.rates[0]
+        assert rates.min() < 0.0
+        got = channel.gate_error_matrix(rates)
+        index = np.arange(rates.size)
+        assert got.tobytes() == rates[index[:, None] ^ index[None, :]].tobytes()
+        walsh = dense_wht_matrix(model.n)
+        np.testing.assert_allclose(
+            walsh @ got @ walsh / rates.size, np.diag(model.eigenvalues[0]), rtol=0, atol=1e-12
+        )
+
     def test_weight_one_eigenvalues_are_unbiased(self, q02_fits):
         gt, fits = q02_fits
         weight_one = [1 << qubit for qubit in range(gt.n)]

@@ -132,6 +132,22 @@ def test_only_transforms_asks_whether_a_value_is_an_int():
     assert found == []
 
 
+def test_each_mitigation_system_is_factored_once():
+    """``MitigationMatrix`` inverts its matrix once, and that inverse gives
+    both the condition number and every corrected row. np.linalg.cond or
+    np.linalg.solve elsewhere would factor the same matrix a second time."""
+    package = pathlib.Path(qflip.__file__).parent
+    found = [
+        f"{path.name}:{getattr(owner, 'name', '<module>')}:{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        for owner in ast.parse(path.read_text()).body
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Attribute) and node.attr in {"cond", "inv", "solve"}
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    ]
+    assert found == ["channel.py:MitigationMatrix:inv"]
+
+
 @pytest.mark.parametrize(
     "message",
     [

@@ -3,7 +3,8 @@
 JSD is cross-checked against scipy's jensenshannon (squared, base 2) and a
 frozen hand value; mitigation solves are checked by inverting planted
 channels; the report structure is pinned down to the CSV bytes. Batched
-scoring must equal the per-record loop in oracles.py bit for bit.
+correction and scoring must match the per-record loop in oracles.py, which
+solves by LU, within solve_bound.
 """
 
 from functools import reduce
@@ -11,13 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from qflip import channel, estimation, mitigation, simulator
 from qflip.errors import CoverageError
-from qflip.transforms import PROB_NEG_TOL
+from qflip.transforms import PROB_NEG_TOL, require_prob_dist, simplex_project
 from oracles import (
     dataset_of,
     masked_jsd,
@@ -26,6 +27,15 @@ from oracles import (
     traced_peak,
     transposed_solve_projection,
 )
+
+
+def solve_bound(system, rows):
+    """size * condition * 2**-52 * max(1, |x|inf), x being np.linalg.solve's
+    solutions for the rows: the largest absolute difference allowed between
+    a corrected row and the projection of solve's. The product with the
+    inverse and the LU solve each err by about condition * 2**-52 * |x|."""
+    solved = np.linalg.solve(system.matrix, np.asarray(rows).T)
+    return system.size * system.condition * 2.0**-52 * max(1.0, np.abs(solved).max())
 
 
 def random_simplex(rng, size):
@@ -294,20 +304,75 @@ class TestMitigate:
         assert got.min() >= 0.0
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 7), rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    @example(n=7, rows=300, seed=0)
-    def test_corrected_rows_are_c_ordered_with_the_transposed_bits(self, n, rows, seed):
-        # projection and scoring walk C-ordered rows; the values are those
-        # of projecting the solve's Fortran-ordered transpose
+    @given(
+        n=st.integers(1, 7),
+        rows=st.integers(1, 300),
+        decades=st.floats(0.0, 7.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=7, rows=300, decades=0.0, seed=0)
+    @example(n=7, rows=300, decades=7.0, seed=0)
+    def test_corrected_rows_are_c_ordered_within_the_solve_bound(self, n, rows, decades, seed):
+        # the product with the inverse is C-ordered, so projection and
+        # scoring walk each row in memory order; its rows, and mitigate's
+        # one row, lie within solve_bound of np.linalg.solve's
         rng = np.random.default_rng(seed)
         size = 2**n
-        matrix = 0.8 * np.eye(size) + 0.2 * distribution_batch(rng, size, size).T
+        spectrum = 10.0 ** -(decades * rng.uniform(size=size))
+        spectrum[0] = 1.0
+        mixing = 0.8 * np.eye(size) + 0.2 * distribution_batch(rng, size, size).T
+        matrix = mixing @ channel.spam_matrix(spectrum)
         system = channel.MitigationMatrix(depth=1, matrix=matrix)
+        assume(system.condition <= mitigation.COND_LIMIT)
         noisy = distribution_batch(rng, rows, size)
         corrected, flag = mitigation._invert(system, noisy)
         assert flag == ""
         assert corrected.flags.c_contiguous
-        assert corrected.tobytes() == transposed_solve_projection(matrix, noisy).tobytes()
+        expected = transposed_solve_projection(matrix, noisy)
+        assert np.abs(corrected - expected).max() <= solve_bound(system, noisy)
+        one = mitigation.mitigate(system, noisy[0])
+        assert np.abs(one - expected[0]).max() <= solve_bound(system, noisy[:1])
+
+    @pytest.mark.parametrize(
+        "rates,depth,flag",
+        [([0.75, 0.25], 26, ""), ([0.75, 0.25], 27, mitigation.ILL_CONDITIONED_FLAG),
+         ([0.5, 0.5], 3, mitigation.ILL_CONDITIONED_FLAG)],
+        ids=["below_cond_limit", "above_cond_limit", "singular"],
+    )
+    def test_systems_at_the_cond_limit_and_singular(self, rates, depth, flag):
+        # lambda = 0.5 per layer gives condition 2**depth: 2**26 is below
+        # COND_LIMIT and 2**27 above it; rates [0.5, 0.5] give a rank-1 matrix
+        chan = channel.InputChannel(rates=rates, spam=[1.0, 1.0])
+        model = channel.NoiseModel(n=1, channels={0: chan, 1: chan})
+        system = channel.mitigation_matrix(model, depth)
+        noisy = np.array([[0.625, 0.375], [0.5, 0.5], [0.45, 0.55]])
+        corrected, got_flag = mitigation._invert(system, noisy)
+        assert got_flag == flag
+        if flag:
+            least_squares = np.linalg.lstsq(system.matrix, noisy.T, rcond=None)[0]
+            assert corrected.tobytes() == simplex_project(least_squares.T).tobytes()
+        else:
+            expected = transposed_solve_projection(system.matrix, noisy)
+            assert np.abs(corrected - expected).max() <= solve_bound(system, noisy)
+        if rates == [0.5, 0.5]:
+            assert system.condition == float("inf")
+            assert system.inverse is None
+        else:
+            assert system.condition == pytest.approx(2.0**depth, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "row", [[2.0, -1.0], [0.3, 0.3], [np.nan, 1.0], [np.inf, 0.0]],
+        ids=["negative", "sum", "nan", "inf"],
+    )
+    def test_rejects_a_row_that_is_not_a_distribution(self, row):
+        # jsd and _score_rows apply the same rule, and a bad row is bad
+        # input, not a numeric failure
+        with pytest.raises(ValueError) as rule:
+            require_prob_dist(np.array(row))
+        mit = channel.MitigationMatrix(depth=1, matrix=np.array([[0.9, 0.1], [0.1, 0.9]]))
+        with pytest.raises(ValueError) as caught:
+            mitigation.mitigate(mit, row)
+        assert str(caught.value) == str(rule.value)
 
     def test_shape_mismatch(self):
         mit = channel.MitigationMatrix(depth=1, matrix=np.eye(2))
@@ -578,24 +643,32 @@ class TestEvaluate:
             ds, depths, inputs, systems, mitigation.COND_LIMIT
         )
 
-        solve = np.linalg.solve
-        rhs_shapes = []
+        inv = np.linalg.inv
+        inverted = []
 
-        def counting_solve(matrix, rhs):
-            rhs_shapes.append(np.shape(rhs))
-            return solve(matrix, rhs)
+        def counting_inv(matrix):
+            inverted.append(np.shape(matrix))
+            return inv(matrix)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
         report = mitigation.evaluate_mitigation(
             ds, model=model, test_depths=depths, methods=mitigation.METHOD_ORDER
         )
-        got = [
-            (r.depth, r.input_label, r.method, r.mean_jsd, r.std_jsd, bool(r.flags))
-            for r in report.rows
-        ]
-        assert got == expected
-        # one factorization per depth and model-based method, all records at once
-        assert rhs_shapes == [(8, 8 * 12)] * 6
+        # the oracle solves by LU, the report multiplies by the inverse: each
+        # score may move by solve_bound, and an unmitigated one not at all
+        assert len(report.rows) == len(expected)
+        for row, want in zip(report.rows, expected):
+            depth, label, method, mean, std, flagged = want
+            assert (row.depth, row.input_label, row.method, bool(row.flags)) == (
+                depth, label, method, flagged
+            )
+            system = systems[(depth, method)]
+            tol = 0.0 if system is None else solve_bound(system, ds.distributions(depth, inputs))
+            assert abs(row.mean_jsd - mean) <= tol, row
+            assert abs(row.std_jsd - std) <= tol, row
+        # one factorization for MEM per call, one per depth for each
+        # model-based method
+        assert inverted == [(8, 8)] * (1 + 2 * len(depths))
 
     def test_scoring_peak_is_bounded_by_the_records(self):
         gt = simulator.iid_bitflip(7, 0.01, readout=0.02)
@@ -609,7 +682,7 @@ class TestEvaluate:
             lambda: mitigation.evaluate_mitigation(ds, model=model, test_depths=[5])
         )
         raw = 10 * 128 * 128 * 8
-        # the depth's rows, the solver's copy and the solutions take three;
+        # the depth's rows and their product with the inverse take two;
         # dense one-hot truth rows and a whole-depth projection took 7.5
         assert peak < 4 * raw
 
